@@ -5,24 +5,18 @@ it so the relative velocity toward each obstacle stays outside that
 obstacle's collision cone, with the guarantee encoded as a control
 barrier constraint solved per step by a tiny QP.
 
-Hot kernels run from a compiled extension when available and fall back
-to pure Python otherwise; `kernel_backend()` reports which one is live.
+The numerical core is one pure Python kernel module;
+`kernel_backend()` names it.
 """
 
 from ._backend import kernel_backend
 from .cbf import (
     CbfEvaluation,
-    ConeGeometry,
     Obstacle,
     c3bf_eval,
-    c3bf_value,
-    cone_geometry,
     effective_radius,
     ellipse_cbf_eval,
     hocbf_eval,
-    rel_kinematics_bicycle,
-    rel_kinematics_pointmass,
-    rel_kinematics_unicycle,
 )
 from .controllers import (
     PGains,
@@ -47,11 +41,8 @@ from .models import (
     ModelParams,
     PointMassState,
     UnicycleState,
-    bicycle_derivative,
     integrate_step,
-    pointmass_derivative,
     slip_from_steering,
-    unicycle_derivative,
 )
 from .qpfilter import FilterConfig, FilterResult, activation_gate, filter_qp, filter_single
 from .scenario_io import load_scenario, parse_scenario, save_scenario, scenario_to_dict
@@ -62,7 +53,6 @@ __all__ = [
     "BicycleState",
     "CbfEvaluation",
     "ConeCbfError",
-    "ConeGeometry",
     "ControllerSpec",
     "FilterConfig",
     "FilterResult",
@@ -79,11 +69,8 @@ __all__ = [
     "UnsupportedCbfError",
     "ValidationError",
     "activation_gate",
-    "bicycle_derivative",
     "c3bf_eval",
-    "c3bf_value",
     "classify_behavior",
-    "cone_geometry",
     "effective_radius",
     "ellipse_cbf_eval",
     "filter_qp",
@@ -96,15 +83,10 @@ __all__ = [
     "p_speed_bicycle",
     "p_velocity",
     "parse_scenario",
-    "pointmass_derivative",
-    "rel_kinematics_bicycle",
-    "rel_kinematics_pointmass",
-    "rel_kinematics_unicycle",
     "run_scenario",
     "safety_metrics",
     "save_scenario",
     "scenario_to_dict",
     "slip_from_steering",
     "stanley_lateral",
-    "unicycle_derivative",
 ]

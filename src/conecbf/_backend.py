@@ -1,40 +1,19 @@
-"""Kernel backend selection.
+"""The kernel module the package calls.
 
-The compiled extension (conecbf._speedups) is preferred when present;
-otherwise the pure Python twin is used. Set CONECBF_KERNEL=pure or
-CONECBF_KERNEL=compiled to force a choice (the latter raises if the
-extension is missing).
+There is one kernel, the pure Python `conecbf._pykernel`. Callers look
+up `kernel.<fn>` at call time rather than binding the functions at
+import, so a profiler can swap the module's attributes for timing
+wrappers and see every kernel call.
 """
 
-import os
-
-from . import _pykernel
-
-_forced = os.environ.get("CONECBF_KERNEL", "").strip().lower()
-
-if _forced in ("pure", "py", "python"):
-    kernel = _pykernel
-elif _forced in ("compiled", "c", "ext"):
-    from . import _speedups as kernel  # noqa: F401
-else:
-    try:
-        from . import _speedups as kernel  # noqa: F401
-    except ImportError:
-        kernel = _pykernel
+from . import _pykernel as kernel
 
 
 def kernel_backend() -> str:
-    """Name of the active kernel backend: 'compiled' or 'pure'."""
+    """Name of the kernel backend in use (always 'pure')."""
     return kernel.backend_name
 
 
 def available_kernels():
-    """All importable kernel modules, pure first."""
-    mods = [_pykernel]
-    try:
-        from . import _speedups
-
-        mods.append(_speedups)
-    except ImportError:
-        pass
-    return mods
+    """Every importable kernel module; there is only the one."""
+    return [kernel]

@@ -1,9 +1,10 @@
-"""Pure Python hot kernels: barrier evaluations, RK4 steps, tiny QP.
+"""Hot kernels: barrier evaluations, RK4 steps, tiny QP.
 
-conecbf._speedups is a compiled twin of this module with identical
-signatures and semantics; conecbf._backend picks one at import time.
-Everything here is scalar math on floats so the fallback stays fast
-enough for real-time-style stepping.
+This module is the single source of the package's numerical core: the
+cone barrier and its Lie derivatives, the baseline barriers, the RK4
+steps and the 2-D QP are each defined here and nowhere else. Callers
+reach it through `conecbf._backend.kernel`. Everything is scalar math
+on plain floats, fast enough for real-time-style stepping.
 
 Barrier evaluations return a flat 6-tuple
     (h, lfh, lg0, lg1, dist, penetration)

@@ -18,11 +18,11 @@ cone candidate.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import cos, hypot, isfinite, sin, sqrt
+from math import isfinite
 
 from ._backend import kernel
 from .errors import UnsupportedCbfError, ValidationError
-from .models import BicycleState, ModelParams, PointMassState, UnicycleState
+from .models import ModelParams
 
 CBF_KINDS = ("c3bf", "ellipse", "hocbf", "none")
 
@@ -75,18 +75,6 @@ class Obstacle:
 
 
 @dataclass(frozen=True)
-class ConeGeometry:
-    """Relative kinematics and cone opening for one vehicle/obstacle pair."""
-
-    r: float
-    p_rel: tuple
-    v_rel: tuple
-    dist: float
-    cos_phi: float
-    penetration: bool
-
-
-@dataclass(frozen=True)
 class CbfEvaluation:
     """Barrier value with its Lie-derivative decomposition.
 
@@ -105,59 +93,6 @@ class CbfEvaluation:
 def effective_radius(o: Obstacle, p: ModelParams) -> float:
     """Bounding-circle radius absorbing obstacle shape and vehicle width."""
     return max(o.c1, o.c2) + 0.5 * p.w
-
-
-def rel_kinematics_unicycle(s: UnicycleState, o: Obstacle, p: ModelParams):
-    """Relative position/velocity of the obstacle w.r.t. the body center."""
-    ct = cos(s.theta)
-    st = sin(s.theta)
-    p_rel = (o.cx - (s.x + p.l * ct), o.cy - (s.y + p.l * st))
-    v_rel = (
-        o.vx - (s.v * ct - p.l * s.omega * st),
-        o.vy - (s.v * st + p.l * s.omega * ct),
-    )
-    return p_rel, v_rel
-
-
-def rel_kinematics_bicycle(s: BicycleState, o: Obstacle):
-    """Heading-aligned relative kinematics for the small-slip bicycle.
-
-    v_rel deliberately ignores the slip component, so it is not the exact
-    time derivative of p_rel; the barrier accounts for that.
-    """
-    p_rel = (o.cx - s.x, o.cy - s.y)
-    v_rel = (o.vx - s.v * cos(s.theta), o.vy - s.v * sin(s.theta))
-    return p_rel, v_rel
-
-
-def rel_kinematics_pointmass(s: PointMassState, o: Obstacle):
-    p_rel = (o.cx - s.x, o.cy - s.y)
-    v_rel = (o.vx - s.vx, o.vy - s.vy)
-    return p_rel, v_rel
-
-
-def cone_geometry(p_rel, v_rel, r: float) -> ConeGeometry:
-    """Cone opening for given relative kinematics; clamps on penetration."""
-    if r <= 0:
-        raise ValidationError(f"effective radius must be > 0, got {r}")
-    dist = hypot(*p_rel)
-    if dist > r:
-        cos_phi = sqrt(dist * dist - r * r) / dist
-        pen = False
-    else:
-        cos_phi = 0.0
-        pen = True
-    return ConeGeometry(r, tuple(p_rel), tuple(v_rel), dist, cos_phi, pen)
-
-
-def c3bf_value(p_rel, v_rel, r: float) -> float:
-    """Barrier value alone; negative iff v_rel points into the cone."""
-    geom = cone_geometry(p_rel, v_rel, r)
-    return (
-        p_rel[0] * v_rel[0]
-        + p_rel[1] * v_rel[1]
-        + geom.dist * hypot(*v_rel) * geom.cos_phi
-    )
 
 
 def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams) -> CbfEvaluation:

@@ -25,7 +25,6 @@ from .scenario_io import (
     load_scenario,
     load_summary,
     read_trajectory_csv,
-    summarize,
     write_summary,
     write_trajectory_csv,
 )
@@ -62,13 +61,12 @@ def _run_one(sc, out_dir, make_plot=False):
         print(f"{sc.name}: aborted ({exc})", file=sys.stderr)
         return EXIT_COLLISION, doc
     write_trajectory_csv(log, os.path.join(out_dir, "trajectory.csv"))
-    write_summary(log, os.path.join(out_dir, "summary.json"))
+    doc = write_summary(log, os.path.join(out_dir, "summary.json"))
     if make_plot:
         data = read_trajectory_csv(os.path.join(out_dir, "trajectory.csv"))
-        doc = summarize(log)
         with open(os.path.join(out_dir, "plot.svg"), "w", encoding="utf-8") as fh:
             fh.write(plot_path(data, doc, title=sc.name))
-    return (EXIT_COLLISION if log.collided else EXIT_OK), summarize(log)
+    return (EXIT_COLLISION if log.collided else EXIT_OK), doc
 
 
 def cmd_simulate(args):

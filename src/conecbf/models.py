@@ -1,4 +1,4 @@
-"""Vehicle models: states, parameters, control-affine derivatives, stepping.
+"""Vehicle models: states, parameters and fixed-step integration.
 
 Three acceleration-controlled models are supported:
 
@@ -11,7 +11,7 @@ All operations are pure functions; states are immutable. Inputs are plain
 """
 
 from dataclasses import dataclass
-from math import atan, cos, isfinite, pi, sin, tan
+from math import atan, isfinite, pi, tan
 
 from ._backend import kernel
 from .errors import ValidationError
@@ -119,41 +119,6 @@ STATE_FIELDS = {
     "bicycle": ("x", "y", "theta", "v"),
     "pointmass": ("x", "y", "vx", "vy"),
 }
-
-
-def unicycle_derivative(s: UnicycleState, u: ControlInput):
-    """Time derivative (x', y', theta', v', omega') for inputs (a, alpha)."""
-    a, alpha = u
-    _require_finite("unicycle input", a, alpha)
-    return (s.v * cos(s.theta), s.v * sin(s.theta), s.omega, a, alpha)
-
-
-def bicycle_derivative(s: BicycleState, u: ControlInput, p: ModelParams):
-    """Time derivative (x', y', theta', v') for inputs (a, beta).
-
-    Valid only within the small-slip regime |beta| <= beta_max.
-    """
-    a, beta = u
-    _require_finite("bicycle input", a, beta)
-    if abs(beta) > p.beta_max:
-        raise ValidationError(
-            f"|beta|={abs(beta):.4f} exceeds beta_max={p.beta_max}; small-angle model invalid"
-        )
-    ct = cos(s.theta)
-    st = sin(s.theta)
-    return (
-        s.v * ct - s.v * beta * st,
-        s.v * st + s.v * beta * ct,
-        s.v * beta / p.l_r,
-        a,
-    )
-
-
-def pointmass_derivative(s: PointMassState, u: ControlInput):
-    """Time derivative (x', y', vx', vy') of the double integrator."""
-    ax, ay = u
-    _require_finite("pointmass input", ax, ay)
-    return (s.vx, s.vy, ax, ay)
 
 
 def slip_from_steering(delta: float, p: ModelParams) -> float:

@@ -36,10 +36,17 @@ class FilterConfig:
     input_bounds: tuple = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        # `not x > 0` also rejects NaN, which would silently disable the filter
+        if not self.gamma > 0:
             raise ValidationError(f"gamma must be > 0, got {self.gamma}")
-        if self.regularization_eps <= 0:
-            raise ValidationError("regularization_eps must be > 0")
+        if not self.activation_radius > 0:
+            raise ValidationError(
+                f"activation_radius must be > 0, got {self.activation_radius}"
+            )
+        if not self.regularization_eps > 0:
+            raise ValidationError(
+                f"regularization_eps must be > 0, got {self.regularization_eps}"
+            )
         if self.input_bounds is not None:
             if len(self.input_bounds) != 2:
                 raise ValidationError("input_bounds must give (lo, hi) per component")

@@ -16,7 +16,16 @@ import json
 
 from .cbf import Obstacle, effective_radius
 from .controllers import ReferencePath
-from .engine import ControllerSpec, Scenario, TrajectoryLog, classify_behavior, safety_metrics
+from .engine import (
+    BRAKE_SPEED_FRACTION,
+    COLLISION_SLACK,
+    TURN_THRESHOLD_DEG,
+    ControllerSpec,
+    Scenario,
+    TrajectoryLog,
+    classify_behavior,
+    safety_metrics,
+)
 from .errors import ValidationError
 from .models import STATE_FIELDS, STATE_TYPES, ModelParams
 from .qpfilter import FilterConfig
@@ -348,9 +357,9 @@ def summarize(log: TrajectoryLog) -> dict:
             "infeasible_steps": sum(log.infeasible),
         },
         "thresholds": {
-            "turn_deg": 15.0,
-            "brake_speed_fraction": 0.10,
-            "collision_slack": 1e-6,
+            "turn_deg": TURN_THRESHOLD_DEG,
+            "brake_speed_fraction": BRAKE_SPEED_FRACTION,
+            "collision_slack": COLLISION_SLACK,
         },
     }
 
@@ -359,10 +368,13 @@ def _none_if_inf(x):
     return None if x == _INF else x
 
 
-def write_summary(log: TrajectoryLog, path):
+def write_summary(log: TrajectoryLog, path) -> dict:
+    """Write `summarize(log)` to `path` and return the dict written."""
+    doc = summarize(log)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summarize(log), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+    return doc
 
 
 def load_summary(path) -> dict:

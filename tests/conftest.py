@@ -10,19 +10,13 @@ themselves.
 import numpy as np
 import pytest
 
-from conecbf import _backend, _pykernel
-
-_KERNELS = {mod.backend_name: mod for mod in _backend.available_kernels()}
+from conecbf._backend import kernel
 
 
-@pytest.fixture(params=sorted(_KERNELS))
+@pytest.fixture(params=[kernel], ids=[kernel.backend_name])
 def kern(request):
-    """Runs a test once per available kernel backend."""
-    return _KERNELS[request.param]
-
-
-def pure_kernel():
-    return _pykernel
+    """The kernel module under test; its backend name tags the test id."""
+    return request.param
 
 
 # ---------------------------------------------------------------------------

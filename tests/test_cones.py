@@ -18,22 +18,34 @@ from conecbf import (
     BicycleState,
     ModelParams,
     Obstacle,
-    PointMassState,
     UnicycleState,
     UnsupportedCbfError,
     ValidationError,
+    _pykernel,
     c3bf_eval,
-    c3bf_value,
-    cone_geometry,
     effective_radius,
     ellipse_cbf_eval,
     hocbf_eval,
-    rel_kinematics_bicycle,
-    rel_kinematics_pointmass,
-    rel_kinematics_unicycle,
 )
 
 MODELS = ("unicycle", "bicycle", "pointmass")
+
+
+def cone_kernel(p_rel, v_rel, r):
+    """Point-mass cone kernel output for given relative kinematics.
+
+    The vehicle sits at the origin moving with -v_rel and a static
+    obstacle sits at p_rel, so the kernel sees exactly (p_rel, v_rel).
+    Element 0 is h, element 5 the penetration flag.
+    """
+    return _pykernel.c3bf_pointmass(
+        0.0, 0.0, -float(v_rel[0]), -float(v_rel[1]),
+        float(p_rel[0]), float(p_rel[1]), 0.0, 0.0, r,
+    )
+
+
+def cone_value(p_rel, v_rel, r):
+    return cone_kernel(p_rel, v_rel, r)[0]
 
 
 class TestEffectiveRadius:
@@ -49,68 +61,29 @@ class TestEffectiveRadius:
         assert effective_radius(o, ModelParams(w=0.8)) == pytest.approx(1.4)
 
 
-class TestRelKinematics:
-    def test_unicycle_head_on_zero_offset(self):
-        s = UnicycleState(0, 0, 0, 1, 0)
-        p_rel, v_rel = rel_kinematics_unicycle(s, Obstacle(5, 0), ModelParams(l=0))
-        assert p_rel == (5, 0)
-        assert v_rel == (-1, 0)
-
-    def test_unicycle_offset_spinning(self):
-        s = UnicycleState(0, 0, 0, 0, 1)
-        p_rel, v_rel = rel_kinematics_unicycle(s, Obstacle(0, 5), ModelParams(l=1))
-        assert p_rel == pytest.approx((-1, 5))
-        assert v_rel == pytest.approx((0, -1))
-
-    def test_unicycle_at_rest(self):
-        s = UnicycleState(2, 3, 1.0, 0, 0)
-        _, v_rel = rel_kinematics_unicycle(s, Obstacle(9, 9, vx=0.4, vy=-0.2), ModelParams())
-        assert v_rel == pytest.approx((0.4, -0.2))
-
-    def test_bicycle_head_on(self):
-        p_rel, v_rel = rel_kinematics_bicycle(BicycleState(0, 0, 0, 1), Obstacle(5, 0))
-        assert p_rel == (5, 0)
-        assert v_rel == pytest.approx((-1, 0))
-
-    def test_bicycle_hand_case(self):
-        s = BicycleState(1, 1, math.pi / 2, 2)
-        p_rel, v_rel = rel_kinematics_bicycle(s, Obstacle(1, 6, vx=1, vy=0))
-        assert p_rel == pytest.approx((0, 5))
-        assert v_rel == pytest.approx((1, -2), abs=1e-15)
-
-    def test_bicycle_at_rest(self):
-        _, v_rel = rel_kinematics_bicycle(BicycleState(0, 0, 0.3, 0), Obstacle(4, 4, vx=1, vy=2))
-        assert v_rel == pytest.approx((1, 2))
-
-    def test_pointmass(self):
-        s = PointMassState(1, 2, 0.5, -0.5)
-        p_rel, v_rel = rel_kinematics_pointmass(s, Obstacle(4, 6, vx=1, vy=1))
-        assert p_rel == (3, 4)
-        assert v_rel == (0.5, 1.5)
-
-
 class TestConeValue:
     def test_zero_relative_velocity(self):
-        assert c3bf_value((4, 3), (0, 0), 2.0) == 0.0
+        assert cone_value((4, 3), (0, 0), 2.0) == 0.0
 
     def test_approaching_hand_value(self):
         # cos(phi) = 4/5 at dist 5, r 3
-        assert c3bf_value((5, 0), (-1, 0), 3.0) == pytest.approx(-1.0)
+        assert cone_value((5, 0), (-1, 0), 3.0) == pytest.approx(-1.0)
 
     def test_receding_hand_value(self):
-        assert c3bf_value((5, 0), (1, 0), 3.0) == pytest.approx(9.0)
+        assert cone_value((5, 0), (1, 0), 3.0) == pytest.approx(9.0)
 
     def test_half_plane_limit_at_boundary(self):
         # as dist -> r+ the cone opens to the half plane <p, v> >= 0
-        h = c3bf_value((3.0000001, 0), (-1, 0), 3.0)
+        h = cone_value((3.0000001, 0), (-1, 0), 3.0)
         assert h == pytest.approx(-3.0, abs=1e-2)
         assert h < 0
 
     def test_penetration_flag(self):
-        g = cone_geometry((1, 0), (-1, 0), 3.0)
-        assert g.penetration and g.cos_phi == 0.0
-        g2 = cone_geometry((5, 0), (-1, 0), 3.0)
-        assert not g2.penetration and 0 <= g2.cos_phi < 1
+        # inside the radius the cone term is clamped away: h = <p, v>
+        out = cone_kernel((1, 0), (-1, 0), 3.0)
+        assert out[5] == 1.0 and out[0] == -1.0
+        out = cone_kernel((5, 0), (-1, 0), 3.0)
+        assert out[5] == 0.0 and out[0] == pytest.approx(-1.0)
 
     def test_scale_covariance_in_v(self):
         rng = np.random.default_rng(7)
@@ -119,8 +92,8 @@ class TestConeValue:
             v = rng.uniform(-3, 3, 2)
             r = float(rng.uniform(0.2, np.linalg.norm(p) * 0.9))
             lam = float(rng.uniform(0.1, 10))
-            assert c3bf_value(p, lam * v, r) == pytest.approx(
-                lam * c3bf_value(p, v, r), rel=1e-12
+            assert cone_value(p, lam * v, r) == pytest.approx(
+                lam * cone_value(p, v, r), rel=1e-12
             )
 
     def test_cone_membership_equivalence(self):
@@ -134,7 +107,7 @@ class TestConeValue:
             r = float(rng.uniform(0.1, 0.95) * d)
             if np.linalg.norm(v) < 1e-9:
                 continue
-            h = c3bf_value(p, v, r)
+            h = cone_value(p, v, r)
             ang = math.acos(
                 np.clip(p @ v / (np.linalg.norm(p) * np.linalg.norm(v)), -1, 1)
             )
@@ -181,8 +154,6 @@ class TestConeLieDerivatives:
         assert math.hypot(*e.lgh) > 0
 
     def test_bicycle_beta_column_matches_directional_fd(self):
-        from conecbf import _pykernel
-
         rng = np.random.default_rng(3)
         for _ in range(100):
             z, u, obs_vel, params, (c1, c2, r) = sample_case(rng, "bicycle")
@@ -340,19 +311,3 @@ class TestBaselineDisagreement:
         assert ell.h > 0
         assert cone.h < 0
 
-
-class TestBackendParity:
-    def test_cone_kernels_match_pure(self):
-        import conecbf._pykernel as pk
-
-        try:
-            import conecbf._speedups as sp
-        except ImportError:
-            pytest.skip("compiled kernels not built")
-        rng = np.random.default_rng(23)
-        for model in MODELS:
-            for _ in range(300):
-                z, u, obs_vel, params, (c1, c2, r) = sample_case(rng, model, min_margin=-0.5)
-                a = kernel_c3bf(pk, model, z, obs_vel, params, r)
-                b = kernel_c3bf(sp, model, z, obs_vel, params, r)
-                assert a == pytest.approx(b, rel=1e-14, abs=1e-14)

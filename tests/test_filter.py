@@ -280,3 +280,11 @@ class TestActivationGate:
     def test_rejects_negative_distance(self):
         with pytest.raises(ValidationError):
             activation_gate(-1.0, self.CFG10)
+
+
+class TestFilterConfig:
+    @pytest.mark.parametrize("field", ["gamma", "activation_radius", "regularization_eps"])
+    @pytest.mark.parametrize("value", [float("nan"), 0.0])
+    def test_rejects_nan_and_non_positive(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            FilterConfig(**{field: value})

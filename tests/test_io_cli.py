@@ -229,3 +229,19 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["validate", "--scenario", str(bad)]) == 3
+
+    @pytest.mark.parametrize("field", ["gamma", "activation_radius"])
+    def test_validate_nan_filter_exit_3(self, tmp_path, field):
+        doc = json.loads((SCENARIO_DIR / "unicycle-braking.json").read_text())
+        doc["filter"][field] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 3
+        assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 3
+
+    def test_simulate_gamma_nan_exit_3(self, tmp_path):
+        code = main([
+            "simulate", "--scenario", str(SCENARIO_DIR / "unicycle-braking.json"),
+            "--out", str(tmp_path / "o"), "--gamma", "nan",
+        ])
+        assert code == 3

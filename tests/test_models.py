@@ -1,11 +1,13 @@
-"""Vehicle model derivatives and the fixed-step integrator."""
+"""Vehicle states, the derivative oracle's hand values, and the integrator."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
+
+from conftest import ext_derivative
 
 from conecbf import (
     BicycleState,
@@ -13,34 +15,41 @@ from conecbf import (
     PointMassState,
     UnicycleState,
     ValidationError,
-    bicycle_derivative,
     integrate_step,
-    pointmass_derivative,
     slip_from_steering,
-    unicycle_derivative,
 )
 
-finite = st.floats(-10, 10, allow_nan=False)
+
+def vehicle_derivative(model, s, u, p=None):
+    """Vehicle block of the oracle's extended-state derivative."""
+    params = {"l_r": p.l_r} if p is not None else {}
+    z = (*s.as_tuple(), 0.0, 0.0)
+    return tuple(float(d) for d in ext_derivative(model, z, u, (0.0, 0.0), params)[:-2])
 
 
 class TestUnicycleDerivative:
     def test_heading_aligned_unit_speed(self):
-        d = unicycle_derivative(UnicycleState(0, 0, 0, 1, 0), (0, 0))
+        d = vehicle_derivative("unicycle", UnicycleState(0, 0, 0, 1, 0), (0, 0))
         assert d == (1, 0, 0, 0, 0)
 
     def test_quarter_turn_heading(self):
-        d = unicycle_derivative(UnicycleState(0, 0, math.pi / 2, 2, 0.5), (1, -1))
+        d = vehicle_derivative("unicycle", UnicycleState(0, 0, math.pi / 2, 2, 0.5), (1, -1))
         assert d == pytest.approx((0, 2, 0.5, 1, -1), abs=1e-15)
 
     def test_diagonal_heading(self):
-        d = unicycle_derivative(
-            UnicycleState(3, -2, math.pi / 4, math.sqrt(2), 0), (0, 0)
+        d = vehicle_derivative(
+            "unicycle", UnicycleState(3, -2, math.pi / 4, math.sqrt(2), 0), (0, 0)
         )
         assert d == pytest.approx((1, 1, 0, 0, 0), abs=1e-15)
 
     def test_rejects_non_finite(self):
+        nan = float("nan")
         with pytest.raises(ValidationError):
-            unicycle_derivative(UnicycleState(0, 0, 0, 1, 0), (float("nan"), 0))
+            integrate_step("unicycle", UnicycleState(0, 0, 0, 1, 0), (nan, 0), 0.01)
+        with pytest.raises(ValidationError):
+            integrate_step("bicycle", BicycleState(0, 0, 0, 1), (0, nan), 0.01, ModelParams())
+        with pytest.raises(ValidationError):
+            integrate_step("pointmass", PointMassState(0, 0, 0, 0), (0, nan), 0.01)
         with pytest.raises(ValidationError):
             UnicycleState(0, 0, 0, float("inf"), 0)
 
@@ -49,32 +58,34 @@ class TestBicycleDerivative:
     P = ModelParams(l_f=1.0, l_r=1.0)
 
     def test_zero_slip_straight_line(self):
-        assert bicycle_derivative(BicycleState(0, 0, 0, 1), (0, 0), self.P) == (1, 0, 0, 0)
+        d = vehicle_derivative("bicycle", BicycleState(0, 0, 0, 1), (0, 0), self.P)
+        assert d == (1, 0, 0, 0)
 
     def test_hand_evaluated_slip(self):
-        d = bicycle_derivative(BicycleState(0, 0, 0, 2), (1, 0.1), self.P)
+        d = vehicle_derivative("bicycle", BicycleState(0, 0, 0, 2), (1, 0.1), self.P)
         assert d == pytest.approx((2, 0.2, 0.2, 1), abs=1e-15)
 
     def test_zero_speed_annihilates_steer(self):
-        p = ModelParams(beta_max=0.5)
-        assert bicycle_derivative(BicycleState(0, 0, 0, 0), (0, 0.3), p) == (0, 0, 0, 0)
+        d = vehicle_derivative("bicycle", BicycleState(0, 0, 0, 0), (0, 0.3), self.P)
+        assert d == (0, 0, 0, 0)
 
     def test_rejects_large_slip(self):
-        with pytest.raises(ValidationError):
-            bicycle_derivative(BicycleState(0, 0, 0, 1), (0, 0.3), self.P)
+        with pytest.raises(ValidationError, match="beta_max"):
+            integrate_step("bicycle", BicycleState(0, 0, 0, 1), (0, 0.3), 0.01, self.P)
 
 
 class TestPointMassDerivative:
     def test_drift_only(self):
-        assert pointmass_derivative(PointMassState(0, 0, 1, 2), (0, 0)) == (1, 2, 0, 0)
+        d = vehicle_derivative("pointmass", PointMassState(0, 0, 1, 2), (0, 0))
+        assert d == (1, 2, 0, 0)
 
     def test_pure_acceleration(self):
-        assert pointmass_derivative(PointMassState(5, 5, 0, 0), (1, -1)) == (0, 0, 1, -1)
+        d = vehicle_derivative("pointmass", PointMassState(5, 5, 0, 0), (1, -1))
+        assert d == (0, 0, 1, -1)
 
     def test_superposition(self):
-        assert pointmass_derivative(PointMassState(1, 0, -1, 1), (0.5, 0.5)) == (
-            -1, 1, 0.5, 0.5,
-        )
+        d = vehicle_derivative("pointmass", PointMassState(1, 0, -1, 1), (0.5, 0.5))
+        assert d == (-1, 1, 0.5, 0.5)
 
 
 class TestSlipFromSteering:
@@ -95,41 +106,6 @@ class TestSlipFromSteering:
         p = ModelParams(l_f=1.1, l_r=0.9)
         if d1 < d2:
             assert slip_from_steering(d1, p) < slip_from_steering(d2, p)
-
-
-class TestControlAffinity:
-    """derivative(s, u1) + derivative(s, u2) - derivative(s, 0) == derivative(s, u1+u2)."""
-
-    @settings(max_examples=60)
-    @given(finite, finite, finite, finite)
-    def test_unicycle(self, a1, b1, a2, b2):
-        s = UnicycleState(0.3, -1.2, 0.7, 1.5, -0.4)
-        d1 = np.array(unicycle_derivative(s, (a1, b1)))
-        d2 = np.array(unicycle_derivative(s, (a2, b2)))
-        d0 = np.array(unicycle_derivative(s, (0, 0)))
-        ds = np.array(unicycle_derivative(s, (a1 + a2, b1 + b2)))
-        assert np.max(np.abs(d1 + d2 - d0 - ds)) <= 1e-12
-
-    @settings(max_examples=60)
-    @given(finite, st.floats(-0.09, 0.09), finite, st.floats(-0.09, 0.09))
-    def test_bicycle(self, a1, b1, a2, b2):
-        p = ModelParams(l_r=1.4)
-        s = BicycleState(0.3, -1.2, 0.7, 1.5)
-        d1 = np.array(bicycle_derivative(s, (a1, b1), p))
-        d2 = np.array(bicycle_derivative(s, (a2, b2), p))
-        d0 = np.array(bicycle_derivative(s, (0, 0), p))
-        ds = np.array(bicycle_derivative(s, (a1 + a2, b1 + b2), p))
-        assert np.max(np.abs(d1 + d2 - d0 - ds)) <= 1e-12
-
-    @settings(max_examples=60)
-    @given(finite, finite, finite, finite)
-    def test_pointmass(self, a1, b1, a2, b2):
-        s = PointMassState(0.3, -1.2, 0.7, 1.5)
-        d1 = np.array(pointmass_derivative(s, (a1, b1)))
-        d2 = np.array(pointmass_derivative(s, (a2, b2)))
-        d0 = np.array(pointmass_derivative(s, (0, 0)))
-        ds = np.array(pointmass_derivative(s, (a1 + a2, b1 + b2)))
-        assert np.max(np.abs(d1 + d2 - d0 - ds)) <= 1e-12
 
 
 class TestIntegrateStep:
