@@ -36,17 +36,11 @@ EXIT_INVALID = 3
 
 
 def _apply_overrides(sc, args):
-    if getattr(args, "dt", None) is not None:
-        if args.dt <= 0:
-            raise ValidationError(f"--dt must be > 0, got {args.dt}")
-        sc = replace(sc, dt=args.dt)
-    if getattr(args, "duration", None) is not None:
-        if args.duration <= 0:
-            raise ValidationError(f"--duration must be > 0, got {args.duration}")
-        sc = replace(sc, duration=args.duration)
-    if getattr(args, "gamma", None) is not None:
-        sc = replace(sc, filter=replace(sc.filter, gamma=args.gamma))
-    return sc
+    """Apply --dt, --duration and --gamma together; the dataclasses check them."""
+    changes = {k: getattr(args, k) for k in ("dt", "duration") if getattr(args, k) is not None}
+    if args.gamma is not None:
+        changes["filter"] = replace(sc.filter, gamma=args.gamma)
+    return replace(sc, **changes)
 
 
 def _run_one(sc, out_dir, make_plot=False):
@@ -164,9 +158,8 @@ def cmd_plot(args):
 
 def cmd_validate(args):
     sc = load_scenario(args.scenario)
-    n_steps = int(sc.duration / sc.dt + 1e-9)
     print(f"{args.scenario}: valid ({sc.model}, {len(sc.obstacles)} obstacle(s), "
-          f"{n_steps + 1} records at dt={sc.dt})")
+          f"{sc.n_steps + 1} records at dt={sc.dt})")
     return EXIT_OK
 
 

@@ -28,9 +28,9 @@ class PGains:
     v_des: float = 0.0
 
     def __post_init__(self):
-        if self.k1 <= 0:
+        if not self.k1 > 0:
             raise ValidationError(f"k1 must be > 0, got {self.k1}")
-        if self.k2 < 0:
+        if not self.k2 >= 0:
             raise ValidationError(f"k2 must be >= 0, got {self.k2}")
 
 

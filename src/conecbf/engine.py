@@ -8,7 +8,7 @@ constant. Identical scenarios produce identical logs.
 """
 
 from dataclasses import dataclass, field, replace
-from math import atan2, hypot, isfinite, radians
+from math import atan2, hypot, radians
 
 from ._backend import kernel
 from .cbf import CBF_KINDS, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
@@ -21,6 +21,8 @@ from .qpfilter import FilterConfig, FilterResult, activation_gate, filter_qp
 COLLISION_SLACK = 1e-6
 # consecutive degenerate-filter steps tolerated before aborting
 DEGENERATE_STEP_BUDGET = 200
+# most integration steps one run may take; longer runs are refused up front
+MAX_STEPS = 10**6
 
 # behavior-label thresholds (documented constants, see classify_behavior)
 TURN_THRESHOLD_DEG = 15.0
@@ -50,9 +52,9 @@ class ControllerSpec:
             raise ValidationError(f"unknown controller kind {self.kind!r}")
         if self.kind == "stanley" and self.path is None:
             raise ValidationError("stanley controller needs a path")
-
-    def gains(self) -> PGains:
-        return PGains(self.k1, self.k2, self.v_des)
+        if self.a_max is not None and not 0 < self.a_max < float("inf"):
+            raise ValidationError(f"a_max must be finite and > 0, got {self.a_max}")
+        object.__setattr__(self, "_gains", PGains(self.k1, self.k2, self.v_des))
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ class Scenario:
     obstacles: tuple
     controller: ControllerSpec
     filter: FilterConfig
-    dt: float = 0.01
-    duration: float = 10.0
+    dt: float = field(default=0.01, metadata={"section": "sim"})
+    duration: float = field(default=10.0, metadata={"section": "sim"})
     cbf: str = "c3bf"
     hocbf_gamma1: float = 1.0
     saturate_speed: bool = False
@@ -82,10 +84,17 @@ class Scenario:
                 f"initial state type {type(self.initial_state).__name__} does not "
                 f"match model {self.model!r}"
             )
-        if self.dt <= 0 or self.duration <= 0 or self.dt > self.duration:
+        # chained `not a < b` comparisons also reject NaN
+        if not 0 < self.dt <= self.duration < float("inf"):
             raise ValidationError(
-                f"need 0 < dt <= duration, got dt={self.dt}, duration={self.duration}"
+                f"need 0 < dt <= duration < inf, got dt={self.dt}, duration={self.duration}"
             )
+        if self.duration / self.dt > MAX_STEPS:
+            raise ValidationError(
+                f"duration/dt = {self.duration / self.dt:.3g} steps exceeds MAX_STEPS={MAX_STEPS}"
+            )
+        if not 0 < self.hocbf_gamma1 < float("inf"):
+            raise ValidationError(f"hocbf_gamma1 must be finite and > 0, got {self.hocbf_gamma1}")
         for o in self.obstacles:
             r = effective_radius(o, self.params)
             if r >= self.filter.activation_radius:
@@ -106,6 +115,11 @@ class Scenario:
                 raise ValidationError(
                     f"bicycle slip bounds [{lo}, {hi}] exceed beta_max={self.params.beta_max}"
                 )
+
+    @property
+    def n_steps(self) -> int:
+        """Integration steps of a full run; its log holds n_steps + 1 records."""
+        return int(self.duration / self.dt + 1e-9)
 
 
 @dataclass
@@ -137,12 +151,12 @@ def _reference_input(sc: Scenario, state):
     if c.kind == "zero":
         return (0.0, 0.0)
     if sc.model == "unicycle":
-        u = p_controller(state, c.gains())
+        u = p_controller(state, c._gains)
         if c.a_max is not None:
             u = (min(max(u[0], -c.a_max), c.a_max), u[1])
         return u
     if sc.model == "bicycle":
-        a = p_speed_bicycle(state, c.gains(), c.a_max)
+        a = p_speed_bicycle(state, c._gains, c.a_max)
         if c.kind == "stanley":
             beta = stanley_lateral(state, c.path, c.k_e, sc.params)
         else:
@@ -179,12 +193,12 @@ def _evaluate(sc: Scenario, state, obs_now):
 def run_scenario(sc: Scenario) -> TrajectoryLog:
     """Execute a scenario to completion or until a collision verdict.
 
-    The log gains one record per step boundary, floor(duration/dt)+1 in
+    The log gains one record per step boundary, sc.n_steps + 1 in
     total. Raises SimulationError on integrator divergence or when the
     filter stays degenerate for more than DEGENERATE_STEP_BUDGET
     consecutive steps.
     """
-    n_steps = int(sc.duration / sc.dt + 1e-9)
+    n_steps = sc.n_steps
     log = TrajectoryLog(scenario=sc)
     state = sc.initial_state
     radii = [effective_radius(o, sc.params) for o in sc.obstacles]
@@ -255,8 +269,6 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             if abs(state.v) > sc.params.v_max:
                 vclip = sc.params.v_max if state.v > 0 else -sc.params.v_max
                 state = replace(state, v=vclip)
-        if not all(isfinite(c) for c in state.as_tuple()):
-            raise SimulationError(f"non-finite state at step {k + 1}", step=k + 1)
     return log
 
 

@@ -10,13 +10,11 @@ All operations are pure functions; states are immutable. Inputs are plain
 (u0, u1) tuples whose meaning depends on the model.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import atan, isfinite, pi, tan
 
 from ._backend import kernel
 from .errors import ValidationError
-
-MODEL_KINDS = ("unicycle", "bicycle", "pointmass")
 
 ControlInput = tuple[float, float]
 
@@ -114,11 +112,9 @@ STATE_TYPES = {
     "pointmass": PointMassState,
 }
 
-STATE_FIELDS = {
-    "unicycle": ("x", "y", "theta", "v", "omega"),
-    "bicycle": ("x", "y", "theta", "v"),
-    "pointmass": ("x", "y", "vx", "vy"),
-}
+MODEL_KINDS = tuple(STATE_TYPES)
+
+STATE_FIELDS = {kind: tuple(f.name for f in fields(t)) for kind, t in STATE_TYPES.items()}
 
 
 def slip_from_steering(delta: float, p: ModelParams) -> float:

@@ -37,15 +37,15 @@ class FilterConfig:
 
     def __post_init__(self):
         # `not x > 0` also rejects NaN, which would silently disable the filter
-        if not self.gamma > 0:
-            raise ValidationError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < float("inf"):
+            raise ValidationError(f"gamma must be finite and > 0, got {self.gamma}")
         if not self.activation_radius > 0:
             raise ValidationError(
                 f"activation_radius must be > 0, got {self.activation_radius}"
             )
-        if not self.regularization_eps > 0:
+        if not 0 < self.regularization_eps < float("inf"):
             raise ValidationError(
-                f"regularization_eps must be > 0, got {self.regularization_eps}"
+                f"regularization_eps must be finite and > 0, got {self.regularization_eps}"
             )
         if self.input_bounds is not None:
             if len(self.input_bounds) != 2:

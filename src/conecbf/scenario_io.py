@@ -13,6 +13,8 @@ round-trips doubles exactly and is locale independent.
 
 import csv
 import json
+import sys
+from dataclasses import fields
 
 from .cbf import Obstacle, effective_radius
 from .controllers import ReferencePath
@@ -27,141 +29,155 @@ from .engine import (
     safety_metrics,
 )
 from .errors import ValidationError
-from .models import STATE_FIELDS, STATE_TYPES, ModelParams
+from .models import MODEL_KINDS, STATE_FIELDS, STATE_TYPES, ModelParams
 from .qpfilter import FilterConfig
 
 _INF = float("inf")
+
+# document keys come from the dataclasses they fill; Scenario fields that
+# live in a sub-object name it in their metadata
+_TOP_KEYS = {f.metadata.get("section", f.name) for f in fields(Scenario)}
+_SIM_KEYS = [f.name for f in fields(Scenario) if f.metadata.get("section") == "sim"]
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
-def _check_keys(d: dict, allowed, where: str):
+def _check_keys(d, allowed, where: str):
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(d).__name__}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ValidationError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _num(d: dict, key: str, where: str, default=None, required=False):
-    if key not in d:
-        if required:
-            raise ValidationError(f"{where}: missing required key {key!r}")
-        return default
-    v = d[key]
+def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{where}.{key}: expected a number, got {v!r}")
+        raise ValidationError(f"{where}: expected a number, got {v!r}")
+    # also rejects integer literals beyond the float range
+    if not abs(v) <= sys.float_info.max:
+        raise ValidationError(f"{where}: expected a finite number, got {v!r}")
     return float(v)
 
 
-def _vec2(d: dict, key: str, where: str, default=None, required=False):
+def _required(d: dict, key: str, where: str):
     if key not in d:
-        if required:
-            raise ValidationError(f"{where}: missing required key {key!r}")
-        return default
+        raise ValidationError(f"{where}: missing required key {key!r}")
+    return d[key]
+
+
+def _num(d: dict, key: str, where: str) -> float:
+    return _number(_required(d, key, where), f"{where}.{key}")
+
+
+def _nums(d: dict, where: str, skip=()) -> dict:
+    """Every key of `d` outside `skip` as a number; absent keys keep their defaults."""
+    return {k: _num(d, k, where) for k in d if k not in skip}
+
+
+def _two(v, where: str) -> list:
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ValidationError(f"{where}: expected a list of 2 entries, got {v!r}")
+    return v
+
+
+def _pair(v, where: str) -> tuple:
+    return tuple(_number(c, where) for c in _two(v, where))
+
+
+def _vec2(d: dict, key: str, where: str) -> tuple:
+    return _pair(_required(d, key, where), f"{where}.{key}")
+
+
+def _list(d: dict, key: str, where: str) -> list:
+    v = d.get(key, [])
+    if not isinstance(v, list):
+        raise ValidationError(f"{where}.{key}: expected a list, got {type(v).__name__}")
+    return v
+
+
+def _bool(d: dict, key: str, where: str) -> bool:
     v = d[key]
-    if not (isinstance(v, list) and len(v) == 2 and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
-        raise ValidationError(f"{where}.{key}: expected [number, number], got {v!r}")
-    return (float(v[0]), float(v[1]))
+    if not isinstance(v, bool):
+        raise ValidationError(f"{where}.{key}: expected true or false, got {v!r}")
+    return v
 
 
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
-    """Build a Scenario from a parsed JSON document, validating strictly."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{name}: top level must be an object")
-    _check_keys(
-        doc,
-        ("name", "model", "params", "initial_state", "obstacles", "controller",
-         "filter", "sim", "cbf", "hocbf_gamma1", "saturate_speed"),
-        name,
-    )
+    """Build a Scenario from a parsed JSON document, validating strictly.
+
+    A key the document leaves out keeps the default of the dataclass
+    field it fills.
+    """
+    _check_keys(doc, _TOP_KEYS, name)
     model = doc.get("model")
-    if model not in STATE_TYPES:
-        raise ValidationError(f"{name}.model: expected one of {sorted(STATE_TYPES)}, got {model!r}")
+    if model not in MODEL_KINDS:
+        raise ValidationError(f"{name}.model: expected one of {sorted(MODEL_KINDS)}, got {model!r}")
 
+    where = f"{name}.params"
     pdoc = doc.get("params", {})
-    _check_keys(pdoc, ("l", "l_f", "l_r", "w", "beta_max", "v_max"), f"{name}.params")
-    params = ModelParams(
-        l=_num(pdoc, "l", "params", 0.0),
-        l_f=_num(pdoc, "l_f", "params", 1.0),
-        l_r=_num(pdoc, "l_r", "params", 1.0),
-        w=_num(pdoc, "w", "params", 0.0),
-        beta_max=_num(pdoc, "beta_max", "params", 0.2),
-        v_max=_num(pdoc, "v_max", "params", _INF),
-    )
+    _check_keys(pdoc, [f.name for f in fields(ModelParams)], where)
+    params = ModelParams(**_nums(pdoc, where))
 
+    where = f"{name}.initial_state"
     sdoc = doc.get("initial_state")
-    if not isinstance(sdoc, dict):
-        raise ValidationError(f"{name}.initial_state: missing or not an object")
-    fields = STATE_FIELDS[model]
-    _check_keys(sdoc, fields, f"{name}.initial_state")
-    state = STATE_TYPES[model](
-        *[_num(sdoc, f, "initial_state", required=True) for f in fields]
-    )
+    _check_keys(sdoc, STATE_FIELDS[model], where)
+    state = STATE_TYPES[model](*[_num(sdoc, f, where) for f in STATE_FIELDS[model]])
 
     obstacles = []
-    for i, odoc in enumerate(doc.get("obstacles", [])):
+    for i, odoc in enumerate(_list(doc, "obstacles", name)):
         where = f"{name}.obstacles[{i}]"
         _check_keys(odoc, ("center", "velocity", "semi_axes", "segments"), where)
-        cx, cy = _vec2(odoc, "center", where, required=True)
-        vx, vy = _vec2(odoc, "velocity", where, default=(0.0, 0.0))
-        c1, c2 = _vec2(odoc, "semi_axes", where, default=(1.0, 1.0))
+        okw = {}
+        for key, names in (("velocity", ("vx", "vy")), ("semi_axes", ("c1", "c2"))):
+            if key in odoc:
+                okw.update(zip(names, _vec2(odoc, key, where)))
         segments = []
-        for j, seg in enumerate(odoc.get("segments", [])):
+        for j, seg in enumerate(_list(odoc, "segments", where)):
             segwhere = f"{where}.segments[{j}]"
             _check_keys(seg, ("t", "velocity"), segwhere)
-            t = _num(seg, "t", segwhere, required=True)
-            svx, svy = _vec2(seg, "velocity", segwhere, required=True)
-            segments.append((t, svx, svy))
-        obstacles.append(Obstacle(cx, cy, vx, vy, c1, c2, tuple(segments)))
+            segments.append((_num(seg, "t", segwhere), *_vec2(seg, "velocity", segwhere)))
+        obstacles.append(Obstacle(*_vec2(odoc, "center", where), segments=tuple(segments), **okw))
 
+    where = f"{name}.controller"
     cdoc = doc.get("controller", {"kind": "zero"})
-    _check_keys(
-        cdoc, ("kind", "k1", "k2", "v_des", "v_des_vec", "k_e", "path", "closed", "a_max"),
-        f"{name}.controller",
-    )
-    path = None
+    _check_keys(cdoc, [f.name for f in fields(ControllerSpec)] + ["closed"], where)
+    ckw = _nums(cdoc, where, skip=("kind", "v_des_vec", "path", "closed"))
+    if "kind" in cdoc:
+        ckw["kind"] = cdoc["kind"]
+    if "v_des_vec" in cdoc:
+        ckw["v_des_vec"] = _vec2(cdoc, "v_des_vec", where)
     if "path" in cdoc:
-        wps = cdoc["path"]
-        if not isinstance(wps, list):
-            raise ValidationError(f"{name}.controller.path: expected a list of [x, y]")
-        path = ReferencePath(tuple((float(p[0]), float(p[1])) for p in wps),
-                             closed=bool(cdoc.get("closed", False)))
-    controller = ControllerSpec(
-        kind=cdoc.get("kind", "p"),
-        k1=_num(cdoc, "k1", "controller", 1.0),
-        k2=_num(cdoc, "k2", "controller", 0.0),
-        v_des=_num(cdoc, "v_des", "controller", 0.0),
-        v_des_vec=_vec2(cdoc, "v_des_vec", "controller"),
-        k_e=_num(cdoc, "k_e", "controller", 1.0),
-        path=path,
-        a_max=_num(cdoc, "a_max", "controller"),
-    )
-
-    fdoc = doc.get("filter", {})
-    _check_keys(
-        fdoc, ("gamma", "activation_radius", "regularization_eps", "input_bounds"),
-        f"{name}.filter",
-    )
-    input_bounds = None
-    if fdoc.get("input_bounds") is not None:
-        ib = fdoc["input_bounds"]
-        if not (isinstance(ib, list) and len(ib) == 2):
-            raise ValidationError(f"{name}.filter.input_bounds: expected [[lo,hi],[lo,hi]]")
-        input_bounds = tuple(
-            (float(lo) if lo is not None else -_INF, float(hi) if hi is not None else _INF)
-            for lo, hi in ib
+        waypoints = tuple(
+            _pair(p, f"{where}.path[{i}]") for i, p in enumerate(_list(cdoc, "path", where))
         )
-    fcfg = FilterConfig(
-        gamma=_num(fdoc, "gamma", "filter", 1.0),
-        activation_radius=_num(fdoc, "activation_radius", "filter", _INF),
-        regularization_eps=_num(fdoc, "regularization_eps", "filter", 1e-10),
-        input_bounds=input_bounds,
-    )
+        closed = {"closed": _bool(cdoc, "closed", where)} if "closed" in cdoc else {}
+        ckw["path"] = ReferencePath(waypoints, **closed)
+    controller = ControllerSpec(**ckw)
 
+    where = f"{name}.filter"
+    fdoc = doc.get("filter", {})
+    _check_keys(fdoc, [f.name for f in fields(FilterConfig)], where)
+    fkw = _nums(fdoc, where, skip=("input_bounds",))
+    if fdoc.get("input_bounds") is not None:
+        where = f"{where}.input_bounds"
+        boxes = [_two(box, where) for box in _two(fdoc["input_bounds"], where)]
+        fkw["input_bounds"] = tuple(
+            (-_INF if lo is None else _number(lo, where), _INF if hi is None else _number(hi, where))
+            for lo, hi in boxes
+        )
+
+    where = f"{name}.sim"
     simdoc = doc.get("sim", {})
-    _check_keys(simdoc, ("dt", "duration"), f"{name}.sim")
-
+    _check_keys(simdoc, _SIM_KEYS, where)
+    kw = _nums(simdoc, where)
+    if "hocbf_gamma1" in doc:
+        kw["hocbf_gamma1"] = _num(doc, "hocbf_gamma1", name)
+    if "saturate_speed" in doc:
+        kw["saturate_speed"] = _bool(doc, "saturate_speed", name)
+    if "cbf" in doc:
+        kw["cbf"] = doc["cbf"]
     return Scenario(
         name=str(doc.get("name", name)),
         model=model,
@@ -169,12 +185,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         initial_state=state,
         obstacles=tuple(obstacles),
         controller=controller,
-        filter=fcfg,
-        dt=_num(simdoc, "dt", "sim", 0.01),
-        duration=_num(simdoc, "duration", "sim", 10.0),
-        cbf=doc.get("cbf", "c3bf"),
-        hocbf_gamma1=_num(doc, "hocbf_gamma1", name, 1.0),
-        saturate_speed=bool(doc.get("saturate_speed", False)),
+        filter=FilterConfig(**fkw),
+        **kw,
     )
 
 
@@ -242,13 +254,18 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
+    def reject(literal):
+        raise ValidationError(f"{path}: {literal} is not a finite number")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise ValidationError(f"cannot read scenario file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ValidationError(f"{path}: invalid JSON: {exc}")
     return parse_scenario(doc, name=str(path))
 
 
@@ -258,11 +275,11 @@ def save_scenario(sc: Scenario, path):
         fh.write("\n")
 
 
-def csv_header(log: TrajectoryLog):
+def csv_header(model: str, n_obstacles: int):
     cols = ["t"]
-    cols += list(STATE_FIELDS[log.scenario.model])
+    cols += list(STATE_FIELDS[model])
     cols += ["u_ref_0", "u_ref_1", "u_star_0", "u_star_1"]
-    for i in range(len(log.scenario.obstacles)):
+    for i in range(n_obstacles):
         cols += [f"h_{i}", f"psi_{i}", f"dist_{i}", f"active_{i}", f"penetration_{i}"]
     return cols
 
@@ -271,8 +288,8 @@ def write_trajectory_csv(log: TrajectoryLog, path):
     """Write the per-step record with the fixed column contract."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(csv_header(log))
         n_obs = len(log.scenario.obstacles)
+        writer.writerow(csv_header(log.scenario.model, n_obs))
         for k in range(len(log.t)):
             row = [_fmt(log.t[k])]
             row += [_fmt(v) for v in log.states[k]]
@@ -304,29 +321,16 @@ def read_trajectory_csv(path):
             rows = list(reader)
     except OSError as exc:
         raise ValidationError(f"cannot read CSV {path}: {exc}")
-    if not header or header[0] != "t":
-        raise ValidationError(f"{path}: unknown column layout (no leading 't')")
-    n = len(header)
-    u_cols = ["u_ref_0", "u_ref_1", "u_star_0", "u_star_1"]
-    # bicycle fields are a prefix of unicycle fields: try longest first and
-    # demand the input columns right after the state block
-    state_len = None
-    for fs in sorted(STATE_FIELDS.values(), key=len, reverse=True):
-        if list(fs) == header[1 : 1 + len(fs)] and header[1 + len(fs) : 5 + len(fs)] == u_cols:
-            state_len = len(fs)
-            break
-    if state_len is None:
-        raise ValidationError(f"{path}: unknown column layout (state/input fields)")
-    rest = header[5 + state_len :]
-    if len(rest) % 5 != 0:
-        raise ValidationError(f"{path}: unknown column layout (obstacle groups)")
-    for i in range(len(rest) // 5):
-        expect = [f"h_{i}", f"psi_{i}", f"dist_{i}", f"active_{i}", f"penetration_{i}"]
-        if rest[5 * i : 5 * i + 5] != expect:
-            raise ValidationError(f"{path}: unknown column layout (obstacle {i})")
+    # the header must be the one csv_header writes for some model, with the
+    # obstacle count its length implies
+    if not any(
+        header == csv_header(model, max(0, (len(header) - 5 - len(fs)) // 5))
+        for model, fs in STATE_FIELDS.items()
+    ):
+        raise ValidationError(f"{path}: unknown column layout")
     data = {name: [] for name in header}
     for row in rows:
-        if len(row) != n:
+        if len(row) != len(header):
             raise ValidationError(f"{path}: ragged row with {len(row)} fields")
         for name, val in zip(header, row):
             data[name].append(float(val))

@@ -9,6 +9,7 @@ portions of a run where the safe input differs from the reference.
 from math import ceil, floor, isfinite, log10
 
 from .errors import ValidationError
+from .scenario_io import parse_scenario
 
 W, H = 760, 520
 MARGIN = 56
@@ -157,27 +158,6 @@ def _any_active(data):
     return [any(data[c][k] > 0.5 for c in cols) for k in range(n)]
 
 
-def _obstacle_track(obs_doc, t_end):
-    """Centers at t=0 and t=t_end from a scenario obstacle document."""
-    cx, cy = obs_doc["center"]
-    vx, vy = obs_doc.get("velocity", [0.0, 0.0])
-    t0 = 0.0
-    segs = sorted(
-        (s["t"], s["velocity"][0], s["velocity"][1]) for s in obs_doc.get("segments", [])
-    )
-    x, y = cx, cy
-    for ts, svx, svy in segs:
-        if ts >= t_end:
-            break
-        x += vx * (ts - t0)
-        y += vy * (ts - t0)
-        vx, vy = svx, svy
-        t0 = ts
-    x += vx * (t_end - t0)
-    y += vy * (t_end - t0)
-    return (cx, cy), (x, y)
-
-
 def plot_path(data, summary, title="vehicle path"):
     """Top-down trace with obstacle discs at effective radius."""
     xs = data["x"]
@@ -185,11 +165,11 @@ def plot_path(data, summary, title="vehicle path"):
     all_x = list(xs)
     all_y = list(ys)
     t_end = data["t"][-1]
-    obstacles = summary["scenario"].get("obstacles", [])
+    obstacles = parse_scenario(summary["scenario"]).obstacles
     radii = summary["effective_radii"]
     discs = []
-    for obs_doc, r in zip(obstacles, radii):
-        start, end = _obstacle_track(obs_doc, t_end)
+    for o, r in zip(obstacles, radii):
+        start, end = o.state_at(0.0)[:2], o.state_at(t_end)[:2]
         discs.append((start, end, r))
         for (px, py) in (start, end):
             all_x += [px - r, px + r]

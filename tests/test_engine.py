@@ -18,7 +18,7 @@ from conecbf import (
     run_scenario,
     safety_metrics,
 )
-from conecbf.engine import ControllerSpec
+from conecbf.engine import MAX_STEPS, ControllerSpec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -171,6 +171,37 @@ class TestRunScenario:
                 filter=FilterConfig(gamma=1.0),
                 dt=0.01, duration=1.0, cbf="hocbf",
             )
+
+    @pytest.mark.parametrize("field,value", [
+        ("dt", float("nan")),
+        ("duration", float("nan")),
+        ("duration", float("inf")),
+        ("hocbf_gamma1", float("nan")),
+        ("hocbf_gamma1", float("inf")),
+        ("hocbf_gamma1", 0.0),
+        ("hocbf_gamma1", -1.0),
+    ])
+    def test_rejects_bad_numbers(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            simple_scenario(**{field: value})
+
+    def test_step_count_capped(self):
+        assert simple_scenario(dt=0.5, duration=0.5 * MAX_STEPS).n_steps == MAX_STEPS
+        with pytest.raises(ValidationError, match="MAX_STEPS"):
+            simple_scenario(dt=0.5, duration=0.5 * (MAX_STEPS + 1))
+
+    @pytest.mark.parametrize("gains", [
+        {"k1": 0.0},
+        {"k1": float("nan")},
+        {"k2": -1.0},
+        {"a_max": -1.0},
+        {"a_max": 0.0},
+        {"a_max": float("nan")},
+        {"a_max": float("inf")},
+    ])
+    def test_controller_gains_checked_when_built(self, gains):
+        with pytest.raises(ValidationError):
+            ControllerSpec(kind="p", **gains)
 
     def test_infeasible_steps_logged_under_tight_bounds(self):
         # a box too small for the required correction loses the

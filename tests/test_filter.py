@@ -288,3 +288,8 @@ class TestFilterConfig:
     def test_rejects_nan_and_non_positive(self, field, value):
         with pytest.raises(ValidationError, match=field):
             FilterConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["gamma", "regularization_eps"])
+    def test_rejects_infinite(self, field):
+        with pytest.raises(ValidationError, match=field):
+            FilterConfig(**{field: float("inf")})

@@ -2,11 +2,16 @@
 
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from conecbf import (
+    FilterConfig,
+    ModelParams,
+    Obstacle,
+    Scenario,
     ValidationError,
     load_scenario,
     parse_scenario,
@@ -19,6 +24,16 @@ from conecbf.models import STATE_FIELDS
 from conecbf.scenario_io import read_trajectory_csv, write_trajectory_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+NAN = float("nan")
+INF = float("inf")
+
+
+def set_path(doc, dotted, value):
+    """Set doc[a][b]... for the dotted path "a.b..." (digits index lists)."""
+    *parents, last = dotted.split(".")
+    for key in parents:
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    doc[last] = value
 
 
 def minimal_doc(**over):
@@ -68,6 +83,18 @@ class TestScenarioFiles:
     def test_non_numeric_rejected(self):
         with pytest.raises(ValidationError, match="expected a number"):
             parse_scenario(minimal_doc(sim={"dt": "small", "duration": 2.0}))
+
+    def test_missing_sections_use_dataclass_defaults(self):
+        doc = minimal_doc(obstacles=[{"center": [6, 0.5]}])
+        for key in ("params", "filter", "sim", "cbf"):
+            del doc[key]
+        sc = parse_scenario(doc)
+        defaults = {f.name: f.default for f in fields(Scenario)}
+        assert sc.params == ModelParams()
+        assert sc.filter == FilterConfig()
+        assert sc.obstacles == (Obstacle(6.0, 0.5),)
+        for name in ("dt", "duration", "cbf", "hocbf_gamma1", "saturate_speed"):
+            assert getattr(sc, name) == defaults[name], name
 
     def test_bad_json_reports_line(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -122,6 +149,18 @@ class TestTrajectoryCsv:
         assert len(data["t"]) == len(log.t)
         assert "u_ref_0" in data and "h_0" in data
 
+    @pytest.mark.parametrize(
+        "name", ["unicycle-braking", "bicycle-braking", "pointmass-braking"]
+    )
+    def test_reload_without_obstacles(self, tmp_path, name):
+        sc = replace(load_scenario(SCENARIO_DIR / f"{name}.json"), obstacles=(), duration=1.0)
+        log = run_scenario(sc)
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(log, path)
+        data = read_trajectory_csv(path)
+        assert list(data) == ["t", *STATE_FIELDS[sc.model], "u_ref_0", "u_ref_1", "u_star_0", "u_star_1"]
+        assert data["t"] == log.t
+
     def test_byte_identical_rewrites(self, tmp_path):
         log = self.make_log()
         p1 = tmp_path / "a.csv"
@@ -169,6 +208,52 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["steps"] == int(1.0 / 0.02) + 1
         assert summary["scenario"]["filter"]["gamma"] == 2.0
+
+    def test_overrides_checked_together(self, tmp_path):
+        # --dt 20 exceeds the file's 10 s duration but not the 30 s override
+        scenario = str(SCENARIO_DIR / "unicycle-braking.json")
+        out = tmp_path / "long"
+        code = main(["simulate", "--scenario", scenario, "--out", str(out),
+                     "--dt", "20", "--duration", "30"])
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["steps"] == 2
+        assert main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "short"),
+                     "--dt", "0.5", "--duration", "0.4"]) == 3
+
+    # each case once passed `validate` or ended in a traceback (exit 1)
+    @pytest.mark.parametrize("changes", [
+        {"cbf": "hocbf", "hocbf_gamma1": NAN},
+        {"cbf": "hocbf", "hocbf_gamma1": -1},
+        {"controller.k1": 0},
+        {"controller.a_max": -1},
+        {"sim.dt": NAN},
+        {"sim.duration": INF},
+        {"sim.dt": 1e-300},
+        {"controller.path": [[0, 0], [1]]},
+        {"saturate_speed": "no"},
+        {"obstacles": 5},
+        {"obstacles.0.segments": 5},
+        {"params": [1]},
+        {"model": []},
+        {"filter.input_bounds": [1, 2]},
+    ], ids=lambda changes: ",".join(f"{k}={v!r}" for k, v in changes.items()))
+    def test_bad_input_exit_3(self, tmp_path, changes):
+        doc = json.loads((SCENARIO_DIR / "unicycle-braking.json").read_text())
+        for dotted, value in changes.items():
+            set_path(doc, dotted, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["validate", "--scenario", str(bad)]) == 3
+        assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_huge_integer_literal_exit_3(self, tmp_path):
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(minimal_doc()).replace('"w": 0.6', '"w": 1' + "0" * 400))
+        assert main(["validate", "--scenario", str(bad)]) == 3
+        bad.write_text(json.dumps(minimal_doc()).replace('"w": 0.6', '"w": 1' + "0" * 5000))
+        assert main(["validate", "--scenario", str(bad)]) == 3
 
     def test_batch_over_corpus(self, tmp_path, capsys):
         out = tmp_path / "batch"
@@ -245,3 +330,30 @@ class TestCli:
             "--out", str(tmp_path / "o"), "--gamma", "nan",
         ])
         assert code == 3
+
+
+class TestPlotPath:
+    def test_segmented_obstacle_end_disc(self, tmp_path):
+        # the end disc sits where Obstacle.state_at puts the center at the
+        # last logged time, after both velocity changes
+        doc = minimal_doc(obstacles=[{
+            "center": [6, 3], "velocity": [1, 0], "semi_axes": [0.5, 0.5],
+            "segments": [{"t": 1.0, "velocity": [0, 1]}, {"t": 1.5, "velocity": [-1, 0.5]}],
+        }])
+        scenario = tmp_path / "moving.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out), "--plot"]) == 0
+        t_end = read_trajectory_csv(out / "trajectory.csv")["t"][-1]
+        obstacle = load_scenario(scenario).obstacles[0]
+        (sx, sy), (ex, ey) = obstacle.state_at(0.0)[:2], obstacle.state_at(t_end)[:2]
+        assert (ex, ey) != (sx + t_end, sy)  # the segments moved it off the initial course
+        ns = "{http://www.w3.org/2000/svg}"
+        svg = ET.parse(out / "plot.svg").getroot()
+        track = next(e for e in svg.iter(ns + "line") if e.get("stroke-dasharray") == "4 3")
+        end = next(e for e in svg.iter(ns + "circle") if e.get("stroke-dasharray") == "4 3")
+        x1, y1, x2, y2 = (float(track.get(a)) for a in ("x1", "y1", "x2", "y2"))
+        px_per_m = float(end.get("r")) / (0.5 + 0.5 * 0.6)
+        assert (float(end.get("cx")), float(end.get("cy"))) == (x2, y2)
+        assert (x2 - x1) / px_per_m == pytest.approx(ex - sx, abs=1e-2)
+        assert (y1 - y2) / px_per_m == pytest.approx(ey - sy, abs=1e-2)
