@@ -330,68 +330,26 @@ def rk4_pointmass(x, y, vx, vy, ax, ay, dt):
 #
 #   min ||u - u_ref||^2   s.t.  g_i . u >= b_i
 #
-# Active-set iteration starting from the unconstrained optimum; an
-# exhaustive working-set sweep backs it up, so the result is the exact
-# optimum whenever the constraints are feasible.
+# In the plane the optimum is u_ref, the projection of u_ref onto one row's
+# boundary, or the vertex of two rows, so an exact solve enumerates those
+# candidates in that order.  A feasible projection of a row u_ref violates,
+# and a feasible vertex with nonnegative multipliers, satisfy KKT and are
+# returned at once; otherwise the closest feasible candidate wins.
 # ---------------------------------------------------------------------------
 
 _FEAS_TOL = 1e-10
 
 
-def _violation(u0, u1, g0s, g1s, bs, skip):
-    """Most violated constraint index outside `skip`, or -1."""
-    worst = -1
-    worst_v = _FEAS_TOL
-    for i in range(len(bs)):
-        if i in skip:
-            continue
-        vi = (bs[i] - (g0s[i] * u0 + g1s[i] * u1)) / (1.0 + abs(bs[i]))
-        if vi > worst_v:
-            worst_v = vi
-            worst = i
-    return worst
+def _unmet(u0, u1, g0s, g1s, bs, start=0):
+    """First row index >= start that u fails, or -1.
 
-
-def _feasible(u0, u1, g0s, g1s, bs):
-    for i in range(len(bs)):
-        if bs[i] - (g0s[i] * u0 + g1s[i] * u1) > _FEAS_TOL * (1.0 + abs(bs[i])):
-            return False
-    return True
-
-
-def _enumerate_qp(ur0, ur1, g0s, g1s, bs):
-    """Exhaustive sweep over working sets; exact for this 2-D geometry."""
-    m = len(bs)
-    best = None
-    if _feasible(ur0, ur1, g0s, g1s, bs):
-        return ur0, ur1, (), True
-    for i in range(m):
-        gg = g0s[i] * g0s[i] + g1s[i] * g1s[i]
-        if gg <= 0.0:
-            continue
-        lam = (bs[i] - (g0s[i] * ur0 + g1s[i] * ur1)) / gg
-        u0 = ur0 + lam * g0s[i]
-        u1 = ur1 + lam * g1s[i]
-        if _feasible(u0, u1, g0s, g1s, bs):
-            d2 = (u0 - ur0) ** 2 + (u1 - ur1) ** 2
-            if best is None or d2 < best[0]:
-                best = (d2, u0, u1, (i,))
-    for i in range(m):
-        for j in range(i + 1, m):
-            det = g0s[i] * g1s[j] - g1s[i] * g0s[j]
-            scale = abs(g0s[i]) + abs(g1s[i]) + abs(g0s[j]) + abs(g1s[j])
-            if abs(det) <= 1e-14 * scale * scale:
-                continue
-            u0 = (bs[i] * g1s[j] - g1s[i] * bs[j]) / det
-            u1 = (g0s[i] * bs[j] - bs[i] * g0s[j]) / det
-            if _feasible(u0, u1, g0s, g1s, bs):
-                d2 = (u0 - ur0) ** 2 + (u1 - ur1) ** 2
-                if best is None or d2 < best[0]:
-                    best = (d2, u0, u1, (i, j))
-    if best is None:
-        u0, u1 = _least_violation(ur0, ur1, g0s, g1s, bs)
-        return u0, u1, (), False
-    return best[1], best[2], best[3], True
+    Written so that a row holding NaN never counts as met.
+    """
+    for i in range(start, len(bs)):
+        b = bs[i]
+        if not g0s[i] * u0 + g1s[i] * u1 - b >= -_FEAS_TOL * (1.0 + abs(b)):
+            return i
+    return -1
 
 
 def _least_violation(ur0, ur1, g0s, g1s, bs):
@@ -400,22 +358,19 @@ def _least_violation(ur0, ur1, g0s, g1s, bs):
     Among minimizers, stays as close to u_ref as the iteration allows
     (directions not pinned by violated constraints are left untouched).
     """
-    m = len(bs)
     u0, u1 = ur0, ur1
     for _ in range(12):
+        i = _unmet(u0, u1, g0s, g1s, bs)
+        if i < 0:
+            break
         a00 = a01 = a11 = r0 = r1 = 0.0
-        count = 0
-        for i in range(m):
-            if g0s[i] * u0 + g1s[i] * u1 >= bs[i] - _FEAS_TOL:
-                continue
-            count += 1
+        while i >= 0:
             a00 += g0s[i] * g0s[i]
             a01 += g0s[i] * g1s[i]
             a11 += g1s[i] * g1s[i]
             r0 += g0s[i] * bs[i]
             r1 += g1s[i] * bs[i]
-        if count == 0:
-            break
+            i = _unmet(u0, u1, g0s, g1s, bs, i + 1)
         det = a00 * a11 - a01 * a01
         if abs(det) > 1e-14 * (a00 + a11) ** 2:
             n0 = (a11 * r0 - a01 * r1) / det
@@ -448,55 +403,53 @@ def _least_violation(ur0, ur1, g0s, g1s, bs):
 def solve_qp2(ur0, ur1, g0s, g1s, bs):
     """Solve min ||u - u_ref||^2 s.t. g_i . u >= b_i over u in R^2.
 
-    Returns (u0, u1, active, feasible) where `active` is the tuple of
-    binding constraint indices.  When the constraint set is empty or
+    Returns (u0, u1, active, feasible) where `active` is the sorted tuple
+    of binding constraint indices.  When the constraint set is empty or
     u_ref already satisfies everything, u_ref is returned unchanged.
-    Infeasible systems yield feasible=False and the least-squares
-    violation minimizer.
+    Otherwise the 1-row projections and then the 2-row vertices are
+    enumerated (see above); the result is the exact optimum whenever the
+    constraints are feasible.  Infeasible systems yield feasible=False
+    and the least-squares violation minimizer; a row holding NaN is never
+    met, so it also yields feasible=False.
     """
+    if _unmet(ur0, ur1, g0s, g1s, bs) < 0:
+        return ur0, ur1, (), True
     m = len(bs)
-    if m == 0:
-        return ur0, ur1, (), True
-    j = _violation(ur0, ur1, g0s, g1s, bs, ())
-    if j < 0:
-        return ur0, ur1, (), True
-    w = [j]
-    for _ in range(2 * m + 8):
-        if len(w) == 1:
-            i = w[0]
-            gg = g0s[i] * g0s[i] + g1s[i] * g1s[i]
-            if gg <= 0.0:
-                return _enumerate_qp(ur0, ur1, g0s, g1s, bs)
-            lam = (bs[i] - (g0s[i] * ur0 + g1s[i] * ur1)) / gg
-            if lam < 0.0:
-                # constraint satisfied strictly at u_ref; re-scan
-                u0, u1 = ur0, ur1
-                w = []
-            else:
-                u0 = ur0 + lam * g0s[i]
-                u1 = ur1 + lam * g1s[i]
-        elif len(w) == 2:
-            i, jj = w
-            det = g0s[i] * g1s[jj] - g1s[i] * g0s[jj]
-            scale = abs(g0s[i]) + abs(g1s[i]) + abs(g0s[jj]) + abs(g1s[jj])
+    best = None
+    for i in range(m):
+        gg = g0s[i] * g0s[i] + g1s[i] * g1s[i]
+        if gg <= 0.0:
+            continue
+        lam = (bs[i] - (g0s[i] * ur0 + g1s[i] * ur1)) / gg
+        u0 = ur0 + lam * g0s[i]
+        u1 = ur1 + lam * g1s[i]
+        if _unmet(u0, u1, g0s, g1s, bs) < 0:
+            if lam > 0.0:
+                # the optimum over row i alone, and feasible: the optimum
+                return u0, u1, (i,), True
+            d2 = (u0 - ur0) ** 2 + (u1 - ur1) ** 2
+            if best is None or d2 < best[0]:
+                best = (d2, u0, u1, (i,))
+    for i in range(m):
+        for j in range(i + 1, m):
+            det = g0s[i] * g1s[j] - g1s[i] * g0s[j]
+            scale = abs(g0s[i]) + abs(g1s[i]) + abs(g0s[j]) + abs(g1s[j])
             if abs(det) <= 1e-14 * scale * scale:
-                return _enumerate_qp(ur0, ur1, g0s, g1s, bs)
-            u0 = (bs[i] * g1s[jj] - g1s[i] * bs[jj]) / det
-            u1 = (g0s[i] * bs[jj] - bs[i] * g0s[jj]) / det
-            du0 = u0 - ur0
-            du1 = u1 - ur1
-            li = (du0 * g1s[jj] - g0s[jj] * du1) / det
-            lj = (g0s[i] * du1 - du0 * g1s[i]) / det
-            if li < -1e-12 or lj < -1e-12:
-                w = [jj] if li <= lj else [i]
                 continue
-        else:
-            u0, u1 = ur0, ur1
-        nxt = _violation(u0, u1, g0s, g1s, bs, w)
-        if nxt < 0:
-            return u0, u1, tuple(sorted(w)), True
-        if len(w) >= 2:
-            # a third binding constraint in 2-D: settle combinatorially
-            return _enumerate_qp(ur0, ur1, g0s, g1s, bs)
-        w.append(nxt)
-    return _enumerate_qp(ur0, ur1, g0s, g1s, bs)
+            u0 = (bs[i] * g1s[j] - g1s[i] * bs[j]) / det
+            u1 = (g0s[i] * bs[j] - bs[i] * g0s[j]) / det
+            if _unmet(u0, u1, g0s, g1s, bs) < 0:
+                du0 = u0 - ur0
+                du1 = u1 - ur1
+                li = (du0 * g1s[j] - g0s[j] * du1) / det
+                lj = (g0s[i] * du1 - du0 * g1s[i]) / det
+                if li >= -1e-12 and lj >= -1e-12:
+                    # both multipliers nonnegative: KKT holds
+                    return u0, u1, (i, j), True
+                d2 = du0 * du0 + du1 * du1
+                if best is None or d2 < best[0]:
+                    best = (d2, u0, u1, (i, j))
+    if best is None:
+        u0, u1 = _least_violation(ur0, ur1, g0s, g1s, bs)
+        return u0, u1, (), False
+    return best[1], best[2], best[3], True

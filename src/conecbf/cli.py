@@ -9,7 +9,8 @@ Verbs:
   validate  -- schema-check a scenario file
 
 Exit codes (the complete contract): 0 success/safe, 2 collision verdict
-or aborted run, 3 validation or usage error.
+or aborted run, 3 validation or usage error, or an unreadable or
+unwritable file.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from .engine import run_scenario
-from .errors import SimulationError, ValidationError
+from .errors import ConeCbfError, SimulationError, ValidationError
 from .scenario_io import (
     load_scenario,
     load_summary,
@@ -202,12 +203,16 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the collision code here
+        return EXIT_INVALID if exc.code == 2 else exc.code
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ConeCbfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_COLLISION if isinstance(exc, SimulationError) else EXIT_INVALID
 
 
 if __name__ == "__main__":

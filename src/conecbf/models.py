@@ -104,6 +104,9 @@ class ModelParams:
             raise ValidationError(f"vehicle width must be >= 0, got {self.w}")
         if not 0 < self.beta_max < pi / 2:
             raise ValidationError(f"beta_max must lie in (0, pi/2), got {self.beta_max}")
+        # `not x > 0` also rejects NaN, which would switch saturation off
+        if not self.v_max > 0:
+            raise ValidationError(f"v_max must be > 0, got {self.v_max}")
 
 
 STATE_TYPES = {

@@ -6,12 +6,12 @@ the input closest to the reference among those satisfying
     lfh_i + lgh_i . u + gamma * h_i >= 0        for every active i.
 
 One constraint solves in closed form (a switching law on the slack psi);
-several go through a small dense active-set QP on the two-dimensional
-input. Optional box bounds on u join the QP as extra rows.
+several go through the kernel's exact QP on the two-dimensional input.
+Optional box bounds on u join the QP as extra rows.
 """
 
 from dataclasses import dataclass
-from math import isinf, sqrt
+from math import isfinite, isinf, sqrt
 
 from ._backend import kernel
 from .cbf import CbfEvaluation
@@ -88,10 +88,14 @@ def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
     psi >= 0 leaves the reference untouched; otherwise the correction is
     the least-norm input restoring psi = 0. A violated constraint with
     ||lgh|| below regularization_eps cannot be influenced: the result is
-    flagged degenerate and the reference passes through.
+    flagged degenerate and the reference passes through. A non-finite
+    psi (NaN or infinite h, lfh or lgh) cannot be met: the reference
+    passes through flagged infeasible, as in filter_qp.
     """
     g0, g1 = e.lgh
     psi = e.lfh + g0 * u_ref[0] + g1 * u_ref[1] + cfg.gamma * e.h
+    if not isfinite(psi):
+        return FilterResult(tuple(u_ref), (0.0, 0.0), (), (psi,), infeasible=True)
     if psi >= 0.0:
         return FilterResult(tuple(u_ref), (0.0, 0.0), (), (psi,))
     gg = g0 * g0 + g1 * g1
@@ -107,20 +111,26 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
 
     Degenerate constraints (||lgh|| <= regularization_eps) are excluded
     from the QP -- they are input-independent, so they either hold on
-    their own (psi >= 0) or cannot be fixed (flagged). With box bounds
-    configured, saturation can make the rest infeasible; that is flagged
-    and the least-squares violation minimizer is returned.
+    their own (psi >= 0) or cannot be fixed (flagged). A constraint whose
+    h, lfh or lgh is NaN or infinite (its psi is then not finite) is
+    excluded too and flags the result infeasible: it can never count as
+    met. With box bounds configured, saturation can make the rest
+    infeasible; that is flagged and the least-squares violation minimizer
+    is returned.
     """
     evals = list(evals)
     ur0, ur1 = u_ref
     g0s, g1s, bs, idx = [], [], [], []
     psis = []
-    degenerate = False
+    degenerate = nonfinite = False
     eps2 = cfg.regularization_eps * cfg.regularization_eps
     for i, e in enumerate(evals):
         g0, g1 = e.lgh
         psi = e.lfh + g0 * ur0 + g1 * ur1 + cfg.gamma * e.h
         psis.append(psi)
+        if not isfinite(psi):
+            nonfinite = True
+            continue
         if g0 * g0 + g1 * g1 <= eps2:
             if psi < 0.0:
                 degenerate = True
@@ -144,7 +154,8 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
                 idx.append(-1)
     if not bs:
         return FilterResult(
-            (ur0, ur1), (0.0, 0.0), (), tuple(psis), degenerate=degenerate
+            (ur0, ur1), (0.0, 0.0), (), tuple(psis), degenerate=degenerate,
+            infeasible=nonfinite,
         )
     u0, u1, active, feasible = kernel.solve_qp2(ur0, ur1, g0s, g1s, bs)
     active_set = tuple(sorted(idx[k] for k in active if idx[k] >= 0))
@@ -154,5 +165,5 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
         active_set,
         tuple(psis),
         degenerate=degenerate,
-        infeasible=not feasible,
+        infeasible=nonfinite or not feasible,
     )

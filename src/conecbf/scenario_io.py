@@ -329,11 +329,16 @@ def read_trajectory_csv(path):
     ):
         raise ValidationError(f"{path}: unknown column layout")
     data = {name: [] for name in header}
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise ValidationError(f"{path}: ragged row with {len(row)} fields")
         for name, val in zip(header, row):
-            data[name].append(float(val))
+            try:
+                data[name].append(float(val))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}, line {line}: column {name!r} holds {val!r}, not a number"
+                ) from None
     return data
 
 

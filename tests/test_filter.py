@@ -13,6 +13,7 @@ from conecbf import (
     filter_qp,
     filter_single,
 )
+from conecbf._backend import kernel
 
 CFG = FilterConfig(gamma=1.0)
 
@@ -263,6 +264,37 @@ class TestFilterQp:
         assert res.infeasible
         # least-squares violation minimizer sits in the middle
         assert res.u_star[0] == pytest.approx(0.0, abs=1e-9)
+
+
+    # each row once passed u_ref through with infeasible=False
+    @pytest.mark.parametrize("h, lfh, lg", [
+        (math.nan, 0.0, (1.0, 0.0)),
+        (0.0, math.nan, (1.0, 0.0)),
+        (0.0, 0.0, (math.nan, 0.0)),
+        (0.0, -math.inf, (1.0, 0.0)),
+        (math.inf, 0.0, (1.0, 0.0)),
+    ], ids=["h-nan", "lfh-nan", "lgh-nan", "lfh-neg-inf", "h-inf"])
+    def test_non_finite_row_fails_closed(self, h, lfh, lg):
+        for res in (filter_qp((0.0, 0.0), [ev(h, lfh, lg)], CFG),
+                    filter_single((0.0, 0.0), ev(h, lfh, lg), CFG)):
+            assert res.infeasible
+            assert res.u_star == (0.0, 0.0)
+        # a finite row next to it is still enforced
+        e_ok = ev(0.0, -1.0, (0.0, 1.0))  # needs u1 >= 1
+        res = filter_qp((0.0, 0.0), [ev(h, lfh, lg), e_ok], CFG)
+        assert res.infeasible
+        assert res.u_star == pytest.approx((0.0, 1.0))
+        assert res.active_set == (1,)
+
+
+class TestSolveQp2:
+    def test_vertex_among_three_rows(self):
+        # u_ref violates rows 0 and 1; neither projection is feasible
+        got = kernel.solve_qp2(0.4, -0.1, [1.0, -0.3, 0.2], [0.2, 1.1, -0.9], [0.8, 0.3, -0.5])
+        assert got == (0.7068965517241379, 0.46551724137931033, (0, 1), True)
+
+    def test_nan_row_never_feasible(self):
+        assert kernel.solve_qp2(0.0, 0.0, [1.0], [0.0], [math.nan])[3] is False
 
 
 class TestActivationGate:

@@ -12,6 +12,8 @@ from conecbf import (
     ModelParams,
     Obstacle,
     Scenario,
+    SimulationError,
+    UnsupportedCbfError,
     ValidationError,
     load_scenario,
     parse_scenario,
@@ -161,6 +163,19 @@ class TestTrajectoryCsv:
         assert list(data) == ["t", *STATE_FIELDS[sc.model], "u_ref_0", "u_ref_1", "u_star_0", "u_star_1"]
         assert data["t"] == log.t
 
+    def test_non_numeric_cell_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(self.make_log(), path)
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[1] = "abc"  # the x column of the second data row
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=r"line 3: column 'x' holds 'abc'"):
+            read_trajectory_csv(path)
+        assert main(["plot", "--csv", str(path), "--out", str(tmp_path / "x.svg"),
+                     "--mode", "inputs"]) == 3
+
     def test_byte_identical_rewrites(self, tmp_path):
         log = self.make_log()
         p1 = tmp_path / "a.csv"
@@ -236,6 +251,7 @@ class TestCli:
         {"params": [1]},
         {"model": []},
         {"filter.input_bounds": [1, 2]},
+        {"saturate_speed": True, "params.v_max": -1},
     ], ids=lambda changes: ",".join(f"{k}={v!r}" for k, v in changes.items()))
     def test_bad_input_exit_3(self, tmp_path, changes):
         doc = json.loads((SCENARIO_DIR / "unicycle-braking.json").read_text())
@@ -254,6 +270,50 @@ class TestCli:
         assert main(["validate", "--scenario", str(bad)]) == 3
         bad.write_text(json.dumps(minimal_doc()).replace('"w": 0.6', '"w": 1' + "0" * 5000))
         assert main(["validate", "--scenario", str(bad)]) == 3
+
+    # each case once ended in an OSError traceback (exit 1)
+    @pytest.mark.parametrize("verb", ["simulate", "plot", "batch"])
+    def test_filesystem_errors_exit_3(self, tmp_path, capsys, verb):
+        scenario = str(SCENARIO_DIR / "unicycle-braking.json")
+        if verb == "simulate":
+            taken = tmp_path / "taken"
+            taken.write_text("")
+            argv = ["simulate", "--scenario", scenario, "--out", str(taken)]
+        elif verb == "plot":
+            run = tmp_path / "run"
+            assert main(["simulate", "--scenario", scenario, "--out", str(run),
+                         "--duration", "1"]) == 0
+            argv = ["plot", "--csv", str(run / "trajectory.csv"),
+                    "--out", str(tmp_path / "missing" / "x.svg")]
+        else:
+            argv = ["batch", "--scenarios", str(tmp_path / "missing"),
+                    "--out", str(tmp_path / "o")]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    # argparse's own exit code 2 is the collision code
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "s.json", "--out", "o", "--dt", "abc"],
+        ["simulate", "--out", "o"],
+        ["bogus"],
+    ])
+    def test_usage_error_exit_3(self, argv, capsys):
+        assert main(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("exc, code", [
+        (SimulationError("diverged", step=3), 2),
+        (UnsupportedCbfError("unsupported"), 3),
+    ])
+    def test_escaping_package_errors_mapped(self, monkeypatch, exc, code):
+        def fail(path):
+            raise exc
+        monkeypatch.setattr("conecbf.cli.load_scenario", fail)
+        assert main(["validate", "--scenario", "any.json"]) == code
 
     def test_batch_over_corpus(self, tmp_path, capsys):
         out = tmp_path / "batch"

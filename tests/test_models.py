@@ -108,6 +108,16 @@ class TestSlipFromSteering:
             assert slip_from_steering(d1, p) < slip_from_steering(d2, p)
 
 
+class TestModelParams:
+    @pytest.mark.parametrize("v_max", [-1.0, 0.0, math.nan])
+    def test_rejects_bad_v_max(self, v_max):
+        with pytest.raises(ValidationError, match="v_max"):
+            ModelParams(v_max=v_max)
+
+    def test_unbounded_v_max_allowed(self):
+        assert ModelParams(v_max=math.inf).v_max == math.inf
+
+
 class TestIntegrateStep:
     def test_constant_velocity_exact(self):
         s = integrate_step("unicycle", UnicycleState(0, 0, 0, 1, 0), (0, 0), 0.1)
