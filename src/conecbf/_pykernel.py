@@ -334,7 +334,8 @@ def rk4_pointmass(x, y, vx, vy, ax, ay, dt):
 # boundary, or the vertex of two rows, so an exact solve enumerates those
 # candidates in that order.  A feasible projection of a row u_ref violates,
 # and a feasible vertex with nonnegative multipliers, satisfy KKT and are
-# returned at once; otherwise the closest feasible candidate wins.
+# returned at once; otherwise the closest feasible candidate wins.  With
+# none feasible, a descent from u_ref on the squared violation decides.
 # ---------------------------------------------------------------------------
 
 _FEAS_TOL = 1e-10
@@ -352,13 +353,23 @@ def _unmet(u0, u1, g0s, g1s, bs, start=0):
     return -1
 
 
-def _least_violation(ur0, ur1, g0s, g1s, bs):
-    """Minimizer of the squared constraint violations (infeasible case).
+def _sq_violation(u0, u1, g0s, g1s, bs):
+    """Summed squared violation of every row at u; NaN if a row holds NaN."""
+    rs = (g0 * u0 + g1 * u1 - b for g0, g1, b in zip(g0s, g1s, bs))
+    return sum(r * r for r in rs if not r >= 0.0)
 
-    Among minimizers, stays as close to u_ref as the iteration allows
-    (directions not pinned by violated constraints are left untouched).
+
+def _least_violation(ur0, ur1, g0s, g1s, bs):
+    """An input whose summed squared violation is never above u_ref's.
+
+    Gauss-Newton passes from u_ref over the rows violated at each point;
+    a step is halved until it does not raise the violation over all rows,
+    so the result need not be the minimizer but never does worse than
+    u_ref (which a NaN row leaves in place). Directions not pinned by
+    violated rows are left untouched.
     """
     u0, u1 = ur0, ur1
+    f = _sq_violation(u0, u1, g0s, g1s, bs)
     for _ in range(12):
         i = _unmet(u0, u1, g0s, g1s, bs)
         if i < 0:
@@ -393,6 +404,16 @@ def _least_violation(ur0, ur1, g0s, g1s, bs):
             off = u0 * gx + u1 * gy
             n0 = u0 + (t_star - off) * gx
             n1 = u1 + (t_star - off) * gy
+        # the Gauss-Newton direction descends: halve the step until the
+        # summed squared violation rises no more
+        for _ in range(40):
+            fn = _sq_violation(n0, n1, g0s, g1s, bs)
+            if fn <= f:
+                break
+            n0, n1 = 0.5 * (u0 + n0), 0.5 * (u1 + n1)
+        else:
+            break
+        f = fn
         if abs(n0 - u0) <= 1e-14 * (1 + abs(u0)) and abs(n1 - u1) <= 1e-14 * (1 + abs(u1)):
             u0, u1 = n0, n1
             break
@@ -409,8 +430,9 @@ def solve_qp2(ur0, ur1, g0s, g1s, bs):
     Otherwise the 1-row projections and then the 2-row vertices are
     enumerated (see above); the result is the exact optimum whenever the
     constraints are feasible.  Infeasible systems yield feasible=False
-    and the least-squares violation minimizer; a row holding NaN is never
-    met, so it also yields feasible=False.
+    and an input whose summed squared violation is no larger than
+    u_ref's (see _least_violation); a row holding NaN is never met, so it
+    also yields feasible=False.
     """
     if _unmet(ur0, ur1, g0s, g1s, bs) < 0:
         return ur0, ur1, (), True

@@ -68,7 +68,10 @@ class Obstacle:
         return any(a[3] != 0.0 or a[4] != 0.0 for a in self._anchors)
 
     def state_at(self, t: float):
-        """Center and velocity (cx, cy, vx, vy) at time t >= 0."""
+        """Center and velocity (cx, cy, vx, vy) at time t >= 0.
+
+        The one owner of obstacle motion; barrier evaluations given t use it.
+        """
         i = bisect_right(self._times, t) - 1
         t0, x0, y0, vx, vy = self._anchors[i]
         return (x0 + vx * (t - t0), y0 + vy * (t - t0), vx, vy)
@@ -95,38 +98,43 @@ def effective_radius(o: Obstacle, p: ModelParams) -> float:
     return max(o.c1, o.c2) + 0.5 * p.w
 
 
-def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams) -> CbfEvaluation:
-    """Cone barrier with analytic Lie derivatives for the extended state."""
+def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> CbfEvaluation:
+    """Cone barrier with analytic Lie derivatives for the extended state.
+
+    With t given, the obstacle is read as `o.state_at(t)` places it; else as given.
+    """
     r = effective_radius(o, p)
+    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
     if model == "unicycle":
         out = kernel.c3bf_unicycle(
-            s.x, s.y, s.theta, s.v, s.omega, p.l, o.cx, o.cy, o.vx, o.vy, r
+            s.x, s.y, s.theta, s.v, s.omega, p.l, cx, cy, vx, vy, r
         )
     elif model == "bicycle":
         out = kernel.c3bf_bicycle(
-            s.x, s.y, s.theta, s.v, p.l_r, o.cx, o.cy, o.vx, o.vy, r
+            s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, r
         )
     elif model == "pointmass":
-        out = kernel.c3bf_pointmass(s.x, s.y, s.vx, s.vy, o.cx, o.cy, o.vx, o.vy, r)
+        out = kernel.c3bf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, r)
     else:
         raise ValidationError(f"unknown model kind {model!r}")
     h, lfh, lg0, lg1, dist, pen = out
     return CbfEvaluation(h, lfh, (lg0, lg1), pen != 0.0, dist)
 
 
-def ellipse_cbf_eval(model: str, s, o: Obstacle) -> CbfEvaluation:
-    """Ellipse distance barrier; degenerate input columns are structural."""
+def ellipse_cbf_eval(model: str, s, o: Obstacle, t: float = None) -> CbfEvaluation:
+    """Ellipse distance barrier; degenerate input columns are structural; `t` as in c3bf_eval."""
+    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
     if model == "unicycle":
         out = kernel.ellipse_unicycle(
-            s.x, s.y, s.theta, s.v, o.cx, o.cy, o.vx, o.vy, o.c1, o.c2
+            s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2
         )
     elif model == "bicycle":
         out = kernel.ellipse_bicycle(
-            s.x, s.y, s.theta, s.v, o.cx, o.cy, o.vx, o.vy, o.c1, o.c2
+            s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2
         )
     elif model == "pointmass":
         out = kernel.ellipse_pointmass(
-            s.x, s.y, s.vx, s.vy, o.cx, o.cy, o.vx, o.vy, o.c1, o.c2
+            s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2
         )
     else:
         raise ValidationError(f"unknown model kind {model!r}")
@@ -135,18 +143,20 @@ def ellipse_cbf_eval(model: str, s, o: Obstacle) -> CbfEvaluation:
 
 
 def hocbf_eval(
-    model: str, s, o: Obstacle, gamma1: float, p: ModelParams = None
+    model: str, s, o: Obstacle, gamma1: float, p: ModelParams = None, t: float = None
 ) -> CbfEvaluation:
     """Second-order ellipse barrier h2 = Lf h1 + gamma1 h1.
 
     The bicycle/moving-obstacle combination is rejected: obstacle
     velocities can always be chosen to defeat the constraint there.
+    `t` selects the obstacle's state as in c3bf_eval.
     """
     if gamma1 <= 0:
         raise ValidationError(f"gamma1 must be > 0, got {gamma1}")
+    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
     if model == "unicycle":
         out = kernel.hocbf_unicycle(
-            s.x, s.y, s.theta, s.v, s.omega, o.cx, o.cy, o.vx, o.vy, o.c1, o.c2, gamma1
+            s.x, s.y, s.theta, s.v, s.omega, cx, cy, vx, vy, o.c1, o.c2, gamma1
         )
     elif model == "bicycle":
         if o.moves():
@@ -157,11 +167,11 @@ def hocbf_eval(
         if p is None:
             raise ValidationError("bicycle barrier needs ModelParams (l_r)")
         out = kernel.hocbf_bicycle(
-            s.x, s.y, s.theta, s.v, p.l_r, o.cx, o.cy, o.vx, o.vy, o.c1, o.c2, gamma1
+            s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, o.c1, o.c2, gamma1
         )
     elif model == "pointmass":
         out = kernel.hocbf_pointmass(
-            s.x, s.y, s.vx, s.vy, o.cx, o.cy, o.vx, o.vy, o.c1, o.c2, gamma1
+            s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2, gamma1
         )
     else:
         raise ValidationError(f"unknown model kind {model!r}")

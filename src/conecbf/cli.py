@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_COLLISION = 2
 EXIT_INVALID = 3
 
+# the columns of the batch report.csv; each report row is a tuple in this order
+REPORT_COLUMNS = ("scenario", "status", "behaviors", "min_clearance", "min_h", "active_fraction")
+
 
 def _apply_overrides(sc, args):
     """Apply --dt, --duration and --gamma together; the dataclasses check them."""
@@ -99,41 +102,30 @@ def cmd_batch(args):
         except ValidationError as exc:
             print(f"{fname}: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_INVALID)
-            rows.append({"scenario": stem, "status": "invalid", "behaviors": "",
-                         "min_clearance": "", "min_h": "", "active_fraction": ""})
+            rows.append((stem, "invalid", "", "", "", ""))
             continue
         code, doc = _run_one(sc, os.path.join(args.out, stem), make_plot=args.plot)
         worst = max(worst, code)
         if "metrics" in doc:
             m = doc["metrics"]
-            rows.append({
-                "scenario": sc.name,
-                "status": "collision" if doc["collided"] else "safe",
-                "behaviors": "+".join(doc["behaviors"]),
-                "min_clearance": m["min_clearance_overall"],
-                "min_h": m["min_h"],
-                "active_fraction": m["active_fraction"],
-            })
+            rows.append((sc.name, "collision" if doc["collided"] else "safe",
+                         "+".join(doc["behaviors"]), m["min_clearance_overall"], m["min_h"],
+                         m["active_fraction"]))
         else:
-            rows.append({"scenario": sc.name, "status": "aborted", "behaviors": "",
-                         "min_clearance": "", "min_h": "", "active_fraction": ""})
+            rows.append((sc.name, "aborted", "", "", "", ""))
     os.makedirs(args.out, exist_ok=True)
     report = os.path.join(args.out, "report.csv")
     with open(report, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["scenario", "status", "behaviors", "min_clearance", "min_h", "active_fraction"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(REPORT_COLUMNS)
         writer.writerows(rows)
-    width = max(len(r["scenario"]) for r in rows) + 2
+    width = max(len(r[0]) for r in rows) + 2
     print(f"{'scenario':{width}s} {'status':10s} {'behaviors':22s} {'min_clear':>10s} {'min_h':>10s} {'active':>7s}")
-    for r in rows:
-        mc = f"{r['min_clearance']:.4f}" if isinstance(r["min_clearance"], float) else "-"
-        mh = f"{r['min_h']:.4f}" if isinstance(r["min_h"], float) else "-"
-        af = f"{r['active_fraction']:.3f}" if isinstance(r["active_fraction"], float) else "-"
-        print(f"{r['scenario']:{width}s} {r['status']:10s} {r['behaviors']:22s} {mc:>10s} {mh:>10s} {af:>7s}")
+    for name, status, behaviors, clearance, min_h, active in rows:
+        mc = f"{clearance:.4f}" if isinstance(clearance, float) else "-"
+        mh = f"{min_h:.4f}" if isinstance(min_h, float) else "-"
+        af = f"{active:.3f}" if isinstance(active, float) else "-"
+        print(f"{name:{width}s} {status:10s} {behaviors:22s} {mc:>10s} {mh:>10s} {af:>7s}")
     print(f"report written to {report}")
     return worst
 

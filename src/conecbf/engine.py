@@ -1,21 +1,21 @@
 """Deterministic closed-loop scenario execution.
 
-Each step, at the step's start state: evaluate the reference controller,
-gate obstacles by the perception boundary, evaluate the configured
-barrier per gated obstacle, filter the reference through the QP, log,
-then integrate vehicle and obstacles with the filtered input held
-constant. Identical scenarios produce identical logs.
+Each step k, at the step's start state and time t = k*dt: evaluate the
+reference controller and the configured barrier per obstacle at its state
+at t, gate obstacles by the perception boundary, filter the reference
+through the QP, log, then integrate the vehicle with the filtered input
+held constant. Identical scenarios produce identical logs.
 """
 
 from dataclasses import dataclass, field, replace
-from math import atan2, hypot, radians
+from math import atan2, hypot, isfinite, radians
 
 from ._backend import kernel
 from .cbf import CBF_KINDS, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
 from .controllers import PGains, ReferencePath, p_controller, p_speed_bicycle, p_velocity, stanley_lateral
 from .errors import SimulationError, ValidationError
 from .models import MODEL_KINDS, ModelParams, STATE_TYPES, integrate_step
-from .qpfilter import FilterConfig, FilterResult, activation_gate, filter_qp
+from .qpfilter import FilterConfig, activation_gate, filter_qp
 
 # halt margin below the effective radius before declaring a collision
 COLLISION_SLACK = 1e-6
@@ -54,6 +54,8 @@ class ControllerSpec:
             raise ValidationError("stanley controller needs a path")
         if self.a_max is not None and not 0 < self.a_max < float("inf"):
             raise ValidationError(f"a_max must be finite and > 0, got {self.a_max}")
+        if not all(map(isfinite, (self.v_des, self.k_e, *(self.v_des_vec or ())))):
+            raise ValidationError("controller v_des, k_e and v_des_vec must be finite")
         object.__setattr__(self, "_gains", PGains(self.k1, self.k2, self.v_des))
 
 
@@ -168,28 +170,6 @@ def _reference_input(sc: Scenario, state):
     return u
 
 
-def _evaluate(sc: Scenario, state, obs_now):
-    """Per-obstacle barrier evaluations at the current instant.
-
-    Returns (evals, gated) where gated marks obstacles inside the
-    perception boundary. With cbf='none' the cone barrier is still
-    evaluated for the log, but nothing is gated in.
-    """
-    kind = sc.cbf if sc.cbf != "none" else "c3bf"
-    evals = []
-    gated = []
-    for o in obs_now:
-        if kind == "c3bf":
-            e = c3bf_eval(sc.model, state, o, sc.params)
-        elif kind == "ellipse":
-            e = ellipse_cbf_eval(sc.model, state, o)
-        else:
-            e = hocbf_eval(sc.model, state, o, sc.hocbf_gamma1, sc.params)
-        evals.append(e)
-        gated.append(sc.cbf != "none" and activation_gate(e.dist, sc.filter))
-    return evals, gated
-
-
 def run_scenario(sc: Scenario) -> TrajectoryLog:
     """Execute a scenario to completion or until a collision verdict.
 
@@ -207,31 +187,33 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
         # keep the small-slip model valid: the QP may not exceed beta_max
         bounds = ((float("-inf"), float("inf")), (-sc.params.beta_max, sc.params.beta_max))
     cfg = replace(sc.filter, input_bounds=bounds)
+    # the barrier and its trailing arguments, chosen once; with cbf='none'
+    # the cone barrier is still evaluated for the log, but nothing is gated
+    if sc.cbf == "ellipse":
+        barrier, args = ellipse_cbf_eval, ()
+    elif sc.cbf == "hocbf":
+        barrier, args = hocbf_eval, (sc.hocbf_gamma1, sc.params)
+    else:
+        barrier, args = c3bf_eval, (sc.params,)
+    filtering = sc.cbf != "none"
+    gamma = sc.filter.gamma
     degenerate_run = 0
     for k in range(n_steps + 1):
         t = k * sc.dt
-        obs_now = [
-            replace(o, cx=s[0], cy=s[1], vx=s[2], vy=s[3], segments=())
-            for o, s in ((o, o.state_at(t)) for o in sc.obstacles)
-        ]
         u_ref = _reference_input(sc, state)
-        evals, gated = _evaluate(sc, state, obs_now)
-        live = [e for e, g in zip(evals, gated) if g]
-        live_idx = [i for i, g in enumerate(gated) if g]
-        if live:
-            res = filter_qp(u_ref, live, cfg)
+        evals = [barrier(sc.model, state, o, *args, t=t) for o in sc.obstacles]
+        gated = [i for i, e in enumerate(evals) if filtering and activation_gate(e.dist, cfg)]
+        if gated:
+            res = filter_qp(u_ref, [evals[i] for i in gated], cfg)
+            u_cmd, degenerate, infeasible = res.u_star, res.degenerate, res.infeasible
+            binding = {gated[j] for j in res.active_set}
         else:
-            res = FilterResult(tuple(u_ref), (0.0, 0.0))
-        # the applied input: on infeasible steps the violation minimizer
-        # may exceed the box, but actuators saturate regardless
-        u_cmd = res.u_star
+            u_cmd, degenerate, infeasible, binding = tuple(u_ref), False, False, ()
+        # the applied input: on infeasible steps the QP's answer may
+        # exceed the box, but actuators saturate regardless
         if cfg.input_bounds is not None:
             (lo0, hi0), (lo1, hi1) = cfg.input_bounds
             u_cmd = (min(max(u_cmd[0], lo0), hi0), min(max(u_cmd[1], lo1), hi1))
-        active = [False] * len(evals)
-        for j in res.active_set:
-            active[live_idx[j]] = True
-        gamma = sc.filter.gamma
         log.t.append(t)
         log.states.append(state.as_tuple())
         log.u_ref.append(tuple(u_ref))
@@ -244,17 +226,17 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             )
         )
         log.dist.append(tuple(e.dist for e in evals))
-        log.active.append(tuple(active))
+        log.active.append(tuple(i in binding for i in range(len(evals))))
         log.penetration.append(tuple(e.penetration for e in evals))
-        log.degenerate.append(res.degenerate)
-        log.infeasible.append(res.infeasible)
+        log.degenerate.append(degenerate)
+        log.infeasible.append(infeasible)
         for i, (e, r) in enumerate(zip(evals, radii)):
             if e.dist <= r - COLLISION_SLACK:
                 log.collided = True
                 log.collision_step = k
                 log.collision_obstacle = i
                 return log
-        degenerate_run = degenerate_run + 1 if res.degenerate else 0
+        degenerate_run = degenerate_run + 1 if degenerate else 0
         if degenerate_run > DEGENERATE_STEP_BUDGET:
             raise SimulationError(
                 f"filter degenerate for {degenerate_run} consecutive steps", step=k

@@ -64,7 +64,7 @@ class FilterResult:
     constraint at the reference input. `degenerate` marks constraints
     that were violated but uncontrollable (||lgh|| below threshold);
     `infeasible` marks an empty constraint intersection, in which case
-    u_star minimizes the squared violations instead.
+    u_star violates the constraints, summed squared, no more than u_ref.
     """
 
     u_star: tuple
@@ -115,8 +115,8 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
     h, lfh or lgh is NaN or infinite (its psi is then not finite) is
     excluded too and flags the result infeasible: it can never count as
     met. With box bounds configured, saturation can make the rest
-    infeasible; that is flagged and the least-squares violation minimizer
-    is returned.
+    infeasible; that is flagged, and the input returned has a summed
+    squared violation no larger than u_ref's (not always the least).
     """
     evals = list(evals)
     ur0, ur1 = u_ref

@@ -7,14 +7,15 @@ rejected so unit mistakes cannot hide. All physical quantities are SI
     t, <state fields>, u_ref_0, u_ref_1, u_star_0, u_star_1,
     then per obstacle i: h_i, psi_i, dist_i, active_i, penetration_i
 
-Floats are written as 17-significant-digit scientific notation, which
-round-trips doubles exactly and is locale independent.
+Floats are written as %.16e, which round-trips doubles exactly and is
+locale independent; the active and penetration flags as 0 or 1.
 """
 
 import csv
 import json
 import sys
 from dataclasses import fields
+from itertools import chain
 
 from .cbf import Obstacle, effective_radius
 from .controllers import ReferencePath
@@ -38,10 +39,6 @@ _INF = float("inf")
 # live in a sub-object name it in their metadata
 _TOP_KEYS = {f.metadata.get("section", f.name) for f in fields(Scenario)}
 _SIM_KEYS = [f.name for f in fields(Scenario) if f.metadata.get("section") == "sim"]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".16e")
 
 
 def _check_keys(d, allowed, where: str):
@@ -286,24 +283,17 @@ def csv_header(model: str, n_obstacles: int):
 
 def write_trajectory_csv(log: TrajectoryLog, path):
     """Write the per-step record with the fixed column contract."""
+    header = csv_header(log.scenario.model, len(log.scenario.obstacles))
+    row = ",".join(
+        "%d" if c.startswith(("active_", "penetration_")) else "%.16e" for c in header
+    ) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        n_obs = len(log.scenario.obstacles)
-        writer.writerow(csv_header(log.scenario.model, n_obs))
-        for k in range(len(log.t)):
-            row = [_fmt(log.t[k])]
-            row += [_fmt(v) for v in log.states[k]]
-            row += [_fmt(log.u_ref[k][0]), _fmt(log.u_ref[k][1])]
-            row += [_fmt(log.u_star[k][0]), _fmt(log.u_star[k][1])]
-            for i in range(n_obs):
-                row += [
-                    _fmt(log.h[k][i]),
-                    _fmt(log.psi[k][i]),
-                    _fmt(log.dist[k][i]),
-                    "1" if log.active[k][i] else "0",
-                    "1" if log.penetration[k][i] else "0",
-                ]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        for t, s, u_ref, u_star, *per_obs in zip(
+            log.t, log.states, log.u_ref, log.u_star,
+            log.h, log.psi, log.dist, log.active, log.penetration,
+        ):
+            fh.write(row % (t, *s, *u_ref, *u_star, *chain.from_iterable(zip(*per_obs))))
 
 
 def read_trajectory_csv(path):

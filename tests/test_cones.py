@@ -18,6 +18,7 @@ from conecbf import (
     BicycleState,
     ModelParams,
     Obstacle,
+    PointMassState,
     UnicycleState,
     UnsupportedCbfError,
     ValidationError,
@@ -298,6 +299,47 @@ class TestHocbf:
                 model, z, u, obs_vel, params,
             )
             assert abs((lfh + lg0 * u[0] + lg1 * u[1]) - hdot_fd) <= 1e-6 * (1 + abs(hdot_fd))
+
+
+BARRIERS = [
+    (kind, model)
+    for kind in ("c3bf", "ellipse", "hocbf")
+    for model in MODELS
+    if (kind, model) != ("hocbf", "bicycle")  # rejected for moving obstacles
+]
+STATES = {
+    "unicycle": UnicycleState(0.0, 0.2, 0.1, 1.2, 0.05),
+    "bicycle": BicycleState(0.0, 0.2, 0.1, 1.2),
+    "pointmass": PointMassState(0.0, 0.2, 1.1, -0.3),
+}
+
+
+def barrier(kind, model, s, o, **kw):
+    p = ModelParams(l=0.35, w=0.6)
+    if kind == "c3bf":
+        return c3bf_eval(model, s, o, p, **kw)
+    if kind == "ellipse":
+        return ellipse_cbf_eval(model, s, o, **kw)
+    return hocbf_eval(model, s, o, 1.3, p, **kw)
+
+
+class TestObstacleAtTime:
+    """With t given, a barrier reads the obstacle where it is at t."""
+
+    @pytest.mark.parametrize("kind,model", BARRIERS)
+    def test_matches_obstacle_rebuilt_at_t(self, kind, model):
+        o = Obstacle(6.0, 0.5, vx=-0.4, vy=0.1, c1=0.8, c2=0.5,
+                     segments=((1.5, 0.3, -0.6), (3.0, -0.2, 0.0)))
+        for t in (0.0, 0.7, 1.5, 2.2, 3.0, 4.9):
+            now = Obstacle(*o.state_at(t), o.c1, o.c2)
+            assert barrier(kind, model, STATES[model], o, t=t) == barrier(
+                kind, model, STATES[model], now
+            )
+
+    def test_hocbf_bicycle_moving_rejected_at_t(self):
+        o = Obstacle(5, 0, segments=((1.0, -1.0, 0.0),))
+        with pytest.raises(UnsupportedCbfError):
+            barrier("hocbf", "bicycle", STATES["bicycle"], o, t=0.5)
 
 
 class TestBaselineDisagreement:

@@ -1,5 +1,7 @@
 """Closed-loop engine: determinism, verdicts, labels, metrics."""
 
+import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from conecbf import (
     safety_metrics,
 )
 from conecbf.engine import MAX_STEPS, ControllerSpec
+from conecbf.scenario_io import write_trajectory_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -198,6 +201,11 @@ class TestRunScenario:
         {"a_max": 0.0},
         {"a_max": float("nan")},
         {"a_max": float("inf")},
+        {"v_des": float("nan")},
+        {"v_des": float("inf")},
+        {"k_e": float("nan")},
+        {"v_des_vec": (float("nan"), 0.0)},
+        {"v_des_vec": (0.0, float("-inf"))},
     ])
     def test_controller_gains_checked_when_built(self, gains):
         with pytest.raises(ValidationError):
@@ -322,3 +330,18 @@ class TestCorpus:
         for path in sorted((SCENARIO_DIR / "baseline").glob("*.json")):
             log = run_scenario(load_scenario(path))
             assert log.collided, path.name
+
+    @pytest.mark.parametrize("name,cbf,digest", [
+        # segmented obstacle; 1001 steps, 417 of them with the filter active
+        ("pointmass-retreat", "hocbf",
+         "c4b586a94e225e3e43aaca9e51e574baa9ff744187f6faa70f7e318211245918"),
+        # moving obstacle; 1401 steps, 61 of them with the filter active
+        ("bicycle-crossing", "ellipse",
+         "8117fce6b32cf9ad566799207ab8b25e782bf9fbe3f3fdbc780b89c46721f726"),
+    ])
+    def test_baseline_barrier_trajectory_digest(self, tmp_path, name, cbf, digest):
+        # the corpus runs only the cone barrier; pin one run of each baseline
+        sc = replace(load_scenario(SCENARIO_DIR / f"{name}.json"), cbf=cbf)
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(run_scenario(sc), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -63,6 +63,11 @@ def _grid_sweep(u_ref, g, b, axis, lo, hi, step):
     return float(d2[k]), float(u_free[k]), float(ug[k])
 
 
+def squared_violation(u, g0s, g1s, bs):
+    """Summed squared violation of the rows g . u >= b at u."""
+    return sum(min(0.0, g0 * u[0] + g1 * u[1] - b) ** 2 for g0, g1, b in zip(g0s, g1s, bs))
+
+
 def grid_search(u_ref, evals, gamma, lo=-12.0, hi=12.0, step=1e-3):
     """Brute-force grid minimizer of ||u - u_ref||^2, both sweep axes.
 
@@ -295,6 +300,29 @@ class TestSolveQp2:
 
     def test_nan_row_never_feasible(self):
         assert kernel.solve_qp2(0.0, 0.0, [1.0], [0.0], [math.nan])[3] is False
+
+    def test_least_violation_hand_case(self):
+        # rows 0 and 1 meet far outside row 2; Gauss-Newton passes that keep
+        # every step end at (-5, 5) with 77.44 of squared violation, against
+        # 0.34 at u_ref
+        rows = ([0.0, -0.3, 0.1], [0.1, -2.0, 0.0], [0.5, 0.3, -0.5])
+        u0, u1, active, feasible = kernel.solve_qp2(0.0, 0.0, *rows)
+        assert not feasible and active == ()
+        assert squared_violation((u0, u1), *rows) <= squared_violation((0.0, 0.0), *rows)
+
+    def test_least_violation_never_worse_than_u_ref(self):
+        rng = np.random.default_rng(5)
+        infeasible = 0
+        for _ in range(1000):
+            m = int(rng.integers(2, 8))
+            rows = [rng.normal(size=m).tolist() for _ in range(3)]
+            u_ref = tuple(rng.normal(size=2).tolist())
+            u0, u1, _, feasible = kernel.solve_qp2(*u_ref, *rows)
+            if feasible:
+                continue
+            infeasible += 1
+            assert squared_violation((u0, u1), *rows) <= squared_violation(u_ref, *rows)
+        assert infeasible > 300
 
 
 class TestActivationGate:
