@@ -157,13 +157,20 @@ def c3bf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, r):
 # ---------------------------------------------------------------------------
 
 
-def ellipse_unicycle(x, y, th, v, cx, cy, cxd, cyd, c1, c2):
-    """Ellipse barrier for the acceleration unicycle: no input appears."""
+def _ellipse_terms(x, y, vx, vy, cx, cy, cxd, cyd, c1, c2):
+    """(h, lfh, dxn, dyn, dist) for a vehicle at (x, y) moving at (vx, vy);
+    (dxn, dyn) is half of dh/d(cx, cy)."""
     dxn = (cx - x) / (c1 * c1)
     dyn = (cy - y) / (c2 * c2)
     h = (cx - x) * dxn + (cy - y) * dyn - 1.0
-    lfh = 2.0 * dxn * (cxd - v * cos(th)) + 2.0 * dyn * (cyd - v * sin(th))
+    lfh = 2.0 * dxn * (cxd - vx) + 2.0 * dyn * (cyd - vy)
     dist = sqrt((cx - x) ** 2 + (cy - y) ** 2)
+    return h, lfh, dxn, dyn, dist
+
+
+def ellipse_unicycle(x, y, th, v, cx, cy, cxd, cyd, c1, c2):
+    """Ellipse barrier for the acceleration unicycle: no input appears."""
+    h, lfh, _, _, dist = _ellipse_terms(x, y, v * cos(th), v * sin(th), cx, cy, cxd, cyd, c1, c2)
     return h, lfh, 0.0, 0.0, dist, 0.0
 
 
@@ -171,22 +178,14 @@ def ellipse_bicycle(x, y, th, v, cx, cy, cxd, cyd, c1, c2):
     """Ellipse barrier for the bicycle: only the slip input survives."""
     ct = cos(th)
     st = sin(th)
-    dxn = (cx - x) / (c1 * c1)
-    dyn = (cy - y) / (c2 * c2)
-    h = (cx - x) * dxn + (cy - y) * dyn - 1.0
-    lfh = 2.0 * dxn * (cxd - v * ct) + 2.0 * dyn * (cyd - v * st)
+    h, lfh, dxn, dyn, dist = _ellipse_terms(x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2)
     lg1 = 2.0 * dxn * v * st - 2.0 * dyn * v * ct
-    dist = sqrt((cx - x) ** 2 + (cy - y) ** 2)
     return h, lfh, 0.0, lg1, dist, 0.0
 
 
 def ellipse_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2):
     """Ellipse barrier for the point mass: relative degree two, no input."""
-    dxn = (cx - x) / (c1 * c1)
-    dyn = (cy - y) / (c2 * c2)
-    h = (cx - x) * dxn + (cy - y) * dyn - 1.0
-    lfh = 2.0 * dxn * (cxd - vx_s) + 2.0 * dyn * (cyd - vy_s)
-    dist = sqrt((cx - x) ** 2 + (cy - y) ** 2)
+    h, lfh, _, _, dist = _ellipse_terms(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2)
     return h, lfh, 0.0, 0.0, dist, 0.0
 
 
@@ -197,6 +196,24 @@ def ellipse_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2):
 # ---------------------------------------------------------------------------
 
 
+def _hocbf_terms(x, y, vx, vy, cx, cy, cxd, cyd, c1, c2, gamma1):
+    """(h2, lfh, q1, q2, dx, dy, ax, ay, dist) for a vehicle at (x, y) moving at
+    (vx, vy); lfh is the drift at constant (vx, vy), (ax, ay) = v_rel + gamma1 (dx, dy)."""
+    q1 = 2.0 / (c1 * c1)
+    q2 = 2.0 / (c2 * c2)
+    dx = cx - x
+    dy = cy - y
+    vxr = cxd - vx
+    vyr = cyd - vy
+    h1 = 0.5 * q1 * dx * dx + 0.5 * q2 * dy * dy - 1.0
+    h2 = q1 * dx * vxr + q2 * dy * vyr + gamma1 * h1
+    ax = vxr + gamma1 * dx
+    ay = vyr + gamma1 * dy
+    lfh = q1 * ax * vxr + q2 * ay * vyr
+    dist = sqrt(dx * dx + dy * dy)
+    return h2, lfh, q1, q2, dx, dy, ax, ay, dist
+
+
 def hocbf_unicycle(x, y, th, v, om, cx, cy, cxd, cyd, c1, c2, gamma1):
     """Second-order ellipse barrier for the unicycle.
 
@@ -205,21 +222,11 @@ def hocbf_unicycle(x, y, th, v, om, cx, cy, cxd, cyd, c1, c2, gamma1):
     """
     ct = cos(th)
     st = sin(th)
-    q1 = 2.0 / (c1 * c1)
-    q2 = 2.0 / (c2 * c2)
-    dx = cx - x
-    dy = cy - y
-    vxr = cxd - v * ct
-    vyr = cyd - v * st
-    h1 = 0.5 * q1 * dx * dx + 0.5 * q2 * dy * dy - 1.0
-    h2 = q1 * dx * vxr + q2 * dy * vyr + gamma1 * h1
-    lfh = (
-        q1 * (vxr + gamma1 * dx) * vxr
-        + q2 * (vyr + gamma1 * dy) * vyr
-        + om * v * (q1 * dx * st - q2 * dy * ct)
+    h2, lfh, q1, q2, dx, dy, _, _, dist = _hocbf_terms(
+        x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2, gamma1
     )
+    lfh += om * v * (q1 * dx * st - q2 * dy * ct)
     lg0 = -(q1 * dx * ct + q2 * dy * st)
-    dist = sqrt(dx * dx + dy * dy)
     return h2, lfh, lg0, 0.0, dist, 0.0
 
 
@@ -231,39 +238,21 @@ def hocbf_bicycle(x, y, th, v, lr, cx, cy, cxd, cyd, c1, c2, gamma1):
     """
     ct = cos(th)
     st = sin(th)
-    q1 = 2.0 / (c1 * c1)
-    q2 = 2.0 / (c2 * c2)
-    dx = cx - x
-    dy = cy - y
-    vxr = cxd - v * ct
-    vyr = cyd - v * st
-    h1 = 0.5 * q1 * dx * dx + 0.5 * q2 * dy * dy - 1.0
-    h2 = q1 * dx * vxr + q2 * dy * vyr + gamma1 * h1
-    lfh = q1 * (vxr + gamma1 * dx) * vxr + q2 * (vyr + gamma1 * dy) * vyr
+    h2, lfh, q1, q2, dx, dy, ax, ay, dist = _hocbf_terms(
+        x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2, gamma1
+    )
     lg0 = -(q1 * dx * ct + q2 * dy * st)
     # beta column: transport through x, y plus heading rate v/lr
-    lg1 = v * st * q1 * (vxr + gamma1 * dx) - v * ct * q2 * (vyr + gamma1 * dy) + (
-        v / lr
-    ) * v * (q1 * dx * st - q2 * dy * ct)
-    dist = sqrt(dx * dx + dy * dy)
+    lg1 = v * st * q1 * ax - v * ct * q2 * ay + (v / lr) * v * (q1 * dx * st - q2 * dy * ct)
     return h2, lfh, lg0, lg1, dist, 0.0
 
 
 def hocbf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1):
     """Second-order ellipse barrier for the point mass."""
-    q1 = 2.0 / (c1 * c1)
-    q2 = 2.0 / (c2 * c2)
-    dx = cx - x
-    dy = cy - y
-    vxr = cxd - vx_s
-    vyr = cyd - vy_s
-    h1 = 0.5 * q1 * dx * dx + 0.5 * q2 * dy * dy - 1.0
-    h2 = q1 * dx * vxr + q2 * dy * vyr + gamma1 * h1
-    lfh = q1 * (vxr + gamma1 * dx) * vxr + q2 * (vyr + gamma1 * dy) * vyr
-    lg0 = -q1 * dx
-    lg1 = -q2 * dy
-    dist = sqrt(dx * dx + dy * dy)
-    return h2, lfh, lg0, lg1, dist, 0.0
+    h2, lfh, q1, q2, dx, dy, _, _, dist = _hocbf_terms(
+        x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1
+    )
+    return h2, lfh, -q1 * dx, -q2 * dy, dist, 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,10 @@ cone candidate.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import isfinite
 
 from ._backend import kernel
 from .errors import UnsupportedCbfError, ValidationError
-from .models import ModelParams
+from .models import ModelParams, _require_finite
 
 CBF_KINDS = ("c3bf", "ellipse", "hocbf", "none")
 
@@ -46,11 +45,10 @@ class Obstacle:
     segments: tuple = ()
 
     def __post_init__(self):
-        vals = [self.cx, self.cy, self.vx, self.vy, self.c1, self.c2]
-        for t, vx, vy in self.segments:
-            vals += [t, vx, vy]
-        if not all(isfinite(v) for v in vals):
-            raise ValidationError("Obstacle: non-finite field")
+        names = ("cx", "cy", "vx", "vy", "c1", "c2")
+        _require_finite("Obstacle", names, [getattr(self, n) for n in names])
+        for seg in self.segments:
+            _require_finite("Obstacle.segments", ("t", "vx", "vy"), seg)
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValidationError("Obstacle semi-axes must be > 0")
         times = [t for t, _, _ in self.segments]
@@ -151,6 +149,7 @@ def hocbf_eval(
     velocities can always be chosen to defeat the constraint there.
     `t` selects the obstacle's state as in c3bf_eval.
     """
+    _require_finite("hocbf_eval", ("gamma1",), (gamma1,))
     if gamma1 <= 0:
         raise ValidationError(f"gamma1 must be > 0, got {gamma1}")
     cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)

@@ -15,7 +15,6 @@ unwritable file.
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import replace
@@ -24,8 +23,9 @@ from .engine import run_scenario
 from .errors import ConeCbfError, SimulationError, ValidationError
 from .scenario_io import (
     load_scenario,
-    load_summary,
+    read_json,
     read_trajectory_csv,
+    write_json,
     write_summary,
     write_trajectory_csv,
 )
@@ -54,8 +54,7 @@ def _run_one(sc, out_dir, make_plot=False):
         log = run_scenario(sc)
     except SimulationError as exc:
         doc = {"scenario": sc.name, "aborted": str(exc), "step": exc.step}
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+        write_json(doc, os.path.join(out_dir, "summary.json"))
         print(f"{sc.name}: aborted ({exc})", file=sys.stderr)
         return EXIT_COLLISION, doc
     write_trajectory_csv(log, os.path.join(out_dir, "trajectory.csv"))
@@ -138,7 +137,7 @@ def cmd_plot(args):
             raise ValidationError(
                 f"path mode needs {summary_path} (written by simulate) for obstacle geometry"
             )
-        svg = plot_path(data, load_summary(summary_path))
+        svg = plot_path(data, read_json(summary_path, "summary"))
     elif args.mode == "hvalue":
         svg = plot_hvalue(data)
     else:
@@ -163,22 +162,20 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one scenario file")
+    # the run options simulate and batch share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--dt", type=float, help="override integration step [s]")
+    run.add_argument("--duration", type=float, help="override run length [s]")
+    run.add_argument("--gamma", type=float, help="override class-K gain [1/s]")
+    run.add_argument("--plot", action="store_true", help="also write plot.svg (path mode) per run")
+
+    sim = sub.add_parser("simulate", parents=[run], help="run one scenario file")
     sim.add_argument("--scenario", required=True, help="scenario JSON file")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--dt", type=float, help="override integration step [s]")
-    sim.add_argument("--duration", type=float, help="override run length [s]")
-    sim.add_argument("--gamma", type=float, help="override class-K gain [1/s]")
-    sim.add_argument("--plot", action="store_true", help="also write plot.svg (path mode)")
     sim.set_defaults(func=cmd_simulate)
 
-    bat = sub.add_parser("batch", help="run every scenario in a directory")
+    bat = sub.add_parser("batch", parents=[run], help="run every scenario in a directory")
     bat.add_argument("--scenarios", required=True, help="directory of scenario JSON files")
-    bat.add_argument("--out", required=True, help="output directory")
-    bat.add_argument("--dt", type=float, help="override integration step [s]")
-    bat.add_argument("--duration", type=float, help="override run length [s]")
-    bat.add_argument("--gamma", type=float, help="override class-K gain [1/s]")
-    bat.add_argument("--plot", action="store_true", help="also write per-scenario plot.svg")
     bat.set_defaults(func=cmd_batch)
 
     plo = sub.add_parser("plot", help="render an SVG from a trajectory CSV")

@@ -11,7 +11,14 @@ from math import atan2, hypot
 
 from ._backend import kernel
 from .errors import ValidationError
-from .models import BicycleState, ModelParams, PointMassState, UnicycleState, slip_from_steering
+from .models import (
+    BicycleState,
+    ModelParams,
+    PointMassState,
+    UnicycleState,
+    _require_finite,
+    slip_from_steering,
+)
 
 # speed floor inside the cross-track arctan, keeps the term bounded at rest
 V_FLOOR = 0.5
@@ -28,6 +35,7 @@ class PGains:
     v_des: float = 0.0
 
     def __post_init__(self):
+        _require_finite("PGains", ("k1", "k2", "v_des"), (self.k1, self.k2, self.v_des))
         if not self.k1 > 0:
             raise ValidationError(f"k1 must be > 0, got {self.k1}")
         if not self.k2 >= 0:
@@ -42,6 +50,8 @@ class ReferencePath:
     closed: bool = False
 
     def __post_init__(self):
+        for p in self.waypoints:
+            _require_finite("ReferencePath.waypoints", ("x", "y"), p)
         pts = tuple((float(x), float(y)) for x, y in self.waypoints)
         if len(pts) < 2:
             raise ValidationError("a path needs at least 2 waypoints")

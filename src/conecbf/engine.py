@@ -8,13 +8,13 @@ held constant. Identical scenarios produce identical logs.
 """
 
 from dataclasses import dataclass, field, replace
-from math import atan2, hypot, isfinite, radians
+from math import atan2, hypot, radians
 
 from ._backend import kernel
 from .cbf import CBF_KINDS, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
 from .controllers import PGains, ReferencePath, p_controller, p_speed_bicycle, p_velocity, stanley_lateral
 from .errors import SimulationError, ValidationError
-from .models import MODEL_KINDS, ModelParams, STATE_TYPES, integrate_step
+from .models import MODEL_KINDS, ModelParams, STATE_TYPES, _require_finite, integrate_step
 from .qpfilter import FilterConfig, activation_gate, filter_qp
 
 # halt margin below the effective radius before declaring a collision
@@ -52,10 +52,14 @@ class ControllerSpec:
             raise ValidationError(f"unknown controller kind {self.kind!r}")
         if self.kind == "stanley" and self.path is None:
             raise ValidationError("stanley controller needs a path")
-        if self.a_max is not None and not 0 < self.a_max < float("inf"):
-            raise ValidationError(f"a_max must be finite and > 0, got {self.a_max}")
-        if not all(map(isfinite, (self.v_des, self.k_e, *(self.v_des_vec or ())))):
-            raise ValidationError("controller v_des, k_e and v_des_vec must be finite")
+        _require_finite("ControllerSpec", ("k_e",), (self.k_e,))
+        if self.v_des_vec is not None:
+            _require_finite("ControllerSpec.v_des_vec", ("x", "y"), self.v_des_vec)
+        if self.a_max is not None:
+            _require_finite("ControllerSpec", ("a_max",), (self.a_max,))
+            if not self.a_max > 0:
+                raise ValidationError(f"a_max must be > 0, got {self.a_max}")
+        # checks k1, k2 and v_des
         object.__setattr__(self, "_gains", PGains(self.k1, self.k2, self.v_des))
 
 
@@ -86,17 +90,19 @@ class Scenario:
                 f"initial state type {type(self.initial_state).__name__} does not "
                 f"match model {self.model!r}"
             )
-        # chained `not a < b` comparisons also reject NaN
-        if not 0 < self.dt <= self.duration < float("inf"):
+        _require_finite(
+            "Scenario", ("dt", "duration", "hocbf_gamma1"), (self.dt, self.duration, self.hocbf_gamma1)
+        )
+        if not 0 < self.dt <= self.duration:
             raise ValidationError(
-                f"need 0 < dt <= duration < inf, got dt={self.dt}, duration={self.duration}"
+                f"need 0 < dt <= duration, got dt={self.dt}, duration={self.duration}"
             )
         if self.duration / self.dt > MAX_STEPS:
             raise ValidationError(
                 f"duration/dt = {self.duration / self.dt:.3g} steps exceeds MAX_STEPS={MAX_STEPS}"
             )
-        if not 0 < self.hocbf_gamma1 < float("inf"):
-            raise ValidationError(f"hocbf_gamma1 must be finite and > 0, got {self.hocbf_gamma1}")
+        if not self.hocbf_gamma1 > 0:
+            raise ValidationError(f"hocbf_gamma1 must be > 0, got {self.hocbf_gamma1}")
         for o in self.obstacles:
             r = effective_radius(o, self.params)
             if r >= self.filter.activation_radius:

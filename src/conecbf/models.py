@@ -11,7 +11,7 @@ All operations are pure functions; states are immutable. Inputs are plain
 """
 
 from dataclasses import dataclass, fields
-from math import atan, isfinite, pi, tan
+from math import atan, isfinite, isinf, pi, tan
 
 from ._backend import kernel
 from .errors import ValidationError
@@ -19,10 +19,28 @@ from .errors import ValidationError
 ControlInput = tuple[float, float]
 
 
-def _require_finite(name, *values):
-    for v in values:
-        if not isfinite(v):
-            raise ValidationError(f"{name}: non-finite value {v!r}")
+def _require_finite(where, names, values, inf_ok=()):
+    """Raise ValidationError unless each value is a finite number.
+
+    The values named in `inf_ok` may also be +-inf; NaN never passes. A
+    string, None or an integer beyond the double range fails too. The
+    error names the value as `where.name`. Callers pass field values, not
+    `vars(obj)`, which would give every instance a dict and slow its
+    attribute reads.
+    """
+    try:
+        if all(map(isfinite, values)):
+            return
+    except (TypeError, OverflowError):
+        pass
+    for name, v in zip(names, values):
+        try:
+            ok = isfinite(v) or name in inf_ok and isinf(v)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            kind = "non-NaN" if name in inf_ok else "finite"
+            raise ValidationError(f"{where}.{name}: expected a {kind} number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -36,7 +54,7 @@ class UnicycleState:
     omega: float
 
     def __post_init__(self):
-        _require_finite("UnicycleState", self.x, self.y, self.theta, self.v, self.omega)
+        _require_finite("UnicycleState", STATE_FIELDS["unicycle"], self.as_tuple())
         object.__setattr__(self, "theta", kernel.wrap_angle(self.theta))
 
     def as_tuple(self):
@@ -53,7 +71,7 @@ class BicycleState:
     v: float
 
     def __post_init__(self):
-        _require_finite("BicycleState", self.x, self.y, self.theta, self.v)
+        _require_finite("BicycleState", STATE_FIELDS["bicycle"], self.as_tuple())
         object.__setattr__(self, "theta", kernel.wrap_angle(self.theta))
 
     def as_tuple(self):
@@ -70,7 +88,7 @@ class PointMassState:
     vy: float
 
     def __post_init__(self):
-        _require_finite("PointMassState", self.x, self.y, self.vx, self.vy)
+        _require_finite("PointMassState", STATE_FIELDS["pointmass"], self.as_tuple())
 
     def as_tuple(self):
         return (self.x, self.y, self.vx, self.vy)
@@ -95,7 +113,8 @@ class ModelParams:
     v_max: float = float("inf")
 
     def __post_init__(self):
-        _require_finite("ModelParams", self.l, self.l_f, self.l_r, self.w, self.beta_max)
+        names = ("l", "l_f", "l_r", "w", "beta_max", "v_max")
+        _require_finite("ModelParams", names, [getattr(self, n) for n in names], inf_ok=("v_max",))
         if self.l < 0:
             raise ValidationError(f"body-center offset l must be >= 0, got {self.l}")
         if self.l_f <= 0 or self.l_r <= 0:
@@ -104,7 +123,6 @@ class ModelParams:
             raise ValidationError(f"vehicle width must be >= 0, got {self.w}")
         if not 0 < self.beta_max < pi / 2:
             raise ValidationError(f"beta_max must lie in (0, pi/2), got {self.beta_max}")
-        # `not x > 0` also rejects NaN, which would switch saturation off
         if not self.v_max > 0:
             raise ValidationError(f"v_max must be > 0, got {self.v_max}")
 

@@ -16,6 +16,7 @@ from math import isfinite, isinf, sqrt
 from ._backend import kernel
 from .cbf import CbfEvaluation
 from .errors import ValidationError
+from .models import _require_finite
 
 
 @dataclass(frozen=True)
@@ -36,21 +37,18 @@ class FilterConfig:
     input_bounds: tuple = None
 
     def __post_init__(self):
-        # `not x > 0` also rejects NaN, which would silently disable the filter
-        if not 0 < self.gamma < float("inf"):
-            raise ValidationError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not self.activation_radius > 0:
-            raise ValidationError(
-                f"activation_radius must be > 0, got {self.activation_radius}"
-            )
-        if not 0 < self.regularization_eps < float("inf"):
-            raise ValidationError(
-                f"regularization_eps must be finite and > 0, got {self.regularization_eps}"
-            )
+        # a NaN gain or radius would silently disable the filter
+        names = ("gamma", "activation_radius", "regularization_eps")
+        gains = [getattr(self, n) for n in names]
+        _require_finite("FilterConfig", names, gains, inf_ok=("activation_radius",))
+        for name, v in zip(names, gains):
+            if not v > 0:
+                raise ValidationError(f"{name} must be > 0, got {v}")
         if self.input_bounds is not None:
             if len(self.input_bounds) != 2:
                 raise ValidationError("input_bounds must give (lo, hi) per component")
             for lo, hi in self.input_bounds:
+                _require_finite("FilterConfig.input_bounds", ("lo", "hi"), (lo, hi), inf_ok=("lo", "hi"))
                 if not lo < hi:
                     raise ValidationError(f"empty input bound [{lo}, {hi}]")
 

@@ -250,7 +250,11 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return doc
 
 
-def load_scenario(path) -> Scenario:
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file at `path`; `what` names the file in errors.
+
+    NaN/Infinity, over-long integer literals and non-objects raise ValidationError.
+    """
     def reject(literal):
         raise ValidationError(f"{path}: {literal} is not a finite number")
 
@@ -258,18 +262,29 @@ def load_scenario(path) -> Scenario:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=reject)
     except OSError as exc:
-        raise ValidationError(f"cannot read scenario file {path}: {exc}")
+        raise ValidationError(f"cannot read {what} {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except ValueError as exc:  # an integer literal too long to convert
         raise ValidationError(f"{path}: invalid JSON: {exc}")
-    return parse_scenario(doc, name=str(path))
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected an object, got {type(doc).__name__}")
+    return doc
+
+
+def write_json(doc, path):
+    """Write `doc` as JSON indented by 2, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(read_json(path, "scenario file"), name=str(path))
 
 
 def save_scenario(sc: Scenario, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(sc), fh, indent=2)
-        fh.write("\n")
+    write_json(scenario_to_dict(sc), path)
 
 
 def csv_header(model: str, n_obstacles: int):
@@ -370,17 +385,5 @@ def _none_if_inf(x):
 def write_summary(log: TrajectoryLog, path) -> dict:
     """Write `summarize(log)` to `path` and return the dict written."""
     doc = summarize(log)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(doc, path)
     return doc
-
-
-def load_summary(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read summary {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc.msg}")

@@ -8,6 +8,7 @@ portions of a run where the safe input differs from the reference.
 
 from math import ceil, floor, isfinite, log10
 
+from .cbf import effective_radius
 from .errors import ValidationError
 from .scenario_io import parse_scenario
 
@@ -165,10 +166,10 @@ def plot_path(data, summary, title="vehicle path"):
     all_x = list(xs)
     all_y = list(ys)
     t_end = data["t"][-1]
-    obstacles = parse_scenario(summary["scenario"]).obstacles
-    radii = summary["effective_radii"]
+    sc = parse_scenario(summary.get("scenario"))
     discs = []
-    for o, r in zip(obstacles, radii):
+    for o in sc.obstacles:
+        r = effective_radius(o, sc.params)
         start, end = o.state_at(0.0)[:2], o.state_at(t_end)[:2]
         discs.append((start, end, r))
         for (px, py) in (start, end):

@@ -183,6 +183,8 @@ class TestRunScenario:
         ("hocbf_gamma1", float("inf")),
         ("hocbf_gamma1", 0.0),
         ("hocbf_gamma1", -1.0),
+        ("dt", "0.01"),
+        ("hocbf_gamma1", "1"),
     ])
     def test_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -338,6 +340,18 @@ class TestCorpus:
         # moving obstacle; 1401 steps, 61 of them with the filter active
         ("bicycle-crossing", "ellipse",
          "8117fce6b32cf9ad566799207ab8b25e782bf9fbe3f3fdbc780b89c46721f726"),
+        # 2401 steps, 989 of them with the filter active
+        ("unicycle-crossing", "hocbf",
+         "ee0ea2b81ff59526ac97bea2f7e84def066704ae008ac32596dfb41a26db6ce1"),
+        # 657 steps, 480 of them with the filter active; collides
+        ("bicycle-braking", "hocbf",
+         "7b353455c582d8a608e0399d4d3488ecd3d6c49cf2d57f9690368e0ab050ea9b"),
+        # 1401 steps; no input column, so the filter never acts
+        ("pointmass-crossing", "ellipse",
+         "6b1b11f8652f17f8332347994c3160c00ab410428d9d928ab502da5b0659cce0"),
+        # 515 steps; no input column, so the filter never acts; collides
+        ("unicycle-braking", "ellipse",
+         "0b44c642953850f0b74428f9cbde95b57f7b892184cde445572454e347050104"),
     ])
     def test_baseline_barrier_trajectory_digest(self, tmp_path, name, cbf, digest):
         # the corpus runs only the cone barrier; pin one run of each baseline

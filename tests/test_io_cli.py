@@ -206,6 +206,18 @@ class TestCli:
         ])
         assert code == 2
 
+    def test_aborted_summary_ends_in_newline(self, tmp_path):
+        # the ellipse barrier has no input column for the unicycle here
+        doc = json.loads((SCENARIO_DIR / "unicycle-crossing.json").read_text())
+        doc["cbf"] = "ellipse"
+        scenario = tmp_path / "ellipse.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+        text = (out / "summary.json").read_text()
+        assert text.endswith("}\n")
+        assert json.loads(text)["aborted"] == "filter degenerate for 201 consecutive steps"
+
     def test_simulate_invalid_exit_3(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_doc(sim={"dt": -0.01, "duration": 2.0})))
@@ -417,3 +429,27 @@ class TestPlotPath:
         assert (float(end.get("cx")), float(end.get("cy"))) == (x2, y2)
         assert (x2 - x1) / px_per_m == pytest.approx(ex - sx, abs=1e-2)
         assert (y1 - y2) / px_per_m == pytest.approx(ey - sy, abs=1e-2)
+
+    @pytest.mark.parametrize("sidecar,code", [
+        ("[]", 3),
+        ("{}", 3),
+        ('{"steps": 1' + "0" * 5000 + "}", 3),
+        (None, 0),
+    ], ids=["array", "empty-object", "huge-integer", "no-effective-radii"])
+    def test_malformed_summary_sidecar(self, tmp_path, sidecar, code):
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(SCENARIO_DIR / "unicycle-braking.json"),
+                     "--out", str(out), "--duration", "0.5"]) == 0
+        plot = ["plot", "--csv", str(out / "trajectory.csv"), "--out", str(tmp_path / "p.svg")]
+        assert main(plot) == 0
+        intact = (tmp_path / "p.svg").read_bytes()
+        summary = out / "summary.json"
+        if sidecar is None:
+            # the disc radii are computed from the summary's scenario
+            doc = json.loads(summary.read_text())
+            del doc["effective_radii"]
+            sidecar = json.dumps(doc)
+        summary.write_text(sidecar)
+        assert main(plot) == code
+        if code == 0:
+            assert (tmp_path / "p.svg").read_bytes() == intact

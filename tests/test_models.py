@@ -4,17 +4,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import ext_derivative
 
 from conecbf import (
     BicycleState,
+    ControllerSpec,
+    FilterConfig,
     ModelParams,
+    Obstacle,
+    PGains,
     PointMassState,
+    ReferencePath,
     UnicycleState,
     ValidationError,
+    hocbf_eval,
     integrate_step,
     slip_from_steering,
 )
@@ -102,10 +108,16 @@ class TestSlipFromSteering:
         assert slip_from_steering(-d, p) == pytest.approx(-slip_from_steering(d, p), abs=1e-15)
 
     @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+    @example(-5e-324, 0.0)
     def test_strictly_increasing(self, d1, d2):
+        # the slope is at least l_r/(l_f+l_r) = 0.45 on [-1.5, 1.5], so a gap
+        # of 1e-9 keeps the slips apart; closer angles may round to one slip
         p = ModelParams(l_f=1.1, l_r=0.9)
         if d1 < d2:
-            assert slip_from_steering(d1, p) < slip_from_steering(d2, p)
+            b1, b2 = slip_from_steering(d1, p), slip_from_steering(d2, p)
+            assert b1 <= b2
+            if d2 - d1 >= 1e-9:
+                assert b1 < b2
 
 
 class TestModelParams:
@@ -116,6 +128,37 @@ class TestModelParams:
 
     def test_unbounded_v_max_allowed(self):
         assert ModelParams(v_max=math.inf).v_max == math.inf
+
+
+class TestNumberChecks:
+    # every API constructor refuses a string or a non-finite number with
+    # ValidationError, through the one shared check
+    @pytest.mark.parametrize("build", [
+        lambda: ControllerSpec(k_e="x"),
+        lambda: ControllerSpec(v_des="x"),
+        lambda: ControllerSpec(a_max="1"),
+        lambda: PGains("x"),
+        lambda: ModelParams(l="x"),
+        lambda: ModelParams(v_max="1"),
+        lambda: FilterConfig(gamma="1"),
+        lambda: FilterConfig(activation_radius="1"),
+        lambda: FilterConfig(input_bounds=((-1.0, "1"), (-1.0, 1.0))),
+        lambda: Obstacle("1", 0),
+        lambda: Obstacle(0, 0, segments=((1.0, "1", 0.0),)),
+        lambda: UnicycleState("0", 0, 0, 0, 0),
+        lambda: ReferencePath(((0, 0), ("1", 1))),
+        lambda: ReferencePath(((0, 0), (math.nan, 1))),
+        lambda: hocbf_eval("pointmass", PointMassState(0, 0, 0, 0), Obstacle(5, 0), math.nan),
+        lambda: hocbf_eval("pointmass", PointMassState(0, 0, 0, 0), Obstacle(5, 0), math.inf),
+    ], ids=[
+        "controller-k_e", "controller-v_des", "controller-a_max", "pgains-k1",
+        "params-l", "params-v_max", "filter-gamma", "filter-activation_radius",
+        "filter-input_bounds", "obstacle-cx", "obstacle-segment", "state-x",
+        "path-string", "path-nan", "hocbf-gamma1-nan", "hocbf-gamma1-inf",
+    ])
+    def test_rejected_with_validation_error(self, build):
+        with pytest.raises(ValidationError):
+            build()
 
 
 class TestIntegrateStep:
