@@ -18,10 +18,11 @@ cone candidate.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._backend import kernel
 from .errors import UnsupportedCbfError, ValidationError
-from .models import ModelParams, _require_finite
+from .models import ModelParams, _require_finite, _require_vectors
 
 CBF_KINDS = ("c3bf", "ellipse", "hocbf", "none")
 
@@ -47,8 +48,7 @@ class Obstacle:
     def __post_init__(self):
         names = ("cx", "cy", "vx", "vy", "c1", "c2")
         _require_finite("Obstacle", names, [getattr(self, n) for n in names])
-        for seg in self.segments:
-            _require_finite("Obstacle.segments", ("t", "vx", "vy"), seg)
+        _require_vectors("Obstacle.segments", ("t", "vx", "vy"), self.segments)
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValidationError("Obstacle semi-axes must be > 0")
         times = [t for t, _, _ in self.segments]
@@ -75,13 +75,13 @@ class Obstacle:
         return (x0 + vx * (t - t0), y0 + vy * (t - t0), vx, vy)
 
 
-@dataclass(frozen=True)
-class CbfEvaluation:
+class CbfEvaluation(NamedTuple):
     """Barrier value with its Lie-derivative decomposition.
 
     h' along the extended flow equals lfh + lgh . u for any input u.
     `penetration` marks configurations inside the effective radius, where
-    the cone degenerates to a half-plane.
+    the cone degenerates to a half-plane. An immutable record, made once
+    per obstacle per tick: a named tuple, built in one tuple construction.
     """
 
     h: float

@@ -17,6 +17,7 @@ from .models import (
     PointMassState,
     UnicycleState,
     _require_finite,
+    _require_vectors,
     slip_from_steering,
 )
 
@@ -50,8 +51,7 @@ class ReferencePath:
     closed: bool = False
 
     def __post_init__(self):
-        for p in self.waypoints:
-            _require_finite("ReferencePath.waypoints", ("x", "y"), p)
+        _require_vectors("ReferencePath.waypoints", ("x", "y"), self.waypoints)
         pts = tuple((float(x), float(y)) for x, y in self.waypoints)
         if len(pts) < 2:
             raise ValidationError("a path needs at least 2 waypoints")

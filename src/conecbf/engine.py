@@ -14,7 +14,14 @@ from ._backend import kernel
 from .cbf import CBF_KINDS, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
 from .controllers import PGains, ReferencePath, p_controller, p_speed_bicycle, p_velocity, stanley_lateral
 from .errors import SimulationError, ValidationError
-from .models import MODEL_KINDS, ModelParams, STATE_TYPES, _require_finite, integrate_step
+from .models import (
+    MODEL_KINDS,
+    ModelParams,
+    STATE_TYPES,
+    _require_finite,
+    _require_vector,
+    integrate_step,
+)
 from .qpfilter import FilterConfig, activation_gate, filter_qp
 
 # halt margin below the effective radius before declaring a collision
@@ -54,7 +61,7 @@ class ControllerSpec:
             raise ValidationError("stanley controller needs a path")
         _require_finite("ControllerSpec", ("k_e",), (self.k_e,))
         if self.v_des_vec is not None:
-            _require_finite("ControllerSpec.v_des_vec", ("x", "y"), self.v_des_vec)
+            _require_vector("ControllerSpec.v_des_vec", ("x", "y"), self.v_des_vec)
         if self.a_max is not None:
             _require_finite("ControllerSpec", ("a_max",), (self.a_max,))
             if not self.a_max > 0:

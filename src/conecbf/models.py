@@ -43,6 +43,38 @@ def _require_finite(where, names, values, inf_ok=()):
             raise ValidationError(f"{where}.{name}: expected a {kind} number, got {v!r}")
 
 
+def _require_vector(where, names, value, inf_ok=()):
+    """Raise ValidationError unless `value` is a sequence of len(names) numbers.
+
+    The numbers are checked as in _require_finite, which alone would
+    accept a short sequence (it zips names with values).
+    """
+    try:
+        ok = len(value) == len(names)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"{where}: expected ({', '.join(names)}), got {value!r}")
+    _require_finite(where, names, value, inf_ok)
+
+
+def _require_vectors(where, names, rows, count=None, inf_ok=()):
+    """Raise ValidationError unless `rows` is a sequence of vectors.
+
+    Each row is checked by _require_vector; `count`, if given, fixes the
+    number of rows.
+    """
+    try:
+        n = len(rows)
+    except TypeError:
+        n = None
+    if n is None or count is not None and n != count:
+        want = "a sequence" if count is None else f"{count} rows"
+        raise ValidationError(f"{where}: expected {want} of ({', '.join(names)}), got {rows!r}")
+    for row in rows:
+        _require_vector(where, names, row, inf_ok)
+
+
 @dataclass(frozen=True)
 class UnicycleState:
     """Pose, speed and yaw rate; theta is normalized to (-pi, pi]."""
@@ -149,25 +181,30 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
     """Advance one state by a fixed RK4 step with zero-order-hold input.
 
     Heading states are renormalized after the step. Raises ValidationError
-    when the result is non-finite.
+    when the result is non-finite, or when `u` is not a pair of numbers.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
-    if model == "unicycle":
-        nxt = kernel.rk4_unicycle(s.x, s.y, s.theta, s.v, s.omega, u[0], u[1], dt)
-        out = UnicycleState(*nxt)
-    elif model == "bicycle":
-        if p is None:
-            raise ValidationError("bicycle integration needs ModelParams (l_r)")
-        if abs(u[1]) > p.beta_max:
-            raise ValidationError(
-                f"|beta|={abs(u[1]):.4f} exceeds beta_max={p.beta_max}"
-            )
-        nxt = kernel.rk4_bicycle(s.x, s.y, s.theta, s.v, u[0], u[1], p.l_r, dt)
-        out = BicycleState(*nxt)
-    elif model == "pointmass":
-        nxt = kernel.rk4_pointmass(s.x, s.y, s.vx, s.vy, u[0], u[1], dt)
-        out = PointMassState(*nxt)
-    else:
-        raise ValidationError(f"unknown model kind {model!r}")
+    # a malformed u fails inside the kernel call; the check costs nothing
+    # on the normal path
+    try:
+        if model == "unicycle":
+            nxt = kernel.rk4_unicycle(s.x, s.y, s.theta, s.v, s.omega, u[0], u[1], dt)
+            out = UnicycleState(*nxt)
+        elif model == "bicycle":
+            if p is None:
+                raise ValidationError("bicycle integration needs ModelParams (l_r)")
+            if abs(u[1]) > p.beta_max:
+                raise ValidationError(
+                    f"|beta|={abs(u[1]):.4f} exceeds beta_max={p.beta_max}"
+                )
+            nxt = kernel.rk4_bicycle(s.x, s.y, s.theta, s.v, u[0], u[1], p.l_r, dt)
+            out = BicycleState(*nxt)
+        elif model == "pointmass":
+            nxt = kernel.rk4_pointmass(s.x, s.y, s.vx, s.vy, u[0], u[1], dt)
+            out = PointMassState(*nxt)
+        else:
+            raise ValidationError(f"unknown model kind {model!r}")
+    except (TypeError, IndexError) as exc:
+        raise ValidationError(f"input u must be a pair of numbers, got {u!r}") from exc
     return out

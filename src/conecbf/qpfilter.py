@@ -12,11 +12,12 @@ Optional box bounds on u join the QP as extra rows.
 
 from dataclasses import dataclass
 from math import isfinite, isinf, sqrt
+from typing import NamedTuple
 
 from ._backend import kernel
 from .cbf import CbfEvaluation
 from .errors import ValidationError
-from .models import _require_finite
+from .models import _require_finite, _require_vectors
 
 
 @dataclass(frozen=True)
@@ -44,22 +45,28 @@ class FilterConfig:
         for name, v in zip(names, gains):
             if not v > 0:
                 raise ValidationError(f"{name} must be > 0, got {v}")
+        box = ()
         if self.input_bounds is not None:
-            if len(self.input_bounds) != 2:
-                raise ValidationError("input_bounds must give (lo, hi) per component")
+            _require_vectors(
+                "FilterConfig.input_bounds", ("lo", "hi"), self.input_bounds, count=2, inf_ok=("lo", "hi")
+            )
             for lo, hi in self.input_bounds:
-                _require_finite("FilterConfig.input_bounds", ("lo", "hi"), (lo, hi), inf_ok=("lo", "hi"))
                 if not lo < hi:
                     raise ValidationError(f"empty input bound [{lo}, {hi}]")
+            (lo0, hi0), (lo1, hi1) = self.input_bounds
+            box = ((1.0, 0.0, lo0), (-1.0, 0.0, -hi0), (0.0, 1.0, lo1), (0.0, -1.0, -hi1))
+        # the box's finite rows g . u >= b as (g0s, g1s, bs), built once per
+        # config (replace() builds them anew) for filter_qp to append
+        rows = [row for row in box if not isinf(row[2])]
+        object.__setattr__(self, "_box_rows", tuple(zip(*rows)) or ((), (), ()))
 
 
-@dataclass(frozen=True)
-class FilterResult:
-    """Filtered input and bookkeeping.
+class FilterResult(NamedTuple):
+    """Filtered input and bookkeeping, as an immutable record (named tuple).
 
-    u_star = u_ref + u_safe; active_set holds indices (into the supplied
-    evaluations) of binding constraints; psi holds the slack of every
-    constraint at the reference input. `degenerate` marks constraints
+    u_star = u_ref + u_safe; active_set holds the ascending indices (into
+    the supplied evaluations) of binding constraints; psi holds the slack
+    of every constraint at the reference input. `degenerate` marks constraints
     that were violated but uncontrollable (||lgh|| below threshold);
     `infeasible` marks an empty constraint intersection, in which case
     u_star violates the constraints, summed squared, no more than u_ref.
@@ -116,15 +123,16 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
     infeasible; that is flagged, and the input returned has a summed
     squared violation no larger than u_ref's (not always the least).
     """
-    evals = list(evals)
     ur0, ur1 = u_ref
-    g0s, g1s, bs, idx = [], [], [], []
-    psis = []
-    degenerate = nonfinite = False
+    gamma = cfg.gamma
     eps2 = cfg.regularization_eps * cfg.regularization_eps
+    g0s, g1s, bs, idx, psis = [], [], [], [], []
+    degenerate = nonfinite = False
     for i, e in enumerate(evals):
         g0, g1 = e.lgh
-        psi = e.lfh + g0 * ur0 + g1 * ur1 + cfg.gamma * e.h
+        lfh = e.lfh
+        gh = gamma * e.h
+        psi = lfh + g0 * ur0 + g1 * ur1 + gh
         psis.append(psi)
         if not isfinite(psi):
             nonfinite = True
@@ -135,33 +143,24 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
             continue
         g0s.append(g0)
         g1s.append(g1)
-        bs.append(-(e.lfh + cfg.gamma * e.h))
+        bs.append(-(lfh + gh))
         idx.append(i)
-    if cfg.input_bounds is not None:
-        (lo0, hi0), (lo1, hi1) = cfg.input_bounds
-        for g0, g1, b in (
-            (1.0, 0.0, lo0),
-            (-1.0, 0.0, -hi0),
-            (0.0, 1.0, lo1),
-            (0.0, -1.0, -hi1),
-        ):
-            if not isinf(b):
-                g0s.append(g0)
-                g1s.append(g1)
-                bs.append(b)
-                idx.append(-1)
-    if not bs:
-        return FilterResult(
-            (ur0, ur1), (0.0, 0.0), (), tuple(psis), degenerate=degenerate,
-            infeasible=nonfinite,
-        )
+    n_barrier = len(bs)
+    box_g0s, box_g1s, box_bs = cfg._box_rows
+    if box_bs:
+        g0s.extend(box_g0s)
+        g1s.extend(box_g1s)
+        bs.extend(box_bs)
+    elif not n_barrier:
+        return FilterResult((ur0, ur1), (0.0, 0.0), (), tuple(psis), degenerate, nonfinite)
     u0, u1, active, feasible = kernel.solve_qp2(ur0, ur1, g0s, g1s, bs)
-    active_set = tuple(sorted(idx[k] for k in active if idx[k] >= 0))
+    # box rows follow the barrier rows and `active` ascends, so the barrier
+    # rows among it map to ascending evaluation indices
     return FilterResult(
         (u0, u1),
         (u0 - ur0, u1 - ur1),
-        active_set,
+        tuple([idx[k] for k in active if k < n_barrier]),
         tuple(psis),
-        degenerate=degenerate,
-        infeasible=nonfinite or not feasible,
+        degenerate,
+        nonfinite or not feasible,
     )

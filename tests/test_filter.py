@@ -1,6 +1,7 @@
 """Safety filter: closed form, QP, gating, and the grid-search oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,13 @@ import pytest
 from conecbf import (
     CbfEvaluation,
     FilterConfig,
+    FilterResult,
+    ModelParams,
+    Obstacle,
+    UnicycleState,
     ValidationError,
     activation_gate,
+    c3bf_eval,
     filter_qp,
     filter_single,
 )
@@ -353,3 +359,131 @@ class TestFilterConfig:
     def test_rejects_infinite(self, field):
         with pytest.raises(ValidationError, match=field):
             FilterConfig(**{field: float("inf")})
+
+
+def spy_solve_qp2(monkeypatch):
+    """Route kernel.solve_qp2 through a recorder; returns the list of call args."""
+    calls = []
+    solve = kernel.solve_qp2
+
+    def recorded(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(kernel, "solve_qp2", recorded)
+    return calls
+
+
+class TestRecords:
+    # the per-tick outputs are named tuples: immutable, and built in one step
+    def test_fields_order_and_defaults(self):
+        assert CbfEvaluation._fields == ("h", "lfh", "lgh", "penetration", "dist")
+        assert CbfEvaluation._field_defaults == {}
+        assert FilterResult._fields == (
+            "u_star", "u_safe", "active_set", "psi", "degenerate", "infeasible"
+        )
+        assert FilterResult._field_defaults == {
+            "active_set": (), "psi": (), "degenerate": False, "infeasible": False
+        }
+        res = FilterResult((1.0, 2.0), (0.0, 0.0))
+        assert (res.active_set, res.psi, res.degenerate, res.infeasible) == ((), (), False, False)
+
+    def test_unpack_and_compare_as_tuples(self):
+        e = ev(-0.5, 0.25, (1.0, -2.0), True, 3.0)
+        h, lfh, lgh, pen, dist = e
+        assert (h, lfh, lgh, pen, dist) == e == (-0.5, 0.25, (1.0, -2.0), True, 3.0)
+        assert filter_qp((0.0, 0.0), [e], CFG)[0] == filter_qp((0.0, 0.0), [e], CFG).u_star
+
+    @pytest.mark.parametrize("record, field", [
+        (CbfEvaluation(0.0, 0.0, (1.0, 0.0), False, 1.0), "h"),
+        (CbfEvaluation(0.0, 0.0, (1.0, 0.0), False, 1.0), "lgh"),
+        (FilterResult((0.0, 0.0), (0.0, 0.0)), "u_star"),
+        (FilterResult((0.0, 0.0), (0.0, 0.0)), "infeasible"),
+        (FilterResult((0.0, 0.0), (0.0, 0.0)), "extra"),
+    ], ids=["eval-h", "eval-lgh", "result-u_star", "result-infeasible", "result-new-attr"])
+    def test_assignment_refused(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+
+    def test_filter_qp_takes_any_iterable(self):
+        evals = [ev(-0.5, -1.0, (1.0, 0.2)), ev(-0.2, -0.5, (-0.3, 1.1)), ev(1.0, 0.0, (0.0, 1.0))]
+        want = filter_qp((2.0, 1.0), evals, CFG)
+        assert filter_qp((2.0, 1.0), (e for e in evals), CFG) == want
+        assert filter_qp((2.0, 1.0), tuple(evals), CFG) == want
+        assert filter_qp((2.0, 1.0), iter([]), CFG) == ((2.0, 1.0), (0.0, 0.0), (), (), False, False)
+
+
+class TestActiveSetMapping:
+    # active_set keeps the barrier rows of the kernel's ascending active
+    # tuple; box rows come after every barrier row and never appear in it
+    def test_box_row_binding_with_barrier_row(self, monkeypatch):
+        calls = spy_solve_qp2(monkeypatch)
+        cfg = FilterConfig(input_bounds=((-5.0, 5.0), (-5.0, 0.2)))
+        loose = ev(0.0, 10.0, (1.0, 0.0))   # u0 >= -10, slack
+        bind = ev(0.0, -2.0, (1.0, 1.0))    # u0 + u1 >= 2
+        res = filter_qp((0.0, 1.0), [loose, bind], cfg)
+        assert res.u_star == pytest.approx((1.8, 0.2))
+        # the kernel bound the barrier row 1 and the box row u1 <= 0.2 (row 5)
+        assert kernel.solve_qp2(*calls[0])[2] == (1, 5)
+        assert res.active_set == (1,)
+        assert not res.infeasible
+
+    def test_two_barrier_rows_after_skipped_rows(self):
+        cfg = FilterConfig(input_bounds=((-5.0, 5.0), (-5.0, 5.0)))
+        deg = ev(-1.0, -1.0, (0.0, 0.0))        # violated, uncontrollable
+        nan = ev(math.nan, 0.0, (1.0, 0.0))     # never met
+        e1 = ev(0.0, -1.0, (1.0, 0.0))          # u0 >= 1
+        e2 = ev(0.0, -1.0, (0.0, 1.0))          # u1 >= 1
+        for evals, want in (([deg, e1, nan, e2], (1, 3)), ([nan, deg, e2, e1], (2, 3))):
+            for c in (CFG, cfg):
+                res = filter_qp((0.0, 0.0), evals, c)
+                assert res.active_set == want
+                assert res.u_star == pytest.approx((1.0, 1.0))
+                assert res.degenerate and res.infeasible
+                assert len(res.psi) == 4
+
+    def test_replaced_config_enforces_its_box(self, monkeypatch):
+        calls = spy_solve_qp2(monkeypatch)
+        loose = ev(0.0, 10.0, (1.0, 0.0))   # u0 >= -10, slack
+        cfg = FilterConfig(input_bounds=((-1.0, 1.0), (-1.0, 1.0)))
+        assert filter_qp((2.0, 0.0), [loose], cfg).u_star == (1.0, 0.0)
+        assert len(calls.pop()[4]) == 5
+        upper = replace(cfg, input_bounds=((-math.inf, 0.5), (-math.inf, math.inf)))
+        assert filter_qp((2.0, 0.0), [loose], upper).u_star == (0.5, 0.0)
+        assert calls.pop()[2:] == ([1.0, -1.0], [0.0, 0.0], [-10.0, -0.5])
+        lower = replace(cfg, input_bounds=((-math.inf, math.inf), (0.25, math.inf)))
+        assert filter_qp((2.0, 0.0), [loose], lower).u_star == (2.0, 0.25)
+        assert calls.pop()[2:] == ([1.0, 0.0], [0.0, 1.0], [-10.0, 0.25])
+        # no box: a slack row passes u_ref through
+        assert filter_qp((2.0, 0.0), [loose], replace(cfg, input_bounds=None)).u_star == (2.0, 0.0)
+        assert len(calls.pop()[4]) == 1
+        # only box rows: the QP still runs and projects u_ref into the box
+        assert filter_qp((2.0, 0.0), [], upper).u_star == (0.5, 0.0)
+
+
+class TestKernelLookup:
+    # perfbench's tracer and StepClock patch the kernel module's attributes;
+    # these calls must reach the patched functions, not import-time bindings
+    def test_one_qp_call_per_filter_with_box_rows(self, monkeypatch):
+        counts = {"solve_qp2": [], "c3bf_unicycle": 0}
+        solve, cone = kernel.solve_qp2, kernel.c3bf_unicycle
+
+        def counted_solve(*args):
+            counts["solve_qp2"].append(args)
+            return solve(*args)
+
+        def counted_cone(*args):
+            counts["c3bf_unicycle"] += 1
+            return cone(*args)
+
+        monkeypatch.setattr(kernel, "solve_qp2", counted_solve)
+        monkeypatch.setattr(kernel, "c3bf_unicycle", counted_cone)
+        s, p = UnicycleState(0.0, 0.0, 0.0, 1.0, 0.0), ModelParams()
+        evals = [c3bf_eval("unicycle", s, o, p) for o in (Obstacle(3.0, 0.0), Obstacle(5.0, 0.3))]
+        assert counts["c3bf_unicycle"] == 2
+        cfg = FilterConfig(input_bounds=((-2.0, 2.0), (-math.inf, 1.5)))
+        filter_qp((0.5, 0.0), evals, cfg)
+        assert len(counts["solve_qp2"]) == 1
+        bs = counts["solve_qp2"][0][4]
+        assert len(bs) == 2 + 3
+        assert bs[2:] == [-2.0, -2.0, -1.5]

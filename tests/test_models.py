@@ -161,6 +161,39 @@ class TestNumberChecks:
             build()
 
 
+class TestShapeChecks:
+    # tuple-valued API fields and inputs of the wrong length or shape raise
+    # ValidationError, not ValueError/TypeError, and are never accepted
+    @pytest.mark.parametrize("build", [
+        lambda: FilterConfig(input_bounds=((0, 1, 2), (0, 1))),
+        lambda: FilterConfig(input_bounds=(1, 2)),
+        lambda: FilterConfig(input_bounds=((0, 1),)),
+        lambda: Obstacle(0, 0, segments=((1.0,),)),
+        lambda: Obstacle(0, 0, segments=5),
+        lambda: ReferencePath(((0, 0), (1,))),
+        lambda: ReferencePath(7),
+        lambda: ControllerSpec(v_des_vec=(1.0,)),
+        lambda: ControllerSpec(v_des_vec=1.0),
+        lambda: integrate_step("unicycle", UnicycleState(0, 0, 0, 0, 0), ("a", 0), 0.1),
+        lambda: integrate_step("pointmass", PointMassState(0, 0, 0, 0), (1.0,), 0.1),
+        lambda: integrate_step("bicycle", BicycleState(0, 0, 0, 1), None, 0.1, ModelParams()),
+    ], ids=[
+        "filter-bounds-row-of-3", "filter-bounds-flat", "filter-bounds-one-row",
+        "obstacle-segment-of-1", "obstacle-segments-int", "path-waypoint-of-1", "path-int",
+        "controller-v_des_vec-of-1", "controller-v_des_vec-scalar",
+        "integrate-string-input", "integrate-short-input", "integrate-none-input",
+    ])
+    def test_rejected_with_validation_error(self, build):
+        with pytest.raises(ValidationError):
+            build()
+
+    def test_well_shaped_values_accepted(self):
+        assert FilterConfig(input_bounds=[[-1, 1], [-math.inf, 2]]).input_bounds == [[-1, 1], [-math.inf, 2]]
+        assert Obstacle(0, 0, segments=[(1.0, 0.5, 0.0)]).moves()
+        assert ReferencePath([[0, 0], [1, 0]]).waypoints == ((0.0, 0.0), (1.0, 0.0))
+        assert ControllerSpec(v_des_vec=[1.0, 0.0]).v_des_vec == [1.0, 0.0]
+
+
 class TestIntegrateStep:
     def test_constant_velocity_exact(self):
         s = integrate_step("unicycle", UnicycleState(0, 0, 0, 1, 0), (0, 0), 0.1)
