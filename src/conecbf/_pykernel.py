@@ -261,46 +261,68 @@ def hocbf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1):
 
 
 def rk4_unicycle(x, y, th, v, om, a, al, dt):
-    """One RK4 step of the unicycle; heading renormalized to (-pi, pi]."""
+    """One RK4 step of the unicycle; heading renormalized to (-pi, pi].
 
-    # state derivative: (v cos th, v sin th, om, a, al)
-    def f(xx, yy, tt, vv, oo):
-        return vv * cos(tt), vv * sin(tt), oo, a, al
-
-    k1 = f(x, y, th, v, om)
+    The state derivative is (v cos th, v sin th, om, a, al); its stages
+    are written out as scalars. v and om are linear in time, so stages 2
+    and 3 share their speed and yaw rate.
+    """
     h2 = 0.5 * dt
-    k2 = f(x + h2 * k1[0], y + h2 * k1[1], th + h2 * k1[2], v + h2 * k1[3], om + h2 * k1[4])
-    k3 = f(x + h2 * k2[0], y + h2 * k2[1], th + h2 * k2[2], v + h2 * k2[3], om + h2 * k2[4])
-    k4 = f(x + dt * k3[0], y + dt * k3[1], th + dt * k3[2], v + dt * k3[3], om + dt * k3[4])
+    v2 = v + h2 * a
+    om2 = om + h2 * al
+    v4 = v + dt * a
+    om4 = om + dt * al
+    th2 = th + h2 * om
+    th3 = th + h2 * om2
+    th4 = th + dt * om2
     w = dt / 6.0
     return (
-        x + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        y + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        wrap_angle(th + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])),
-        v + dt * a,
-        om + dt * al,
+        x + w * (v * cos(th) + 2.0 * (v2 * cos(th2)) + 2.0 * (v2 * cos(th3)) + v4 * cos(th4)),
+        y + w * (v * sin(th) + 2.0 * (v2 * sin(th2)) + 2.0 * (v2 * sin(th3)) + v4 * sin(th4)),
+        wrap_angle(th + w * (om + 2.0 * om2 + 2.0 * om2 + om4)),
+        v4,
+        om4,
     )
 
 
 def rk4_bicycle(x, y, th, v, a, be, lr, dt):
-    """One RK4 step of the small-slip bicycle; heading renormalized."""
+    """One RK4 step of the small-slip bicycle; heading renormalized.
 
-    def f(xx, yy, tt, vv):
-        ct = cos(tt)
-        st = sin(tt)
-        return vv * ct - vv * be * st, vv * st + vv * be * ct, vv * be / lr, a
-
-    k1 = f(x, y, th, v)
+    The state derivative is (v cos th - v be sin th, v sin th + v be cos th,
+    v be / lr, a); its stages are written out as scalars. v is linear in
+    time, so stages 2 and 3 share their speed and heading rate.
+    """
     h2 = 0.5 * dt
-    k2 = f(x + h2 * k1[0], y + h2 * k1[1], th + h2 * k1[2], v + h2 * k1[3])
-    k3 = f(x + h2 * k2[0], y + h2 * k2[1], th + h2 * k2[2], v + h2 * k2[3])
-    k4 = f(x + dt * k3[0], y + dt * k3[1], th + dt * k3[2], v + dt * k3[3])
+    v2 = v + h2 * a
+    v4 = v + dt * a
+    vb1 = v * be
+    vb2 = v2 * be
+    vb4 = v4 * be
+    om1 = vb1 / lr
+    om2 = vb2 / lr
+    th2 = th + h2 * om1
+    th3 = th + h2 * om2
+    th4 = th + dt * om2
+    c1 = cos(th)
+    s1 = sin(th)
+    c2 = cos(th2)
+    s2 = sin(th2)
+    c3 = cos(th3)
+    s3 = sin(th3)
+    c4 = cos(th4)
+    s4 = sin(th4)
     w = dt / 6.0
     return (
-        x + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        y + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        wrap_angle(th + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])),
-        v + dt * a,
+        x + w * (
+            (v * c1 - vb1 * s1) + 2.0 * (v2 * c2 - vb2 * s2)
+            + 2.0 * (v2 * c3 - vb2 * s3) + (v4 * c4 - vb4 * s4)
+        ),
+        y + w * (
+            (v * s1 + vb1 * c1) + 2.0 * (v2 * s2 + vb2 * c2)
+            + 2.0 * (v2 * s3 + vb2 * c3) + (v4 * s4 + vb4 * c4)
+        ),
+        wrap_angle(th + w * (om1 + 2.0 * om2 + 2.0 * om2 + vb4 / lr)),
+        v4,
     )
 
 

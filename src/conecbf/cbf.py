@@ -18,6 +18,7 @@ cone candidate.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import copysign
 from typing import NamedTuple
 
 from ._backend import kernel
@@ -46,24 +47,35 @@ class Obstacle:
     segments: tuple = ()
 
     def __post_init__(self):
-        names = ("cx", "cy", "vx", "vy", "c1", "c2")
-        _require_finite("Obstacle", names, [getattr(self, n) for n in names])
+        cx, cy, vx, vy = self.cx, self.cy, self.vx, self.vy
+        _require_finite("Obstacle", ("cx", "cy", "vx", "vy", "c1", "c2"), (cx, cy, vx, vy, self.c1, self.c2))
         _require_vectors("Obstacle.segments", ("t", "vx", "vy"), self.segments)
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValidationError("Obstacle semi-axes must be > 0")
         times = [t for t, _, _ in self.segments]
         if any(t <= 0 for t in times) or times != sorted(set(times)):
             raise ValidationError("segment times must be strictly increasing and > 0")
-        # anchor positions at each segment start so center_at() is exact
-        anchors = [(0.0, self.cx, self.cy, self.vx, self.vy)]
-        for t, vx, vy in self.segments:
+        # anchor positions at each segment start so state_at() is exact
+        anchors = [(0.0, cx, cy, vx, vy)]
+        for t, v0, v1 in self.segments:
             t0, x0, y0, vx0, vy0 = anchors[-1]
-            anchors.append((t, x0 + vx0 * (t - t0), y0 + vy0 * (t - t0), vx, vy))
+            anchors.append((t, x0 + vx0 * (t - t0), y0 + vy0 * (t - t0), v0, v1))
         object.__setattr__(self, "_anchors", tuple(anchors))
         object.__setattr__(self, "_times", tuple(a[0] for a in anchors))
+        moves = vx != 0.0 or vy != 0.0 or any(v0 != 0.0 or v1 != 0.0 for _, v0, v1 in self.segments)
+        object.__setattr__(self, "_moves", moves)
+        # the barrier evaluations read an obstacle at rest without segments
+        # from its fields: state_at gives their bits at every t >= 0, unless
+        # a center coordinate is -0.0 and its velocity +0.0 (it reads +0.0)
+        at_rest = not (
+            moves or self.segments
+            or cx == 0.0 and copysign(1.0, cx) < copysign(1.0, vx)
+            or cy == 0.0 and copysign(1.0, cy) < copysign(1.0, vy)
+        )
+        object.__setattr__(self, "_at_rest", at_rest)
 
     def moves(self) -> bool:
-        return any(a[3] != 0.0 or a[4] != 0.0 for a in self._anchors)
+        return self._moves
 
     def state_at(self, t: float):
         """Center and velocity (cx, cy, vx, vy) at time t >= 0.
@@ -99,10 +111,11 @@ def effective_radius(o: Obstacle, p: ModelParams) -> float:
 def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> CbfEvaluation:
     """Cone barrier with analytic Lie derivatives for the extended state.
 
-    With t given, the obstacle is read as `o.state_at(t)` places it; else as given.
+    With t given, the obstacle is read as `o.state_at(t)` places it (an
+    obstacle at rest without segments, from its fields); else as given.
     """
     r = effective_radius(o, p)
-    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
+    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None or o._at_rest else o.state_at(t)
     if model == "unicycle":
         out = kernel.c3bf_unicycle(
             s.x, s.y, s.theta, s.v, s.omega, p.l, cx, cy, vx, vy, r
@@ -121,7 +134,7 @@ def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> Cb
 
 def ellipse_cbf_eval(model: str, s, o: Obstacle, t: float = None) -> CbfEvaluation:
     """Ellipse distance barrier; degenerate input columns are structural; `t` as in c3bf_eval."""
-    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
+    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None or o._at_rest else o.state_at(t)
     if model == "unicycle":
         out = kernel.ellipse_unicycle(
             s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2
@@ -152,7 +165,7 @@ def hocbf_eval(
     _require_finite("hocbf_eval", ("gamma1",), (gamma1,))
     if gamma1 <= 0:
         raise ValidationError(f"gamma1 must be > 0, got {gamma1}")
-    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
+    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None or o._at_rest else o.state_at(t)
     if model == "unicycle":
         out = kernel.hocbf_unicycle(
             s.x, s.y, s.theta, s.v, s.omega, cx, cy, vx, vy, o.c1, o.c2, gamma1

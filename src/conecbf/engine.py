@@ -194,57 +194,91 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     n_steps = sc.n_steps
     log = TrajectoryLog(scenario=sc)
     state = sc.initial_state
-    radii = [effective_radius(o, sc.params) for o in sc.obstacles]
+    model, params, dt, obstacles = sc.model, sc.params, sc.dt, sc.obstacles
+    n_obs = len(obstacles)
+    # an obstacle collides once its center distance falls to its limit
+    limits = [effective_radius(o, params) - COLLISION_SLACK for o in obstacles]
     bounds = sc.filter.input_bounds
-    if bounds is None and sc.model == "bicycle":
+    if bounds is None and model == "bicycle":
         # keep the small-slip model valid: the QP may not exceed beta_max
-        bounds = ((float("-inf"), float("inf")), (-sc.params.beta_max, sc.params.beta_max))
+        bounds = ((float("-inf"), float("inf")), (-params.beta_max, params.beta_max))
     cfg = replace(sc.filter, input_bounds=bounds)
-    # the barrier and its trailing arguments, chosen once; with cbf='none'
-    # the cone barrier is still evaluated for the log, but nothing is gated
+    if bounds is not None:
+        (lo0, hi0), (lo1, hi1) = bounds
+    # the barrier, chosen once, as a positional call on (state, obstacle, t)
+    # that looks its function up by module name at call time; with
+    # cbf='none' the cone barrier is still evaluated for the log, but
+    # nothing is gated
     if sc.cbf == "ellipse":
-        barrier, args = ellipse_cbf_eval, ()
+        def barrier(state, o, t):
+            return ellipse_cbf_eval(model, state, o, t)
     elif sc.cbf == "hocbf":
-        barrier, args = hocbf_eval, (sc.hocbf_gamma1, sc.params)
+        gamma1 = sc.hocbf_gamma1
+
+        def barrier(state, o, t):
+            return hocbf_eval(model, state, o, gamma1, params, t)
     else:
-        barrier, args = c3bf_eval, (sc.params,)
+        def barrier(state, o, t):
+            return c3bf_eval(model, state, o, params, t)
     filtering = sc.cbf != "none"
     gamma = sc.filter.gamma
+    saturate = sc.saturate_speed and model in ("unicycle", "bicycle")
+    v_max = params.v_max
+    # shared by every step on which no constraint binds
+    no_active = (False,) * n_obs
+    log_t, log_states, log_u_ref, log_u_star = (
+        log.t.append, log.states.append, log.u_ref.append, log.u_star.append
+    )
+    log_h, log_psi, log_dist, log_active, log_penetration = (
+        log.h.append, log.psi.append, log.dist.append, log.active.append, log.penetration.append
+    )
+    log_degenerate, log_infeasible = log.degenerate.append, log.infeasible.append
     degenerate_run = 0
     for k in range(n_steps + 1):
-        t = k * sc.dt
+        t = k * dt
         u_ref = _reference_input(sc, state)
-        evals = [barrier(sc.model, state, o, *args, t=t) for o in sc.obstacles]
-        gated = [i for i, e in enumerate(evals) if filtering and activation_gate(e.dist, cfg)]
-        if gated:
-            res = filter_qp(u_ref, [evals[i] for i in gated], cfg)
-            u_cmd, degenerate, infeasible = res.u_star, res.degenerate, res.infeasible
-            binding = {gated[j] for j in res.active_set}
+        evals = [barrier(state, o, t) for o in obstacles]
+        if evals:
+            hs, lfhs, lghs, penetrations, dists = zip(*evals)
         else:
-            u_cmd, degenerate, infeasible, binding = tuple(u_ref), False, False, ()
+            hs = lfhs = lghs = penetrations = dists = ()
+        gated = [i for i, d in enumerate(dists) if activation_gate(d, cfg)] if filtering else ()
+        every_gated = gated and len(gated) == n_obs
+        if gated:
+            res = filter_qp(u_ref, evals if every_gated else [evals[i] for i in gated], cfg)
+            u_cmd, degenerate, infeasible = res.u_star, res.degenerate, res.infeasible
+            active = no_active
+            if res.active_set:
+                binding = {gated[j] for j in res.active_set}
+                active = tuple([i in binding for i in range(n_obs)])
+        else:
+            u_cmd, degenerate, infeasible, active = u_ref, False, False, no_active
+        if every_gated:
+            # the filter computed each psi with the same float operations
+            psis = res.psi
+        else:
+            ur0, ur1 = u_ref
+            psis = tuple([
+                lfh + g0 * ur0 + g1 * ur1 + gamma * h
+                for h, lfh, (g0, g1) in zip(hs, lfhs, lghs)
+            ])
         # the applied input: on infeasible steps the QP's answer may
         # exceed the box, but actuators saturate regardless
-        if cfg.input_bounds is not None:
-            (lo0, hi0), (lo1, hi1) = cfg.input_bounds
+        if bounds is not None:
             u_cmd = (min(max(u_cmd[0], lo0), hi0), min(max(u_cmd[1], lo1), hi1))
-        log.t.append(t)
-        log.states.append(state.as_tuple())
-        log.u_ref.append(tuple(u_ref))
-        log.u_star.append(u_cmd)
-        log.h.append(tuple(e.h for e in evals))
-        log.psi.append(
-            tuple(
-                e.lfh + e.lgh[0] * u_ref[0] + e.lgh[1] * u_ref[1] + gamma * e.h
-                for e in evals
-            )
-        )
-        log.dist.append(tuple(e.dist for e in evals))
-        log.active.append(tuple(i in binding for i in range(len(evals))))
-        log.penetration.append(tuple(e.penetration for e in evals))
-        log.degenerate.append(degenerate)
-        log.infeasible.append(infeasible)
-        for i, (e, r) in enumerate(zip(evals, radii)):
-            if e.dist <= r - COLLISION_SLACK:
+        log_t(t)
+        log_states(state.as_tuple())
+        log_u_ref(u_ref)
+        log_u_star(u_cmd)
+        log_h(hs)
+        log_psi(psis)
+        log_dist(dists)
+        log_active(active)
+        log_penetration(penetrations)
+        log_degenerate(degenerate)
+        log_infeasible(infeasible)
+        for i, (d, limit) in enumerate(zip(dists, limits)):
+            if d <= limit:
                 log.collided = True
                 log.collision_step = k
                 log.collision_obstacle = i
@@ -257,13 +291,11 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
         if k == n_steps:
             break
         try:
-            state = integrate_step(sc.model, state, u_cmd, sc.dt, sc.params)
+            state = integrate_step(model, state, u_cmd, dt, params)
         except ValidationError as exc:
             raise SimulationError(f"integration failed at step {k}: {exc}", step=k)
-        if sc.saturate_speed and sc.model in ("unicycle", "bicycle"):
-            if abs(state.v) > sc.params.v_max:
-                vclip = sc.params.v_max if state.v > 0 else -sc.params.v_max
-                state = replace(state, v=vclip)
+        if saturate and abs(state.v) > v_max:
+            state = replace(state, v=v_max if state.v > 0 else -v_max)
     return log
 
 

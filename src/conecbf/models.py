@@ -75,7 +75,7 @@ def _require_vectors(where, names, rows, count=None, inf_ok=()):
         _require_vector(where, names, row, inf_ok)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnicycleState:
     """Pose, speed and yaw rate; theta is normalized to (-pi, pi]."""
 
@@ -86,14 +86,14 @@ class UnicycleState:
     omega: float
 
     def __post_init__(self):
-        _require_finite("UnicycleState", STATE_FIELDS["unicycle"], self.as_tuple())
+        _require_finite("UnicycleState", ("x", "y", "theta", "v", "omega"), self.as_tuple())
         object.__setattr__(self, "theta", kernel.wrap_angle(self.theta))
 
     def as_tuple(self):
         return (self.x, self.y, self.theta, self.v, self.omega)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BicycleState:
     """Center-of-mass pose and speed; theta is normalized to (-pi, pi]."""
 
@@ -103,14 +103,14 @@ class BicycleState:
     v: float
 
     def __post_init__(self):
-        _require_finite("BicycleState", STATE_FIELDS["bicycle"], self.as_tuple())
+        _require_finite("BicycleState", ("x", "y", "theta", "v"), self.as_tuple())
         object.__setattr__(self, "theta", kernel.wrap_angle(self.theta))
 
     def as_tuple(self):
         return (self.x, self.y, self.theta, self.v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointMassState:
     """Planar double-integrator state."""
 
@@ -120,7 +120,7 @@ class PointMassState:
     vy: float
 
     def __post_init__(self):
-        _require_finite("PointMassState", STATE_FIELDS["pointmass"], self.as_tuple())
+        _require_finite("PointMassState", ("x", "y", "vx", "vy"), self.as_tuple())
 
     def as_tuple(self):
         return (self.x, self.y, self.vx, self.vy)
@@ -185,26 +185,26 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
     """
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
-    # a malformed u fails inside the kernel call; the check costs nothing
-    # on the normal path
+    # a malformed u fails in the unpacking or, holding a non-number, inside
+    # the kernel call; the checks cost nothing on the normal path
+    try:
+        u0, u1 = u
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValidationError(f"input u must be a pair of numbers, got {u!r}") from exc
     try:
         if model == "unicycle":
-            nxt = kernel.rk4_unicycle(s.x, s.y, s.theta, s.v, s.omega, u[0], u[1], dt)
-            out = UnicycleState(*nxt)
-        elif model == "bicycle":
+            return UnicycleState(*kernel.rk4_unicycle(s.x, s.y, s.theta, s.v, s.omega, u0, u1, dt))
+        if model == "bicycle":
             if p is None:
                 raise ValidationError("bicycle integration needs ModelParams (l_r)")
-            if abs(u[1]) > p.beta_max:
-                raise ValidationError(
-                    f"|beta|={abs(u[1]):.4f} exceeds beta_max={p.beta_max}"
-                )
-            nxt = kernel.rk4_bicycle(s.x, s.y, s.theta, s.v, u[0], u[1], p.l_r, dt)
-            out = BicycleState(*nxt)
-        elif model == "pointmass":
-            nxt = kernel.rk4_pointmass(s.x, s.y, s.vx, s.vy, u[0], u[1], dt)
-            out = PointMassState(*nxt)
-        else:
-            raise ValidationError(f"unknown model kind {model!r}")
-    except (TypeError, IndexError) as exc:
+            if abs(u1) > p.beta_max:
+                raise ValidationError(f"|beta|={abs(u1):.4f} exceeds beta_max={p.beta_max}")
+            return BicycleState(*kernel.rk4_bicycle(s.x, s.y, s.theta, s.v, u0, u1, p.l_r, dt))
+        if model == "pointmass":
+            return PointMassState(*kernel.rk4_pointmass(s.x, s.y, s.vx, s.vy, u0, u1, dt))
+    except TypeError as exc:
         raise ValidationError(f"input u must be a pair of numbers, got {u!r}") from exc
-    return out
+    except ValueError as exc:
+        # cos or fmod of a heading that overflowed to infinity
+        raise ValidationError(f"the step diverged: {exc}") from exc
+    raise ValidationError(f"unknown model kind {model!r}")

@@ -95,19 +95,24 @@ def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
     ||lgh|| below regularization_eps cannot be influenced: the result is
     flagged degenerate and the reference passes through. A non-finite
     psi (NaN or infinite h, lfh or lgh) cannot be met: the reference
-    passes through flagged infeasible, as in filter_qp.
+    passes through flagged infeasible, as in filter_qp. A u_ref that is
+    not a pair of numbers raises ValidationError.
     """
     g0, g1 = e.lgh
-    psi = e.lfh + g0 * u_ref[0] + g1 * u_ref[1] + cfg.gamma * e.h
+    try:
+        ur0, ur1 = u_ref
+        psi = e.lfh + g0 * ur0 + g1 * ur1 + cfg.gamma * e.h
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValidationError(f"u_ref must be a pair of numbers, got {u_ref!r}") from exc
     if not isfinite(psi):
-        return FilterResult(tuple(u_ref), (0.0, 0.0), (), (psi,), infeasible=True)
+        return FilterResult((ur0, ur1), (0.0, 0.0), (), (psi,), infeasible=True)
     if psi >= 0.0:
-        return FilterResult(tuple(u_ref), (0.0, 0.0), (), (psi,))
+        return FilterResult((ur0, ur1), (0.0, 0.0), (), (psi,))
     gg = g0 * g0 + g1 * g1
     if sqrt(gg) <= cfg.regularization_eps:
-        return FilterResult(tuple(u_ref), (0.0, 0.0), (), (psi,), degenerate=True)
+        return FilterResult((ur0, ur1), (0.0, 0.0), (), (psi,), degenerate=True)
     u_safe = (-g0 * psi / gg, -g1 * psi / gg)
-    u_star = (u_ref[0] + u_safe[0], u_ref[1] + u_safe[1])
+    u_star = (ur0 + u_safe[0], ur1 + u_safe[1])
     return FilterResult(u_star, u_safe, (0,), (psi,))
 
 
@@ -121,30 +126,40 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
     excluded too and flags the result infeasible: it can never count as
     met. With box bounds configured, saturation can make the rest
     infeasible; that is flagged, and the input returned has a summed
-    squared violation no larger than u_ref's (not always the least).
+    squared violation no larger than u_ref's (not always the least). A
+    u_ref that is not a pair of numbers, or a malformed evaluation, raises
+    ValidationError.
     """
-    ur0, ur1 = u_ref
     gamma = cfg.gamma
     eps2 = cfg.regularization_eps * cfg.regularization_eps
     g0s, g1s, bs, idx, psis = [], [], [], [], []
     degenerate = nonfinite = False
-    for i, e in enumerate(evals):
-        g0, g1 = e.lgh
-        lfh = e.lfh
-        gh = gamma * e.h
-        psi = lfh + g0 * ur0 + g1 * ur1 + gh
-        psis.append(psi)
-        if not isfinite(psi):
-            nonfinite = True
-            continue
-        if g0 * g0 + g1 * g1 <= eps2:
-            if psi < 0.0:
-                degenerate = True
-            continue
-        g0s.append(g0)
-        g1s.append(g1)
-        bs.append(-(lfh + gh))
-        idx.append(i)
+    # a u_ref that is not a pair of numbers (or a malformed evaluation)
+    # fails in the unpacking or in a psi; the check costs nothing on the
+    # normal path
+    try:
+        ur0, ur1 = u_ref
+        for i, e in enumerate(evals):
+            g0, g1 = e.lgh
+            lfh = e.lfh
+            gh = gamma * e.h
+            psi = lfh + g0 * ur0 + g1 * ur1 + gh
+            psis.append(psi)
+            if not isfinite(psi):
+                nonfinite = True
+                continue
+            if g0 * g0 + g1 * g1 <= eps2:
+                if psi < 0.0:
+                    degenerate = True
+                continue
+            g0s.append(g0)
+            g1s.append(g1)
+            bs.append(-(lfh + gh))
+            idx.append(i)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValidationError(
+            f"filter_qp needs a pair of numbers u_ref and CbfEvaluation records: {exc}"
+        ) from exc
     n_barrier = len(bs)
     box_g0s, box_g1s, box_bs = cfg._box_rows
     if box_bs:
@@ -159,7 +174,7 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
     return FilterResult(
         (u0, u1),
         (u0 - ur0, u1 - ur1),
-        tuple([idx[k] for k in active if k < n_barrier]),
+        tuple([idx[k] for k in active if k < n_barrier]) if active else (),
         tuple(psis),
         degenerate,
         nonfinite or not feasible,

@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 from dataclasses import fields
-from itertools import chain
+from itertools import islice
 
 from .cbf import Obstacle, effective_radius
 from .controllers import ReferencePath
@@ -34,6 +34,8 @@ from .models import MODEL_KINDS, STATE_FIELDS, STATE_TYPES, ModelParams
 from .qpfilter import FilterConfig
 
 _INF = float("inf")
+# trajectory CSV rows formatted and written per `%` and per write
+CSV_BLOCK_ROWS = 64
 
 # document keys come from the dataclasses they fill; Scenario fields that
 # live in a sub-object name it in their metadata
@@ -297,18 +299,34 @@ def csv_header(model: str, n_obstacles: int):
 
 
 def write_trajectory_csv(log: TrajectoryLog, path):
-    """Write the per-step record with the fixed column contract."""
+    """Write the per-step record with the fixed column contract.
+
+    Rows are formatted and written CSV_BLOCK_ROWS at a time, one `%` and
+    one write per block; the bytes are those of one `%` per row.
+    """
     header = csv_header(log.scenario.model, len(log.scenario.obstacles))
     row = ",".join(
         "%d" if c.startswith(("active_", "penetration_")) else "%.16e" for c in header
     ) + "\n"
+    full_block = row * CSV_BLOCK_ROWS
+    rows = zip(
+        log.t, log.states, log.u_ref, log.u_star,
+        log.h, log.psi, log.dist, log.active, log.penetration,
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for t, s, u_ref, u_star, *per_obs in zip(
-            log.t, log.states, log.u_ref, log.u_star,
-            log.h, log.psi, log.dist, log.active, log.penetration,
-        ):
-            fh.write(row % (t, *s, *u_ref, *u_star, *chain.from_iterable(zip(*per_obs))))
+        # the flat values of one block at a time, never of the whole log
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            values = []
+            for t, s, u_ref, u_star, h, psi, dist, active, penetration in block:
+                values.append(t)
+                values += s
+                values += u_ref
+                values += u_star
+                for obstacle in zip(h, psi, dist, active, penetration):
+                    values += obstacle
+            fmt = full_block if len(block) == CSV_BLOCK_ROWS else row * len(block)
+            fh.write(fmt % tuple(values))
 
 
 def read_trajectory_csv(path):

@@ -336,6 +336,32 @@ class TestObstacleAtTime:
                 kind, model, STATES[model], now
             )
 
+    @pytest.mark.parametrize("kind,model", BARRIERS)
+    def test_obstacle_at_rest_read_without_state_at(self, kind, model, monkeypatch):
+        # an obstacle at rest without segments is read from its fields, which
+        # hold the bits state_at gives at every t >= 0; state_at turns a -0.0
+        # coordinate with a +0.0 velocity into +0.0, so that one keeps it
+        still = Obstacle(6.0, -0.0, vx=-0.0, vy=-0.0, c1=0.8, c2=0.5)
+        parked = Obstacle(6.0, 0.5, segments=((1.5, 0.0, 0.0),))
+        signed = Obstacle(-0.0, 0.5)
+        assert repr(signed.state_at(1.0)[0]) == "0.0"
+        assert not still.moves() and not parked.moves() and not signed.moves()
+        want = {t: (Obstacle(*still.state_at(t), still.c1, still.c2),
+                    barrier(kind, model, STATES[model], parked, t=t),
+                    barrier(kind, model, STATES[model], signed, t=t))
+                for t in (0.0, 0.7, 2.2)}
+        read = []
+        state_at = Obstacle.state_at
+        monkeypatch.setattr(Obstacle, "state_at", lambda o, t: read.append(o) or state_at(o, t))
+        for t, (now, parked_eval, signed_eval) in want.items():
+            assert barrier(kind, model, STATES[model], still, t=t) == barrier(
+                kind, model, STATES[model], now
+            )
+            assert barrier(kind, model, STATES[model], parked, t=t) == parked_eval
+            assert barrier(kind, model, STATES[model], signed, t=t) == signed_eval
+        # only the segmented and the -0.0 obstacle are read through state_at
+        assert {id(o) for o in read} == {id(parked), id(signed)}
+
     def test_hocbf_bicycle_moving_rejected_at_t(self):
         o = Obstacle(5, 0, segments=((1.0, -1.0, 0.0),))
         with pytest.raises(UnsupportedCbfError):

@@ -20,6 +20,7 @@ from conecbf import (
     run_scenario,
     safety_metrics,
 )
+import conecbf.engine as engine
 from conecbf.engine import MAX_STEPS, ControllerSpec
 from conecbf.scenario_io import write_trajectory_csv
 
@@ -359,3 +360,51 @@ class TestCorpus:
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(run_scenario(sc), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestCallPaths:
+    # perfbench's StepClock and tracer see the engine's work by swapping the
+    # module-level names in conecbf.engine; a function bound at import time
+    # (or called through another name) would hide steps from them
+    NAMES = ("integrate_step", "c3bf_eval", "ellipse_cbf_eval", "hocbf_eval", "filter_qp")
+
+    @pytest.mark.parametrize("cbf", ["c3bf", "ellipse", "hocbf", "none"])
+    def test_every_call_goes_through_the_module_names(self, monkeypatch, cbf):
+        calls = dict.fromkeys(self.NAMES, 0)
+
+        def counted(name):
+            original = getattr(engine, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.NAMES:
+            monkeypatch.setattr(engine, name, counted(name))
+        radius = 6.5
+        sc = simple_scenario(
+            initial_state=UnicycleState(0, 0, 0, 1.0, 0),
+            # one obstacle at rest, one moving through two segments
+            obstacles=(Obstacle(7, 1.5), Obstacle(7.5, -2.0, vy=0.4, segments=((0.5, 0.0, 0.8),))),
+            filter=FilterConfig(gamma=1.0, activation_radius=radius),
+            dt=0.02,
+            duration=1.0,
+            cbf=cbf,
+        )
+        log = run_scenario(sc)
+        assert not log.collided and len(log.t) == sc.n_steps + 1
+        barrier = {"ellipse": "ellipse_cbf_eval", "hocbf": "hocbf_eval"}.get(cbf, "c3bf_eval")
+        gated = [sum(1 for d in row if d <= radius) for row in log.dist]
+        gated_steps = sum(1 for n in gated if n)
+        # early steps gate nothing, later ones one obstacle, the last both
+        assert 0 in gated and 1 in gated and 2 in gated
+        if cbf == "none":
+            gated_steps = 0
+        assert calls == {
+            **dict.fromkeys(self.NAMES, 0),
+            "integrate_step": sc.n_steps,
+            barrier: (sc.n_steps + 1) * 2,
+            "filter_qp": gated_steps,
+        }

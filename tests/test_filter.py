@@ -487,3 +487,31 @@ class TestKernelLookup:
         bs = counts["solve_qp2"][0][4]
         assert len(bs) == 2 + 3
         assert bs[2:] == [-2.0, -2.0, -1.5]
+
+
+class TestInputPairChecked:
+    # a u_ref that is not a pair of numbers raises ValidationError, not
+    # ValueError/TypeError, and is never accepted or truncated
+    EVALS = [ev(-0.5, -1.0, (1.0, 0.2)), ev(1.0, 0.0, (0.0, 1.0))]
+
+    def test_filter_qp_rejects_three_inputs(self):
+        with pytest.raises(ValidationError):
+            filter_qp((0, 0, 0), self.EVALS, CFG)
+
+    def test_filter_qp_rejects_string_input(self):
+        with pytest.raises(ValidationError):
+            filter_qp("ab", self.EVALS, CFG)
+
+    def test_filter_single_rejects_three_inputs(self):
+        with pytest.raises(ValidationError):
+            filter_single((0, 0, 0), self.EVALS[0], CFG)
+
+    def test_pairs_of_any_sequence_type_accepted(self):
+        assert filter_qp([2.0, 1.0], self.EVALS, CFG) == filter_qp((2.0, 1.0), self.EVALS, CFG)
+        assert filter_single([2.0, 1.0], self.EVALS[0], CFG) == filter_single(
+            (2.0, 1.0), self.EVALS[0], CFG
+        )
+
+    def test_nothing_binding_gives_empty_active_set(self):
+        res = filter_qp((2.0, 1.0), [ev(1.0, 0.0, (0.0, 1.0))], FilterConfig(input_bounds=((-5, 5), (-5, 5))))
+        assert res.active_set == () and res.u_star == (2.0, 1.0)

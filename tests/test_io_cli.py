@@ -23,7 +23,7 @@ from conecbf import (
 )
 from conecbf.cli import main
 from conecbf.models import STATE_FIELDS
-from conecbf.scenario_io import read_trajectory_csv, write_trajectory_csv
+from conecbf.scenario_io import CSV_BLOCK_ROWS, csv_header, read_trajectory_csv, write_trajectory_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 NAN = float("nan")
@@ -176,6 +176,26 @@ class TestTrajectoryCsv:
         assert main(["plot", "--csv", str(path), "--out", str(tmp_path / "x.svg"),
                      "--mode", "inputs"]) == 3
 
+    @pytest.mark.parametrize("n_obstacles", [0, 2])
+    @pytest.mark.parametrize("n_rows", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 7])
+    def test_block_writer_matches_row_writer(self, tmp_path, n_rows, n_obstacles):
+        # the writer formats CSV_BLOCK_ROWS rows per `%`; its bytes must be
+        # those of one `%` per row, for a short, an exact and a ragged last block
+        sc = load_scenario(SCENARIO_DIR / "unicycle-two-obstacles.json")
+        sc = replace(sc, obstacles=sc.obstacles[:n_obstacles], duration=3 * CSV_BLOCK_ROWS * sc.dt)
+        assert len(sc.obstacles) == n_obstacles
+        full = run_scenario(sc)
+        assert len(full.t) > n_rows
+        columns = ("t", "states", "u_ref", "u_star", "h", "psi", "dist", "active",
+                   "penetration", "degenerate", "infeasible")
+        log = replace(full, **{c: getattr(full, c)[:n_rows] for c in columns})
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(log, path)
+        assert path.read_bytes() == _row_by_row_csv(log).encode("utf-8")
+        data = read_trajectory_csv(path)
+        assert data["t"] == log.t
+        assert len(data) == 10 + 5 * n_obstacles
+
     def test_byte_identical_rewrites(self, tmp_path):
         log = self.make_log()
         p1 = tmp_path / "a.csv"
@@ -183,6 +203,21 @@ class TestTrajectoryCsv:
         write_trajectory_csv(log, p1)
         write_trajectory_csv(run_scenario(log.scenario), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _row_by_row_csv(log):
+    """The trajectory CSV text written with one `%` per row."""
+    header = csv_header(log.scenario.model, len(log.scenario.obstacles))
+    row = ",".join(
+        "%d" if c.startswith(("active_", "penetration_")) else "%.16e" for c in header
+    ) + "\n"
+    lines = [",".join(header) + "\n"]
+    for k in range(len(log.t)):
+        per_obs = zip(log.h[k], log.psi[k], log.dist[k], log.active[k], log.penetration[k])
+        values = (log.t[k], *log.states[k], *log.u_ref[k], *log.u_star[k],
+                  *[v for obs in per_obs for v in obs])
+        lines.append(row % values)
+    return "".join(lines)
 
 
 class TestCli:

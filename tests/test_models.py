@@ -1,6 +1,7 @@
 """Vehicle states, the derivative oracle's hand values, and the integrator."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from conecbf import (
     integrate_step,
     slip_from_steering,
 )
+from conecbf._backend import kernel
 
 
 def vehicle_derivative(model, s, u, p=None):
@@ -257,3 +259,128 @@ def pytest_reference_rk4_unicycle(x, y, th, v, om, a, al, dt):
     z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     z[2] = math.atan2(math.sin(z[2]), math.cos(z[2]))
     return tuple(z)
+
+
+def _stagewise_rk4_unicycle(x, y, th, v, om, a, al, dt):
+    """The unicycle RK4 step in stage-by-stage closure form, float for float."""
+
+    def f(xx, yy, tt, vv, oo):
+        return vv * math.cos(tt), vv * math.sin(tt), oo, a, al
+
+    k1 = f(x, y, th, v, om)
+    h2 = 0.5 * dt
+    k2 = f(x + h2 * k1[0], y + h2 * k1[1], th + h2 * k1[2], v + h2 * k1[3], om + h2 * k1[4])
+    k3 = f(x + h2 * k2[0], y + h2 * k2[1], th + h2 * k2[2], v + h2 * k2[3], om + h2 * k2[4])
+    k4 = f(x + dt * k3[0], y + dt * k3[1], th + dt * k3[2], v + dt * k3[3], om + dt * k3[4])
+    w = dt / 6.0
+    return (
+        x + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        y + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        kernel.wrap_angle(th + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])),
+        v + dt * a,
+        om + dt * al,
+    )
+
+
+def _stagewise_rk4_bicycle(x, y, th, v, a, be, lr, dt):
+    """The bicycle RK4 step in stage-by-stage closure form, float for float."""
+
+    def f(xx, yy, tt, vv):
+        ct = math.cos(tt)
+        st = math.sin(tt)
+        return vv * ct - vv * be * st, vv * st + vv * be * ct, vv * be / lr, a
+
+    k1 = f(x, y, th, v)
+    h2 = 0.5 * dt
+    k2 = f(x + h2 * k1[0], y + h2 * k1[1], th + h2 * k1[2], v + h2 * k1[3])
+    k3 = f(x + h2 * k2[0], y + h2 * k2[1], th + h2 * k2[2], v + h2 * k2[3])
+    k4 = f(x + dt * k3[0], y + dt * k3[1], th + dt * k3[2], v + dt * k3[3])
+    w = dt / 6.0
+    return (
+        x + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        y + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        kernel.wrap_angle(th + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])),
+        v + dt * a,
+    )
+
+
+def _rk4_heading(rng):
+    """Headings within 1e-3 of +-pi (the wrap), within 1e-9 of 0 (where the
+    heading increment's every bit shows), or anywhere, a third each."""
+    pick = rng.random()
+    if pick < 1 / 3:
+        return rng.choice((-1.0, 1.0)) * (math.pi - rng.uniform(-1e-3, 1e-3))
+    if pick < 2 / 3:
+        return rng.uniform(-1e-9, 1e-9)
+    return rng.uniform(-math.pi, math.pi)
+
+
+def _rk4_position(rng):
+    """Positions near the origin, where the stage sum's every bit shows, or anywhere."""
+    return rng.uniform(-1e-6, 1e-6) if rng.random() < 0.5 else rng.uniform(-50, 50)
+
+
+class TestRk4StagesExact:
+    # the scalar RK4 stages must give the same bits as the stage-by-stage
+    # closure form on every input, the heading wrap at +-pi included
+    N = 3000
+
+    def test_unicycle_bit_for_bit(self):
+        rng = random.Random(20231)
+        for _ in range(self.N):
+            args = (
+                _rk4_position(rng), _rk4_position(rng), _rk4_heading(rng),
+                rng.uniform(-3, 3), rng.uniform(-4, 4),
+                rng.uniform(-5, 5), rng.uniform(-5, 5), rng.choice((0.001, 0.01, 0.05, 0.2)),
+            )
+            assert kernel.rk4_unicycle(*args) == _stagewise_rk4_unicycle(*args), args
+
+    def test_bicycle_bit_for_bit(self):
+        rng = random.Random(20232)
+        for _ in range(self.N):
+            args = (
+                _rk4_position(rng), _rk4_position(rng), _rk4_heading(rng),
+                rng.uniform(-3, 3), rng.uniform(-5, 5), rng.uniform(-0.3, 0.3),
+                rng.uniform(0.2, 2.0), rng.choice((0.001, 0.01, 0.05, 0.2)),
+            )
+            assert kernel.rk4_bicycle(*args) == _stagewise_rk4_bicycle(*args), args
+
+    def test_heading_wrap_exercised(self):
+        # a step across +pi lands near -pi in both forms
+        args = (0.0, 0.0, math.pi - 1e-4, 1.0, 1.0, 0.0, 0.0, 0.01)
+        out = kernel.rk4_unicycle(*args)
+        assert out == _stagewise_rk4_unicycle(*args)
+        assert out[2] < -math.pi + 0.02
+
+
+class TestInputPairChecked:
+    # an input that is not a pair of numbers raises ValidationError
+    # instead of being truncated or escaping as ValueError/TypeError
+    def test_integrate_step_rejects_three_inputs(self):
+        s = UnicycleState(0, 0, 0, 1, 0)
+        with pytest.raises(ValidationError):
+            integrate_step("unicycle", s, (0.5, 0.0, 99.0), 0.1)
+
+    def test_integrate_step_pair_still_accepted(self):
+        s = UnicycleState(0, 0, 0, 1, 0)
+        assert integrate_step("unicycle", s, [0.5, 0.0], 0.1) == integrate_step(
+            "unicycle", s, (0.5, 0.0), 0.1
+        )
+
+    def test_overflowed_heading_raises_validation_error(self):
+        # cos of a heading that overflowed to infinity; a ValueError would
+        # escape the engine's SimulationError and the CLI's exit codes
+        s = UnicycleState(0, 0, 0, 1, 1e308)
+        with pytest.raises(ValidationError, match="diverged"):
+            integrate_step("unicycle", s, (0.0, 1e308), 10.0)
+
+
+class TestSlottedStates:
+    @pytest.mark.parametrize("state", [
+        UnicycleState(0, 1, 2, 3, 4), BicycleState(0, 1, 2, 3), PointMassState(0, 1, 2, 3)
+    ], ids=["unicycle", "bicycle", "pointmass"])
+    def test_no_instance_dict_and_frozen(self, state):
+        assert not hasattr(state, "__dict__")
+        with pytest.raises(AttributeError):
+            state.x = 5.0
+        assert type(state)(*state.as_tuple()) == state
