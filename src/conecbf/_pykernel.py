@@ -373,11 +373,14 @@ def _sq_violation(u0, u1, g0s, g1s, bs):
 def _least_violation(ur0, ur1, g0s, g1s, bs):
     """An input whose summed squared violation is never above u_ref's.
 
-    Gauss-Newton passes from u_ref over the rows violated at each point;
-    a step is halved until it does not raise the violation over all rows,
-    so the result need not be the minimizer but never does worse than
-    u_ref (which a NaN row leaves in place). Directions not pinned by
-    violated rows are left untouched.
+    Gauss-Newton passes from u_ref over the rows violated at each point,
+    each solving their normal equations A n = r (A = sum g g^T, r = sum
+    b g). When their normals are parallel, A has rank one and the step is
+    n = u + A+ (r - A u) with the pseudo-inverse A+ = A / tr(A)^2, so
+    directions not pinned by violated rows are left untouched. A step is
+    halved until it does not raise the violation over all rows, so the
+    result need not be the minimizer but never does worse than u_ref
+    (which a NaN row leaves in place).
     """
     u0, u1 = ur0, ur1
     f = _sq_violation(u0, u1, g0s, g1s, bs)
@@ -394,27 +397,19 @@ def _least_violation(ur0, ur1, g0s, g1s, bs):
             r1 += g1s[i] * bs[i]
             i = _unmet(u0, u1, g0s, g1s, bs, i + 1)
         det = a00 * a11 - a01 * a01
-        if abs(det) > 1e-14 * (a00 + a11) ** 2:
+        tr = a00 + a11
+        if abs(det) > 1e-14 * tr ** 2:
             n0 = (a11 * r0 - a01 * r1) / det
             n1 = (a00 * r1 - a01 * r0) / det
         else:
-            # violated normals are parallel: move along them only
-            nrm = sqrt(a00 + a11)
-            if nrm == 0.0:
+            # parallel normals: the pseudo-inverse step of A = [[a00, a01], [a01, a11]]
+            if tr == 0.0:
                 break
-            # unit direction of the shared normal
-            if a00 >= a11:
-                gx = sqrt(a00)
-                gy = a01 / gx
-            else:
-                gy = sqrt(a11)
-                gx = a01 / gy
-            gx /= nrm
-            gy /= nrm
-            t_star = (r0 * gx + r1 * gy) / (a00 * gx * gx + 2 * a01 * gx * gy + a11 * gy * gy)
-            off = u0 * gx + u1 * gy
-            n0 = u0 + (t_star - off) * gx
-            n1 = u1 + (t_star - off) * gy
+            e0 = r0 - (a00 * u0 + a01 * u1)
+            e1 = r1 - (a01 * u0 + a11 * u1)
+            tr2 = tr * tr
+            n0 = u0 + (a00 * e0 + a01 * e1) / tr2
+            n1 = u1 + (a01 * e0 + a11 * e1) / tr2
         # the Gauss-Newton direction descends: halve the step until the
         # summed squared violation rises no more
         for _ in range(40):

@@ -18,7 +18,7 @@ cone candidate.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import copysign
+from math import inf
 from typing import NamedTuple
 
 from ._backend import kernel
@@ -45,6 +45,10 @@ class Obstacle:
     c1: float = 1.0
     c2: float = 1.0
     segments: tuple = ()
+    # a never-moving obstacle stores its state at t = 0 here, as its state
+    # at every t: x0 + vx * (t - 0.0) gives the same bits for every t >= 0,
+    # signed zeros included; one that moves keeps this empty class default
+    _rest = ()
 
     def __post_init__(self):
         cx, cy, vx, vy = self.cx, self.cy, self.vx, self.vy
@@ -64,15 +68,8 @@ class Obstacle:
         object.__setattr__(self, "_times", tuple(a[0] for a in anchors))
         moves = vx != 0.0 or vy != 0.0 or any(v0 != 0.0 or v1 != 0.0 for _, v0, v1 in self.segments)
         object.__setattr__(self, "_moves", moves)
-        # the barrier evaluations read an obstacle at rest without segments
-        # from its fields: state_at gives their bits at every t >= 0, unless
-        # a center coordinate is -0.0 and its velocity +0.0 (it reads +0.0)
-        at_rest = not (
-            moves or self.segments
-            or cx == 0.0 and copysign(1.0, cx) < copysign(1.0, vx)
-            or cy == 0.0 and copysign(1.0, cy) < copysign(1.0, vy)
-        )
-        object.__setattr__(self, "_at_rest", at_rest)
+        if not (moves or self.segments):
+            object.__setattr__(self, "_rest", self.state_at(0.0))
 
     def moves(self) -> bool:
         return self._moves
@@ -81,10 +78,21 @@ class Obstacle:
         """Center and velocity (cx, cy, vx, vy) at time t >= 0.
 
         The one owner of obstacle motion; barrier evaluations given t use it.
+        A never-moving obstacle returns the tuple it stored when built. A t
+        that is not a finite number >= 0 (NaN, negative, infinite, a
+        string) raises ValidationError: at t = inf a moving obstacle's
+        still axis would read 0 * inf = NaN.
         """
-        i = bisect_right(self._times, t) - 1
-        t0, x0, y0, vx, vy = self._anchors[i]
-        return (x0 + vx * (t - t0), y0 + vy * (t - t0), vx, vy)
+        try:
+            if 0 <= t < inf:
+                if self._rest:
+                    return self._rest
+                i = bisect_right(self._times, t) - 1
+                t0, x0, y0, vx, vy = self._anchors[i]
+                return (x0 + vx * (t - t0), y0 + vy * (t - t0), vx, vy)
+        except TypeError:
+            pass
+        raise ValidationError(f"obstacle time must be a finite number >= 0, got {t!r}")
 
 
 class CbfEvaluation(NamedTuple):
@@ -111,11 +119,11 @@ def effective_radius(o: Obstacle, p: ModelParams) -> float:
 def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> CbfEvaluation:
     """Cone barrier with analytic Lie derivatives for the extended state.
 
-    With t given, the obstacle is read as `o.state_at(t)` places it (an
-    obstacle at rest without segments, from its fields); else as given.
+    With t given, the obstacle is read as `o.state_at(t)` places it; else
+    from its fields, as given.
     """
     r = effective_radius(o, p)
-    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None or o._at_rest else o.state_at(t)
+    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
     if model == "unicycle":
         out = kernel.c3bf_unicycle(
             s.x, s.y, s.theta, s.v, s.omega, p.l, cx, cy, vx, vy, r
@@ -134,7 +142,7 @@ def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> Cb
 
 def ellipse_cbf_eval(model: str, s, o: Obstacle, t: float = None) -> CbfEvaluation:
     """Ellipse distance barrier; degenerate input columns are structural; `t` as in c3bf_eval."""
-    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None or o._at_rest else o.state_at(t)
+    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
     if model == "unicycle":
         out = kernel.ellipse_unicycle(
             s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2
@@ -165,7 +173,7 @@ def hocbf_eval(
     _require_finite("hocbf_eval", ("gamma1",), (gamma1,))
     if gamma1 <= 0:
         raise ValidationError(f"gamma1 must be > 0, got {gamma1}")
-    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None or o._at_rest else o.state_at(t)
+    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
     if model == "unicycle":
         out = kernel.hocbf_unicycle(
             s.x, s.y, s.theta, s.v, s.omega, cx, cy, vx, vy, o.c1, o.c2, gamma1

@@ -192,7 +192,6 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     consecutive steps.
     """
     n_steps = sc.n_steps
-    log = TrajectoryLog(scenario=sc)
     state = sc.initial_state
     model, params, dt, obstacles = sc.model, sc.params, sc.dt, sc.obstacles
     n_obs = len(obstacles)
@@ -226,13 +225,8 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     v_max = params.v_max
     # shared by every step on which no constraint binds
     no_active = (False,) * n_obs
-    log_t, log_states, log_u_ref, log_u_star = (
-        log.t.append, log.states.append, log.u_ref.append, log.u_star.append
-    )
-    log_h, log_psi, log_dist, log_active, log_penetration = (
-        log.h.append, log.psi.append, log.dist.append, log.active.append, log.penetration.append
-    )
-    log_degenerate, log_infeasible = log.degenerate.append, log.infeasible.append
+    # one record per step, in TrajectoryLog field order
+    records = []
     degenerate_run = 0
     for k in range(n_steps + 1):
         t = k * dt
@@ -266,23 +260,13 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
         # exceed the box, but actuators saturate regardless
         if bounds is not None:
             u_cmd = (min(max(u_cmd[0], lo0), hi0), min(max(u_cmd[1], lo1), hi1))
-        log_t(t)
-        log_states(state.as_tuple())
-        log_u_ref(u_ref)
-        log_u_star(u_cmd)
-        log_h(hs)
-        log_psi(psis)
-        log_dist(dists)
-        log_active(active)
-        log_penetration(penetrations)
-        log_degenerate(degenerate)
-        log_infeasible(infeasible)
+        records.append((
+            t, state.as_tuple(), u_ref, u_cmd, hs, psis, dists, active, penetrations,
+            degenerate, infeasible,
+        ))
         for i, (d, limit) in enumerate(zip(dists, limits)):
             if d <= limit:
-                log.collided = True
-                log.collision_step = k
-                log.collision_obstacle = i
-                return log
+                return TrajectoryLog(sc, *map(list, zip(*records)), True, k, i)
         degenerate_run = degenerate_run + 1 if degenerate else 0
         if degenerate_run > DEGENERATE_STEP_BUDGET:
             raise SimulationError(
@@ -296,7 +280,7 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             raise SimulationError(f"integration failed at step {k}: {exc}", step=k)
         if saturate and abs(state.v) > v_max:
             state = replace(state, v=v_max if state.v > 0 else -v_max)
-    return log
+    return TrajectoryLog(sc, *map(list, zip(*records)))
 
 
 def _speed_series(log: TrajectoryLog):

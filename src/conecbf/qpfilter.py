@@ -11,7 +11,7 @@ Optional box bounds on u join the QP as extra rows.
 """
 
 from dataclasses import dataclass
-from math import isfinite, isinf, sqrt
+from math import inf as _INF, isfinite, isinf, sqrt
 from typing import NamedTuple
 
 from ._backend import kernel
@@ -81,10 +81,17 @@ class FilterResult(NamedTuple):
 
 
 def activation_gate(dist: float, cfg: FilterConfig) -> bool:
-    """Whether an obstacle at center distance `dist` participates."""
-    if dist < 0:
-        raise ValidationError(f"distance must be >= 0, got {dist}")
-    return dist <= cfg.activation_radius
+    """Whether an obstacle at center distance `dist` participates.
+
+    A distance that is not a number >= 0 (NaN, negative, a string) raises
+    ValidationError: gating it out would drop the obstacle from the filter.
+    """
+    try:
+        if dist >= 0:
+            return dist <= cfg.activation_radius
+    except TypeError:
+        pass
+    raise ValidationError(f"distance must be a number >= 0, got {dist!r}")
 
 
 def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
@@ -96,14 +103,17 @@ def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
     flagged degenerate and the reference passes through. A non-finite
     psi (NaN or infinite h, lfh or lgh) cannot be met: the reference
     passes through flagged infeasible, as in filter_qp. A u_ref that is
-    not a pair of numbers raises ValidationError.
+    not a pair of finite numbers raises ValidationError.
     """
     g0, g1 = e.lgh
+    # u_ref is checked as in filter_qp
     try:
         ur0, ur1 = u_ref
+        if not (-_INF < ur0 + 0.0 < _INF and -_INF < ur1 + 0.0 < _INF):
+            raise ValidationError(f"u_ref must be a pair of finite numbers, got {u_ref!r}")
         psi = e.lfh + g0 * ur0 + g1 * ur1 + cfg.gamma * e.h
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"u_ref must be a pair of numbers, got {u_ref!r}") from exc
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise ValidationError(f"u_ref must be a pair of finite numbers, got {u_ref!r}") from exc
     if not isfinite(psi):
         return FilterResult((ur0, ur1), (0.0, 0.0), (), (psi,), infeasible=True)
     if psi >= 0.0:
@@ -127,18 +137,20 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
     met. With box bounds configured, saturation can make the rest
     infeasible; that is flagged, and the input returned has a summed
     squared violation no larger than u_ref's (not always the least). A
-    u_ref that is not a pair of numbers, or a malformed evaluation, raises
-    ValidationError.
+    u_ref that is not a pair of finite numbers, or a malformed evaluation,
+    raises ValidationError. With no rows to solve, u_ref passes through.
     """
     gamma = cfg.gamma
     eps2 = cfg.regularization_eps * cfg.regularization_eps
     g0s, g1s, bs, idx, psis = [], [], [], [], []
     degenerate = nonfinite = False
-    # a u_ref that is not a pair of numbers (or a malformed evaluation)
-    # fails in the unpacking or in a psi; the check costs nothing on the
-    # normal path
+    # a u_ref that is not a pair of finite numbers (or a malformed
+    # evaluation) fails in the unpacking, the range test or a psi; + 0.0
+    # turns an integer beyond the double range into OverflowError
     try:
         ur0, ur1 = u_ref
+        if not (-_INF < ur0 + 0.0 < _INF and -_INF < ur1 + 0.0 < _INF):
+            raise ValidationError(f"u_ref must be a pair of finite numbers, got {u_ref!r}")
         for i, e in enumerate(evals):
             g0, g1 = e.lgh
             lfh = e.lfh
@@ -156,9 +168,9 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
             g1s.append(g1)
             bs.append(-(lfh + gh))
             idx.append(i)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValidationError(
-            f"filter_qp needs a pair of numbers u_ref and CbfEvaluation records: {exc}"
+            f"filter_qp needs a pair of finite numbers u_ref and CbfEvaluation records: {exc}"
         ) from exc
     n_barrier = len(bs)
     box_g0s, box_g1s, box_bs = cfg._box_rows
@@ -166,8 +178,6 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
         g0s.extend(box_g0s)
         g1s.extend(box_g1s)
         bs.extend(box_bs)
-    elif not n_barrier:
-        return FilterResult((ur0, ur1), (0.0, 0.0), (), tuple(psis), degenerate, nonfinite)
     u0, u1, active, feasible = kernel.solve_qp2(ur0, ur1, g0s, g1s, bs)
     # box rows follow the barrier rows and `active` ascends, so the barrier
     # rows among it map to ascending evaluation indices

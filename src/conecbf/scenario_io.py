@@ -308,7 +308,6 @@ def write_trajectory_csv(log: TrajectoryLog, path):
     row = ",".join(
         "%d" if c.startswith(("active_", "penetration_")) else "%.16e" for c in header
     ) + "\n"
-    full_block = row * CSV_BLOCK_ROWS
     rows = zip(
         log.t, log.states, log.u_ref, log.u_star,
         log.h, log.psi, log.dist, log.active, log.penetration,
@@ -325,8 +324,7 @@ def write_trajectory_csv(log: TrajectoryLog, path):
                 values += u_star
                 for obstacle in zip(h, psi, dist, active, penetration):
                     values += obstacle
-            fmt = full_block if len(block) == CSV_BLOCK_ROWS else row * len(block)
-            fh.write(fmt % tuple(values))
+            fh.write((row * len(block)) % tuple(values))
 
 
 def read_trajectory_csv(path):

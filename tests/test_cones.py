@@ -338,9 +338,10 @@ class TestObstacleAtTime:
 
     @pytest.mark.parametrize("kind,model", BARRIERS)
     def test_obstacle_at_rest_read_without_state_at(self, kind, model, monkeypatch):
-        # an obstacle at rest without segments is read from its fields, which
-        # hold the bits state_at gives at every t >= 0; state_at turns a -0.0
-        # coordinate with a +0.0 velocity into +0.0, so that one keeps it
+        # an obstacle at rest without segments is read through state_at like
+        # any other, which returns the tuple it stored when built: the bits
+        # x0 + vx * t gives at every t >= 0 (a -0.0 coordinate with a +0.0
+        # velocity reads +0.0)
         still = Obstacle(6.0, -0.0, vx=-0.0, vy=-0.0, c1=0.8, c2=0.5)
         parked = Obstacle(6.0, 0.5, segments=((1.5, 0.0, 0.0),))
         signed = Obstacle(-0.0, 0.5)
@@ -359,8 +360,24 @@ class TestObstacleAtTime:
             )
             assert barrier(kind, model, STATES[model], parked, t=t) == parked_eval
             assert barrier(kind, model, STATES[model], signed, t=t) == signed_eval
-        # only the segmented and the -0.0 obstacle are read through state_at
-        assert {id(o) for o in read} == {id(parked), id(signed)}
+        # every read at t goes through state_at
+        assert [id(o) for o in read] == [id(still), id(parked), id(signed)] * len(want)
+        # a never-moving obstacle returns the same tuple bits at every t
+        for o in (still, signed):
+            bits = [repr(v) for v in o.state_at(0.0)]
+            for t in (0.7, 2.2, 1e9):
+                assert [repr(v) for v in o.state_at(t)] == bits
+
+    @pytest.mark.parametrize("t", [-0.5, -1e-300, math.nan, math.inf, "1.0"])
+    def test_time_not_a_finite_number_at_least_zero_rejected(self, t):
+        # a moving and a never-moving obstacle agree, and so do the barriers
+        # that read them at t
+        for o in (Obstacle(0, 0, vx=1.0, segments=((1.0, 0.0, 0.0),)), Obstacle(6.0, 0.5)):
+            with pytest.raises(ValidationError):
+                o.state_at(t)
+            for kind, model in BARRIERS:
+                with pytest.raises(ValidationError):
+                    barrier(kind, model, STATES[model], o, t=t)
 
     def test_hocbf_bicycle_moving_rejected_at_t(self):
         o = Obstacle(5, 0, segments=((1.0, -1.0, 0.0),))

@@ -347,6 +347,12 @@ class TestActivationGate:
         with pytest.raises(ValidationError):
             activation_gate(-1.0, self.CFG10)
 
+    @pytest.mark.parametrize("dist", [math.nan, -1e-300, -math.inf, "3.0", None, 1j])
+    def test_rejects_distance_not_a_number_at_least_zero(self, dist):
+        # gating such a distance out would drop its obstacle from the filter
+        with pytest.raises(ValidationError):
+            activation_gate(dist, FilterConfig(gamma=1.0))
+
 
 class TestFilterConfig:
     @pytest.mark.parametrize("field", ["gamma", "activation_radius", "regularization_eps"])
@@ -515,3 +521,30 @@ class TestInputPairChecked:
     def test_nothing_binding_gives_empty_active_set(self):
         res = filter_qp((2.0, 1.0), [ev(1.0, 0.0, (0.0, 1.0))], FilterConfig(input_bounds=((-5, 5), (-5, 5))))
         assert res.active_set == () and res.u_star == (2.0, 1.0)
+
+    BOX = FilterConfig(input_bounds=((-1.0, 1.0), (-1.0, 1.0)))
+    NOT_FINITE = ["ab", (math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0), ("a", 0.0),
+                  (None, 0.0), (1j, 0.0), (10**400, 0.0)]
+
+    @pytest.mark.parametrize("u_ref", NOT_FINITE)
+    @pytest.mark.parametrize("with_evals", [False, True])
+    @pytest.mark.parametrize("with_box", [False, True])
+    def test_filter_qp_rejects_u_ref_not_finite_pair(self, u_ref, with_evals, with_box):
+        evals = self.EVALS if with_evals else []
+        with pytest.raises(ValidationError):
+            filter_qp(u_ref, evals, self.BOX if with_box else CFG)
+
+    @pytest.mark.parametrize("u_ref", NOT_FINITE)
+    def test_filter_single_rejects_u_ref_not_finite_pair(self, u_ref):
+        with pytest.raises(ValidationError):
+            filter_single(u_ref, self.EVALS[0], CFG)
+
+    def test_no_rows_pass_u_ref_through(self):
+        # with no row to solve (none given, or each degenerate) u_ref comes
+        # back unchanged and u_safe is a pair of +0.0
+        deg = ev(-1.0, -1.0, (0.0, 0.0))
+        for evals, degenerate in (([], False), ([deg], True), ([deg, deg], True)):
+            res = filter_qp((0.3, -0.2), evals, CFG)
+            assert res.u_star == (0.3, -0.2) and res.active_set == ()
+            assert [repr(v) for v in res.u_safe] == ["0.0", "0.0"]
+            assert res.degenerate is degenerate and res.infeasible is False

@@ -1,8 +1,9 @@
-"""Golden outputs: every corpus run reproduces its stored trajectory bytes.
+"""Golden outputs: every corpus run reproduces its stored output bytes.
 
-The stored table is the benchmark's reference file, so one set of
-digests serves both the benchmark's output check and this test. A
-refactor that drifts a single bit in any corpus trajectory fails here.
+The trajectory table is the benchmark's reference file, so one set of
+digests serves both the benchmark's output check and this test; the
+summary digests are held here. A refactor that drifts a single bit in
+any corpus trajectory or summary fails here.
 """
 
 import hashlib
@@ -29,3 +30,32 @@ def test_corpus_trajectory_digest(tmp_path, scenario):
     assert code == expect["exit_code"]
     digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
     assert digest == expect["csv_sha256"]
+
+
+# SHA-256 of the summary.json `simulate` writes for each corpus scenario,
+# so its metrics and scenario blocks cannot drift unseen either
+SUMMARY_SHA256 = {
+    "scenarios/baseline/unicycle-braking-unfiltered.json": "6f35d588ebcd5d122bad10fc7df0a8f008acdd869338e89b12430bd88c7dfd7a",
+    "scenarios/baseline/unicycle-reversing-unfiltered.json": "d4e1395689ab9c3455760f5e685a1d6b44fb417f8c886928488963f2080e8855",
+    "scenarios/bicycle-braking.json": "7b7482cd89d842bfbc59765229cd255588c273a7cfec2680014af7246e1416fe",
+    "scenarios/bicycle-crossing.json": "8e1a03a28f75853168ff0b478727730008ab6d004289137bd76294af3e469cb4",
+    "scenarios/bicycle-path-yield.json": "8759f3eb450a5c9c06c1999a017ad3e50b7ada2c06f627af004128f1c65e89ca",
+    "scenarios/bicycle-reversing.json": "f00ea1f9bd33de2cc9c6a2a7bd045297af0e436bc98551114c0b3eedab4352c8",
+    "scenarios/pointmass-braking.json": "83ea3afd303bdcb1e157b9756abee2e07a6c817a2babc7d156115bb97826295b",
+    "scenarios/pointmass-crossing.json": "5cb269810927f3fe9cc0e2cd5fea152c3b0b82b12587928ddf8c16d81b0baff6",
+    "scenarios/pointmass-retreat.json": "24ce4f7f72acb0661c115e8fcf9aa8785ff917f08f0b8b256576e5dc25466f76",
+    "scenarios/unicycle-braking.json": "a9711e95a2b2d4990eb98611c03bb41a8ce440c7c1dc80df39ed4329052e553d",
+    "scenarios/unicycle-crossing.json": "0f870996a3116b8f1abe9c00eb7b4255b160cb3384cf5f481967bc2483aa8a60",
+    "scenarios/unicycle-overtaking.json": "119d346654d80b81bbdc48442cfe7d95169f700a764a7ab6e5083cb84e3f7a07",
+    "scenarios/unicycle-reversing.json": "dcccb3c0cee274624f5f359380aafdfced17ef62fbf5afa065c107011534a6fd",
+    "scenarios/unicycle-turn-from-rest.json": "7f93a659f259e8d4e391b71af810f7e0fc1f15492fdf1533ea7e780d4d89f9f9",
+    "scenarios/unicycle-turning.json": "1f4e385c7d130d48ca5331743719308f86ef1bd26451e784670476e0d0b0c6a9",
+    "scenarios/unicycle-two-obstacles.json": "f697d6d35b7d775a130fc4d7583f864f0a8092981cb894c1ac2e6d9abe654621",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(REFERENCE["corpus"]))
+def test_corpus_summary_digest(tmp_path, scenario):
+    main(["simulate", "--scenario", str(ROOT / scenario), "--out", str(tmp_path)])
+    digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
+    assert digest == SUMMARY_SHA256[scenario]
