@@ -398,18 +398,21 @@ def _least_violation(ur0, ur1, g0s, g1s, bs):
             i = _unmet(u0, u1, g0s, g1s, bs, i + 1)
         det = a00 * a11 - a01 * a01
         tr = a00 + a11
-        if abs(det) > 1e-14 * tr ** 2:
+        # tr * tr, not tr ** 2: a power past the double range raises
+        if abs(det) > 1e-14 * (tr * tr):
             n0 = (a11 * r0 - a01 * r1) / det
             n1 = (a00 * r1 - a01 * r0) / det
         else:
-            # parallel normals: the pseudo-inverse step of A = [[a00, a01], [a01, a11]]
+            # parallel normals: the pseudo-inverse step of A = [[a00, a01], [a01, a11]],
+            # with A scaled by 1 / tr before the second 1 / tr, so tr * tr
+            # never under- or overflows
             if tr == 0.0:
                 break
+            p00, p01, p11 = a00 / tr, a01 / tr, a11 / tr
             e0 = r0 - (a00 * u0 + a01 * u1)
             e1 = r1 - (a01 * u0 + a11 * u1)
-            tr2 = tr * tr
-            n0 = u0 + (a00 * e0 + a01 * e1) / tr2
-            n1 = u1 + (a01 * e0 + a11 * e1) / tr2
+            n0 = u0 + (p00 * e0 + p01 * e1) / tr
+            n1 = u1 + (p01 * e0 + p11 * e1) / tr
         # the Gauss-Newton direction descends: halve the step until the
         # summed squared violation rises no more
         for _ in range(40):

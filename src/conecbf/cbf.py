@@ -45,10 +45,6 @@ class Obstacle:
     c1: float = 1.0
     c2: float = 1.0
     segments: tuple = ()
-    # a never-moving obstacle stores its state at t = 0 here, as its state
-    # at every t: x0 + vx * (t - 0.0) gives the same bits for every t >= 0,
-    # signed zeros included; one that moves keeps this empty class default
-    _rest = ()
 
     def __post_init__(self):
         cx, cy, vx, vy = self.cx, self.cy, self.vx, self.vy
@@ -68,8 +64,6 @@ class Obstacle:
         object.__setattr__(self, "_times", tuple(a[0] for a in anchors))
         moves = vx != 0.0 or vy != 0.0 or any(v0 != 0.0 or v1 != 0.0 for _, v0, v1 in self.segments)
         object.__setattr__(self, "_moves", moves)
-        if not (moves or self.segments):
-            object.__setattr__(self, "_rest", self.state_at(0.0))
 
     def moves(self) -> bool:
         return self._moves
@@ -78,15 +72,12 @@ class Obstacle:
         """Center and velocity (cx, cy, vx, vy) at time t >= 0.
 
         The one owner of obstacle motion; barrier evaluations given t use it.
-        A never-moving obstacle returns the tuple it stored when built. A t
-        that is not a finite number >= 0 (NaN, negative, infinite, a
+        A t that is not a finite number >= 0 (NaN, negative, infinite, a
         string) raises ValidationError: at t = inf a moving obstacle's
         still axis would read 0 * inf = NaN.
         """
         try:
             if 0 <= t < inf:
-                if self._rest:
-                    return self._rest
                 i = bisect_right(self._times, t) - 1
                 t0, x0, y0, vx, vy = self._anchors[i]
                 return (x0 + vx * (t - t0), y0 + vy * (t - t0), vx, vy)

@@ -187,9 +187,10 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     """Execute a scenario to completion or until a collision verdict.
 
     The log gains one record per step boundary, sc.n_steps + 1 in
-    total. Raises SimulationError on integrator divergence or when the
-    filter stays degenerate for more than DEGENERATE_STEP_BUDGET
-    consecutive steps.
+    total. Raises SimulationError on integrator divergence, when the
+    activation gate or the filter refuses a step's numbers (a non-finite
+    u_ref, say), or when the filter stays degenerate for more than
+    DEGENERATE_STEP_BUDGET consecutive steps.
     """
     n_steps = sc.n_steps
     state = sc.initial_state
@@ -236,17 +237,22 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             hs, lfhs, lghs, penetrations, dists = zip(*evals)
         else:
             hs = lfhs = lghs = penetrations = dists = ()
-        gated = [i for i, d in enumerate(dists) if activation_gate(d, cfg)] if filtering else ()
-        every_gated = gated and len(gated) == n_obs
-        if gated:
-            res = filter_qp(u_ref, evals if every_gated else [evals[i] for i in gated], cfg)
-            u_cmd, degenerate, infeasible = res.u_star, res.degenerate, res.infeasible
-            active = no_active
-            if res.active_set:
-                binding = {gated[j] for j in res.active_set}
-                active = tuple([i in binding for i in range(n_obs)])
-        else:
-            u_cmd, degenerate, infeasible, active = u_ref, False, False, no_active
+        # a bad number the gate or the filter refuses (an infinite u_ref
+        # from a huge gain, say) aborts the run, as in integrate_step
+        try:
+            gated = [i for i, d in enumerate(dists) if activation_gate(d, cfg)] if filtering else ()
+            every_gated = gated and len(gated) == n_obs
+            if gated:
+                res = filter_qp(u_ref, evals if every_gated else [evals[i] for i in gated], cfg)
+                u_cmd, degenerate, infeasible = res.u_star, res.degenerate, res.infeasible
+                active = no_active
+                if res.active_set:
+                    binding = {gated[j] for j in res.active_set}
+                    active = tuple([i in binding for i in range(n_obs)])
+            else:
+                u_cmd, degenerate, infeasible, active = u_ref, False, False, no_active
+        except ValidationError as exc:
+            raise SimulationError(f"filter failed at step {k}: {exc}", step=k)
         if every_gated:
             # the filter computed each psi with the same float operations
             psis = res.psi

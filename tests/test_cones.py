@@ -339,9 +339,8 @@ class TestObstacleAtTime:
     @pytest.mark.parametrize("kind,model", BARRIERS)
     def test_obstacle_at_rest_read_without_state_at(self, kind, model, monkeypatch):
         # an obstacle at rest without segments is read through state_at like
-        # any other, which returns the tuple it stored when built: the bits
-        # x0 + vx * t gives at every t >= 0 (a -0.0 coordinate with a +0.0
-        # velocity reads +0.0)
+        # any other: x0 + vx * t gives the same bits at every t >= 0 (a -0.0
+        # coordinate with a +0.0 velocity reads +0.0)
         still = Obstacle(6.0, -0.0, vx=-0.0, vy=-0.0, c1=0.8, c2=0.5)
         parked = Obstacle(6.0, 0.5, segments=((1.5, 0.0, 0.0),))
         signed = Obstacle(-0.0, 0.5)

@@ -1,6 +1,7 @@
 """Closed-loop engine: determinism, verdicts, labels, metrics."""
 
 import hashlib
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -128,6 +129,21 @@ class TestRunScenario:
         with pytest.raises(SimulationError) as err:
             run_scenario(sc)
         assert err.value.step is not None
+
+    @pytest.mark.parametrize("radius", [math.inf, 2.0])
+    def test_non_finite_reference_aborts_gated_or_not(self, radius):
+        # k1 = 1e308 passes ControllerSpec but gives u_ref = (inf, 0.0) at
+        # step 0; the filter refuses it on a gated step, the integrator on
+        # an ungated one, and either way the run aborts at that step
+        sc = load_scenario(SCENARIO_DIR / "pointmass-braking.json")
+        sc = replace(
+            sc,
+            controller=ControllerSpec(kind="p", k1=1e308, k2=0.0, v_des=5.0, v_des_vec=(5.0, 0.0)),
+            filter=replace(sc.filter, activation_radius=radius),
+        )
+        with pytest.raises(SimulationError) as err:
+            run_scenario(sc)
+        assert err.value.step == 0
 
     def test_speed_saturation(self):
         sc = simple_scenario(

@@ -330,6 +330,25 @@ class TestSolveQp2:
             assert squared_violation((u0, u1), *rows) <= squared_violation(u_ref, *rows)
         assert infeasible > 300
 
+    @pytest.mark.parametrize("s", [1e-150, 1e-100, 1.0, 1e100, 1e150])
+    def test_least_violation_parallel_normals_at_any_scale(self, s):
+        # rows s (u0 + u1) >= 1 and -0.6 s (u0 + u1) >= 1 conflict; their
+        # least squares line is u0 + u1 = 0.4 / (1.36 s), and the answer is
+        # u_ref projected onto it, with no division by an under- or
+        # overflowed tr(A)^2
+        rows = ([s, -0.6 * s], [s, -0.6 * s], [1.0, 1.0])
+        u0, u1, active, feasible = kernel.solve_qp2(0.3, 0.2, *rows)
+        assert not feasible and active == ()
+        shift = (0.4 / (1.36 * s) - 0.5) / 2
+        assert u0 == pytest.approx(0.3 + shift, rel=1e-12, abs=1e-15)
+        assert u1 == pytest.approx(0.2 + shift, rel=1e-12, abs=1e-15)
+        assert squared_violation((u0, u1), *rows) <= squared_violation((0.3, 0.2), *rows)
+        # opposed normals of that size leave u_ref, their least squares point
+        assert kernel.solve_qp2(0.0, 0.0, [s, -s], [0.0, 0.0], [1.0, 1.0]) == (0.0, 0.0, (), False)
+        cfg = FilterConfig(gamma=1.0, regularization_eps=1e-160)
+        res = filter_qp((0.0, 0.0), [ev(0.0, -1.0, (s, 0.0)), ev(0.0, -1.0, (-s, 0.0))], cfg)
+        assert res.u_star == (0.0, 0.0) and res.infeasible
+
 
 class TestActivationGate:
     CFG10 = FilterConfig(gamma=1.0, activation_radius=10.0)

@@ -387,6 +387,25 @@ class TestCli:
         code = main(["batch", "--scenarios", str(mixed), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_batch_goes_on_past_a_filter_abort(self, tmp_path):
+        # a valid scenario whose huge gain makes u_ref infinite aborts in the
+        # filter; the batch reports it and runs the rest
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        doc = json.loads((SCENARIO_DIR / "pointmass-braking.json").read_text())
+        doc["name"] = "huge-gain"
+        doc["controller"].update(k1=1e308, v_des_vec=[5.0, 0.0])
+        (mixed / "a-huge-gain.json").write_text(json.dumps(doc))
+        (mixed / "b-braking.json").write_text((SCENARIO_DIR / "pointmass-braking.json").read_text())
+        out = tmp_path / "o"
+        assert main(["batch", "--scenarios", str(mixed), "--out", str(out)]) == 2
+        rows = (out / "report.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in rows[1:]] == [
+            ["huge-gain", "aborted"], ["pointmass-braking", "safe"]
+        ]
+        summary = json.loads((out / "a-huge-gain" / "summary.json").read_text())
+        assert summary["step"] == 0 and "filter failed" in summary["aborted"]
+
     @pytest.mark.parametrize("mode", ["path", "hvalue", "inputs"])
     def test_plot_modes(self, tmp_path, mode):
         out = tmp_path / "run"
