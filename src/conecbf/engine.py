@@ -2,9 +2,9 @@
 
 Each step k, at the step's start state and time t = k*dt: evaluate the
 reference controller and the configured barrier per obstacle at its state
-at t, gate obstacles by the perception boundary, filter the reference
-through the QP, log, then integrate the vehicle with the filtered input
-held constant. Identical scenarios produce identical logs.
+at t, filter the reference through the QP (which gates the obstacles by
+the perception boundary), log, then integrate the vehicle with the
+filtered input held constant. Identical scenarios produce identical logs.
 """
 
 from dataclasses import dataclass, field, replace
@@ -22,7 +22,7 @@ from .models import (
     _require_vector,
     integrate_step,
 )
-from .qpfilter import FilterConfig, activation_gate, filter_qp
+from .qpfilter import FilterConfig, filter_qp
 
 # halt margin below the effective radius before declaring a collision
 COLLISION_SLACK = 1e-6
@@ -68,6 +68,8 @@ class ControllerSpec:
                 raise ValidationError(f"a_max must be > 0, got {self.a_max}")
         # checks k1, k2 and v_des
         object.__setattr__(self, "_gains", PGains(self.k1, self.k2, self.v_des))
+        # the point mass's target velocity: v_des_vec, else v_des along x
+        object.__setattr__(self, "_v_target", self.v_des_vec or (self.v_des, 0.0))
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,8 @@ class Scenario:
                 )
         if self.controller.kind == "stanley" and self.model != "bicycle":
             raise ValidationError("stanley controller is bicycle-only")
+        if self.saturate_speed and self.model == "pointmass":
+            raise ValidationError("saturate_speed is for the unicycle and bicycle only")
         if self.model == "bicycle" and self.filter.input_bounds is not None:
             lo, hi = self.filter.input_bounds[1]
             if lo < -self.params.beta_max or hi > self.params.beta_max:
@@ -177,7 +181,7 @@ def _reference_input(sc: Scenario, state):
         else:
             beta = 0.0
         return (a, beta)
-    u = p_velocity(state, c.k1, c.v_des_vec or (c.v_des, 0.0))
+    u = p_velocity(state, c.k1, c._v_target)
     if c.a_max is not None:
         u = (min(max(u[0], -c.a_max), c.a_max), min(max(u[1], -c.a_max), c.a_max))
     return u
@@ -188,8 +192,8 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
 
     The log gains one record per step boundary, sc.n_steps + 1 in
     total. Raises SimulationError on integrator divergence, when the
-    activation gate or the filter refuses a step's numbers (a non-finite
-    u_ref, say), or when the filter stays degenerate for more than
+    filter refuses a step's numbers (a non-finite u_ref or a NaN
+    distance, say), or when the filter stays degenerate for more than
     DEGENERATE_STEP_BUDGET consecutive steps.
     """
     n_steps = sc.n_steps
@@ -208,7 +212,7 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     # the barrier, chosen once, as a positional call on (state, obstacle, t)
     # that looks its function up by module name at call time; with
     # cbf='none' the cone barrier is still evaluated for the log, but
-    # nothing is gated
+    # nothing is filtered
     if sc.cbf == "ellipse":
         def barrier(state, o, t):
             return ellipse_cbf_eval(model, state, o, t)
@@ -222,7 +226,6 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             return c3bf_eval(model, state, o, params, t)
     filtering = sc.cbf != "none"
     gamma = sc.filter.gamma
-    saturate = sc.saturate_speed and model in ("unicycle", "bicycle")
     v_max = params.v_max
     # shared by every step on which no constraint binds
     no_active = (False,) * n_obs
@@ -237,26 +240,14 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             hs, lfhs, lghs, penetrations, dists = zip(*evals)
         else:
             hs = lfhs = lghs = penetrations = dists = ()
-        # a bad number the gate or the filter refuses (an infinite u_ref
-        # from a huge gain, say) aborts the run, as in integrate_step
-        try:
-            gated = [i for i, d in enumerate(dists) if activation_gate(d, cfg)] if filtering else ()
-            every_gated = gated and len(gated) == n_obs
-            if gated:
-                res = filter_qp(u_ref, evals if every_gated else [evals[i] for i in gated], cfg)
-                u_cmd, degenerate, infeasible = res.u_star, res.degenerate, res.infeasible
-                active = no_active
-                if res.active_set:
-                    binding = {gated[j] for j in res.active_set}
-                    active = tuple([i in binding for i in range(n_obs)])
-            else:
-                u_cmd, degenerate, infeasible, active = u_ref, False, False, no_active
-        except ValidationError as exc:
-            raise SimulationError(f"filter failed at step {k}: {exc}", step=k)
-        if every_gated:
-            # the filter computed each psi with the same float operations
-            psis = res.psi
+        if filtering:
+            try:
+                u_cmd, _, binding, psis, degenerate, infeasible = filter_qp(u_ref, evals, cfg)
+            except ValidationError as exc:
+                raise SimulationError(f"filter failed at step {k}: {exc}", step=k)
+            active = tuple([i in binding for i in range(n_obs)]) if binding else no_active
         else:
+            u_cmd, degenerate, infeasible, active = u_ref, False, False, no_active
             ur0, ur1 = u_ref
             psis = tuple([
                 lfh + g0 * ur0 + g1 * ur1 + gamma * h
@@ -284,7 +275,7 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             state = integrate_step(model, state, u_cmd, dt, params)
         except ValidationError as exc:
             raise SimulationError(f"integration failed at step {k}: {exc}", step=k)
-        if saturate and abs(state.v) > v_max:
+        if sc.saturate_speed and abs(state.v) > v_max:
             state = replace(state, v=v_max if state.v > 0 else -v_max)
     return TrajectoryLog(sc, *map(list, zip(*records)))
 
@@ -298,8 +289,8 @@ def _speed_series(log: TrajectoryLog):
 def _heading_series(log: TrajectoryLog):
     """Unwrapped heading; for the point mass, the velocity direction."""
     if log.scenario.model == "pointmass":
-        vd = log.scenario.controller.v_des_vec
-        prev = atan2(vd[1], vd[0]) if vd and hypot(*vd) > 0 else 0.0
+        vd = log.scenario.controller._v_target
+        prev = atan2(vd[1], vd[0]) if hypot(*vd) > 0 else 0.0
         raw = []
         for s in log.states:
             if hypot(s[2], s[3]) > 1e-3:
@@ -317,8 +308,7 @@ def _target_speed(sc: Scenario) -> float:
     if sc.controller.kind == "zero":
         return 0.0
     if sc.model == "pointmass":
-        vd = sc.controller.v_des_vec or (sc.controller.v_des, 0.0)
-        return hypot(*vd)
+        return hypot(*sc.controller._v_target)
     return sc.controller.v_des
 
 

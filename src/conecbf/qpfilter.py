@@ -3,15 +3,16 @@
 Given a reference input and one barrier constraint per obstacle, returns
 the input closest to the reference among those satisfying
 
-    lfh_i + lgh_i . u + gamma * h_i >= 0        for every active i.
+    lfh_i + lgh_i . u + gamma * h_i >= 0        for every active i,
 
+that is, every i whose center distance lies within the activation radius.
 One constraint solves in closed form (a switching law on the slack psi);
 several go through the kernel's exact QP on the two-dimensional input.
 Optional box bounds on u join the QP as extra rows.
 """
 
 from dataclasses import dataclass
-from math import inf as _INF, isfinite, isinf, sqrt
+from math import inf as _INF, isfinite, isinf
 from typing import NamedTuple
 
 from ._backend import kernel
@@ -25,8 +26,8 @@ class FilterConfig:
     """Filter gains and gating.
 
     gamma              -- linear class-K gain in h' + gamma*h >= 0
-    activation_radius  -- perception boundary; constraints participate
-                          only within this center distance
+    activation_radius  -- perception boundary; the filters enforce a
+                          constraint only within this center distance
     regularization_eps -- ||lgh|| threshold below which a violated
                           constraint is declared degenerate
     input_bounds       -- optional ((lo0, hi0), (lo1, hi1)) box on u
@@ -97,29 +98,33 @@ def activation_gate(dist: float, cfg: FilterConfig) -> bool:
 def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
     """Closed-form filter for one constraint (no box bounds).
 
-    psi >= 0 leaves the reference untouched; otherwise the correction is
-    the least-norm input restoring psi = 0. A violated constraint with
-    ||lgh|| below regularization_eps cannot be influenced: the result is
-    flagged degenerate and the reference passes through. A non-finite
-    psi (NaN or infinite h, lfh or lgh) cannot be met: the reference
-    passes through flagged infeasible, as in filter_qp. A u_ref that is
-    not a pair of finite numbers raises ValidationError.
+    psi >= 0, or a distance beyond the activation radius, leaves the
+    reference untouched; otherwise the correction is the least-norm
+    input restoring psi = 0. A violated constraint with ||lgh|| <=
+    regularization_eps cannot be influenced: it is flagged degenerate
+    and the reference passes through. A non-finite psi (NaN or infinite
+    h, lfh or lgh) cannot be met: it is flagged infeasible, as in
+    filter_qp. A finite box row, a u_ref that is not a pair of finite
+    numbers or a malformed evaluation raises ValidationError.
     """
-    g0, g1 = e.lgh
-    # u_ref is checked as in filter_qp
+    if cfg._box_rows[2]:
+        raise ValidationError("filter_single cannot honour input_bounds; use filter_qp")
+    # u_ref and the evaluation are checked as in filter_qp
     try:
+        g0, g1 = e.lgh
         ur0, ur1 = u_ref
         if not (-_INF < ur0 + 0.0 < _INF and -_INF < ur1 + 0.0 < _INF):
             raise ValidationError(f"u_ref must be a pair of finite numbers, got {u_ref!r}")
         psi = e.lfh + g0 * ur0 + g1 * ur1 + cfg.gamma * e.h
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise ValidationError(f"u_ref must be a pair of finite numbers, got {u_ref!r}") from exc
-    if not isfinite(psi):
+        active = activation_gate(e.dist, cfg)
+    except (TypeError, ValueError, IndexError, OverflowError, AttributeError) as exc:
+        raise ValidationError(f"filter_single needs a finite pair u_ref and a CbfEvaluation: {exc}") from exc
+    if active and not isfinite(psi):
         return FilterResult((ur0, ur1), (0.0, 0.0), (), (psi,), infeasible=True)
-    if psi >= 0.0:
+    if psi >= 0.0 or not active:
         return FilterResult((ur0, ur1), (0.0, 0.0), (), (psi,))
     gg = g0 * g0 + g1 * g1
-    if sqrt(gg) <= cfg.regularization_eps:
+    if gg <= cfg.regularization_eps * cfg.regularization_eps:
         return FilterResult((ur0, ur1), (0.0, 0.0), (), (psi,), degenerate=True)
     u_safe = (-g0 * psi / gg, -g1 * psi / gg)
     u_star = (ur0 + u_safe[0], ur1 + u_safe[1])
@@ -129,24 +134,25 @@ def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
 def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
     """Stacked-constraint filter; exact QP on the 2-D input.
 
-    Degenerate constraints (||lgh|| <= regularization_eps) are excluded
-    from the QP -- they are input-independent, so they either hold on
-    their own (psi >= 0) or cannot be fixed (flagged). A constraint whose
-    h, lfh or lgh is NaN or infinite (its psi is then not finite) is
-    excluded too and flags the result infeasible: it can never count as
-    met. With box bounds configured, saturation can make the rest
-    infeasible; that is flagged, and the input returned has a summed
-    squared violation no larger than u_ref's (not always the least). A
-    u_ref that is not a pair of finite numbers, or a malformed evaluation,
-    raises ValidationError. With no rows to solve, u_ref passes through.
+    Every psi is reported, but only the evaluations within the activation
+    radius make rows. Degenerate ones (||lgh|| <= regularization_eps) are
+    left out of the QP -- they are input-independent, so they either hold
+    on their own (psi >= 0) or cannot be fixed (flagged). One whose h, lfh
+    or lgh is NaN or infinite (its psi is then not finite) is left out too
+    and flags the result infeasible: it can never count as met. With box
+    bounds configured, saturation can make the rest infeasible; that is
+    flagged, and the input returned has a summed squared violation no
+    larger than u_ref's (not always the least). A u_ref that is not a pair
+    of finite numbers, a malformed evaluation or a bad distance raises
+    ValidationError. With no rows to solve, u_ref passes through.
     """
     gamma = cfg.gamma
     eps2 = cfg.regularization_eps * cfg.regularization_eps
     g0s, g1s, bs, idx, psis = [], [], [], [], []
     degenerate = nonfinite = False
     # a u_ref that is not a pair of finite numbers (or a malformed
-    # evaluation) fails in the unpacking, the range test or a psi; + 0.0
-    # turns an integer beyond the double range into OverflowError
+    # evaluation) fails in the unpacking, the range test, a psi or the
+    # gate; + 0.0 turns an integer beyond the doubles into OverflowError
     try:
         ur0, ur1 = u_ref
         if not (-_INF < ur0 + 0.0 < _INF and -_INF < ur1 + 0.0 < _INF):
@@ -157,6 +163,8 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
             gh = gamma * e.h
             psi = lfh + g0 * ur0 + g1 * ur1 + gh
             psis.append(psi)
+            if not activation_gate(e.dist, cfg):
+                continue
             if not isfinite(psi):
                 nonfinite = True
                 continue
@@ -168,7 +176,7 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
             g1s.append(g1)
             bs.append(-(lfh + gh))
             idx.append(i)
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError, AttributeError) as exc:
         raise ValidationError(
             f"filter_qp needs a pair of finite numbers u_ref and CbfEvaluation records: {exc}"
         ) from exc

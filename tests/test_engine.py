@@ -12,6 +12,7 @@ from conecbf import (
     FilterConfig,
     ModelParams,
     Obstacle,
+    PointMassState,
     Scenario,
     SimulationError,
     UnicycleState,
@@ -154,6 +155,12 @@ class TestRunScenario:
         log = run_scenario(sc)
         assert max(s[3] for s in log.states) <= 1.0 + 1e-12
 
+    def test_pointmass_rejects_speed_saturation(self):
+        # the point mass has no scalar speed state for saturate_speed to clip
+        sc = load_scenario(SCENARIO_DIR / "pointmass-braking.json")
+        with pytest.raises(ValidationError, match="saturate_speed"):
+            replace(sc, saturate_speed=True)
+
     def test_activation_gate_delays_filter(self):
         sc = simple_scenario(
             initial_state=UnicycleState(0, 0, 0, 1.5, 0),
@@ -293,6 +300,22 @@ class TestRunScenario:
 
 
 class TestClassifyAndMetrics:
+    def test_pointmass_target_velocity_read_once(self):
+        # v_des alone means a target velocity of (v_des, 0): the controller,
+        # the target speed and the initial heading all read it the same way
+        runs = []
+        for spec in (ControllerSpec(kind="p", k1=2.0, v_des=-2.0),
+                     ControllerSpec(kind="p", k1=2.0, v_des_vec=(-2.0, 0.0))):
+            sc = Scenario(
+                name="rest", model="pointmass", params=ModelParams(w=0.6),
+                initial_state=PointMassState(0, 0, 0, 0), obstacles=(),
+                controller=spec, filter=FilterConfig(gamma=1.0), dt=0.01, duration=3.0,
+            )
+            runs.append(run_scenario(sc))
+        a, b = runs
+        assert a.states == b.states
+        assert classify_behavior(a) == classify_behavior(b) == ()
+
     def test_reversing_label(self):
         sc = simple_scenario(
             initial_state=UnicycleState(0, 0, 0, 0.5, 0),
@@ -384,8 +407,18 @@ class TestCallPaths:
     # (or called through another name) would hide steps from them
     NAMES = ("integrate_step", "c3bf_eval", "ellipse_cbf_eval", "hocbf_eval", "filter_qp")
 
+    # SHA-256 of the run's trajectory CSV per cbf kind: where the gate runs
+    # must not change the log; c3bf and none agree, since the filter never
+    # binds in this one second
+    CSV_SHA256 = {
+        "c3bf": "6bc804dc467278d771c8455a7a267bd8058e0e01198b214429b15a7a22726e69",
+        "ellipse": "6bae8c8cec5fb610938bcd6512721168f827a1b7ee5fd81190625249a4e298aa",
+        "hocbf": "0ee5460c0331f337c660f3ec85f6a948030b6bd7db30ced2d0799c2bbc8a4e38",
+        "none": "6bc804dc467278d771c8455a7a267bd8058e0e01198b214429b15a7a22726e69",
+    }
+
     @pytest.mark.parametrize("cbf", ["c3bf", "ellipse", "hocbf", "none"])
-    def test_every_call_goes_through_the_module_names(self, monkeypatch, cbf):
+    def test_every_call_goes_through_the_module_names(self, monkeypatch, tmp_path, cbf):
         calls = dict.fromkeys(self.NAMES, 0)
 
         def counted(name):
@@ -413,14 +446,16 @@ class TestCallPaths:
         assert not log.collided and len(log.t) == sc.n_steps + 1
         barrier = {"ellipse": "ellipse_cbf_eval", "hocbf": "hocbf_eval"}.get(cbf, "c3bf_eval")
         gated = [sum(1 for d in row if d <= radius) for row in log.dist]
-        gated_steps = sum(1 for n in gated if n)
         # early steps gate nothing, later ones one obstacle, the last both
         assert 0 in gated and 1 in gated and 2 in gated
-        if cbf == "none":
-            gated_steps = 0
+        # a filtering run hands every step's evaluations to the filter,
+        # which gates them itself
         assert calls == {
             **dict.fromkeys(self.NAMES, 0),
             "integrate_step": sc.n_steps,
             barrier: (sc.n_steps + 1) * 2,
-            "filter_qp": gated_steps,
+            "filter_qp": 0 if cbf == "none" else sc.n_steps + 1,
         }
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(log, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CSV_SHA256[cbf]

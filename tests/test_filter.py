@@ -373,6 +373,72 @@ class TestActivationGate:
             activation_gate(dist, FilterConfig(gamma=1.0))
 
 
+class TestFiltersGate:
+    # the filters apply the activation radius themselves: an evaluation
+    # beyond it reports its psi but adds no row and flags nothing
+    CFG5 = FilterConfig(gamma=1.0, activation_radius=5.0)
+
+    def test_far_violated_row_not_enforced(self):
+        far = ev(0.0, -2.0, (1.0, 0.0), dist=6.0)    # needs u0 >= 2
+        near = ev(0.0, -1.0, (0.0, 1.0), dist=4.0)   # needs u1 >= 1
+        res = filter_qp((0.0, 0.0), [far, near], self.CFG5)
+        assert res.u_star == (0.0, 1.0)
+        assert res.active_set == (1,)
+        assert res.psi == (-2.0, -1.0)
+        assert not res.degenerate and not res.infeasible
+
+    @pytest.mark.parametrize("h, lfh, lg, flag", [
+        (0.0, math.nan, (1.0, 0.0), "infeasible"),
+        (math.inf, 0.0, (1.0, 0.0), "infeasible"),
+        (0.0, -1.0, (0.0, 0.0), "degenerate"),
+    ], ids=["nan", "inf", "zero-lgh"])
+    def test_far_bad_row_flags_nothing(self, h, lfh, lg, flag):
+        for far in (ev(h, lfh, lg, dist=5.0 + 1e-9), ev(h, lfh, lg, dist=math.inf)):
+            for res in (filter_qp((0.5, 0.0), [far], self.CFG5),
+                        filter_single((0.5, 0.0), far, self.CFG5)):
+                assert res.u_star == (0.5, 0.0) and res.active_set == ()
+                assert not res.degenerate and not res.infeasible
+        # the same row on the boundary is gated in and flags the result
+        near = ev(h, lfh, lg, dist=5.0)
+        for res in (filter_qp((0.5, 0.0), [near], self.CFG5),
+                    filter_single((0.5, 0.0), near, self.CFG5)):
+            assert getattr(res, flag)
+
+    @pytest.mark.parametrize("dist", [math.nan, -1.0, "3.0", None])
+    def test_bad_distance_raises(self, dist):
+        e = ev(1.0, 0.0, (1.0, 0.0), dist=dist)
+        with pytest.raises(ValidationError):
+            filter_qp((0.0, 0.0), [ev(1.0, 0.0, (0.0, 1.0)), e], CFG)
+        with pytest.raises(ValidationError):
+            filter_single((0.0, 0.0), e, CFG)
+
+    def test_filter_single_passes_through_beyond_radius(self):
+        e = ev(-0.5, -1.0, (1.0, 0.2), dist=7.0)
+        res = filter_single((0.2, 0.1), e, self.CFG5)
+        assert res == FilterResult((0.2, 0.1), (0.0, 0.0), (), (-1.0 + 0.2 + 0.2 * 0.1 - 0.5,))
+        assert filter_single((0.2, 0.1), e, CFG).active_set == (0,)
+
+    def test_filter_single_rejects_a_box(self):
+        # one row that needs u0 >= 10 inside the box |u| <= 1: the closed
+        # form would return u0 = 10 unflagged, filter_qp stops at the face
+        box = FilterConfig(input_bounds=((-1.0, 1.0), (-1.0, 1.0)))
+        e = ev(0.0, -10.0, (1.0, 0.0))
+        with pytest.raises(ValidationError, match="input_bounds"):
+            filter_single((0.0, 0.0), e, box)
+        res = filter_qp((0.0, 0.0), [e], box)
+        assert res.u_star == (1.0, 0.0) and res.infeasible
+        # a box of infinite bounds has no row and is accepted
+        inf_box = FilterConfig(input_bounds=((-math.inf, math.inf), (-math.inf, math.inf)))
+        assert filter_single((0.0, 0.0), e, inf_box) == filter_single((0.0, 0.0), e, CFG)
+
+    @pytest.mark.parametrize("record", ["x", None, (1.0, 0.0)])
+    def test_non_record_evaluation_raises(self, record):
+        with pytest.raises(ValidationError):
+            filter_qp((0.0, 0.0), [record], FilterConfig())
+        with pytest.raises(ValidationError):
+            filter_single((0.0, 0.0), record, FilterConfig())
+
+
 class TestFilterConfig:
     @pytest.mark.parametrize("field", ["gamma", "activation_radius", "regularization_eps"])
     @pytest.mark.parametrize("value", [float("nan"), 0.0])

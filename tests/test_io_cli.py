@@ -311,6 +311,13 @@ class TestCli:
         assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_pointmass_speed_saturation_exit_3(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "pointmass-braking.json").read_text())
+        doc["saturate_speed"] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 3
+
     def test_huge_integer_literal_exit_3(self, tmp_path):
         bad = tmp_path / "big.json"
         bad.write_text(json.dumps(minimal_doc()).replace('"w": 0.6', '"w": 1' + "0" * 400))
