@@ -13,7 +13,7 @@ distance used for gating, and penetration is 1.0 once the center
 distance falls inside the effective radius.
 """
 
-from math import cos, fmod, pi, sin, sqrt
+from math import cos, fmod, inf as _INF, isinf, pi, sin, sqrt
 
 __all__ = [
     "backend_name",
@@ -26,6 +26,7 @@ __all__ = [
     "hocbf_unicycle",
     "hocbf_bicycle",
     "hocbf_pointmass",
+    "least_violation",
     "rk4_unicycle",
     "rk4_bicycle",
     "rk4_pointmass",
@@ -345,19 +346,27 @@ def rk4_pointmass(x, y, vx, vy, ax, ay, dt):
 # boundary, or the vertex of two rows, so an exact solve enumerates those
 # candidates in that order.  A feasible projection of a row u_ref violates,
 # and a feasible vertex with nonnegative multipliers, satisfy KKT and are
-# returned at once; otherwise the closest feasible candidate wins.  With
-# none feasible, a descent from u_ref on the squared violation decides.
+# returned at once; otherwise the closest feasible candidate wins, as when
+# opposed rows leave an empty strip thinner than _FEAS_TOL (closed-loop runs
+# meet such rows).  With none feasible, u_ref comes back flagged.  The rule
+# for that step's input is least_violation, the least sum_i min(0, g_i . u
+# - b_i)^2 over a box: Gauss-Newton passes from u_ref with exact line
+# searches (Mangasarian's finite Newton method, 2002) until one no longer
+# lowers the sum; if that point leaves the box, the best point of the box's
+# finite edges, searched from u_ref saturated to the box in the order
+# u0 = lo0, hi0, u1 = lo1, hi1, the first of equal sums kept.  Directions
+# that no violated row pins keep u_ref's value.
 # ---------------------------------------------------------------------------
 
 _FEAS_TOL = 1e-10
 
 
-def _unmet(u0, u1, g0s, g1s, bs, start=0):
-    """First row index >= start that u fails, or -1.
+def _unmet(u0, u1, g0s, g1s, bs):
+    """First row index that u fails, or -1.
 
     Written so that a row holding NaN never counts as met.
     """
-    for i in range(start, len(bs)):
+    for i in range(len(bs)):
         b = bs[i]
         if not g0s[i] * u0 + g1s[i] * u1 - b >= -_FEAS_TOL * (1.0 + abs(b)):
             return i
@@ -370,64 +379,70 @@ def _sq_violation(u0, u1, g0s, g1s, bs):
     return sum(r * r for r in rs if not r >= 0.0)
 
 
-def _least_violation(ur0, ur1, g0s, g1s, bs):
-    """An input whose summed squared violation is never above u_ref's.
+def _line_min(p0, p1, d0, d1, g0s, g1s, bs, t0, lo, hi):
+    """The t in [lo, hi] of least summed squared violation at p + t d, ties
+    to the t nearest t0. Residuals a_i + t c_i keep their signs between
+    roots -a_i / c_i; each such interval offers its violated rows' stationary
+    point -sum(a c) / sum(c c) (else t0), kept inside it and [lo, hi]."""
+    a = [g0 * p0 + g1 * p1 - b for g0, g1, b in zip(g0s, g1s, bs)]
+    c = [g0 * d0 + g1 * d1 for g0, g1 in zip(g0s, g1s)]
+    ks = sorted((i for i, ci in enumerate(c) if ci != 0.0), key=lambda i: -a[i] / c[i])
+    cuts = [-_INF] + [-a[i] / c[i] for i in ks] + [_INF]
+    best = min(max(t0, lo), hi)
+    f = _sq_violation(p0 + best * d0, p1 + best * d1, g0s, g1s, bs)
+    for k in range(len(ks) + 1):
+        # a row with c_i > 0 is violated left of its root (j >= k), else right
+        on = [i for j, i in enumerate(ks) if (j >= k) == (c[i] > 0.0)]
+        scc = sum(c[i] * c[i] for i in on)
+        t = -sum(a[i] * c[i] for i in on) / scc if scc > 0.0 else t0
+        t = min(max(min(max(t, cuts[k]), cuts[k + 1]), lo), hi)
+        ft = _sq_violation(p0 + t * d0, p1 + t * d1, g0s, g1s, bs)
+        if ft < f or (ft == f and abs(t - t0) < abs(best - t0)):
+            best, f = t, ft
+    return best
 
-    Gauss-Newton passes from u_ref over the rows violated at each point,
-    each solving their normal equations A n = r (A = sum g g^T, r = sum
-    b g). When their normals are parallel, A has rank one and the step is
-    n = u + A+ (r - A u) with the pseudo-inverse A+ = A / tr(A)^2, so
-    directions not pinned by violated rows are left untouched. A step is
-    halved until it does not raise the violation over all rows, so the
-    result need not be the minimizer but never does worse than u_ref
-    (which a NaN row leaves in place).
-    """
+
+def least_violation(ur0, ur1, g0s, g1s, bs, lo0, hi0, lo1, hi1):
+    """The input in the box lo <= u <= hi (bounds may be infinite) of least
+    summed squared violation, by the rule above. A pass's Newton step solves
+    A d = e over the violated rows, A = sum g g^T, e = sum g (b - g . u), or
+    d = A+ e with A+ = A / tr(A)^2 for parallel normals. A NaN row leaves
+    u_ref, saturated to the box."""
     u0, u1 = ur0, ur1
     f = _sq_violation(u0, u1, g0s, g1s, bs)
-    for _ in range(12):
-        i = _unmet(u0, u1, g0s, g1s, bs)
-        if i < 0:
-            break
-        a00 = a01 = a11 = r0 = r1 = 0.0
-        while i >= 0:
-            a00 += g0s[i] * g0s[i]
-            a01 += g0s[i] * g1s[i]
-            a11 += g1s[i] * g1s[i]
-            r0 += g0s[i] * bs[i]
-            r1 += g1s[i] * bs[i]
-            i = _unmet(u0, u1, g0s, g1s, bs, i + 1)
-        det = a00 * a11 - a01 * a01
+    while f > 0.0:
+        a00 = a01 = a11 = e0 = e1 = 0.0
+        for g0, g1, b in zip(g0s, g1s, bs):
+            r = b - (g0 * u0 + g1 * u1)
+            if r > 0.0:
+                a00 += g0 * g0
+                a01 += g0 * g1
+                a11 += g1 * g1
+                e0 += g0 * r
+                e1 += g1 * r
         tr = a00 + a11
-        # tr * tr, not tr ** 2: a power past the double range raises
-        if abs(det) > 1e-14 * (tr * tr):
-            n0 = (a11 * r0 - a01 * r1) / det
-            n1 = (a00 * r1 - a01 * r0) / det
-        else:
-            # parallel normals: the pseudo-inverse step of A = [[a00, a01], [a01, a11]],
-            # with A scaled by 1 / tr before the second 1 / tr, so tr * tr
-            # never under- or overflows
-            if tr == 0.0:
-                break
-            p00, p01, p11 = a00 / tr, a01 / tr, a11 / tr
-            e0 = r0 - (a00 * u0 + a01 * u1)
-            e1 = r1 - (a01 * u0 + a11 * u1)
-            n0 = u0 + (p00 * e0 + p01 * e1) / tr
-            n1 = u1 + (p01 * e0 + p11 * e1) / tr
-        # the Gauss-Newton direction descends: halve the step until the
-        # summed squared violation rises no more
-        for _ in range(40):
-            fn = _sq_violation(n0, n1, g0s, g1s, bs)
-            if fn <= f:
-                break
-            n0, n1 = 0.5 * (u0 + n0), 0.5 * (u1 + n1)
-        else:
+        if not tr > 0.0:
             break
-        f = fn
-        if abs(n0 - u0) <= 1e-14 * (1 + abs(u0)) and abs(n1 - u1) <= 1e-14 * (1 + abs(u1)):
-            u0, u1 = n0, n1
+        # A / tr has trace 1, so no product below under- or overflows
+        a00, a01, a11 = a00 / tr, a01 / tr, a11 / tr
+        det = a00 * a11 - a01 * a01
+        if det > 1e-14:
+            d0, d1 = (a11 * e0 - a01 * e1) / det / tr, (a00 * e1 - a01 * e0) / det / tr
+        else:
+            d0, d1 = (a00 * e0 + a01 * e1) / tr, (a01 * e0 + a11 * e1) / tr
+        # from the full Newton point, t = 1: rounding can leave it the lowest
+        t = _line_min(u0, u1, d0, d1, g0s, g1s, bs, 1.0, 0.0, _INF)
+        p0, p1 = u0 + t * d0, u1 + t * d1
+        fp = _sq_violation(p0, p1, g0s, g1s, bs)
+        if not fp < f:
             break
-        u0, u1 = n0, n1
-    return u0, u1
+        u0, u1, f = p0, p1, fp
+    if lo0 <= u0 <= hi0 and lo1 <= u1 <= hi1:
+        return u0, u1
+    s0, s1 = min(max(ur0, lo0), hi0), min(max(ur1, lo1), hi1)
+    edges = [(v, _line_min(v, 0.0, 0.0, 1.0, g0s, g1s, bs, s1, lo1, hi1)) for v in (lo0, hi0) if not isinf(v)]
+    edges += [(_line_min(0.0, v, 1.0, 0.0, g0s, g1s, bs, s0, lo0, hi0), v) for v in (lo1, hi1) if not isinf(v)]
+    return min(edges, key=lambda e: _sq_violation(e[0], e[1], g0s, g1s, bs))
 
 
 def solve_qp2(ur0, ur1, g0s, g1s, bs):
@@ -438,10 +453,9 @@ def solve_qp2(ur0, ur1, g0s, g1s, bs):
     u_ref already satisfies everything, u_ref is returned unchanged.
     Otherwise the 1-row projections and then the 2-row vertices are
     enumerated (see above); the result is the exact optimum whenever the
-    constraints are feasible.  Infeasible systems yield feasible=False
-    and an input whose summed squared violation is no larger than
-    u_ref's (see _least_violation); a row holding NaN is never met, so it
-    also yields feasible=False.
+    constraints are feasible.  With no candidate feasible, or a row holding
+    NaN (never met), u_ref comes back with feasible=False and nothing more
+    is computed; least_violation gives that step's input by one rule.
     """
     if _unmet(ur0, ur1, g0s, g1s, bs) < 0:
         return ur0, ur1, (), True
@@ -481,6 +495,5 @@ def solve_qp2(ur0, ur1, g0s, g1s, bs):
                 if best is None or d2 < best[0]:
                     best = (d2, u0, u1, (i, j))
     if best is None:
-        u0, u1 = _least_violation(ur0, ur1, g0s, g1s, bs)
-        return u0, u1, (), False
+        return ur0, ur1, (), False
     return best[1], best[2], best[3], True

@@ -6,7 +6,7 @@ Verbs:
   batch     -- run every scenario JSON in a directory; writes per-scenario
                outputs plus a consolidated report
   plot      -- render an SVG from a previously written trajectory CSV
-  validate  -- schema-check a scenario file
+  validate  -- schema-check a scenario file and run its first step
 
 Exit codes (the complete contract): 0 success/safe, 2 collision verdict
 or aborted run, 3 validation or usage error, or an unreadable or
@@ -150,6 +150,11 @@ def cmd_plot(args):
 
 def cmd_validate(args):
     sc = load_scenario(args.scenario)
+    # a run whose first step the filter or the integrator refuses can only abort
+    try:
+        run_scenario(replace(sc, duration=sc.dt))
+    except SimulationError as exc:
+        raise ValidationError(f"the first step is refused: {exc}") from exc
     print(f"{args.scenario}: valid ({sc.model}, {len(sc.obstacles)} obstacle(s), "
           f"{sc.n_steps + 1} records at dt={sc.dt})")
     return EXIT_OK
@@ -184,7 +189,7 @@ def build_parser():
     plo.add_argument("--mode", choices=("path", "hvalue", "inputs"), default="path")
     plo.set_defaults(func=cmd_plot)
 
-    val = sub.add_parser("validate", help="schema-check a scenario file")
+    val = sub.add_parser("validate", help="schema-check a scenario file and run its first step")
     val.add_argument("--scenario", required=True, help="scenario JSON file")
     val.set_defaults(func=cmd_validate)
     return p

@@ -207,8 +207,6 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
         # keep the small-slip model valid: the QP may not exceed beta_max
         bounds = ((float("-inf"), float("inf")), (-params.beta_max, params.beta_max))
     cfg = replace(sc.filter, input_bounds=bounds)
-    if bounds is not None:
-        (lo0, hi0), (lo1, hi1) = bounds
     # the barrier, chosen once, as a positional call on (state, obstacle, t)
     # that looks its function up by module name at call time; with
     # cbf='none' the cone barrier is still evaluated for the log, but
@@ -253,10 +251,10 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
                 lfh + g0 * ur0 + g1 * ur1 + gamma * h
                 for h, lfh, (g0, g1) in zip(hs, lfhs, lghs)
             ])
-        # the applied input: on infeasible steps the QP's answer may
-        # exceed the box, but actuators saturate regardless
-        if bounds is not None:
-            u_cmd = (min(max(u_cmd[0], lo0), hi0), min(max(u_cmd[1], lo1), hi1))
+            # unfiltered, the actuators saturate u_ref (filter_qp saturates its own)
+            if bounds is not None:
+                (lo0, hi0), (lo1, hi1) = bounds
+                u_cmd = (min(max(ur0, lo0), hi0), min(max(ur1, lo1), hi1))
         records.append((
             t, state.as_tuple(), u_ref, u_cmd, hs, psis, dists, active, penetrations,
             degenerate, infeasible,

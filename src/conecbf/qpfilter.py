@@ -8,7 +8,7 @@ the input closest to the reference among those satisfying
 that is, every i whose center distance lies within the activation radius.
 One constraint solves in closed form (a switching law on the slack psi);
 several go through the kernel's exact QP on the two-dimensional input.
-Optional box bounds on u join the QP as extra rows.
+Optional box bounds on u join the QP as rows; filter_qp answers inside them.
 """
 
 from dataclasses import dataclass
@@ -65,12 +65,12 @@ class FilterConfig:
 class FilterResult(NamedTuple):
     """Filtered input and bookkeeping, as an immutable record (named tuple).
 
-    u_star = u_ref + u_safe; active_set holds the ascending indices (into
-    the supplied evaluations) of binding constraints; psi holds the slack
-    of every constraint at the reference input. `degenerate` marks constraints
-    that were violated but uncontrollable (||lgh|| below threshold);
-    `infeasible` marks an empty constraint intersection, in which case
-    u_star violates the constraints, summed squared, no more than u_ref.
+    u_star = u_ref + u_safe, inside the input box; active_set holds the
+    ascending indices (into the supplied evaluations) of binding constraints;
+    psi holds the slack of every constraint at u_ref. `degenerate` marks violated
+    but uncontrollable constraints (||lgh|| below threshold); `infeasible` a
+    non-finite constraint or an empty intersection, where u_star is the point of
+    the box of least summed squared violation (ties as filter_qp states).
     """
 
     u_star: tuple
@@ -139,12 +139,15 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
     left out of the QP -- they are input-independent, so they either hold
     on their own (psi >= 0) or cannot be fixed (flagged). One whose h, lfh
     or lgh is NaN or infinite (its psi is then not finite) is left out too
-    and flags the result infeasible: it can never count as met. With box
-    bounds configured, saturation can make the rest infeasible; that is
-    flagged, and the input returned has a summed squared violation no
-    larger than u_ref's (not always the least). A u_ref that is not a pair
-    of finite numbers, a malformed evaluation or a bad distance raises
-    ValidationError. With no rows to solve, u_ref passes through.
+    and flags the result infeasible: it can never count as met. Every answer
+    is saturated into the box, which the QP meets only within its tolerance.
+    If no input in the box meets every row, the step is flagged and
+    kernel.least_violation answers with the least summed squared violation of
+    the barrier rows: from u_ref, else on the box's finite edges (u0 = lo0,
+    hi0, u1 = lo1, hi1, first of equals kept); directions no violated row pins
+    keep u_ref's value. A u_ref that is not a pair of finite numbers, a
+    malformed evaluation or a bad distance raises ValidationError. With no
+    rows to solve, u_ref passes through.
     """
     gamma = cfg.gamma
     eps2 = cfg.regularization_eps * cfg.regularization_eps
@@ -187,6 +190,12 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
         g1s.extend(box_g1s)
         bs.extend(box_bs)
     u0, u1, active, feasible = kernel.solve_qp2(ur0, ur1, g0s, g1s, bs)
+    if box_bs or not feasible:
+        (lo0, hi0), (lo1, hi1) = cfg.input_bounds or ((-_INF, _INF), (-_INF, _INF))
+        if not feasible:
+            rows = g0s[:n_barrier], g1s[:n_barrier], bs[:n_barrier]
+            u0, u1 = kernel.least_violation(ur0, ur1, *rows, lo0, hi0, lo1, hi1)
+        u0, u1 = min(max(u0, lo0), hi0), min(max(u1, lo1), hi1)
     # box rows follow the barrier rows and `active` ascends, so the barrier
     # rows among it map to ascending evaluation indices
     return FilterResult(

@@ -22,6 +22,8 @@ from conecbf import (
 from conecbf._backend import kernel
 
 CFG = FilterConfig(gamma=1.0)
+# least_violation's box bounds (lo0, hi0, lo1, hi1) with no box
+NO_BOX = (-math.inf, math.inf, -math.inf, math.inf)
 
 
 def ev(h, lfh, lg, pen=False, dist=10.0):
@@ -246,10 +248,13 @@ class TestFilterQp:
 
     def test_box_bounds_respected(self):
         cfg = FilterConfig(gamma=1.0, input_bounds=((-1.0, 1.0), (-0.2, 0.2)))
-        e = ev(-2.0, -3.0, (1.0, 0.0))
+        e = ev(-2.0, -3.0, (1.0, 0.0))  # needs u0 >= 5
         res = filter_qp((0.0, 0.0), [e], cfg)
         assert -1.0 - 1e-12 <= res.u_star[0] <= 1.0 + 1e-12
         assert -0.2 - 1e-12 <= res.u_star[1] <= 0.2 + 1e-12
+        # the least violation over the box lies on the face u0 = 1; u1 is
+        # pinned by no row and keeps u_ref's value
+        assert res.u_star == (1.0, 0.0) and res.infeasible
 
     def test_box_bounds_can_make_infeasible(self):
         cfg = FilterConfig(gamma=1.0, input_bounds=((-0.5, 0.5), (-0.5, 0.5)))
@@ -258,6 +263,62 @@ class TestFilterQp:
         assert res.infeasible
         # violation minimizer saturates at the box
         assert res.u_star[0] == pytest.approx(0.5, abs=1e-6)
+        assert res.u_star == (0.5, 0.0)
+
+    def test_u_star_inside_box_bit_for_bit(self):
+        # passthrough, feasible and infeasible answers all lie inside the
+        # box exactly: the QP meets box rows only within its tolerance, and
+        # an infeasible step's least violation is taken over the box
+        rng = np.random.default_rng(17)
+        kinds = {"passthrough": 0, "feasible": 0, "infeasible": 0}
+        for _ in range(3000):
+            lo = rng.uniform(-2.0, 0.0, 2)
+            hi = rng.uniform(0.0, 2.0, 2) + 1e-3
+            bounds = [[float(lo[k]), float(hi[k])] for k in range(2)]
+            for k in range(2):
+                side = rng.integers(0, 4)
+                if side < 2:
+                    bounds[k][side] = math.inf * (1 if side else -1)
+            cfg = FilterConfig(gamma=1.0, input_bounds=tuple(map(tuple, bounds)))
+            u_ref = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
+            evals = [ev(float(rng.uniform(-1, 1)), float(rng.uniform(-2, 2)),
+                        rng.normal(size=2).tolist()) for _ in range(int(rng.integers(1, 5)))]
+            res = filter_qp(u_ref, evals, cfg)
+            for u, (lo_k, hi_k) in zip(res.u_star, cfg.input_bounds):
+                assert lo_k <= u <= hi_k
+            if res.infeasible:
+                kinds["infeasible"] += 1
+            elif res.u_star == u_ref:
+                kinds["passthrough"] += 1
+            else:
+                kinds["feasible"] += 1
+        assert min(kinds.values()) > 100, kinds
+
+    def test_box_bounded_infeasible_against_grid_oracle(self):
+        # on an infeasible step the answer has the least summed squared
+        # violation of the barrier rows over the box: no grid point of the
+        # box (edges included) does better
+        rng = np.random.default_rng(23)
+        done = 0
+        while done < 60:
+            lo = rng.uniform(-2.0, -0.2, 2)
+            hi = rng.uniform(0.2, 2.0, 2)
+            cfg = FilterConfig(gamma=1.0, input_bounds=((lo[0], hi[0]), (lo[1], hi[1])))
+            u_ref = tuple(rng.uniform(-3.0, 3.0, 2).tolist())
+            evals = [ev(float(rng.uniform(-2, 0)), float(rng.uniform(-4, 1)),
+                        rng.normal(size=2).tolist()) for _ in range(int(rng.integers(1, 5)))]
+            res = filter_qp(u_ref, evals, cfg)
+            if not res.infeasible:
+                continue
+            rows = ([e.lgh[0] for e in evals], [e.lgh[1] for e in evals],
+                    [-(e.lfh + e.h) for e in evals])
+            u0g, u1g = np.meshgrid(np.linspace(lo[0], hi[0], 401), np.linspace(lo[1], hi[1], 401))
+            f_grid = sum(np.minimum(0.0, g0 * u0g + g1 * u1g - b) ** 2 for g0, g1, b in zip(*rows))
+            f_star = squared_violation(res.u_star, *rows)
+            assert f_star <= f_grid.min() * (1 + 1e-12) + 1e-15
+            # and the grid's best point is near the answer's violation
+            assert f_grid.min() - f_star <= 1e-2 * (1 + f_star)
+            done += 1
 
     def test_degenerate_constraint_flagged_and_excluded(self):
         e_deg = ev(-1.0, -1.0, (0.0, 0.0))
@@ -307,12 +368,29 @@ class TestSolveQp2:
     def test_nan_row_never_feasible(self):
         assert kernel.solve_qp2(0.0, 0.0, [1.0], [0.0], [math.nan])[3] is False
 
+    def test_closest_candidate_when_no_kkt_point(self):
+        # u0 <= -8.5985251e-05 and u0 >= -8.5985250e-05 leave an empty strip
+        # 7.6e-10 wide, met only within the feasibility tolerance: the
+        # projection onto row 1 is the closest feasible candidate, though
+        # u_ref already meets row 1 (its multiplier is negative)
+        got = kernel.solve_qp2(
+            2.9998280302686386, -0.0, [-0.13001373128710458, 0.6175458268877421], [0.0, -0.0],
+            [1.1179362614788462e-05, -5.3099833001453664e-05],
+        )
+        assert got == (-8.59852511174708e-05, 0.0, (1,), True)
+
+    def test_infeasible_returns_u_ref(self):
+        # solve_qp2 only solves; the caller picks an infeasible step's input
+        rows = ([1.0, -1.0], [0.0, 0.0], [2.0, 2.0])
+        assert kernel.solve_qp2(0.3, -0.1, *rows) == (0.3, -0.1, (), False)
+
     def test_least_violation_hand_case(self):
         # rows 0 and 1 meet far outside row 2; Gauss-Newton passes that keep
         # every step end at (-5, 5) with 77.44 of squared violation, against
         # 0.34 at u_ref
         rows = ([0.0, -0.3, 0.1], [0.1, -2.0, 0.0], [0.5, 0.3, -0.5])
-        u0, u1, active, feasible = kernel.solve_qp2(0.0, 0.0, *rows)
+        _, _, active, feasible = kernel.solve_qp2(0.0, 0.0, *rows)
+        u0, u1 = kernel.least_violation(0.0, 0.0, *rows, *NO_BOX)
         assert not feasible and active == ()
         assert squared_violation((u0, u1), *rows) <= squared_violation((0.0, 0.0), *rows)
 
@@ -323,9 +401,10 @@ class TestSolveQp2:
             m = int(rng.integers(2, 8))
             rows = [rng.normal(size=m).tolist() for _ in range(3)]
             u_ref = tuple(rng.normal(size=2).tolist())
-            u0, u1, _, feasible = kernel.solve_qp2(*u_ref, *rows)
+            _, _, _, feasible = kernel.solve_qp2(*u_ref, *rows)
             if feasible:
                 continue
+            u0, u1 = kernel.least_violation(*u_ref, *rows, *NO_BOX)
             infeasible += 1
             assert squared_violation((u0, u1), *rows) <= squared_violation(u_ref, *rows)
         assert infeasible > 300
@@ -337,7 +416,8 @@ class TestSolveQp2:
         # u_ref projected onto it, with no division by an under- or
         # overflowed tr(A)^2
         rows = ([s, -0.6 * s], [s, -0.6 * s], [1.0, 1.0])
-        u0, u1, active, feasible = kernel.solve_qp2(0.3, 0.2, *rows)
+        _, _, active, feasible = kernel.solve_qp2(0.3, 0.2, *rows)
+        u0, u1 = kernel.least_violation(0.3, 0.2, *rows, *NO_BOX)
         assert not feasible and active == ()
         shift = (0.4 / (1.36 * s) - 0.5) / 2
         assert u0 == pytest.approx(0.3 + shift, rel=1e-12, abs=1e-15)
@@ -345,6 +425,7 @@ class TestSolveQp2:
         assert squared_violation((u0, u1), *rows) <= squared_violation((0.3, 0.2), *rows)
         # opposed normals of that size leave u_ref, their least squares point
         assert kernel.solve_qp2(0.0, 0.0, [s, -s], [0.0, 0.0], [1.0, 1.0]) == (0.0, 0.0, (), False)
+        assert kernel.least_violation(0.0, 0.0, [s, -s], [0.0, 0.0], [1.0, 1.0], *NO_BOX) == (0.0, 0.0)
         cfg = FilterConfig(gamma=1.0, regularization_eps=1e-160)
         res = filter_qp((0.0, 0.0), [ev(0.0, -1.0, (s, 0.0)), ev(0.0, -1.0, (-s, 0.0))], cfg)
         assert res.u_star == (0.0, 0.0) and res.infeasible

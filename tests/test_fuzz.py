@@ -3,7 +3,8 @@
 Each example takes a corpus scenario, cut to 0.5 s so that runs stay
 short, applies one or two mutations (a value swapped for one of
 another type, for a small number, or for NaN or +-inf, or a key
-deleted) and runs `validate` and `simulate` on the result.
+deleted) and runs `validate` and `simulate` on the result. A file that
+`validate` accepts never makes `simulate` exit 3 or abort at step 0.
 """
 
 import copy
@@ -78,9 +79,13 @@ def test_mutated_corpus_exit_codes(doc):
         path.write_text(json.dumps(doc))
         validated = main(["validate", "--scenario", str(path)])
         simulated = main(["simulate", "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+        summary = Path(tmp) / "out" / "summary.json"
+        aborted_at = json.loads(summary.read_text()).get("step") if summary.exists() else None
     assert validated in (0, 3)
     assert simulated in (0, 2, 3)
     if validated == 0:
+        # validate runs the first step, so a run it accepts gets past it
         assert simulated != 3
+        assert aborted_at != 0
     if any(isinstance(v, float) and not math.isfinite(v) for v in _leaves(doc)):
         assert validated == 3

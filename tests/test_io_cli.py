@@ -318,6 +318,19 @@ class TestCli:
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(bad)]) == 3
 
+    def test_refused_first_step_exit_3(self, tmp_path):
+        # u_ref is (inf, 0) at step 0, which the filter refuses: the run can
+        # only abort, and validate runs that first step
+        doc = json.loads((SCENARIO_DIR / "pointmass-braking.json").read_text())
+        doc["controller"]["k1"] = 1e308
+        doc["controller"]["v_des_vec"] = [5, 0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["validate", "--scenario", str(bad)]) == 3
+        assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
+        assert json.loads((out / "summary.json").read_text())["step"] == 0
+
     def test_huge_integer_literal_exit_3(self, tmp_path):
         bad = tmp_path / "big.json"
         bad.write_text(json.dumps(minimal_doc()).replace('"w": 0.6', '"w": 1' + "0" * 400))
