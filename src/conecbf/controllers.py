@@ -73,12 +73,9 @@ def p_controller(s: UnicycleState, g: PGains):
     return (g.k1 * (g.v_des - s.v), -g.k2 * s.omega)
 
 
-def p_speed_bicycle(s: BicycleState, g: PGains, a_max: float = None) -> float:
-    """Speed-tracking reference acceleration, optionally saturated."""
-    a = g.k1 * (g.v_des - s.v)
-    if a_max is not None:
-        a = min(max(a, -a_max), a_max)
-    return a
+def p_speed_bicycle(s: BicycleState, g: PGains) -> float:
+    """Speed-tracking reference acceleration for the bicycle."""
+    return g.k1 * (g.v_des - s.v)
 
 
 def p_velocity(s: PointMassState, k1: float, v_des):

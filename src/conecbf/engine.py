@@ -171,20 +171,17 @@ def _reference_input(sc: Scenario, state):
         return (0.0, 0.0)
     if sc.model == "unicycle":
         u = p_controller(state, c._gains)
-        if c.a_max is not None:
-            u = (min(max(u[0], -c.a_max), c.a_max), u[1])
+    elif sc.model == "bicycle":
+        a = p_speed_bicycle(state, c._gains)
+        u = (a, stanley_lateral(state, c.path, c.k_e, sc.params) if c.kind == "stanley" else 0.0)
+    else:
+        u = p_velocity(state, c.k1, c._v_target)
+    if c.a_max is None:
         return u
-    if sc.model == "bicycle":
-        a = p_speed_bicycle(state, c._gains, c.a_max)
-        if c.kind == "stanley":
-            beta = stanley_lateral(state, c.path, c.k_e, sc.params)
-        else:
-            beta = 0.0
-        return (a, beta)
-    u = p_velocity(state, c.k1, c._v_target)
-    if c.a_max is not None:
-        u = (min(max(u[0], -c.a_max), c.a_max), min(max(u[1], -c.a_max), c.a_max))
-    return u
+    # a_max clamps the thrust a of the unicycle and the bicycle, and both
+    # components (ax, ay) of the point mass
+    a0 = min(max(u[0], -c.a_max), c.a_max)
+    return (a0, min(max(u[1], -c.a_max), c.a_max) if sc.model == "pointmass" else u[1])
 
 
 def run_scenario(sc: Scenario) -> TrajectoryLog:
@@ -346,17 +343,13 @@ def classify_behavior(log: TrajectoryLog):
     norm = hypot(*track)
     if norm > 1e-9:
         tx, ty = track[0] / norm, track[1] / norm
-        for i, o in enumerate(log.scenario.obstacles):
-            if not o.moves():
-                continue
-            s_rel = []
-            for k, t in enumerate(log.t):
-                cx, cy, _, _ = o.state_at(t)
-                vx, vy = log.states[k][0], log.states[k][1]
-                s_rel.append((vx - cx) * tx + (vy - cy) * ty)
-            if s_rel[0] < 0 and s_rel[-1] > 0:
-                labels.append("overtaking")
-                break
+
+        def along(o, k):
+            cx, cy, _, _ = o.state_at(log.t[k])
+            return (log.states[k][0] - cx) * tx + (log.states[k][1] - cy) * ty
+
+        if any(o.moves() and along(o, 0) < 0 and along(o, -1) > 0 for o in log.scenario.obstacles):
+            labels.append("overtaking")
     return tuple(labels)
 
 
@@ -377,11 +370,9 @@ def safety_metrics(log: TrajectoryLog) -> SafetyMetrics:
     sc = log.scenario
     radii = [effective_radius(o, sc.params) for o in sc.obstacles]
     if sc.obstacles and log.t:
-        per_obs = tuple(
-            min(log.dist[k][i] - radii[i] for k in range(len(log.t)))
-            for i in range(len(sc.obstacles))
-        )
-        min_h = min(min(hs) for hs in log.h)
+        # min(d) - r is min(d - r) bit for bit: rounding keeps the order
+        per_obs = tuple(min(column) - r for column, r in zip(zip(*log.dist), radii))
+        min_h = min(map(min, log.h))
         overall = min(per_obs)
     else:
         per_obs = ()

@@ -14,8 +14,9 @@ locale independent; the active and penetration flags as 0 or 1.
 import csv
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from itertools import islice
+from math import isfinite
 
 from .cbf import Obstacle, effective_radius
 from .controllers import ReferencePath
@@ -190,7 +191,13 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    """Inverse of parse_scenario (round-trips exactly)."""
+    """Inverse of parse_scenario for every field a run reads.
+
+    parse_scenario(scenario_to_dict(sc)) == sc holds unless sc sets a field
+    its run never reads; such a field is dropped and comes back at its
+    default: hocbf_gamma1 unless cbf is 'hocbf', every controller field but
+    kind for a 'zero' controller, and k_e and the path unless it is 'stanley'.
+    """
     doc = {
         "name": sc.name,
         "model": sc.model,
@@ -241,10 +248,8 @@ def scenario_to_dict(sc: Scenario) -> dict:
     if sc.filter.activation_radius != _INF:
         doc["filter"]["activation_radius"] = sc.filter.activation_radius
     if sc.filter.input_bounds is not None:
-        doc["filter"]["input_bounds"] = [
-            [None if lo == -_INF else lo, None if hi == _INF else hi]
-            for lo, hi in sc.filter.input_bounds
-        ]
+        # an open side is infinite, written as null
+        doc["filter"]["input_bounds"] = _finite_or_none(sc.filter.input_bounds)
     if sc.cbf == "hocbf":
         doc["hocbf_gamma1"] = sc.hocbf_gamma1
     if sc.saturate_speed:
@@ -274,10 +279,21 @@ def read_json(path, what: str) -> dict:
     return doc
 
 
+def _finite_or_none(doc):
+    """`doc` as strict JSON data: each non-finite float None, each tuple a list."""
+    if isinstance(doc, dict):
+        return {k: _finite_or_none(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite_or_none(v) for v in doc]
+    if isinstance(doc, float) and not isfinite(doc):
+        return None
+    return doc
+
+
 def write_json(doc, path):
-    """Write `doc` as JSON indented by 2, ending in a newline."""
+    """Write `doc` as strict JSON (NaN or infinity raise) indented by 2, ending in a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -340,6 +356,8 @@ def read_trajectory_csv(path):
             except StopIteration:
                 raise ValidationError(f"{path}: empty CSV")
             rows = list(reader)
+            if not rows:
+                raise ValidationError(f"{path}: no data rows")
     except OSError as exc:
         raise ValidationError(f"cannot read CSV {path}: {exc}")
     # the header must be the one csv_header writes for some model, with the
@@ -364,25 +382,18 @@ def read_trajectory_csv(path):
 
 
 def summarize(log: TrajectoryLog) -> dict:
-    """Structured-text summary written next to the trajectory CSV."""
+    """Summary written next to the trajectory CSV; a non-finite number in it is None."""
     sc = log.scenario
-    m = safety_metrics(log)
-    radii = [effective_radius(o, sc.params) for o in sc.obstacles]
-    return {
+    return _finite_or_none({
         "scenario": scenario_to_dict(sc),
         "steps": len(log.t),
         "collided": log.collided,
         "collision_step": log.collision_step,
         "collision_obstacle": log.collision_obstacle,
         "behaviors": list(classify_behavior(log)) if not log.collided else [],
-        "effective_radii": radii,
+        "effective_radii": [effective_radius(o, sc.params) for o in sc.obstacles],
         "metrics": {
-            "min_clearance": list(m.min_clearance),
-            "min_clearance_overall": _none_if_inf(m.min_clearance_overall),
-            "min_h": _none_if_inf(m.min_h),
-            "active_fraction": m.active_fraction,
-            "max_u_safe": m.max_u_safe,
-            "max_abs_beta": m.max_abs_beta,
+            **asdict(safety_metrics(log)),
             "degenerate_steps": sum(log.degenerate),
             "infeasible_steps": sum(log.infeasible),
         },
@@ -391,11 +402,7 @@ def summarize(log: TrajectoryLog) -> dict:
             "brake_speed_fraction": BRAKE_SPEED_FRACTION,
             "collision_slack": COLLISION_SLACK,
         },
-    }
-
-
-def _none_if_inf(x):
-    return None if x == _INF else x
+    })
 
 
 def write_summary(log: TrajectoryLog, path) -> dict:

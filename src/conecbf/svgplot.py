@@ -4,8 +4,10 @@ Hand-rolled emitter (no plotting dependency) so batch outputs are
 deterministic text files. Trace segments where the filter was active are
 drawn in a highlight color, matching the convention of coloring the
 portions of a run where the safe input differs from the reference.
+Non-finite samples are skipped: they neither frame a plot nor join a trace.
 """
 
+from itertools import repeat
 from math import ceil, floor, isfinite, log10
 
 from .cbf import effective_radius
@@ -22,9 +24,11 @@ GRID = "#d8d8d8"
 
 
 class _Frame:
-    """Maps world coordinates into the pixel viewport."""
+    """Maps world coordinates into the pixel viewport framing the finite ones."""
 
     def __init__(self, xs, ys, equal_aspect=False, pad=0.08):
+        xs = [v for v in xs if isfinite(v)] or [0.0]
+        ys = [v for v in ys if isfinite(v)] or [0.0]
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
         dx = (xmax - xmin) or 1.0
@@ -43,6 +47,8 @@ class _Frame:
             cy = 0.5 * (ymin + ymax)
             xmin, xmax = cx - 0.5 * w_avail / s, cx + 0.5 * w_avail / s
             ymin, ymax = cy - 0.5 * h_avail / s, cy + 0.5 * h_avail / s
+        if not (isfinite(xmax - xmin) and isfinite(ymax - ymin)):
+            raise ValidationError("the samples span more than the float range")
         self.xmin, self.xmax, self.ymin, self.ymax = xmin, xmax, ymin, ymax
 
     def px(self, x):
@@ -138,19 +144,35 @@ class _Svg:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _active_runs(xs, ys, flags):
-    """Split a trace into (points, active) runs by the filter-active flag."""
-    runs = []
-    cur = [(xs[0], ys[0])]
-    cur_flag = flags[0]
-    for i in range(1, len(xs)):
-        cur.append((xs[i], ys[i]))
-        if flags[i] != cur_flag:
-            runs.append((cur, cur_flag))
-            cur = [(xs[i], ys[i])]
-            cur_flag = flags[i]
-    runs.append((cur, cur_flag))
-    return runs
+def _trace(svg, frame, xs, ys, flags, styles):
+    """One polyline per run of equal flag, in styles[flag] = (color, width, dash).
+
+    The sample where the flag switches closes one run and opens the next; a
+    non-finite sample is not drawn and ends the run.
+    """
+    run, flag = [], False
+    for x, y, f in zip(xs, ys, flags):
+        if not (isfinite(x) and isfinite(y)):
+            svg.polyline(run, *styles[flag])
+            run = []
+            continue
+        pt = (frame.px(x), frame.py(y))
+        if run and f != flag:
+            svg.polyline(run + [pt], *styles[flag])
+            run = []
+        if not run:
+            flag = f
+        run.append(pt)
+    svg.polyline(run, *styles[flag])
+
+
+def _legend(svg, entries):
+    """(text, color) lines, right-aligned under the title."""
+    for i, (text, color) in enumerate(entries):
+        svg.text(W - MARGIN, 40 + 14 * i, text, anchor="end", color=color)
+
+
+FILTER_LEGEND = (("filter active", ACTIVE), ("filter inactive", INACTIVE))
 
 
 def _any_active(data):
@@ -185,16 +207,11 @@ def plot_path(data, summary, title="vehicle path"):
         if moving:
             svg.line(frame.px(sx), frame.py(sy), frame.px(ex), frame.py(ey), OBSTACLE, 1.0, dash="4 3")
             svg.circle(frame.px(ex), frame.py(ey), r * s, OBSTACLE, dash="4 3")
-    for pts, flag in _active_runs(xs, ys, _any_active(data)):
-        svg.polyline(
-            [(frame.px(x), frame.py(y)) for x, y in pts],
-            ACTIVE if flag else INACTIVE,
-            width=2.2 if flag else 1.6,
-        )
-    svg.circle(frame.px(xs[0]), frame.py(ys[0]), 4, "#111", fill="#111")
-    svg.text(frame.px(xs[0]) + 8, frame.py(ys[0]) - 6, "start", anchor="start")
-    svg.text(W - MARGIN, 40, "filter active", anchor="end", color=ACTIVE)
-    svg.text(W - MARGIN, 54, "filter inactive", anchor="end", color=INACTIVE)
+    _trace(svg, frame, xs, ys, _any_active(data), ((INACTIVE, 1.6), (ACTIVE, 2.2)))
+    if isfinite(xs[0]) and isfinite(ys[0]):
+        svg.circle(frame.px(xs[0]), frame.py(ys[0]), 4, "#111", fill="#111")
+        svg.text(frame.px(xs[0]) + 8, frame.py(ys[0]) - 6, "start", anchor="start")
+    _legend(svg, FILTER_LEGEND)
     return svg.tostring()
 
 
@@ -204,22 +221,15 @@ def plot_hvalue(data, title="barrier value over time"):
     h_cols = sorted((c for c in data if c.startswith("h_")), key=lambda c: int(c.split("_")[1]))
     if not h_cols:
         raise ValidationError("no h columns in CSV (scenario had no obstacles)")
-    all_h = [v for c in h_cols for v in data[c] if isfinite(v)]
-    frame = _Frame(t, all_h + [0.0])
+    frame = _Frame(t, [v for c in h_cols for v in data[c]] + [0.0])
     svg = _Svg(title)
     svg.axes(frame, "t [s]", "h")
     if frame.ymin < 0 < frame.ymax:
         svg.line(MARGIN, frame.py(0), W - MARGIN, frame.py(0), "#555", 1.0, dash="6 4")
     active = _any_active(data)
     for c in h_cols:
-        for pts, flag in _active_runs(t, data[c], active):
-            svg.polyline(
-                [(frame.px(x), frame.py(y)) for x, y in pts],
-                ACTIVE if flag else INACTIVE,
-                width=2.0 if flag else 1.4,
-            )
-    svg.text(W - MARGIN, 40, "filter active", anchor="end", color=ACTIVE)
-    svg.text(W - MARGIN, 54, "filter inactive", anchor="end", color=INACTIVE)
+        _trace(svg, frame, t, data[c], active, ((INACTIVE, 1.4), (ACTIVE, 2.0)))
+    _legend(svg, FILTER_LEGEND)
     return svg.tostring()
 
 
@@ -237,11 +247,6 @@ def plot_inputs(data, title="reference vs filtered input"):
     svg = _Svg(title)
     svg.axes(frame, "t [s]", "u")
     for name, color, dash in series:
-        svg.polyline(
-            [(frame.px(x), frame.py(y)) for x, y in zip(t, data[name])],
-            color, width=1.6, dash=dash,
-        )
-    svg.text(W - MARGIN, 40, "u*[0]", anchor="end", color=INACTIVE)
-    svg.text(W - MARGIN, 54, "u*[1]", anchor="end", color=ACTIVE)
-    svg.text(W - MARGIN, 68, "reference (dashed)", anchor="end", color=REF)
+        _trace(svg, frame, t, data[name], repeat(False), ((color, 1.6, dash),))
+    _legend(svg, (("u*[0]", INACTIVE), ("u*[1]", ACTIVE), ("reference (dashed)", REF)))
     return svg.tostring()

@@ -6,16 +6,20 @@ import pytest
 
 from conecbf import (
     BicycleState,
+    ControllerSpec,
+    FilterConfig,
     ModelParams,
     PGains,
     PointMassState,
     ReferencePath,
+    Scenario,
     UnicycleState,
     ValidationError,
     integrate_step,
     p_controller,
     p_speed_bicycle,
     p_velocity,
+    run_scenario,
     stanley_lateral,
 )
 
@@ -68,7 +72,13 @@ class TestPSpeedBicycle:
         assert p_speed_bicycle(BicycleState(0, 0, 0, 1.0), PGains(k1=1.0, v_des=2.0)) == 1.0
 
     def test_saturation(self):
-        a = p_speed_bicycle(BicycleState(0, 0, 0, 0.0), PGains(k1=5.0, v_des=3.0), a_max=2.0)
+        # the engine applies the controller's a_max to the law's output
+        sc = Scenario(
+            name="sat", model="bicycle", params=PARAMS, initial_state=BicycleState(0, 0, 0, 0.0),
+            obstacles=(), controller=ControllerSpec(kind="p", k1=5.0, v_des=3.0, a_max=2.0),
+            filter=FilterConfig(), duration=0.01,
+        )
+        a = run_scenario(sc).u_ref[0][0]
         assert a == 2.0
 
 

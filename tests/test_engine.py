@@ -13,6 +13,7 @@ from conecbf import (
     ModelParams,
     Obstacle,
     PointMassState,
+    ReferencePath,
     Scenario,
     SimulationError,
     UnicycleState,
@@ -21,6 +22,7 @@ from conecbf import (
     load_scenario,
     run_scenario,
     safety_metrics,
+    stanley_lateral,
 )
 import conecbf.engine as engine
 from conecbf.engine import MAX_STEPS, ControllerSpec
@@ -299,6 +301,74 @@ class TestRunScenario:
             run_scenario(sc)
 
 
+class TestReferenceInput:
+    """The u_ref the engine logs: the controller law, then a_max."""
+
+    @staticmethod
+    def first_u_ref(model, state, controller, params=ModelParams(w=0.6)):
+        sc = simple_scenario(model=model, params=params, initial_state=state,
+                             controller=controller, cbf="none", duration=0.01)
+        return run_scenario(sc).u_ref[0]
+
+    @pytest.mark.parametrize("v,a", [(0.0, 2.0), (6.0, -2.0)])
+    def test_a_max_clamps_unicycle_thrust_only(self, v, a):
+        # alpha = -k2 omega = -10 lies outside [-a_max, a_max] and is kept
+        spec = ControllerSpec(kind="p", k1=5.0, k2=10.0, v_des=3.0, a_max=2.0)
+        assert self.first_u_ref("unicycle", UnicycleState(0, 0, 0, v, 1.0), spec) == (a, -10.0)
+
+    @pytest.mark.parametrize("v,a", [(0.0, 0.05), (6.0, -0.05)])
+    def test_a_max_clamps_bicycle_thrust_only(self, v, a):
+        params = ModelParams(w=0.6, beta_max=0.3)
+        path = ReferencePath(((0.0, 5.0), (50.0, 5.0)))
+        spec = ControllerSpec(kind="stanley", k1=5.0, v_des=3.0, k_e=1.0, path=path, a_max=0.05)
+        state = BicycleState(0, 0, 0, v)
+        beta = stanley_lateral(state, path, 1.0, params)
+        assert beta > 0.05  # outside [-a_max, a_max], and kept
+        assert self.first_u_ref("bicycle", state, spec, params) == (a, beta)
+
+    def test_a_max_clamps_both_pointmass_components(self):
+        spec = ControllerSpec(kind="p", k1=5.0, v_des_vec=(3.0, -3.0), a_max=2.0)
+        assert self.first_u_ref("pointmass", PointMassState(0, 0, 0, 0), spec) == (2.0, -2.0)
+
+    @pytest.mark.parametrize("model,state", [
+        ("unicycle", UnicycleState(0, 0, 0, 1.0, 0.5)),
+        ("bicycle", BicycleState(0, 0, 0, 1.0)),
+        ("pointmass", PointMassState(0, 0, 1.0, -1.0)),
+    ])
+    def test_zero_controller(self, model, state):
+        assert self.first_u_ref(model, state, ControllerSpec(kind="zero")) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("v", [0.0, 3.0])
+    def test_unfiltered_run_saturates_to_the_box(self, v):
+        # with cbf 'none' the box saturates u_ref: thrust from above (v = 0)
+        # or below (v = 3), yaw acceleration on its finite lower side
+        (lo0, hi0), (lo1, hi1) = bounds = ((-0.5, 0.5), (-0.2, math.inf))
+        sc = simple_scenario(
+            initial_state=UnicycleState(0, 0, 0, v, 1.0),
+            controller=ControllerSpec(kind="p", k1=2.0, k2=1.0, v_des=1.5),
+            obstacles=(Obstacle(8, 0.0),),
+            filter=FilterConfig(gamma=1.0, input_bounds=bounds),
+            duration=3.0,
+            cbf="none",
+        )
+        log = run_scenario(sc)
+        assert log.u_star == [
+            (min(max(a, lo0), hi0), min(max(alpha, lo1), hi1)) for a, alpha in log.u_ref
+        ]
+        assert any(not lo0 <= a <= hi0 for a, _ in log.u_ref)
+        assert min(alpha for _, alpha in log.u_ref) < lo1
+
+    def test_bicycle_slip_bounds_within_beta_max(self):
+        kw = dict(
+            name="slip", model="bicycle", params=ModelParams(w=0.6, beta_max=0.2),
+            initial_state=BicycleState(0, 0, 0, 1.0), obstacles=(),
+            controller=ControllerSpec(kind="p", k1=1.0, v_des=1.0),
+        )
+        Scenario(filter=FilterConfig(input_bounds=((-1.0, 1.0), (-0.2, 0.2))), **kw)
+        with pytest.raises(ValidationError, match="beta_max"):
+            Scenario(filter=FilterConfig(input_bounds=((-1.0, 1.0), (-0.2, 0.25))), **kw)
+
+
 class TestClassifyAndMetrics:
     def test_pointmass_target_velocity_read_once(self):
         # v_des alone means a target velocity of (v_des, 0): the controller,
@@ -325,6 +395,17 @@ class TestClassifyAndMetrics:
         )
         log = run_scenario(sc)
         assert "reversing" in classify_behavior(log)
+
+    def test_overtaking_reads_each_moving_obstacle_twice(self, monkeypatch):
+        # the label needs the along-track sign at the first and last step only
+        log = run_scenario(load_scenario(SCENARIO_DIR / "unicycle-overtaking.json"))
+        moving = [o for o in log.scenario.obstacles if o.moves()]
+        reads = []
+        state_at = Obstacle.state_at
+        monkeypatch.setattr(Obstacle, "state_at", lambda o, t: reads.append(o) or state_at(o, t))
+        assert classify_behavior(log) == ("turning", "overtaking")
+        assert moving and all(o.moves() for o in reads)
+        assert all(reads.count(o) <= 2 for o in moving)
 
     def test_metrics_fields(self):
         sc = simple_scenario(

@@ -1,5 +1,6 @@
 """Scenario files, trajectory CSV contract, and the command line."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conecbf import (
+    ControllerSpec,
     FilterConfig,
     ModelParams,
     Obstacle,
@@ -23,7 +25,13 @@ from conecbf import (
 )
 from conecbf.cli import main
 from conecbf.models import STATE_FIELDS
-from conecbf.scenario_io import CSV_BLOCK_ROWS, csv_header, read_trajectory_csv, write_trajectory_csv
+from conecbf.scenario_io import (
+    CSV_BLOCK_ROWS,
+    csv_header,
+    read_json,
+    read_trajectory_csv,
+    write_trajectory_csv,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 NAN = float("nan")
@@ -97,6 +105,46 @@ class TestScenarioFiles:
         assert sc.obstacles == (Obstacle(6.0, 0.5),)
         for name in ("dt", "duration", "cbf", "hocbf_gamma1", "saturate_speed"):
             assert getattr(sc, name) == defaults[name], name
+
+    def test_input_bounds_with_open_sides(self):
+        # a null side is an open side, and scenario_to_dict writes it back
+        sides = [[None, 2.0], [-1.0, None]]
+        sc = parse_scenario(minimal_doc(filter={"gamma": 1.0, "input_bounds": sides}))
+        assert sc.filter.input_bounds == ((-INF, 2.0), (-1.0, INF))
+        doc = scenario_to_dict(sc)
+        assert doc["filter"]["input_bounds"] == sides
+        assert parse_scenario(doc) == sc
+
+    def test_round_trip_exact_for_fields_a_run_reads(self):
+        doc = minimal_doc(
+            model="bicycle",
+            params={"w": 0.6, "beta_max": 0.3, "v_max": 2.5},
+            initial_state={"x": 0, "y": 0, "theta": 0, "v": 1.0},
+            controller={"kind": "p", "k1": 2.0, "v_des": 1.0, "a_max": 0.7},
+            filter={"gamma": 1.0, "activation_radius": 5.0,
+                    "input_bounds": [[-1.0, None], [-0.25, 0.25]]},
+            saturate_speed=True,
+        )
+        for sc in (parse_scenario(doc), parse_scenario(minimal_doc(cbf="hocbf", hocbf_gamma1=2.5))):
+            assert parse_scenario(scenario_to_dict(sc)) == sc
+
+    def test_round_trip_canonical_for_fields_a_run_never_reads(self):
+        # these fields change nothing a run does, so scenario_to_dict drops
+        # them and the round trip gives their defaults back
+        sc = parse_scenario(minimal_doc())
+        path = load_scenario(SCENARIO_DIR / "bicycle-path-yield.json").controller.path
+        cases = [
+            # hocbf_gamma1 is read by the hocbf barrier only
+            (replace(sc, hocbf_gamma1=2.5), replace(sc, hocbf_gamma1=1.0)),
+            # a zero controller reads no gain
+            (replace(sc, controller=ControllerSpec(kind="zero", k1=3.0, v_des=2.0, a_max=1.0)),
+             replace(sc, controller=ControllerSpec(kind="zero"))),
+            # k_e and the path are read by the stanley controller only
+            (replace(sc, controller=replace(sc.controller, k_e=2.0, path=path)), sc),
+        ]
+        for given, canonical in cases:
+            assert given != canonical
+            assert parse_scenario(scenario_to_dict(given)) == canonical
 
     def test_bad_json_reports_line(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -175,6 +223,19 @@ class TestTrajectoryCsv:
             read_trajectory_csv(path)
         assert main(["plot", "--csv", str(path), "--out", str(tmp_path / "x.svg"),
                      "--mode", "inputs"]) == 3
+
+    @pytest.mark.parametrize("mode", ["path", "hvalue", "inputs"])
+    def test_header_only_rejected(self, tmp_path, mode):
+        # a run logs at least one step; every plot mode needs one
+        run = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(SCENARIO_DIR / "unicycle-braking.json"),
+                     "--out", str(run), "--duration", "0.1"]) == 0
+        path = run / "trajectory.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        with pytest.raises(ValidationError, match="no data rows"):
+            read_trajectory_csv(path)
+        assert main(["plot", "--csv", str(path), "--out", str(tmp_path / "x.svg"),
+                     "--mode", mode]) == 3
 
     @pytest.mark.parametrize("n_obstacles", [0, 2])
     @pytest.mark.parametrize("n_rows", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 7])
@@ -426,6 +487,69 @@ class TestCli:
         summary = json.loads((out / "a-huge-gain" / "summary.json").read_text())
         assert summary["step"] == 0 and "filter failed" in summary["aborted"]
 
+    def test_batch_goes_on_past_an_invalid_file(self, tmp_path, capsys):
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        (mixed / "a-invalid.json").write_text(json.dumps(minimal_doc(extra=1)))
+        (mixed / "b-braking.json").write_text((SCENARIO_DIR / "unicycle-braking.json").read_text())
+        out = tmp_path / "o"
+        assert main(["batch", "--scenarios", str(mixed), "--out", str(out)]) == 3
+        assert "unknown key" in capsys.readouterr().err
+        rows = (out / "report.csv").read_text().splitlines()
+        assert rows[1] == "a-invalid,invalid,,,,"
+        assert rows[2].split(",")[:2] == ["unicycle-braking", "safe"]
+        assert (out / "b-braking" / "trajectory.csv").exists()
+        assert (out / "b-braking" / "summary.json").exists()
+
+    @pytest.mark.parametrize("bounds,verb", [
+        ([[1, 0], [-1, 1]], "simulate"),
+        ([[1, 0], [-1, 1]], "validate"),
+        ([[-1, 1], [0, 0]], "validate"),
+    ])
+    def test_empty_input_bounds_exit_3(self, tmp_path, bounds, verb):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(minimal_doc(filter={"gamma": 1.0, "input_bounds": bounds})))
+        argv = ["--out", str(tmp_path / "o")] if verb == "simulate" else []
+        assert main([verb, "--scenario", str(bad), *argv]) == 3
+
+    def test_bicycle_slip_bounds_beyond_beta_max_exit_3(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "bicycle-braking.json").read_text())
+        bad = tmp_path / "slip.json"
+        doc["filter"]["input_bounds"] = [[None, None], [-0.2, 0.2]]
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 0
+        doc["filter"]["input_bounds"] = [[None, None], [-0.3, 0.2]]
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(bad)]) == 3
+        assert "beta_max" in capsys.readouterr().err
+
+    def test_obstacle_free_run_reports_no_clearance(self, tmp_path, capsys):
+        # no obstacle, no clearance: null in summary.json, empty report cells
+        doc = json.loads((SCENARIO_DIR / "unicycle-turning.json").read_text())
+        doc["obstacles"] = []
+        free = tmp_path / "free"
+        free.mkdir()
+        (free / "unicycle-turning.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(free / "unicycle-turning.json"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "unicycle-turning: safe, steps=2001, behaviors=-, min_clearance=None, "
+            "min_h=None, active_fraction=0.000\n"
+        )
+        summary = (out / "summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == (
+            "cc6d9d12f1f3a52cbdaf3f1617b951b31d3743d2884e61052dcf9eda4d5df013"
+        )
+        assert json.loads(summary)["metrics"] == {
+            "min_clearance": [], "min_clearance_overall": None, "min_h": None,
+            "active_fraction": 0.0, "max_u_safe": 0.0, "max_abs_beta": None,
+            "degenerate_steps": 0, "infeasible_steps": 0,
+        }
+        assert main(["batch", "--scenarios", str(free), "--out", str(tmp_path / "b")]) == 0
+        report = (tmp_path / "b" / "report.csv").read_text().splitlines()
+        assert report[1] == "unicycle-turning,safe,,,,0.0"
+
     @pytest.mark.parametrize("mode", ["path", "hvalue", "inputs"])
     def test_plot_modes(self, tmp_path, mode):
         out = tmp_path / "run"
@@ -476,6 +600,80 @@ class TestCli:
             "--out", str(tmp_path / "o"), "--gamma", "nan",
         ])
         assert code == 3
+
+
+class TestNonFinite:
+    """A run may log non-finite numbers; its report and plots stay finite."""
+
+    @pytest.fixture
+    def far_run(self, tmp_path):
+        # an obstacle so far away that its barrier reads h = inf, psi = nan
+        doc = json.loads((SCENARIO_DIR / "unicycle-turning.json").read_text())
+        doc["filter"].pop("activation_radius", None)
+        doc["obstacles"].append({"center": [1e200, 0.0]})
+        scenario = tmp_path / "far.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def plot(run, mode, cells=()):
+        """Exit code and SVG text of `plot` on run's CSV with the given
+        (data row, column, text) cells replaced."""
+        lines = (run / "trajectory.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for k, column, text in cells:
+            row = lines[k + 1].split(",")
+            row[header.index(column)] = text
+            lines[k + 1] = ",".join(row)
+        edited = run / "edited.csv"
+        edited.write_text("\n".join(lines) + "\n")
+        svg = run / f"{mode}.svg"
+        code = main(["plot", "--csv", str(edited), "--out", str(svg), "--mode", mode])
+        return code, svg.read_text() if code == 0 else None
+
+    def test_summary_is_strict_json(self, far_run):
+        data = read_trajectory_csv(far_run / "trajectory.csv")
+        assert data["h_1"][0] == INF and data["psi_1"][0] != data["psi_1"][0]
+        text = (far_run / "summary.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        metrics = read_json(far_run / "summary.json", "summary")["metrics"]
+        assert metrics["min_clearance"][0] > 0
+        assert metrics["min_clearance"][1] is None
+
+    @pytest.mark.parametrize("mode", ["path", "hvalue", "inputs"])
+    def test_plots_skip_non_finite_samples(self, far_run, mode):
+        code, text = self.plot(far_run, mode)
+        assert code == 0
+        assert "inf" not in text and "nan" not in text
+        ET.fromstring(text)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_input_sample_breaks_the_trace(self, far_run, value):
+        code, text = self.plot(far_run, "inputs", [(4, "u_star_0", value)])
+        assert code == 0
+        assert "inf" not in text and "nan" not in text
+        # u*[0] is drawn as two polylines, either side of the gap at step 4
+        ns = "{http://www.w3.org/2000/svg}"
+        drawn = [e for e in ET.fromstring(text).iter(ns + "polyline")
+                 if e.get("stroke") == "#3567a6"]
+        n = len(read_trajectory_csv(far_run / "trajectory.csv")["t"])
+        assert [len(e.get("points").split()) for e in drawn] == [4, n - 5]
+
+    def test_plot_draws_no_non_finite_mark(self, far_run):
+        # the start marker sits on a non-finite sample
+        code, text = self.plot(far_run, "path", [(0, "x", "nan")])
+        assert code == 0 and "nan" not in text
+        # no input sample is finite, so nothing frames the inputs plot
+        n = len(read_trajectory_csv(far_run / "trajectory.csv")["t"])
+        inputs = ("u_ref_0", "u_ref_1", "u_star_0", "u_star_1")
+        code, text = self.plot(far_run, "inputs", [(k, c, "nan") for k in range(n) for c in inputs])
+        assert code == 0 and "nan" not in text
+
+    def test_plot_span_beyond_float_range_exit_3(self, far_run):
+        cells = [(2, "u_star_0", "1e308"), (3, "u_star_0", "-1e308")]
+        assert self.plot(far_run, "inputs", cells) == (3, None)
 
 
 class TestPlotPath:
