@@ -19,7 +19,7 @@ from .cbf import (
     hocbf_eval,
 )
 from .controllers import (
-    PGains,
+    ControllerSpec,
     ReferencePath,
     p_controller,
     p_speed_bicycle,
@@ -27,7 +27,6 @@ from .controllers import (
     stanley_lateral,
 )
 from .engine import (
-    ControllerSpec,
     SafetyMetrics,
     Scenario,
     TrajectoryLog,
@@ -58,7 +57,6 @@ __all__ = [
     "FilterResult",
     "ModelParams",
     "Obstacle",
-    "PGains",
     "PointMassState",
     "ReferencePath",
     "SafetyMetrics",

@@ -6,16 +6,15 @@ steps and the 2-D QP are each defined here and nowhere else. Callers
 reach it through `conecbf._backend.kernel`. Everything is scalar math
 on plain floats, fast enough for real-time-style stepping.
 
-Barrier evaluations return a flat 6-tuple
-    (h, lfh, lg0, lg1, dist, penetration)
-where (lg0, lg1) is the input Lie-derivative row, dist the center
-distance used for gating, and penetration is 1.0 once the center
-distance falls inside the effective radius.
+The barrier kernels return `CbfEvaluation`, the package's barrier
+record, defined here once.
 """
 
-from math import cos, fmod, inf as _INF, isinf, pi, sin, sqrt
+from math import cos, fmod, hypot, inf as _INF, isinf, pi, sin, sqrt
+from typing import NamedTuple
 
 __all__ = [
+    "CbfEvaluation",
     "backend_name",
     "c3bf_unicycle",
     "c3bf_bicycle",
@@ -37,6 +36,23 @@ __all__ = [
 backend_name = "pure"
 
 _TWO_PI = 2.0 * pi
+
+
+class CbfEvaluation(NamedTuple):
+    """Barrier value with its Lie-derivative decomposition.
+
+    h' along the extended flow equals lfh + lgh . u for any input u, and
+    dist is the center distance used for gating. `penetration` marks
+    configurations inside the effective radius, where the cone
+    degenerates to a half-plane. An immutable record, made once per
+    obstacle per tick: a named tuple, built in one tuple construction.
+    """
+
+    h: float
+    lfh: float
+    lgh: tuple
+    penetration: bool
+    dist: float
 
 
 def wrap_angle(theta):
@@ -64,30 +80,36 @@ def wrap_angle(theta):
 
 
 def _cone_terms(px, py, vx, vy, r):
-    """Shared geometry: returns (h, ax, ay, bx, by, dist, pen).
+    """Shared geometry: returns (h, ax, ay, bx, by, dist, penetration).
 
     (ax, ay) = dh/dp_rel and (bx, by) = dh/dv_rel under the clamping
     conventions above.
     """
     d2 = px * px + py * py
-    dist = sqrt(d2)
     dot = px * vx + py * vy
     n2 = vx * vx + vy * vy
-    if d2 <= r * r:
+    if d2 == _INF:
+        # the squares overflow although the distance may not
+        dist = hypot(px, py)
+        inside = dist <= r
+    else:
+        dist = sqrt(d2)
+        inside = d2 <= r * r
+    if inside:
         # penetration: half-plane limit of the cone
-        return dot, vx, vy, px, py, dist, 1.0
-    s = sqrt(d2 - r * r)
+        return dot, vx, vy, px, py, dist, True
+    s = sqrt(dist - r) * sqrt(dist + r) if d2 == _INF else sqrt(d2 - r * r)
     n = sqrt(n2)
     h = dot + n * s
     if n == 0.0:
-        return h, vx, vy, px, py, dist, 0.0
+        return h, vx, vy, px, py, dist, False
     k1 = n / s
     k2 = s / n
     ax = vx + k1 * px
     ay = vy + k1 * py
     bx = px + k2 * vx
     by = py + k2 * vy
-    return h, ax, ay, bx, by, dist, 0.0
+    return h, ax, ay, bx, by, dist, False
 
 
 def c3bf_unicycle(x, y, th, v, om, l, cx, cy, cxd, cyd, r):
@@ -111,7 +133,7 @@ def c3bf_unicycle(x, y, th, v, om, l, cx, cy, cxd, cyd, r):
     # input columns of v_rel': a -> -e_t, alpha -> l*e_n
     lg0 = -(bx * ct + by * st)
     lg1 = l * (bx * st - by * ct)
-    return h, lfh, lg0, lg1, dist, pen
+    return CbfEvaluation(h, lfh, (lg0, lg1), pen, dist)
 
 
 def c3bf_bicycle(x, y, th, v, lr, cx, cy, cxd, cyd, r):
@@ -137,7 +159,7 @@ def c3bf_bicycle(x, y, th, v, lr, cx, cy, cxd, cyd, r):
     a_en = ax * st - ay * ct
     b_en = bx * st - by * ct
     lg1 = v * a_en + (v * v / lr) * b_en
-    return h, lfh, lg0, lg1, dist, pen
+    return CbfEvaluation(h, lfh, (lg0, lg1), pen, dist)
 
 
 def c3bf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, r):
@@ -147,8 +169,7 @@ def c3bf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, r):
     vx = cxd - vx_s
     vy = cyd - vy_s
     h, ax, ay, bx, by, dist, pen = _cone_terms(px, py, vx, vy, r)
-    lfh = ax * vx + ay * vy
-    return h, lfh, -bx, -by, dist, pen
+    return CbfEvaluation(h, ax * vx + ay * vy, (-bx, -by), pen, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +193,7 @@ def _ellipse_terms(x, y, vx, vy, cx, cy, cxd, cyd, c1, c2):
 def ellipse_unicycle(x, y, th, v, cx, cy, cxd, cyd, c1, c2):
     """Ellipse barrier for the acceleration unicycle: no input appears."""
     h, lfh, _, _, dist = _ellipse_terms(x, y, v * cos(th), v * sin(th), cx, cy, cxd, cyd, c1, c2)
-    return h, lfh, 0.0, 0.0, dist, 0.0
+    return CbfEvaluation(h, lfh, (0.0, 0.0), False, dist)
 
 
 def ellipse_bicycle(x, y, th, v, cx, cy, cxd, cyd, c1, c2):
@@ -181,13 +202,13 @@ def ellipse_bicycle(x, y, th, v, cx, cy, cxd, cyd, c1, c2):
     st = sin(th)
     h, lfh, dxn, dyn, dist = _ellipse_terms(x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2)
     lg1 = 2.0 * dxn * v * st - 2.0 * dyn * v * ct
-    return h, lfh, 0.0, lg1, dist, 0.0
+    return CbfEvaluation(h, lfh, (0.0, lg1), False, dist)
 
 
 def ellipse_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2):
     """Ellipse barrier for the point mass: relative degree two, no input."""
     h, lfh, _, _, dist = _ellipse_terms(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2)
-    return h, lfh, 0.0, 0.0, dist, 0.0
+    return CbfEvaluation(h, lfh, (0.0, 0.0), False, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +249,7 @@ def hocbf_unicycle(x, y, th, v, om, cx, cy, cxd, cyd, c1, c2, gamma1):
     )
     lfh += om * v * (q1 * dx * st - q2 * dy * ct)
     lg0 = -(q1 * dx * ct + q2 * dy * st)
-    return h2, lfh, lg0, 0.0, dist, 0.0
+    return CbfEvaluation(h2, lfh, (lg0, 0.0), False, dist)
 
 
 def hocbf_bicycle(x, y, th, v, lr, cx, cy, cxd, cyd, c1, c2, gamma1):
@@ -245,7 +266,7 @@ def hocbf_bicycle(x, y, th, v, lr, cx, cy, cxd, cyd, c1, c2, gamma1):
     lg0 = -(q1 * dx * ct + q2 * dy * st)
     # beta column: transport through x, y plus heading rate v/lr
     lg1 = v * st * q1 * ax - v * ct * q2 * ay + (v / lr) * v * (q1 * dx * st - q2 * dy * ct)
-    return h2, lfh, lg0, lg1, dist, 0.0
+    return CbfEvaluation(h2, lfh, (lg0, lg1), False, dist)
 
 
 def hocbf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1):
@@ -253,7 +274,7 @@ def hocbf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1):
     h2, lfh, q1, q2, dx, dy, _, _, dist = _hocbf_terms(
         x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1
     )
-    return h2, lfh, -q1 * dx, -q2 * dy, dist, 0.0
+    return CbfEvaluation(h2, lfh, (-q1 * dx, -q2 * dy), False, dist)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ cone candidate.
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf
-from typing import NamedTuple
 
 from ._backend import kernel
+from ._pykernel import CbfEvaluation
 from .errors import UnsupportedCbfError, ValidationError
 from .models import ModelParams, _require_finite, _require_vectors
 
@@ -86,22 +86,6 @@ class Obstacle:
         raise ValidationError(f"obstacle time must be a finite number >= 0, got {t!r}")
 
 
-class CbfEvaluation(NamedTuple):
-    """Barrier value with its Lie-derivative decomposition.
-
-    h' along the extended flow equals lfh + lgh . u for any input u.
-    `penetration` marks configurations inside the effective radius, where
-    the cone degenerates to a half-plane. An immutable record, made once
-    per obstacle per tick: a named tuple, built in one tuple construction.
-    """
-
-    h: float
-    lfh: float
-    lgh: tuple
-    penetration: bool
-    dist: float
-
-
 def effective_radius(o: Obstacle, p: ModelParams) -> float:
     """Bounding-circle radius absorbing obstacle shape and vehicle width."""
     return max(o.c1, o.c2) + 0.5 * p.w
@@ -116,40 +100,24 @@ def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> Cb
     r = effective_radius(o, p)
     cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
     if model == "unicycle":
-        out = kernel.c3bf_unicycle(
-            s.x, s.y, s.theta, s.v, s.omega, p.l, cx, cy, vx, vy, r
-        )
-    elif model == "bicycle":
-        out = kernel.c3bf_bicycle(
-            s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, r
-        )
-    elif model == "pointmass":
-        out = kernel.c3bf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, r)
-    else:
-        raise ValidationError(f"unknown model kind {model!r}")
-    h, lfh, lg0, lg1, dist, pen = out
-    return CbfEvaluation(h, lfh, (lg0, lg1), pen != 0.0, dist)
+        return kernel.c3bf_unicycle(s.x, s.y, s.theta, s.v, s.omega, p.l, cx, cy, vx, vy, r)
+    if model == "bicycle":
+        return kernel.c3bf_bicycle(s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, r)
+    if model == "pointmass":
+        return kernel.c3bf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, r)
+    raise ValidationError(f"unknown model kind {model!r}")
 
 
 def ellipse_cbf_eval(model: str, s, o: Obstacle, t: float = None) -> CbfEvaluation:
     """Ellipse distance barrier; degenerate input columns are structural; `t` as in c3bf_eval."""
     cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
     if model == "unicycle":
-        out = kernel.ellipse_unicycle(
-            s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2
-        )
-    elif model == "bicycle":
-        out = kernel.ellipse_bicycle(
-            s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2
-        )
-    elif model == "pointmass":
-        out = kernel.ellipse_pointmass(
-            s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2
-        )
-    else:
-        raise ValidationError(f"unknown model kind {model!r}")
-    h, lfh, lg0, lg1, dist, pen = out
-    return CbfEvaluation(h, lfh, (lg0, lg1), False, dist)
+        return kernel.ellipse_unicycle(s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2)
+    if model == "bicycle":
+        return kernel.ellipse_bicycle(s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2)
+    if model == "pointmass":
+        return kernel.ellipse_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2)
+    raise ValidationError(f"unknown model kind {model!r}")
 
 
 def hocbf_eval(
@@ -166,10 +134,10 @@ def hocbf_eval(
         raise ValidationError(f"gamma1 must be > 0, got {gamma1}")
     cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
     if model == "unicycle":
-        out = kernel.hocbf_unicycle(
+        return kernel.hocbf_unicycle(
             s.x, s.y, s.theta, s.v, s.omega, cx, cy, vx, vy, o.c1, o.c2, gamma1
         )
-    elif model == "bicycle":
+    if model == "bicycle":
         if o.moves():
             raise UnsupportedCbfError(
                 "second-order ellipse barrier is not valid for the bicycle "
@@ -177,14 +145,9 @@ def hocbf_eval(
             )
         if p is None:
             raise ValidationError("bicycle barrier needs ModelParams (l_r)")
-        out = kernel.hocbf_bicycle(
+        return kernel.hocbf_bicycle(
             s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, o.c1, o.c2, gamma1
         )
-    elif model == "pointmass":
-        out = kernel.hocbf_pointmass(
-            s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2, gamma1
-        )
-    else:
-        raise ValidationError(f"unknown model kind {model!r}")
-    h, lfh, lg0, lg1, dist, pen = out
-    return CbfEvaluation(h, lfh, (lg0, lg1), False, dist)
+    if model == "pointmass":
+        return kernel.hocbf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2, gamma1)
+    raise ValidationError(f"unknown model kind {model!r}")

@@ -17,6 +17,7 @@ from .models import (
     PointMassState,
     UnicycleState,
     _require_finite,
+    _require_vector,
     _require_vectors,
     slip_from_steering,
 )
@@ -25,22 +26,6 @@ from .models import (
 V_FLOOR = 0.5
 # steering-angle clamp ahead of the slip mapping
 DELTA_MAX = 1.2
-
-
-@dataclass(frozen=True)
-class PGains:
-    """Proportional gains: a = k1 (v_des - v), alpha = -k2 omega."""
-
-    k1: float
-    k2: float = 0.0
-    v_des: float = 0.0
-
-    def __post_init__(self):
-        _require_finite("PGains", ("k1", "k2", "v_des"), (self.k1, self.k2, self.v_des))
-        if not self.k1 > 0:
-            raise ValidationError(f"k1 must be > 0, got {self.k1}")
-        if not self.k2 >= 0:
-            raise ValidationError(f"k2 must be >= 0, got {self.k2}")
 
 
 @dataclass(frozen=True)
@@ -68,19 +53,61 @@ class ReferencePath:
         return segs
 
 
-def p_controller(s: UnicycleState, g: PGains):
+@dataclass(frozen=True)
+class ControllerSpec:
+    """Declarative reference-controller choice for a scenario.
+
+    kind 'p'       -- proportional law (per-model semantics): thrust
+                      a = k1 (v_des - v), yaw input alpha = -k2 omega
+    kind 'stanley' -- bicycle only: P speed + Stanley lateral tracking
+    kind 'zero'    -- zero reference (filter acts alone)
+    """
+
+    kind: str = "p"
+    k1: float = 1.0
+    k2: float = 0.0
+    v_des: float = 0.0
+    v_des_vec: tuple = None
+    k_e: float = 1.0
+    path: ReferencePath = None
+    a_max: float = None
+
+    def __post_init__(self):
+        if self.kind not in ("p", "stanley", "zero"):
+            raise ValidationError(f"unknown controller kind {self.kind!r}")
+        if self.kind == "stanley" and self.path is None:
+            raise ValidationError("stanley controller needs a path")
+        _require_finite(
+            "ControllerSpec", ("k1", "k2", "v_des", "k_e"), (self.k1, self.k2, self.v_des, self.k_e)
+        )
+        if not self.k1 > 0:
+            raise ValidationError(f"k1 must be > 0, got {self.k1}")
+        if not self.k2 >= 0:
+            raise ValidationError(f"k2 must be >= 0, got {self.k2}")
+        if self.v_des_vec is not None:
+            _require_vector("ControllerSpec.v_des_vec", ("x", "y"), self.v_des_vec)
+        if self.a_max is not None:
+            _require_finite("ControllerSpec", ("a_max",), (self.a_max,))
+            if not self.a_max > 0:
+                raise ValidationError(f"a_max must be > 0, got {self.a_max}")
+        # the point mass's target velocity: v_des_vec, else v_des along x
+        object.__setattr__(self, "_v_target", self.v_des_vec or (self.v_des, 0.0))
+
+
+def p_controller(s: UnicycleState, c: ControllerSpec):
     """Speed-tracking, yaw-damping reference for the unicycle."""
-    return (g.k1 * (g.v_des - s.v), -g.k2 * s.omega)
+    return (c.k1 * (c.v_des - s.v), -c.k2 * s.omega)
 
 
-def p_speed_bicycle(s: BicycleState, g: PGains) -> float:
+def p_speed_bicycle(s: BicycleState, c: ControllerSpec) -> float:
     """Speed-tracking reference acceleration for the bicycle."""
-    return g.k1 * (g.v_des - s.v)
+    return c.k1 * (c.v_des - s.v)
 
 
-def p_velocity(s: PointMassState, k1: float, v_des):
+def p_velocity(s: PointMassState, c: ControllerSpec):
     """Velocity-vector tracking reference for the point mass."""
-    return (k1 * (v_des[0] - s.vx), k1 * (v_des[1] - s.vy))
+    k1, (vx, vy) = c.k1, c._v_target
+    return (k1 * (vx - s.vx), k1 * (vy - s.vy))
 
 
 def _nearest_on_path(path: ReferencePath, x: float, y: float):

@@ -8,18 +8,17 @@ filtered input held constant. Identical scenarios produce identical logs.
 """
 
 from dataclasses import dataclass, field, replace
-from math import atan2, hypot, radians
+from math import atan2, hypot, inf, radians
 
 from ._backend import kernel
 from .cbf import CBF_KINDS, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
-from .controllers import PGains, ReferencePath, p_controller, p_speed_bicycle, p_velocity, stanley_lateral
+from .controllers import ControllerSpec, p_controller, p_speed_bicycle, p_velocity, stanley_lateral
 from .errors import SimulationError, ValidationError
 from .models import (
     MODEL_KINDS,
     ModelParams,
     STATE_TYPES,
     _require_finite,
-    _require_vector,
     integrate_step,
 )
 from .qpfilter import FilterConfig, filter_qp
@@ -37,42 +36,6 @@ BRAKE_SPEED_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
-class ControllerSpec:
-    """Declarative reference-controller choice for a scenario.
-
-    kind 'p'       -- proportional law (per-model semantics)
-    kind 'stanley' -- bicycle only: P speed + Stanley lateral tracking
-    kind 'zero'    -- zero reference (filter acts alone)
-    """
-
-    kind: str = "p"
-    k1: float = 1.0
-    k2: float = 0.0
-    v_des: float = 0.0
-    v_des_vec: tuple = None
-    k_e: float = 1.0
-    path: ReferencePath = None
-    a_max: float = None
-
-    def __post_init__(self):
-        if self.kind not in ("p", "stanley", "zero"):
-            raise ValidationError(f"unknown controller kind {self.kind!r}")
-        if self.kind == "stanley" and self.path is None:
-            raise ValidationError("stanley controller needs a path")
-        _require_finite("ControllerSpec", ("k_e",), (self.k_e,))
-        if self.v_des_vec is not None:
-            _require_vector("ControllerSpec.v_des_vec", ("x", "y"), self.v_des_vec)
-        if self.a_max is not None:
-            _require_finite("ControllerSpec", ("a_max",), (self.a_max,))
-            if not self.a_max > 0:
-                raise ValidationError(f"a_max must be > 0, got {self.a_max}")
-        # checks k1, k2 and v_des
-        object.__setattr__(self, "_gains", PGains(self.k1, self.k2, self.v_des))
-        # the point mass's target velocity: v_des_vec, else v_des along x
-        object.__setattr__(self, "_v_target", self.v_des_vec or (self.v_des, 0.0))
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Complete declarative experiment description."""
 
@@ -87,7 +50,6 @@ class Scenario:
     duration: float = field(default=10.0, metadata={"section": "sim"})
     cbf: str = "c3bf"
     hocbf_gamma1: float = 1.0
-    saturate_speed: bool = False
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
@@ -126,8 +88,8 @@ class Scenario:
                 )
         if self.controller.kind == "stanley" and self.model != "bicycle":
             raise ValidationError("stanley controller is bicycle-only")
-        if self.saturate_speed and self.model == "pointmass":
-            raise ValidationError("saturate_speed is for the unicycle and bicycle only")
+        if self.model == "pointmass" and self.params.v_max < inf:
+            raise ValidationError("params.v_max caps the speed state of the unicycle and bicycle only")
         if self.model == "bicycle" and self.filter.input_bounds is not None:
             lo, hi = self.filter.input_bounds[1]
             if lo < -self.params.beta_max or hi > self.params.beta_max:
@@ -170,12 +132,12 @@ def _reference_input(sc: Scenario, state):
     if c.kind == "zero":
         return (0.0, 0.0)
     if sc.model == "unicycle":
-        u = p_controller(state, c._gains)
+        u = p_controller(state, c)
     elif sc.model == "bicycle":
-        a = p_speed_bicycle(state, c._gains)
+        a = p_speed_bicycle(state, c)
         u = (a, stanley_lateral(state, c.path, c.k_e, sc.params) if c.kind == "stanley" else 0.0)
     else:
-        u = p_velocity(state, c.k1, c._v_target)
+        u = p_velocity(state, c)
     if c.a_max is None:
         return u
     # a_max clamps the thrust a of the unicycle and the bicycle, and both
@@ -202,7 +164,7 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     bounds = sc.filter.input_bounds
     if bounds is None and model == "bicycle":
         # keep the small-slip model valid: the QP may not exceed beta_max
-        bounds = ((float("-inf"), float("inf")), (-params.beta_max, params.beta_max))
+        bounds = ((-inf, inf), (-params.beta_max, params.beta_max))
     cfg = replace(sc.filter, input_bounds=bounds)
     # the barrier, chosen once, as a positional call on (state, obstacle, t)
     # that looks its function up by module name at call time; with
@@ -221,7 +183,9 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             return c3bf_eval(model, state, o, params, t)
     filtering = sc.cbf != "none"
     gamma = sc.filter.gamma
+    # a finite v_max clips the speed state (never on the point mass)
     v_max = params.v_max
+    clip_speed = v_max < inf
     # shared by every step on which no constraint binds
     no_active = (False,) * n_obs
     # one record per step, in TrajectoryLog field order
@@ -270,7 +234,7 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             state = integrate_step(model, state, u_cmd, dt, params)
         except ValidationError as exc:
             raise SimulationError(f"integration failed at step {k}: {exc}", step=k)
-        if sc.saturate_speed and abs(state.v) > v_max:
+        if clip_speed and abs(state.v) > v_max:
             state = replace(state, v=v_max if state.v > 0 else -v_max)
     return TrajectoryLog(sc, *map(list, zip(*records)))
 
@@ -376,8 +340,8 @@ def safety_metrics(log: TrajectoryLog) -> SafetyMetrics:
         overall = min(per_obs)
     else:
         per_obs = ()
-        min_h = float("inf")
-        overall = float("inf")
+        min_h = inf
+        overall = inf
     if log.t:
         n_active = sum(1 for flags in log.active if any(flags))
         frac = n_active / len(log.t)

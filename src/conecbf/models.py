@@ -134,7 +134,7 @@ class ModelParams:
     l_f, l_r -- front/rear axle distances from the center of mass (bicycle)
     w        -- maximum vehicle width, absorbed into the effective radius
     beta_max -- slip-angle magnitude cap keeping the small-angle model valid
-    v_max    -- speed cap, applied only when a scenario requests saturation
+    v_max    -- speed-state cap of the unicycle and bicycle; inf leaves it free
     """
 
     l: float = 0.0

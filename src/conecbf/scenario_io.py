@@ -19,12 +19,11 @@ from itertools import islice
 from math import isfinite
 
 from .cbf import Obstacle, effective_radius
-from .controllers import ReferencePath
+from .controllers import ControllerSpec, ReferencePath
 from .engine import (
     BRAKE_SPEED_FRACTION,
     COLLISION_SLACK,
     TURN_THRESHOLD_DEG,
-    ControllerSpec,
     Scenario,
     TrajectoryLog,
     classify_behavior,
@@ -174,8 +173,6 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     kw = _nums(simdoc, where)
     if "hocbf_gamma1" in doc:
         kw["hocbf_gamma1"] = _num(doc, "hocbf_gamma1", name)
-    if "saturate_speed" in doc:
-        kw["saturate_speed"] = _bool(doc, "saturate_speed", name)
     if "cbf" in doc:
         kw["cbf"] = doc["cbf"]
     return Scenario(
@@ -252,8 +249,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
         doc["filter"]["input_bounds"] = _finite_or_none(sc.filter.input_bounds)
     if sc.cbf == "hocbf":
         doc["hocbf_gamma1"] = sc.hocbf_gamma1
-    if sc.saturate_speed:
-        doc["saturate_speed"] = True
     return doc
 
 

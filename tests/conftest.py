@@ -194,15 +194,20 @@ def sample_case(rng, model, min_margin=0.3):
 
 
 def kernel_c3bf(kern, model, z, obs_vel, params, r):
-    """Call the per-model cone kernel on an extended-state vector."""
+    """Call the per-model cone kernel on an extended-state vector.
+
+    Returns the record flattened to (h, lfh, lg0, lg1, dist, penetration).
+    """
     if model == "unicycle":
-        return kern.c3bf_unicycle(
+        e = kern.c3bf_unicycle(
             z[0], z[1], z[2], z[3], z[4], params["l"], z[5], z[6], obs_vel[0], obs_vel[1], r
         )
-    if model == "bicycle":
-        return kern.c3bf_bicycle(
+    elif model == "bicycle":
+        e = kern.c3bf_bicycle(
             z[0], z[1], z[2], z[3], params["l_r"], z[4], z[5], obs_vel[0], obs_vel[1], r
         )
-    return kern.c3bf_pointmass(
-        z[0], z[1], z[2], z[3], z[4], z[5], obs_vel[0], obs_vel[1], r
-    )
+    else:
+        e = kern.c3bf_pointmass(
+            z[0], z[1], z[2], z[3], z[4], z[5], obs_vel[0], obs_vel[1], r
+        )
+    return e.h, e.lfh, *e.lgh, e.dist, e.penetration

@@ -16,6 +16,7 @@ from conftest import (
 
 from conecbf import (
     BicycleState,
+    CbfEvaluation,
     ModelParams,
     Obstacle,
     PointMassState,
@@ -33,11 +34,10 @@ MODELS = ("unicycle", "bicycle", "pointmass")
 
 
 def cone_kernel(p_rel, v_rel, r):
-    """Point-mass cone kernel output for given relative kinematics.
+    """Point-mass cone kernel record for given relative kinematics.
 
     The vehicle sits at the origin moving with -v_rel and a static
     obstacle sits at p_rel, so the kernel sees exactly (p_rel, v_rel).
-    Element 0 is h, element 5 the penetration flag.
     """
     return _pykernel.c3bf_pointmass(
         0.0, 0.0, -float(v_rel[0]), -float(v_rel[1]),
@@ -46,7 +46,7 @@ def cone_kernel(p_rel, v_rel, r):
 
 
 def cone_value(p_rel, v_rel, r):
-    return cone_kernel(p_rel, v_rel, r)[0]
+    return cone_kernel(p_rel, v_rel, r).h
 
 
 class TestEffectiveRadius:
@@ -82,9 +82,9 @@ class TestConeValue:
     def test_penetration_flag(self):
         # inside the radius the cone term is clamped away: h = <p, v>
         out = cone_kernel((1, 0), (-1, 0), 3.0)
-        assert out[5] == 1.0 and out[0] == -1.0
+        assert out.penetration is True and out.h == -1.0
         out = cone_kernel((5, 0), (-1, 0), 3.0)
-        assert out[5] == 0.0 and out[0] == pytest.approx(-1.0)
+        assert out.penetration is False and out.h == pytest.approx(-1.0)
 
     def test_scale_covariance_in_v(self):
         rng = np.random.default_rng(7)
@@ -96,6 +96,23 @@ class TestConeValue:
             assert cone_value(p, lam * v, r) == pytest.approx(
                 lam * cone_value(p, v, r), rel=1e-12
             )
+
+    def test_scale_covariance_beyond_squared_overflow(self):
+        # h(lam p, v, lam r) = lam h(p, v, r), lfh is scale-free and lgh
+        # scales with lam; at lam = 1e200 the squared distance overflows,
+        # but the distance and the barrier terms stay finite
+        lam = 1e200
+        v = (-1.0, 0.5)
+        for p, r in (((3.0, 4.0), 1.0), ((-2.0, 0.5), 0.3), ((1e-3, -7.0), 6.5)):
+            big = cone_kernel((lam * p[0], lam * p[1]), v, lam * r)
+            ref = cone_kernel(p, v, r)
+            assert big.dist == pytest.approx(lam * ref.dist, rel=1e-15)
+            assert big.h == pytest.approx(lam * ref.h, rel=1e-12)
+            assert big.lfh == pytest.approx(ref.lfh, rel=1e-12)
+            assert big.lgh == pytest.approx((lam * ref.lgh[0], lam * ref.lgh[1]), rel=1e-12)
+            assert big.penetration is False
+        inside = cone_kernel((lam, 0.0), v, 2.0 * lam)
+        assert inside.penetration is True and inside.dist == lam
 
     def test_cone_membership_equivalence(self):
         # h >= 0 iff the angle between p_rel and v_rel is at most pi - phi
@@ -120,6 +137,29 @@ class TestConeValue:
         assert checked > 400
 
 
+# one call per barrier kernel: (name, arguments)
+KERNEL_CALLS = [
+    ("c3bf_unicycle", (0.0, 0.0, 0.3, 1.2, 0.1, 0.0, 5.0, 1.0, 0.0, 0.0, 1.5)),
+    ("c3bf_bicycle", (0.0, 0.0, 0.3, 1.2, 1.0, 5.0, 1.0, 0.0, 0.0, 1.5)),
+    ("c3bf_pointmass", (0.0, 0.0, 1.0, 0.2, 5.0, 1.0, 0.0, 0.0, 1.5)),
+    ("ellipse_unicycle", (0.0, 0.0, 0.3, 1.2, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0)),
+    ("ellipse_bicycle", (0.0, 0.0, 0.3, 1.2, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0)),
+    ("ellipse_pointmass", (0.0, 0.0, 1.0, 0.2, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0)),
+    ("hocbf_unicycle", (0.0, 0.0, 0.3, 1.2, 0.1, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0, 1.0)),
+    ("hocbf_bicycle", (0.0, 0.0, 0.3, 1.2, 1.0, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0, 1.0)),
+    ("hocbf_pointmass", (0.0, 0.0, 1.0, 0.2, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0, 1.0)),
+]
+
+
+class TestKernelRecords:
+    @pytest.mark.parametrize("name,args", KERNEL_CALLS, ids=[n for n, _ in KERNEL_CALLS])
+    def test_barrier_kernel_returns_the_record(self, kern, name, args):
+        e = getattr(kern, name)(*args)
+        assert type(e) is CbfEvaluation
+        assert type(e.penetration) is bool and len(e.lgh) == 2
+        assert e.dist == math.hypot(5.0, 1.0)
+
+
 class TestConeLieDerivatives:
     """Analytic (lfh, lgh) against the central-difference flow oracle."""
 
@@ -141,7 +181,7 @@ class TestConeLieDerivatives:
 
     def test_hand_case_head_on(self, kern):
         # v_rel = (-1, 0), dist 5, r 3: hdot = 1 - 5/4 under zero input
-        h, lfh, lg0, lg1, dist, pen = kern.c3bf_unicycle(0, 0, 0, 1, 0, 0.0, 5, 0, 0, 0, 3)
+        h, lfh, (lg0, lg1), pen, dist = kern.c3bf_unicycle(0, 0, 0, 1, 0, 0.0, 5, 0, 0, 0, 3)
         assert h == pytest.approx(-1.0)
         assert lfh == pytest.approx(-0.25)
         assert lg1 == 0.0  # no body-center offset: no steering authority
@@ -167,8 +207,8 @@ class TestConeLieDerivatives:
                 assert abs((lfh + coef) - hdot_fd) <= 1e-6 * (1 + abs(hdot_fd))
 
     def test_penetration_flagged_and_finite(self, kern):
-        h, lfh, lg0, lg1, dist, pen = kern.c3bf_unicycle(0, 0, 0, 1, 0, 0.0, 1, 0, 0, 0, 3)
-        assert pen == 1.0
+        h, lfh, (lg0, lg1), pen, dist = kern.c3bf_unicycle(0, 0, 0, 1, 0, 0.0, 1, 0, 0, 0, 3)
+        assert pen is True
         assert all(map(math.isfinite, (h, lfh, lg0, lg1)))
         assert h == pytest.approx(-1.0)  # <p, v> with the cone term clamped
 
@@ -220,7 +260,7 @@ class TestEllipseBaseline:
             else:
                 out = kern.ellipse_pointmass(z[0], z[1], z[2], z[3], z[4], z[5],
                                              obs_vel[0], obs_vel[1], c1, c2)
-            h, lfh, lg0, lg1 = out[:4]
+            h, lfh, (lg0, lg1) = out[:3]
             h_ref = ellipse_h_of_ext(model, z, c1, c2)
             assert h == pytest.approx(h_ref, rel=1e-12, abs=1e-12)
             hdot_fd = fd_hdot(lambda zz: ellipse_h_of_ext(model, zz, c1, c2),
@@ -229,6 +269,10 @@ class TestEllipseBaseline:
 
 
 class TestHocbf:
+    def test_bicycle_needs_params(self):
+        with pytest.raises(ValidationError, match="ModelParams"):
+            hocbf_eval("bicycle", BicycleState(0, 0, 0, 1), Obstacle(5, 0), 1.0)
+
     def test_unicycle_static_regains_thrust(self):
         rng = np.random.default_rng(13)
         nonzero = 0
@@ -291,7 +335,7 @@ class TestHocbf:
             else:
                 out = kern.hocbf_pointmass(z[0], z[1], z[2], z[3], z[4], z[5],
                                            obs_vel[0], obs_vel[1], c1, c2, g1)
-            h, lfh, lg0, lg1 = out[:4]
+            h, lfh, (lg0, lg1) = out[:3]
             h_ref = hocbf_h_of_ext(model, z, obs_vel, params, c1, c2, g1)
             assert h == pytest.approx(h_ref, rel=1e-12, abs=1e-12)
             hdot_fd = fd_hdot(

@@ -9,7 +9,6 @@ from conecbf import (
     ControllerSpec,
     FilterConfig,
     ModelParams,
-    PGains,
     PointMassState,
     ReferencePath,
     Scenario,
@@ -29,16 +28,16 @@ PARAMS = ModelParams(l_f=1.2, l_r=1.2, beta_max=0.3)
 
 class TestPController:
     def test_equilibrium(self):
-        g = PGains(k1=2.0, k2=1.0, v_des=1.5)
+        g = ControllerSpec(k1=2.0, k2=1.0, v_des=1.5)
         assert p_controller(UnicycleState(0, 0, 0, 1.5, 0), g) == (0.0, 0.0)
 
     def test_hand_values(self):
-        g = PGains(k1=2.0, k2=1.0, v_des=1.0)
+        g = ControllerSpec(k1=2.0, k2=1.0, v_des=1.0)
         u = p_controller(UnicycleState(0, 0, 0, 0.5, 0.2), g)
         assert u == pytest.approx((1.0, -0.2))
 
     def test_linear_in_speed_error(self):
-        g = PGains(k1=3.0, k2=0.5, v_des=2.0)
+        g = ControllerSpec(k1=3.0, k2=0.5, v_des=2.0)
         a1 = p_controller(UnicycleState(0, 0, 0, 1.0, 0), g)[0]
         a2 = p_controller(UnicycleState(0, 0, 0, 0.0, 0), g)[0]
         assert a2 == pytest.approx(2 * a1)
@@ -46,7 +45,7 @@ class TestPController:
     def test_speed_converges_exponentially(self):
         # obstacle-free closed loop: monotone decay at rate k1, checked
         # against the exponential envelope with 1e-6 slack over 10/k1 s
-        g = PGains(k1=1.5, k2=1.0, v_des=2.0)
+        g = ControllerSpec(k1=1.5, k2=1.0, v_des=2.0)
         s = UnicycleState(0, 0, 0, 0, 0)
         dt = 0.01
         horizon = 10.0 / g.k1
@@ -61,15 +60,15 @@ class TestPController:
 
     def test_gain_validation(self):
         with pytest.raises(ValidationError):
-            PGains(k1=0.0)
+            ControllerSpec(k1=0.0)
 
 
 class TestPSpeedBicycle:
     def test_equilibrium(self):
-        assert p_speed_bicycle(BicycleState(0, 0, 0, 2.0), PGains(k1=1.0, v_des=2.0)) == 0.0
+        assert p_speed_bicycle(BicycleState(0, 0, 0, 2.0), ControllerSpec(k1=1.0, v_des=2.0)) == 0.0
 
     def test_unit_case(self):
-        assert p_speed_bicycle(BicycleState(0, 0, 0, 1.0), PGains(k1=1.0, v_des=2.0)) == 1.0
+        assert p_speed_bicycle(BicycleState(0, 0, 0, 1.0), ControllerSpec(k1=1.0, v_des=2.0)) == 1.0
 
     def test_saturation(self):
         # the engine applies the controller's a_max to the law's output
@@ -84,7 +83,7 @@ class TestPSpeedBicycle:
 
 class TestPVelocity:
     def test_tracks_vector(self):
-        u = p_velocity(PointMassState(0, 0, 0.5, -0.5), 2.0, (1.0, 1.0))
+        u = p_velocity(PointMassState(0, 0, 0.5, -0.5), ControllerSpec(k1=2.0, v_des_vec=(1.0, 1.0)))
         assert u == pytest.approx((1.0, 3.0))
 
 
@@ -118,7 +117,7 @@ class TestStanleyLateral:
     def test_cross_track_converges_from_offset(self):
         # 1 m offset on a straight path settles under 0.05 m within 15 s
         s = BicycleState(0.0, 1.0, 0.0, 2.0)
-        g = PGains(k1=1.0, v_des=2.0)
+        g = ControllerSpec(k1=1.0, v_des=2.0)
         dt = 0.01
         worst_tail = 0.0
         for k in range(1500):

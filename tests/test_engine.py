@@ -152,16 +152,17 @@ class TestRunScenario:
         sc = simple_scenario(
             params=ModelParams(v_max=1.0),
             controller=ControllerSpec(kind="p", k1=5.0, k2=0.0, v_des=3.0),
-            saturate_speed=True,
         )
         log = run_scenario(sc)
         assert max(s[3] for s in log.states) <= 1.0 + 1e-12
+        # a finite v_max alone switches the clip on, and the speed reaches it
+        assert max(s[3] for s in log.states) == 1.0
 
     def test_pointmass_rejects_speed_saturation(self):
-        # the point mass has no scalar speed state for saturate_speed to clip
+        # the point mass has no scalar speed state for v_max to clip
         sc = load_scenario(SCENARIO_DIR / "pointmass-braking.json")
-        with pytest.raises(ValidationError, match="saturate_speed"):
-            replace(sc, saturate_speed=True)
+        with pytest.raises(ValidationError, match="v_max"):
+            replace(sc, params=replace(sc.params, v_max=1.0))
 
     def test_activation_gate_delays_filter(self):
         sc = simple_scenario(

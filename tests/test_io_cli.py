@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -103,7 +104,7 @@ class TestScenarioFiles:
         assert sc.params == ModelParams()
         assert sc.filter == FilterConfig()
         assert sc.obstacles == (Obstacle(6.0, 0.5),)
-        for name in ("dt", "duration", "cbf", "hocbf_gamma1", "saturate_speed"):
+        for name in ("dt", "duration", "cbf", "hocbf_gamma1"):
             assert getattr(sc, name) == defaults[name], name
 
     def test_input_bounds_with_open_sides(self):
@@ -123,7 +124,6 @@ class TestScenarioFiles:
             controller={"kind": "p", "k1": 2.0, "v_des": 1.0, "a_max": 0.7},
             filter={"gamma": 1.0, "activation_radius": 5.0,
                     "input_bounds": [[-1.0, None], [-0.25, 0.25]]},
-            saturate_speed=True,
         )
         for sc in (parse_scenario(doc), parse_scenario(minimal_doc(cbf="hocbf", hocbf_gamma1=2.5))):
             assert parse_scenario(scenario_to_dict(sc)) == sc
@@ -359,7 +359,7 @@ class TestCli:
         {"params": [1]},
         {"model": []},
         {"filter.input_bounds": [1, 2]},
-        {"saturate_speed": True, "params.v_max": -1},
+        {"params.v_max": -1},
     ], ids=lambda changes: ",".join(f"{k}={v!r}" for k, v in changes.items()))
     def test_bad_input_exit_3(self, tmp_path, changes):
         doc = json.loads((SCENARIO_DIR / "unicycle-braking.json").read_text())
@@ -374,7 +374,7 @@ class TestCli:
 
     def test_pointmass_speed_saturation_exit_3(self, tmp_path):
         doc = json.loads((SCENARIO_DIR / "pointmass-braking.json").read_text())
-        doc["saturate_speed"] = True
+        doc.setdefault("params", {})["v_max"] = 1.0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(bad)]) == 3
@@ -486,6 +486,36 @@ class TestCli:
         ]
         summary = json.loads((out / "a-huge-gain" / "summary.json").read_text())
         assert summary["step"] == 0 and "filter failed" in summary["aborted"]
+
+    @staticmethod
+    def diverging_doc():
+        # unfiltered and unforced, a point mass near the float limit runs
+        # off it within ten steps, and the integrator refuses that step
+        doc = json.loads((SCENARIO_DIR / "pointmass-braking.json").read_text())
+        doc.update(name="diverging", cbf="none", controller={"kind": "zero"})
+        doc["initial_state"].update(x=1.7e308, vx=1e308)
+        return doc
+
+    def test_integrator_divergence_aborts_exit_2(self, tmp_path):
+        scenario = tmp_path / "diverging.json"
+        scenario.write_text(json.dumps(self.diverging_doc()))
+        out = tmp_path / "o"
+        assert main(["validate", "--scenario", str(scenario)]) == 0
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+        summary = read_json(out / "summary.json", "summary")
+        assert summary["step"] == 9 and "integration failed" in summary["aborted"]
+
+    def test_batch_goes_on_past_an_integrator_abort(self, tmp_path):
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        (mixed / "a-diverging.json").write_text(json.dumps(self.diverging_doc()))
+        (mixed / "b-braking.json").write_text((SCENARIO_DIR / "pointmass-braking.json").read_text())
+        out = tmp_path / "o"
+        assert main(["batch", "--scenarios", str(mixed), "--out", str(out)]) == 2
+        rows = (out / "report.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in rows[1:]] == [
+            ["diverging", "aborted"], ["pointmass-braking", "safe"]
+        ]
 
     def test_batch_goes_on_past_an_invalid_file(self, tmp_path, capsys):
         mixed = tmp_path / "mixed"
@@ -602,20 +632,89 @@ class TestCli:
         assert code == 3
 
 
+class TestPlotRefusals:
+    """`plot` exits 3 on a CSV or a run directory it cannot draw from."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(SCENARIO_DIR / "unicycle-braking.json"),
+                     "--out", str(out), "--duration", "0.1"]) == 0
+        return out
+
+    @staticmethod
+    def plot(csv, mode="inputs"):
+        return main(["plot", "--csv", str(csv), "--out", str(csv.parent / "p.svg"), "--mode", mode])
+
+    def test_empty_file(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(ValidationError, match="empty CSV"):
+            read_trajectory_csv(empty)
+        assert self.plot(empty) == 3
+
+    def test_unreadable_path(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(ValidationError, match="cannot read CSV"):
+            read_trajectory_csv(missing)
+        assert self.plot(missing) == 3
+
+    def test_ragged_row(self, run):
+        lines = (run / "trajectory.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        ragged = run / "ragged.csv"
+        ragged.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match="ragged row"):
+            read_trajectory_csv(ragged)
+        assert self.plot(ragged) == 3
+
+    def test_path_without_summary(self, run):
+        (run / "summary.json").unlink()
+        assert self.plot(run / "trajectory.csv", "path") == 3
+        assert self.plot(run / "trajectory.csv", "inputs") == 0
+
+    def test_hvalue_without_obstacles(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "unicycle-braking.json").read_text())
+        doc["obstacles"] = []
+        scenario = tmp_path / "free.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out),
+                     "--duration", "0.1"]) == 0
+        assert self.plot(out / "trajectory.csv", "hvalue") == 3
+        assert self.plot(out / "trajectory.csv", "inputs") == 0
+
+
 class TestNonFinite:
     """A run may log non-finite numbers; its report and plots stay finite."""
 
-    @pytest.fixture
-    def far_run(self, tmp_path):
-        # an obstacle so far away that its barrier reads h = inf, psi = nan
+    @staticmethod
+    def run_with_obstacle_at(tmp_path, center):
+        """Output directory of unicycle-turning.json run with one more
+        obstacle, at rest at `center`."""
         doc = json.loads((SCENARIO_DIR / "unicycle-turning.json").read_text())
         doc["filter"].pop("activation_radius", None)
-        doc["obstacles"].append({"center": [1e200, 0.0]})
+        doc["obstacles"].append({"center": center})
         scenario = tmp_path / "far.json"
         scenario.write_text(json.dumps(doc))
         out = tmp_path / "run"
         assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
         return out
+
+    @pytest.fixture
+    def far_run(self, tmp_path):
+        # an obstacle so far away that its barrier overflows: h = psi = nan
+        # on most steps, at a finite distance the path plot can frame
+        return self.run_with_obstacle_at(tmp_path, [1.5e308, 0.0])
+
+    def test_far_obstacle_constrains_nothing(self, tmp_path):
+        # at 1e200 m the squared distance overflows but the distance does
+        # not: the barrier stays finite and the filter stays feasible
+        run = self.run_with_obstacle_at(tmp_path, [1e200, 0.0])
+        data = read_trajectory_csv(run / "trajectory.csv")
+        assert all(d == 1e200 for d in data["dist_1"])
+        assert all(map(math.isfinite, data["h_1"] + data["psi_1"]))
+        assert read_json(run / "summary.json", "summary")["metrics"]["infeasible_steps"] == 0
 
     @staticmethod
     def plot(run, mode, cells=()):
@@ -633,12 +732,16 @@ class TestNonFinite:
         code = main(["plot", "--csv", str(edited), "--out", str(svg), "--mode", mode])
         return code, svg.read_text() if code == 0 else None
 
-    def test_summary_is_strict_json(self, far_run):
-        data = read_trajectory_csv(far_run / "trajectory.csv")
-        assert data["h_1"][0] == INF and data["psi_1"][0] != data["psi_1"][0]
-        text = (far_run / "summary.json").read_text()
+    def test_summary_is_strict_json(self, tmp_path):
+        # an obstacle whose distance is beyond the float range logs
+        # dist = inf and h = psi = nan
+        run = self.run_with_obstacle_at(tmp_path, [1.3e308, 1.3e308])
+        data = read_trajectory_csv(run / "trajectory.csv")
+        assert data["dist_1"][0] == INF
+        assert data["h_1"][0] != data["h_1"][0] and data["psi_1"][0] != data["psi_1"][0]
+        text = (run / "summary.json").read_text()
         assert "Infinity" not in text and "NaN" not in text
-        metrics = read_json(far_run / "summary.json", "summary")["metrics"]
+        metrics = read_json(run / "summary.json", "summary")["metrics"]
         assert metrics["min_clearance"][0] > 0
         assert metrics["min_clearance"][1] is None
 

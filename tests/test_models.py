@@ -16,7 +16,6 @@ from conecbf import (
     FilterConfig,
     ModelParams,
     Obstacle,
-    PGains,
     PointMassState,
     ReferencePath,
     UnicycleState,
@@ -122,7 +121,18 @@ class TestSlipFromSteering:
                 assert b1 < b2
 
 
+    @pytest.mark.parametrize("delta", [math.pi / 2, -math.pi / 2, 2.0, math.nan])
+    def test_rejects_steering_at_least_half_pi(self, delta):
+        with pytest.raises(ValidationError, match="steering angle"):
+            slip_from_steering(delta, ModelParams())
+
+
 class TestModelParams:
+    @pytest.mark.parametrize("beta_max", [math.pi / 2, 0.0])
+    def test_rejects_beta_max_outside_open_quarter_turn(self, beta_max):
+        with pytest.raises(ValidationError, match="beta_max"):
+            ModelParams(beta_max=beta_max)
+
     @pytest.mark.parametrize("v_max", [-1.0, 0.0, math.nan])
     def test_rejects_bad_v_max(self, v_max):
         with pytest.raises(ValidationError, match="v_max"):
@@ -139,7 +149,7 @@ class TestNumberChecks:
         lambda: ControllerSpec(k_e="x"),
         lambda: ControllerSpec(v_des="x"),
         lambda: ControllerSpec(a_max="1"),
-        lambda: PGains("x"),
+        lambda: ControllerSpec(k1="x"),
         lambda: ModelParams(l="x"),
         lambda: ModelParams(v_max="1"),
         lambda: FilterConfig(gamma="1"),
@@ -153,7 +163,7 @@ class TestNumberChecks:
         lambda: hocbf_eval("pointmass", PointMassState(0, 0, 0, 0), Obstacle(5, 0), math.nan),
         lambda: hocbf_eval("pointmass", PointMassState(0, 0, 0, 0), Obstacle(5, 0), math.inf),
     ], ids=[
-        "controller-k_e", "controller-v_des", "controller-a_max", "pgains-k1",
+        "controller-k_e", "controller-v_des", "controller-a_max", "controller-k1",
         "params-l", "params-v_max", "filter-gamma", "filter-activation_radius",
         "filter-input_bounds", "obstacle-cx", "obstacle-segment", "state-x",
         "path-string", "path-nan", "hocbf-gamma1-nan", "hocbf-gamma1-inf",
@@ -238,6 +248,10 @@ class TestIntegrateStep:
     def test_bicycle_needs_params(self):
         with pytest.raises(ValidationError):
             integrate_step("bicycle", BicycleState(0, 0, 0, 1), (0, 0.1), 0.01)
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValidationError, match="unknown model kind 'tank'"):
+            integrate_step("tank", UnicycleState(0, 0, 0, 1, 0), (0, 0), 0.01)
 
     def test_kernels_agree(self, kern):
         out = kern.rk4_unicycle(0.1, -0.2, 0.4, 1.1, 0.3, 0.5, -0.2, 0.01)
