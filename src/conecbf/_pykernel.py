@@ -186,7 +186,14 @@ def _ellipse_terms(x, y, vx, vy, cx, cy, cxd, cyd, c1, c2):
     dyn = (cy - y) / (c2 * c2)
     h = (cx - x) * dxn + (cy - y) * dyn - 1.0
     lfh = 2.0 * dxn * (cxd - vx) + 2.0 * dyn * (cyd - vy)
-    dist = sqrt((cx - x) ** 2 + (cy - y) ** 2)
+    # ** 2 differs from x * x in the last bit on some inputs, and the golden
+    # ellipse digests hold the bits of ** 2; float ** raises on overflow
+    try:
+        d2 = (cx - x) ** 2 + (cy - y) ** 2
+    except OverflowError:
+        d2 = _INF
+    # the squares overflow although the distance may not
+    dist = hypot(cx - x, cy - y) if d2 == _INF else sqrt(d2)
     return h, lfh, dxn, dyn, dist
 
 
@@ -232,7 +239,9 @@ def _hocbf_terms(x, y, vx, vy, cx, cy, cxd, cyd, c1, c2, gamma1):
     ax = vxr + gamma1 * dx
     ay = vyr + gamma1 * dy
     lfh = q1 * ax * vxr + q2 * ay * vyr
-    dist = sqrt(dx * dx + dy * dy)
+    d2 = dx * dx + dy * dy
+    # the squares overflow although the distance may not
+    dist = hypot(dx, dy) if d2 == _INF else sqrt(d2)
     return h2, lfh, q1, q2, dx, dy, ax, ay, dist
 
 
@@ -283,7 +292,7 @@ def hocbf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1):
 
 
 def rk4_unicycle(x, y, th, v, om, a, al, dt):
-    """One RK4 step of the unicycle; heading renormalized to (-pi, pi].
+    """One RK4 step of the unicycle; the heading comes back unwrapped.
 
     The state derivative is (v cos th, v sin th, om, a, al); its stages
     are written out as scalars. v and om are linear in time, so stages 2
@@ -301,14 +310,14 @@ def rk4_unicycle(x, y, th, v, om, a, al, dt):
     return (
         x + w * (v * cos(th) + 2.0 * (v2 * cos(th2)) + 2.0 * (v2 * cos(th3)) + v4 * cos(th4)),
         y + w * (v * sin(th) + 2.0 * (v2 * sin(th2)) + 2.0 * (v2 * sin(th3)) + v4 * sin(th4)),
-        wrap_angle(th + w * (om + 2.0 * om2 + 2.0 * om2 + om4)),
+        th + w * (om + 2.0 * om2 + 2.0 * om2 + om4),
         v4,
         om4,
     )
 
 
 def rk4_bicycle(x, y, th, v, a, be, lr, dt):
-    """One RK4 step of the small-slip bicycle; heading renormalized.
+    """One RK4 step of the small-slip bicycle; the heading comes back unwrapped.
 
     The state derivative is (v cos th - v be sin th, v sin th + v be cos th,
     v be / lr, a); its stages are written out as scalars. v is linear in
@@ -343,7 +352,7 @@ def rk4_bicycle(x, y, th, v, a, be, lr, dt):
             (v * s1 + vb1 * c1) + 2.0 * (v2 * s2 + vb2 * c2)
             + 2.0 * (v2 * s3 + vb2 * c3) + (v4 * s4 + vb4 * c4)
         ),
-        wrap_angle(th + w * (om1 + 2.0 * om2 + 2.0 * om2 + vb4 / lr)),
+        th + w * (om1 + 2.0 * om2 + 2.0 * om2 + vb4 / lr),
         v4,
     )
 

@@ -68,9 +68,9 @@ class ControllerSpec:
     k2: float = 0.0
     v_des: float = 0.0
     v_des_vec: tuple = None
+    a_max: float = None
     k_e: float = 1.0
     path: ReferencePath = None
-    a_max: float = None
 
     def __post_init__(self):
         if self.kind not in ("p", "stanley", "zero"):

@@ -180,7 +180,7 @@ def slip_from_steering(delta: float, p: ModelParams) -> float:
 def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = None):
     """Advance one state by a fixed RK4 step with zero-order-hold input.
 
-    Heading states are renormalized after the step. Raises ValidationError
+    The state types normalize the heading. Raises ValidationError
     when the result is non-finite, or when `u` is not a pair of numbers.
     """
     if dt <= 0:
@@ -205,6 +205,6 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
     except TypeError as exc:
         raise ValidationError(f"input u must be a pair of numbers, got {u!r}") from exc
     except ValueError as exc:
-        # cos or fmod of a heading that overflowed to infinity
+        # cos of a stage heading that overflowed to infinity
         raise ValidationError(f"the step diverged: {exc}") from exc
     raise ValidationError(f"unknown model kind {model!r}")

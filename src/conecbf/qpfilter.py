@@ -26,16 +26,16 @@ class FilterConfig:
     """Filter gains and gating.
 
     gamma              -- linear class-K gain in h' + gamma*h >= 0
-    activation_radius  -- perception boundary; the filters enforce a
-                          constraint only within this center distance
     regularization_eps -- ||lgh|| threshold below which a violated
                           constraint is declared degenerate
+    activation_radius  -- perception boundary; the filters enforce a
+                          constraint only within this center distance
     input_bounds       -- optional ((lo0, hi0), (lo1, hi1)) box on u
     """
 
     gamma: float = 1.0
-    activation_radius: float = float("inf")
     regularization_eps: float = 1e-10
+    activation_radius: float = float("inf")
     input_bounds: tuple = None
 
     def __post_init__(self):

@@ -14,7 +14,7 @@ locale independent; the active and penetration flags as 0 or 1.
 import csv
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from itertools import islice
 from math import isfinite
 
@@ -41,6 +41,8 @@ CSV_BLOCK_ROWS = 64
 # live in a sub-object name it in their metadata
 _TOP_KEYS = {f.metadata.get("section", f.name) for f in fields(Scenario)}
 _SIM_KEYS = [f.name for f in fields(Scenario) if f.metadata.get("section") == "sim"]
+# an obstacle's document pairs and the Obstacle fields each fills
+_OBSTACLE_PAIRS = (("center", ("cx", "cy")), ("velocity", ("vx", "vy")), ("semi_axes", ("c1", "c2")))
 
 
 def _check_keys(d, allowed, where: str):
@@ -127,17 +129,18 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     obstacles = []
     for i, odoc in enumerate(_list(doc, "obstacles", name)):
         where = f"{name}.obstacles[{i}]"
-        _check_keys(odoc, ("center", "velocity", "semi_axes", "segments"), where)
+        _check_keys(odoc, [key for key, _ in _OBSTACLE_PAIRS] + ["segments"], where)
         okw = {}
-        for key, names in (("velocity", ("vx", "vy")), ("semi_axes", ("c1", "c2"))):
-            if key in odoc:
+        for key, names in _OBSTACLE_PAIRS:
+            # the center is required, the other pairs keep their defaults
+            if key in odoc or key == "center":
                 okw.update(zip(names, _vec2(odoc, key, where)))
         segments = []
         for j, seg in enumerate(_list(odoc, "segments", where)):
             segwhere = f"{where}.segments[{j}]"
             _check_keys(seg, ("t", "velocity"), segwhere)
             segments.append((_num(seg, "t", segwhere), *_vec2(seg, "velocity", segwhere)))
-        obstacles.append(Obstacle(*_vec2(odoc, "center", where), segments=tuple(segments), **okw))
+        obstacles.append(Obstacle(segments=tuple(segments), **okw))
 
     where = f"{name}.controller"
     cdoc = doc.get("controller", {"kind": "zero"})
@@ -187,69 +190,50 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     )
 
 
+def _fields_doc(obj, skip=()) -> dict:
+    """Dataclass `obj` as a document object: its fields outside `skip` in
+    field order, each under its name or inside the section its metadata
+    names, a dataclass value as an object of its own. An open value (None
+    or +inf) is left out, so it parses back as the default."""
+    doc = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.name in skip or v is None or v == _INF:
+            continue
+        if is_dataclass(v):
+            v = _fields_doc(v)
+        section = f.metadata.get("section")
+        (doc.setdefault(section, {}) if section else doc)[f.name] = v
+    return doc
+
+
 def scenario_to_dict(sc: Scenario) -> dict:
     """Inverse of parse_scenario for every field a run reads.
 
-    parse_scenario(scenario_to_dict(sc)) == sc holds unless sc sets a field
-    its run never reads; such a field is dropped and comes back at its
-    default: hocbf_gamma1 unless cbf is 'hocbf', every controller field but
-    kind for a 'zero' controller, and k_e and the path unless it is 'stanley'.
+    Every section follows the one rule of _fields_doc, but for two forms:
+    an obstacle writes its _OBSTACLE_PAIRS, and a path its waypoints with
+    `closed` beside it. parse_scenario(scenario_to_dict(sc)) == sc holds
+    unless sc sets a field its run never reads; such a field is dropped and
+    comes back at its default: hocbf_gamma1 unless cbf is 'hocbf', every
+    controller field but kind for a 'zero' controller, and k_e and the path
+    unless it is 'stanley'.
     """
-    doc = {
-        "name": sc.name,
-        "model": sc.model,
-        "params": {
-            "l": sc.params.l,
-            "l_f": sc.params.l_f,
-            "l_r": sc.params.l_r,
-            "w": sc.params.w,
-            "beta_max": sc.params.beta_max,
-        },
-        "initial_state": dict(
-            zip(STATE_FIELDS[sc.model], sc.initial_state.as_tuple())
-        ),
-        "obstacles": [
-            {
-                "center": [o.cx, o.cy],
-                "velocity": [o.vx, o.vy],
-                "semi_axes": [o.c1, o.c2],
-                **(
-                    {"segments": [{"t": t, "velocity": [vx, vy]} for t, vx, vy in o.segments]}
-                    if o.segments
-                    else {}
-                ),
-            }
-            for o in sc.obstacles
-        ],
-        "controller": {"kind": sc.controller.kind},
-        "filter": {
-            "gamma": sc.filter.gamma,
-            "regularization_eps": sc.filter.regularization_eps,
-        },
-        "sim": {"dt": sc.dt, "duration": sc.duration},
-        "cbf": sc.cbf,
-    }
-    if sc.params.v_max != _INF:
-        doc["params"]["v_max"] = sc.params.v_max
+    doc = _fields_doc(sc, skip=() if sc.cbf == "hocbf" else ("hocbf_gamma1",))
     c = sc.controller
-    if c.kind != "zero":
-        doc["controller"].update({"k1": c.k1, "k2": c.k2, "v_des": c.v_des})
-        if c.v_des_vec is not None:
-            doc["controller"]["v_des_vec"] = list(c.v_des_vec)
-        if c.a_max is not None:
-            doc["controller"]["a_max"] = c.a_max
-        if c.kind == "stanley":
-            doc["controller"]["k_e"] = c.k_e
-            doc["controller"]["path"] = [list(p) for p in c.path.waypoints]
-            doc["controller"]["closed"] = c.path.closed
-    if sc.filter.activation_radius != _INF:
-        doc["filter"]["activation_radius"] = sc.filter.activation_radius
-    if sc.filter.input_bounds is not None:
-        # an open side is infinite, written as null
-        doc["filter"]["input_bounds"] = _finite_or_none(sc.filter.input_bounds)
-    if sc.cbf == "hocbf":
-        doc["hocbf_gamma1"] = sc.hocbf_gamma1
-    return doc
+    if c.kind == "zero":
+        doc["controller"] = {"kind": c.kind}
+    elif c.kind == "stanley":
+        doc["controller"].update(path=c.path.waypoints, closed=c.path.closed)
+    else:
+        doc["controller"] = _fields_doc(c, skip=("k_e", "path"))
+    doc["obstacles"] = []
+    for o in sc.obstacles:
+        odoc = {key: [getattr(o, n) for n in names] for key, names in _OBSTACLE_PAIRS}
+        if o.segments:
+            odoc["segments"] = [{"t": t, "velocity": [vx, vy]} for t, vx, vy in o.segments]
+        doc["obstacles"].append(odoc)
+    # tuples as lists, and an open input_bounds side as null
+    return _finite_or_none(doc)
 
 
 def read_json(path, what: str) -> dict:

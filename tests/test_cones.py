@@ -159,6 +159,15 @@ class TestKernelRecords:
         assert type(e.penetration) is bool and len(e.lgh) == 2
         assert e.dist == math.hypot(5.0, 1.0)
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda s, o: c3bf_eval("tank", s, o, ModelParams()),
+        lambda s, o: ellipse_cbf_eval("tank", s, o),
+        lambda s, o: hocbf_eval("tank", s, o, 1.0),
+    ], ids=["c3bf", "ellipse", "hocbf"])
+    def test_wrapper_rejects_unknown_model(self, evaluate):
+        with pytest.raises(ValidationError, match="unknown model kind 'tank'"):
+            evaluate(UnicycleState(0, 0, 0, 1, 0), Obstacle(5, 1))
+
 
 class TestConeLieDerivatives:
     """Analytic (lfh, lgh) against the central-difference flow oracle."""

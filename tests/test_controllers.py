@@ -113,6 +113,8 @@ class TestStanleyLateral:
             ReferencePath(((1.0, 1.0),))
         with pytest.raises(ValidationError):
             ReferencePath(((1.0, 1.0), (1.0, 1.0)))
+        with pytest.raises(ValidationError, match="needs a path"):
+            ControllerSpec(kind="stanley")
 
     def test_cross_track_converges_from_offset(self):
         # 1 m offset on a straight path settles under 0.05 m within 15 s

@@ -60,6 +60,9 @@ class TestObstacleMotion:
             Obstacle(0, 0, segments=((2.0, 0, 0), (2.0, 1, 0)))
         with pytest.raises(ValidationError):
             Obstacle(0, 0, segments=((-1.0, 0, 0),))
+        for axes in ({"c1": 0.0}, {"c2": -1.0}):
+            with pytest.raises(ValidationError, match="semi-axes"):
+                Obstacle(0, 0, **axes)
 
     def test_moves_flag(self):
         assert not Obstacle(1, 1).moves()
@@ -184,6 +187,11 @@ class TestRunScenario:
             simple_scenario(cbf="nope")
         with pytest.raises(ValidationError):
             simple_scenario(initial_state=BicycleState(0, 0, 0, 0))
+        with pytest.raises(ValidationError, match="unknown model kind 'tank'"):
+            simple_scenario(model="tank")
+        stanley = ControllerSpec(kind="stanley", path=ReferencePath(((0.0, 0.0), (1.0, 0.0))))
+        with pytest.raises(ValidationError, match="bicycle-only"):
+            simple_scenario(controller=stanley)
         with pytest.raises(ValidationError):
             # activation radius inside the effective radius
             simple_scenario(
@@ -386,6 +394,20 @@ class TestClassifyAndMetrics:
         a, b = runs
         assert a.states == b.states
         assert classify_behavior(a) == classify_behavior(b) == ()
+
+    def test_zero_controller_never_braking(self):
+        # the filter stops the vehicle, but a zero controller's target
+        # speed reads as 0, so no braking label is possible
+        sc = simple_scenario(
+            initial_state=UnicycleState(0, 0, 0, 1.5, 0),
+            controller=ControllerSpec(kind="zero"),
+            obstacles=(Obstacle(6, 0.0),),
+            duration=10.0,
+        )
+        log = run_scenario(sc)
+        assert not log.collided
+        assert min(s[3] for s in log.states) < engine.BRAKE_SPEED_FRACTION * 1.5
+        assert classify_behavior(log) == ()
 
     def test_reversing_label(self):
         sc = simple_scenario(

@@ -3,12 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+import conecbf
 from conecbf import (
     ControllerSpec,
     FilterConfig,
@@ -125,7 +129,21 @@ class TestScenarioFiles:
             filter={"gamma": 1.0, "activation_radius": 5.0,
                     "input_bounds": [[-1.0, None], [-0.25, 0.25]]},
         )
-        for sc in (parse_scenario(doc), parse_scenario(minimal_doc(cbf="hocbf", hocbf_gamma1=2.5))):
+        stanley = parse_scenario(minimal_doc(
+            model="bicycle",
+            params={"l": 0.1, "l_f": 1.2, "l_r": 0.8, "w": 0.5, "beta_max": 0.3, "v_max": 2.5},
+            initial_state={"x": 0, "y": 0, "theta": 0, "v": 1.0},
+            controller={"kind": "stanley", "k1": 2.0, "k2": 0.5, "v_des": 1.0, "v_des_vec": [1.0, 0.5],
+                        "a_max": 0.7, "k_e": 0.9, "path": [[0, 0], [5, 0], [5, 5]], "closed": True},
+            filter={"gamma": 2.0, "regularization_eps": 1e-9, "activation_radius": 5.0,
+                    "input_bounds": [[-1.0, None], [-0.25, 0.25]]},
+        ))
+        # a field added to any of these must be set here, so the writer is seen to keep it
+        for obj in (stanley.params, stanley.controller, stanley.controller.path, stanley.filter):
+            for f in fields(obj):
+                assert getattr(obj, f.name) != f.default, f.name
+        scenarios = (parse_scenario(doc), parse_scenario(minimal_doc(cbf="hocbf", hocbf_gamma1=2.5)), stanley)
+        for sc in scenarios:
             assert parse_scenario(scenario_to_dict(sc)) == sc
 
     def test_round_trip_canonical_for_fields_a_run_never_reads(self):
@@ -353,6 +371,7 @@ class TestCli:
         {"sim.duration": INF},
         {"sim.dt": 1e-300},
         {"controller.path": [[0, 0], [1]]},
+        {"controller.path": [[0, 0], [1, 0]], "controller.closed": "yes"},
         {"saturate_speed": "no"},
         {"obstacles": 5},
         {"obstacles.0.segments": 5},
@@ -608,6 +627,19 @@ class TestCli:
                      "--out", str(tmp_path / "rec.svg"), "--mode", "hvalue"])
         assert code == 0
 
+    def test_runs_as_a_module(self):
+        # python -m conecbf reaches main and exits with its code
+        env = {**os.environ, "PYTHONPATH": str(Path(conecbf.__file__).resolve().parent.parent)}
+        for args, code in (
+            (["--help"], 0),
+            (["validate", "--scenario", str(SCENARIO_DIR / "unicycle-turning.json")], 0),
+            (["frobnicate"], 3),
+        ):
+            run = subprocess.run(
+                [sys.executable, "-m", "conecbf", *args], env=env, capture_output=True, timeout=120,
+            )
+            assert run.returncode == code, (args, run.stderr)
+
     def test_validate(self, tmp_path):
         assert main(["validate", "--scenario",
                      str(SCENARIO_DIR / "bicycle-path-yield.json")]) == 0
@@ -689,16 +721,17 @@ class TestNonFinite:
     """A run may log non-finite numbers; its report and plots stay finite."""
 
     @staticmethod
-    def run_with_obstacle_at(tmp_path, center):
-        """Output directory of unicycle-turning.json run with one more
-        obstacle, at rest at `center`."""
+    def run_with_obstacle_at(tmp_path, center, cbf="c3bf", code=0):
+        """Output directory of unicycle-turning.json run under `cbf` with one
+        more obstacle, at rest at `center`; the run must exit with `code`."""
         doc = json.loads((SCENARIO_DIR / "unicycle-turning.json").read_text())
         doc["filter"].pop("activation_radius", None)
         doc["obstacles"].append({"center": center})
-        scenario = tmp_path / "far.json"
+        doc["cbf"] = cbf
+        scenario = tmp_path / f"far-{cbf}.json"
         scenario.write_text(json.dumps(doc))
-        out = tmp_path / "run"
-        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        out = tmp_path / f"run-{cbf}"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == code
         return out
 
     @pytest.fixture
@@ -715,6 +748,19 @@ class TestNonFinite:
         assert all(d == 1e200 for d in data["dist_1"])
         assert all(map(math.isfinite, data["h_1"] + data["psi_1"]))
         assert read_json(run / "summary.json", "summary")["metrics"]["infeasible_steps"] == 0
+
+    def test_far_obstacle_under_the_baselines(self, tmp_path):
+        # the ellipse and HOCBF kernels measure a distance whose square
+        # overflows by hypot, so the far obstacle changes no verdict: the
+        # ellipse filter still degenerates at step 519 and the HOCBF run
+        # still collides with obstacle 0, each exiting 2 with a summary
+        run = self.run_with_obstacle_at(tmp_path, [1e200, 0.0], "ellipse", code=2)
+        summary = read_json(run / "summary.json", "summary")
+        assert (summary["aborted"], summary["step"]) == ("filter degenerate for 201 consecutive steps", 519)
+        run = self.run_with_obstacle_at(tmp_path, [1e200, 0.0], "hocbf", code=2)
+        summary = read_json(run / "summary.json", "summary")
+        assert (summary["collided"], summary["collision_obstacle"]) == (True, 0)
+        assert summary["metrics"]["min_clearance"][1] == 1e200
 
     @staticmethod
     def plot(run, mode, cells=()):

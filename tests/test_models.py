@@ -290,7 +290,7 @@ def _stagewise_rk4_unicycle(x, y, th, v, om, a, al, dt):
     return (
         x + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
         y + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        kernel.wrap_angle(th + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])),
+        th + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
         v + dt * a,
         om + dt * al,
     )
@@ -313,7 +313,7 @@ def _stagewise_rk4_bicycle(x, y, th, v, a, be, lr, dt):
     return (
         x + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
         y + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        kernel.wrap_angle(th + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])),
+        th + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
         v + dt * a,
     )
 
@@ -336,7 +336,8 @@ def _rk4_position(rng):
 
 class TestRk4StagesExact:
     # the scalar RK4 stages must give the same bits as the stage-by-stage
-    # closure form on every input, the heading wrap at +-pi included
+    # closure form on every input, headings near +-pi included; the kernels
+    # return the raw heading and the state types wrap it
     N = 3000
 
     def test_unicycle_bit_for_bit(self):
@@ -360,11 +361,22 @@ class TestRk4StagesExact:
             assert kernel.rk4_bicycle(*args) == _stagewise_rk4_bicycle(*args), args
 
     def test_heading_wrap_exercised(self):
-        # a step across +pi lands near -pi in both forms
-        args = (0.0, 0.0, math.pi - 1e-4, 1.0, 1.0, 0.0, 0.0, 0.01)
+        # a step across +pi: the kernel's heading passes pi, and the state
+        # integrate_step builds holds its wrap, near -pi
+        s = UnicycleState(0.0, 0.0, math.pi - 1e-4, 1.0, 1.0)
+        args = (*s.as_tuple(), 0.0, 0.0, 0.01)
         out = kernel.rk4_unicycle(*args)
         assert out == _stagewise_rk4_unicycle(*args)
-        assert out[2] < -math.pi + 0.02
+        assert out[2] > math.pi
+        theta = integrate_step("unicycle", s, (0.0, 0.0), 0.01).theta
+        assert theta == kernel.wrap_angle(out[2]) < -math.pi + 0.02
+        s = BicycleState(0.0, 0.0, math.pi - 1e-4, 1.0)
+        args = (*s.as_tuple(), 0.0, 0.2, 1.0, 0.01)
+        out = kernel.rk4_bicycle(*args)
+        assert out == _stagewise_rk4_bicycle(*args)
+        assert out[2] > math.pi
+        theta = integrate_step("bicycle", s, (0.0, 0.2), 0.01, ModelParams(l_r=1.0)).theta
+        assert theta == kernel.wrap_angle(out[2]) < -math.pi + 0.02
 
 
 class TestInputPairChecked:
