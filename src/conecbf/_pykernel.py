@@ -383,9 +383,9 @@ def rk4_pointmass(x, y, vx, vy, ax, ay, dt):
 # - b_i)^2 over a box: Gauss-Newton passes from u_ref with exact line
 # searches (Mangasarian's finite Newton method, 2002) until one no longer
 # lowers the sum; if that point leaves the box, the best point of the box's
-# finite edges, searched from u_ref saturated to the box in the order
-# u0 = lo0, hi0, u1 = lo1, hi1, the first of equal sums kept.  Directions
-# that no violated row pins keep u_ref's value.
+# finite edges, each searched from u_ref saturated to the box, equal sums
+# going to the edge point nearest u_ref.  Directions that no violated row
+# pins keep u_ref's value.
 # ---------------------------------------------------------------------------
 
 _FEAS_TOL = 1e-10
@@ -436,7 +436,8 @@ def least_violation(ur0, ur1, g0s, g1s, bs, lo0, hi0, lo1, hi1):
     """The input in the box lo <= u <= hi (bounds may be infinite) of least
     summed squared violation, by the rule above. A pass's Newton step solves
     A d = e over the violated rows, A = sum g g^T, e = sum g (b - g . u), or
-    d = A+ e with A+ = A / tr(A)^2 for parallel normals. A NaN row leaves
+    d = A+ e with A+ = A / tr(A)^2 for parallel normals. Of the box edges'
+    best points, equal sums go to the one nearest u_ref. A NaN row leaves
     u_ref, saturated to the box."""
     u0, u1 = ur0, ur1
     f = _sq_violation(u0, u1, g0s, g1s, bs)
@@ -472,7 +473,7 @@ def least_violation(ur0, ur1, g0s, g1s, bs, lo0, hi0, lo1, hi1):
     s0, s1 = min(max(ur0, lo0), hi0), min(max(ur1, lo1), hi1)
     edges = [(v, _line_min(v, 0.0, 0.0, 1.0, g0s, g1s, bs, s1, lo1, hi1)) for v in (lo0, hi0) if not isinf(v)]
     edges += [(_line_min(0.0, v, 1.0, 0.0, g0s, g1s, bs, s0, lo0, hi0), v) for v in (lo1, hi1) if not isinf(v)]
-    return min(edges, key=lambda e: _sq_violation(e[0], e[1], g0s, g1s, bs))
+    return min(edges, key=lambda e: (_sq_violation(*e, g0s, g1s, bs), hypot(e[0] - ur0, e[1] - ur1)))
 
 
 def solve_qp2(ur0, ur1, g0s, g1s, bs):

@@ -70,7 +70,8 @@ class FilterResult(NamedTuple):
     psi holds the slack of every constraint at u_ref. `degenerate` marks violated
     but uncontrollable constraints (||lgh|| below threshold); `infeasible` a
     non-finite constraint or an empty intersection, where u_star is the point of
-    the box of least summed squared violation (ties as filter_qp states).
+    the box of least summed squared violation, of equals the one nearest u_ref
+    on the box's edges (as filter_qp states).
     """
 
     u_star: tuple
@@ -143,9 +144,9 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
     is saturated into the box, which the QP meets only within its tolerance.
     If no input in the box meets every row, the step is flagged and
     kernel.least_violation answers with the least summed squared violation of
-    the barrier rows: from u_ref, else on the box's finite edges (u0 = lo0,
-    hi0, u1 = lo1, hi1, first of equals kept); directions no violated row pins
-    keep u_ref's value. A u_ref that is not a pair of finite numbers, a
+    the barrier rows: from u_ref, else on the box's finite edges (of equal
+    sums the point nearest u_ref); directions no violated row pins keep
+    u_ref's value. A u_ref that is not a pair of finite numbers, a
     malformed evaluation or a bad distance raises ValidationError. With no
     rows to solve, u_ref passes through.
     """

@@ -14,12 +14,14 @@ locale independent; the active and penetration flags as 0 or 1.
 import csv
 import json
 import sys
-from dataclasses import asdict, fields, is_dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, fields, is_dataclass
+from functools import partial
 from itertools import islice
 from math import isfinite
 
 from .cbf import Obstacle, effective_radius
-from .controllers import ControllerSpec, ReferencePath
+from .controllers import ReferencePath
 from .engine import (
     BRAKE_SPEED_FRACTION,
     COLLISION_SLACK,
@@ -30,19 +32,17 @@ from .engine import (
     safety_metrics,
 )
 from .errors import ValidationError
-from .models import MODEL_KINDS, STATE_FIELDS, STATE_TYPES, ModelParams
-from .qpfilter import FilterConfig
+from .models import MODEL_KINDS, STATE_FIELDS, STATE_TYPES
 
 _INF = float("inf")
 # trajectory CSV rows formatted and written per `%` and per write
 CSV_BLOCK_ROWS = 64
 
-# document keys come from the dataclasses they fill; Scenario fields that
-# live in a sub-object name it in their metadata
-_TOP_KEYS = {f.metadata.get("section", f.name) for f in fields(Scenario)}
-_SIM_KEYS = [f.name for f in fields(Scenario) if f.metadata.get("section") == "sim"]
 # an obstacle's document pairs and the Obstacle fields each fills
 _OBSTACLE_PAIRS = (("center", ("cx", "cy")), ("velocity", ("vx", "vy")), ("semi_axes", ("c1", "c2")))
+# the Scenario fields without a default that a document may leave out, as
+# read then; a missing controller is 'zero'
+_OPTIONAL_SECTIONS = {"params": {}, "obstacles": [], "controller": {"kind": "zero"}, "filter": {}}
 
 
 def _check_keys(d, allowed, where: str):
@@ -68,15 +68,6 @@ def _required(d: dict, key: str, where: str):
     return d[key]
 
 
-def _num(d: dict, key: str, where: str) -> float:
-    return _number(_required(d, key, where), f"{where}.{key}")
-
-
-def _nums(d: dict, where: str, skip=()) -> dict:
-    """Every key of `d` outside `skip` as a number; absent keys keep their defaults."""
-    return {k: _num(d, k, where) for k in d if k not in skip}
-
-
 def _two(v, where: str) -> list:
     if not (isinstance(v, list) and len(v) == 2):
         raise ValidationError(f"{where}: expected a list of 2 entries, got {v!r}")
@@ -87,107 +78,111 @@ def _pair(v, where: str) -> tuple:
     return tuple(_number(c, where) for c in _two(v, where))
 
 
-def _vec2(d: dict, key: str, where: str) -> tuple:
-    return _pair(_required(d, key, where), f"{where}.{key}")
-
-
-def _list(d: dict, key: str, where: str) -> list:
-    v = d.get(key, [])
+def _list(v, where: str) -> list:
     if not isinstance(v, list):
-        raise ValidationError(f"{where}.{key}: expected a list, got {type(v).__name__}")
+        raise ValidationError(f"{where}: expected a list, got {type(v).__name__}")
     return v
 
 
-def _bool(d: dict, key: str, where: str) -> bool:
-    v = d[key]
-    if not isinstance(v, bool):
-        raise ValidationError(f"{where}.{key}: expected true or false, got {v!r}")
-    return v
-
-
-def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
-    """Build a Scenario from a parsed JSON document, validating strictly.
-
-    A key the document leaves out keeps the default of the dataclass
-    field it fills.
-    """
-    _check_keys(doc, _TOP_KEYS, name)
-    model = doc.get("model")
-    if model not in MODEL_KINDS:
-        raise ValidationError(f"{name}.model: expected one of {sorted(MODEL_KINDS)}, got {model!r}")
-
-    where = f"{name}.params"
-    pdoc = doc.get("params", {})
-    _check_keys(pdoc, [f.name for f in fields(ModelParams)], where)
-    params = ModelParams(**_nums(pdoc, where))
-
-    where = f"{name}.initial_state"
-    sdoc = doc.get("initial_state")
-    _check_keys(sdoc, STATE_FIELDS[model], where)
-    state = STATE_TYPES[model](*[_num(sdoc, f, where) for f in STATE_FIELDS[model]])
-
+def _obstacles(v, where: str) -> tuple:
+    """Obstacles written as their _OBSTACLE_PAIRS and (t, velocity) segments."""
     obstacles = []
-    for i, odoc in enumerate(_list(doc, "obstacles", name)):
-        where = f"{name}.obstacles[{i}]"
-        _check_keys(odoc, [key for key, _ in _OBSTACLE_PAIRS] + ["segments"], where)
-        okw = {}
+    for i, odoc in enumerate(_list(v, where)):
+        at = f"{where}[{i}]"
+        _check_keys(odoc, [key for key, _ in _OBSTACLE_PAIRS] + ["segments"], at)
+        kw = {}
         for key, names in _OBSTACLE_PAIRS:
             # the center is required, the other pairs keep their defaults
             if key in odoc or key == "center":
-                okw.update(zip(names, _vec2(odoc, key, where)))
+                kw.update(zip(names, _value(_pair)(odoc, key, at)))
         segments = []
-        for j, seg in enumerate(_list(odoc, "segments", where)):
-            segwhere = f"{where}.segments[{j}]"
-            _check_keys(seg, ("t", "velocity"), segwhere)
-            segments.append((_num(seg, "t", segwhere), *_vec2(seg, "velocity", segwhere)))
-        obstacles.append(Obstacle(segments=tuple(segments), **okw))
+        for j, seg in enumerate(_list(odoc.get("segments", []), f"{at}.segments")):
+            seg_at = f"{at}.segments[{j}]"
+            _check_keys(seg, ("t", "velocity"), seg_at)
+            segments.append((_value(_number)(seg, "t", seg_at), *_value(_pair)(seg, "velocity", seg_at)))
+        obstacles.append(Obstacle(segments=tuple(segments), **kw))
+    return tuple(obstacles)
 
-    where = f"{name}.controller"
-    cdoc = doc.get("controller", {"kind": "zero"})
-    _check_keys(cdoc, [f.name for f in fields(ControllerSpec)] + ["closed"], where)
-    ckw = _nums(cdoc, where, skip=("kind", "v_des_vec", "path", "closed"))
-    if "kind" in cdoc:
-        ckw["kind"] = cdoc["kind"]
-    if "v_des_vec" in cdoc:
-        ckw["v_des_vec"] = _vec2(cdoc, "v_des_vec", where)
-    if "path" in cdoc:
-        waypoints = tuple(
-            _pair(p, f"{where}.path[{i}]") for i, p in enumerate(_list(cdoc, "path", where))
-        )
-        closed = {"closed": _bool(cdoc, "closed", where)} if "closed" in cdoc else {}
-        ckw["path"] = ReferencePath(waypoints, **closed)
-    controller = ControllerSpec(**ckw)
 
-    where = f"{name}.filter"
-    fdoc = doc.get("filter", {})
-    _check_keys(fdoc, [f.name for f in fields(FilterConfig)], where)
-    fkw = _nums(fdoc, where, skip=("input_bounds",))
-    if fdoc.get("input_bounds") is not None:
-        where = f"{where}.input_bounds"
-        boxes = [_two(box, where) for box in _two(fdoc["input_bounds"], where)]
-        fkw["input_bounds"] = tuple(
-            (-_INF if lo is None else _number(lo, where), _INF if hi is None else _number(hi, where))
-            for lo, hi in boxes
-        )
+def _state(d: dict, key: str, where: str):
+    """The initial state, as the state type of the `model` read before it."""
+    if d["model"] not in MODEL_KINDS:
+        raise ValidationError(f"{where}.model: expected one of {sorted(MODEL_KINDS)}, got {d['model']!r}")
+    return _read(STATE_TYPES[d["model"]], _required(d, key, where), f"{where}.{key}")
 
-    where = f"{name}.sim"
-    simdoc = doc.get("sim", {})
-    _check_keys(simdoc, _SIM_KEYS, where)
-    kw = _nums(simdoc, where)
-    if "hocbf_gamma1" in doc:
-        kw["hocbf_gamma1"] = _num(doc, "hocbf_gamma1", name)
-    if "cbf" in doc:
-        kw["cbf"] = doc["cbf"]
-    return Scenario(
-        name=str(doc.get("name", name)),
-        model=model,
-        params=params,
-        initial_state=state,
-        obstacles=tuple(obstacles),
-        controller=controller,
-        filter=FilterConfig(**fkw),
-        **kw,
+
+def _path(d: dict, key: str, where: str) -> ReferencePath:
+    """A path written as its waypoints, with `closed` beside them."""
+    at = f"{where}.{key}"
+    closed = d.get("closed", ReferencePath.closed)
+    if not isinstance(closed, bool):
+        raise ValidationError(f"{where}.closed: expected true or false, got {closed!r}")
+    return ReferencePath(tuple(_pair(p, f"{at}[{i}]") for i, p in enumerate(_list(d[key], at))), closed)
+
+
+def _box(v, where: str):
+    """input_bounds with a null side open; null as a whole is no box."""
+    return None if v is None else tuple(
+        (-_INF if lo is None else _number(lo, where), _INF if hi is None else _number(hi, where))
+        for lo, hi in (_two(side, where) for side in _two(v, where))
     )
+
+
+def _value(read):
+    """The form that reads d[key], which must be there, as read(value, its path)."""
+    return lambda d, key, where: read(_required(d, key, where), f"{where}.{key}")
+
+
+# the fields not read by the default rule of _read, and the form that reads
+# each from the object d holding it: form(d, key, path of d)
+_FORMS = {
+    "name": _value(lambda v, where: str(v)),
+    # the dataclass that takes these checks them
+    "model": _value(lambda v, where: v),
+    "kind": _value(lambda v, where: v),
+    "cbf": _value(lambda v, where: v),
+    "initial_state": _state,
+    "obstacles": _value(_obstacles),
+    "v_des_vec": _value(_pair),
+    "path": _path,
+    "input_bounds": _value(_box),
+}
+# a field written with a key beside it, and that key
+_BESIDE = {"path": "closed"}
+
+
+def _read(cls, d, where: str):
+    """Inverse of _fields_doc: the `cls` instance that document object `d`
+    at `where` describes. A key names a field of dataclass `cls`, the section
+    its metadata names or the _BESIDE key of a field. A field is read by its
+    _FORMS entry, else as an object by this rule if dataclass-typed, else as
+    a number; left out, it keeps its default, and without one it is required
+    (the form refuses it missing).
+    """
+    fs = fields(cls)
+    keys = {f.metadata.get("section", f.name) for f in fs}
+    _check_keys(d, keys | {_BESIDE[k] for k in keys & _BESIDE.keys()}, where)
+    kw = {}
+    for f in fs:
+        holder, at = d, where
+        if section := f.metadata.get("section"):
+            holder, at = d.get(section, {}), f"{where}.{section}"
+            _check_keys(holder, [g.name for g in fs if g.metadata.get("section") == section], at)
+        if f.name in holder or f.default is MISSING and f.default_factory is MISSING:
+            form = _FORMS.get(f.name) or _value(partial(_read, f.type) if is_dataclass(f.type) else _number)
+            kw[f.name] = form(holder, f.name, at)
+        elif _BESIDE.get(f.name) in holder:
+            raise ValidationError(f"{at}.{_BESIDE[f.name]}: allowed only beside {f.name!r}")
+    return cls(**kw)
+
+
+def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
+    """Build a Scenario from a parsed JSON document by the one rule of _read;
+    `name` is the default name, and a left-out _OPTIONAL_SECTIONS entry reads
+    as given there."""
+    if isinstance(doc, dict):
+        doc = {"name": name, **_OPTIONAL_SECTIONS, **doc}
+    return _read(Scenario, doc, name)
 
 
 def _fields_doc(obj, skip=()) -> dict:
@@ -236,23 +231,39 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return _finite_or_none(doc)
 
 
+@contextmanager
+def _text_file(path, what: str, newline=None):
+    """The file at `path` open as UTF-8 text, `newline` as for `open`; a file
+    that cannot be read or decoded while in use raises ValidationError
+    naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
 def read_json(path, what: str) -> dict:
     """The JSON object in the file at `path`; `what` names the file in errors.
 
-    NaN/Infinity, over-long integer literals and non-objects raise ValidationError.
+    NaN/Infinity, over-long integer literals, nesting too deep to decode
+    and non-objects raise ValidationError.
     """
     def reject(literal):
         raise ValidationError(f"{path}: {literal} is not a finite number")
 
+    with _text_file(path, what) as fh:
+        text = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=reject)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what} {path}: {exc}")
+        doc = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except ValueError as exc:  # an integer literal too long to convert
         raise ValidationError(f"{path}: invalid JSON: {exc}")
+    except RecursionError:
+        raise ValidationError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected an object, got {type(doc).__name__}")
     return doc
@@ -327,18 +338,14 @@ def read_trajectory_csv(path):
 
     Raises ValidationError when the layout does not match the contract.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError(f"{path}: empty CSV")
-            rows = list(reader)
-            if not rows:
-                raise ValidationError(f"{path}: no data rows")
-    except OSError as exc:
-        raise ValidationError(f"cannot read CSV {path}: {exc}")
+    with _text_file(path, "CSV", newline="") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # a field beyond the csv module's size limit, say
+            raise ValidationError(f"{path}: malformed CSV: {exc}") from None
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: {'no data rows' if rows else 'empty CSV'}")
+    header, *rows = rows
     # the header must be the one csv_header writes for some model, with the
     # obstacle count its length implies
     if not any(

@@ -8,7 +8,7 @@ Non-finite samples are skipped: they neither frame a plot nor join a trace.
 """
 
 from itertools import repeat
-from math import ceil, floor, isfinite, log10
+from math import ceil, floor, inf, isfinite, log10
 
 from .cbf import effective_radius
 from .errors import ValidationError
@@ -23,20 +23,24 @@ OBSTACLE = "#2e8b57"
 GRID = "#d8d8d8"
 
 
+def _padded(vs, pad):
+    """The range of the finite values `vs`, widened on each side by `pad` of
+    its span, or of 1 if it has none."""
+    vs = [v for v in vs if isfinite(v)] or [0.0]
+    lo, hi = min(vs), max(vs)
+    d = (hi - lo) or 1.0
+    lo, hi = lo - pad * d, hi + pad * d
+    if lo == hi:  # that pad rounds away next to values this large: pad by theirs
+        lo, hi = lo - pad * abs(lo), hi + pad * abs(hi)
+    return lo, hi
+
+
 class _Frame:
     """Maps world coordinates into the pixel viewport framing the finite ones."""
 
     def __init__(self, xs, ys, equal_aspect=False, pad=0.08):
-        xs = [v for v in xs if isfinite(v)] or [0.0]
-        ys = [v for v in ys if isfinite(v)] or [0.0]
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        dx = (xmax - xmin) or 1.0
-        dy = (ymax - ymin) or 1.0
-        xmin -= pad * dx
-        xmax += pad * dx
-        ymin -= pad * dy
-        ymax += pad * dy
+        xmin, xmax = _padded(xs, pad)
+        ymin, ymax = _padded(ys, pad)
         if equal_aspect:
             w_avail = W - 2 * MARGIN
             h_avail = H - 2 * MARGIN
@@ -47,8 +51,8 @@ class _Frame:
             cy = 0.5 * (ymin + ymax)
             xmin, xmax = cx - 0.5 * w_avail / s, cx + 0.5 * w_avail / s
             ymin, ymax = cy - 0.5 * h_avail / s, cy + 0.5 * h_avail / s
-        if not (isfinite(xmax - xmin) and isfinite(ymax - ymin)):
-            raise ValidationError("the samples span more than the float range")
+        if not (0 < xmax - xmin < inf and 0 < ymax - ymin < inf):
+            raise ValidationError("the samples span more than the float range, or too little to draw")
         self.xmin, self.xmax, self.ymin, self.ymax = xmin, xmax, ymin, ymax
 
     def px(self, x):
@@ -62,22 +66,23 @@ class _Frame:
 
 
 def _ticks(lo, hi, n=6):
+    """Round-numbered ticks in [lo, hi]: at most n + 2, as the step is at
+    least span / n, so the count, not x, bounds the loop; next to values
+    this large x += step may not move x, and a repeated tick is dropped."""
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / n
+    if not raw > 0:
+        return [lo]
     mag = 10 ** floor(log10(raw))
-    for mult in (1, 2, 2.5, 5, 10):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = ceil(lo / step) * step
+    step = next((mult * mag for mult in (1, 2, 2.5, 5) if raw <= mult * mag), 10 * mag)
     out = []
-    x = first
-    while x <= hi + 1e-12 * span:
+    x = ceil(lo / step) * step
+    for _ in range(n + 2):
+        if not x <= hi + 1e-12 * span:
+            break
         out.append(round(x, 10))
         x += step
-    return out
+    return list(dict.fromkeys(out))
 
 
 def _fmt(v):

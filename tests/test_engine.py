@@ -430,6 +430,20 @@ class TestClassifyAndMetrics:
         assert moving and all(o.moves() for o in reads)
         assert all(reads.count(o) <= 2 for o in moving)
 
+    @pytest.mark.parametrize("model", ["unicycle", "bicycle"])
+    def test_empty_log(self, model):
+        # a log with no record: no label, no clearance, no filter effort
+        kw = {"initial_state": UnicycleState(0, 0, 0, 1.0, 0)}
+        if model == "bicycle":
+            kw = {"model": "bicycle", "initial_state": BicycleState(0, 0, 0, 1.0)}
+        log = engine.TrajectoryLog(simple_scenario(obstacles=(Obstacle(8, 0.0),), **kw))
+        assert classify_behavior(log) == ()
+        m = safety_metrics(log)
+        assert m.min_clearance == ()
+        assert m.min_clearance_overall == m.min_h == math.inf
+        assert m.active_fraction == m.max_u_safe == 0.0
+        assert m.max_abs_beta == (0.0 if model == "bicycle" else None)
+
     def test_metrics_fields(self):
         sc = simple_scenario(
             initial_state=UnicycleState(0, 0, 0, 1.5, 0),

@@ -265,6 +265,16 @@ class TestFilterQp:
         assert res.u_star[0] == pytest.approx(0.5, abs=1e-6)
         assert res.u_star == (0.5, 0.0)
 
+    def test_equal_violations_go_to_the_edge_nearest_u_ref(self):
+        # u1 >= 1 and u1 <= -1 conflict whatever u0 is; with u0 boxed to
+        # [-1, 1] and u_ref = (3, 0) both faces u0 = -1 and u0 = 1 hold the
+        # least violation, and the rule keeps u0 at u_ref's saturated value
+        cfg = FilterConfig(gamma=1.0, input_bounds=((-1.0, 1.0), (-math.inf, math.inf)))
+        evals = [ev(0.0, -1.0, (0.0, 1.0), dist=1.0), ev(0.0, -1.0, (0.0, -1.0), dist=1.0)]
+        res = filter_qp((3.0, 0.0), evals, cfg)
+        assert res.u_star == (1.0, 0.0) and res.infeasible
+        assert filter_qp((-3.0, 0.0), evals, cfg).u_star == (-1.0, 0.0)
+
     def test_u_star_inside_box_bit_for_bit(self):
         # passthrough, feasible and infeasible answers all lie inside the
         # box exactly: the QP meets box rows only within its tolerance, and
@@ -393,6 +403,16 @@ class TestSolveQp2:
         u0, u1 = kernel.least_violation(0.0, 0.0, *rows, *NO_BOX)
         assert not feasible and active == ()
         assert squared_violation((u0, u1), *rows) <= squared_violation((0.0, 0.0), *rows)
+
+    def test_zero_normal_rows(self):
+        # a violated row with a zero normal: no candidate, no Newton step
+        assert kernel.solve_qp2(0.3, -0.2, [0.0], [0.0], [1.0]) == (0.3, -0.2, (), False)
+        assert kernel.least_violation(0.3, -0.2, [0.0], [0.0], [1.0], *NO_BOX) == (0.3, -0.2)
+        # outside the box every edge point violates it equally: the one
+        # nearest u_ref is kept
+        box = (-1.0, 1.0, -math.inf, math.inf)
+        assert kernel.least_violation(3.0, -0.2, [0.0], [0.0], [1.0], *box) == (1.0, -0.2)
+        assert kernel.least_violation(-3.0, -0.2, [0.0], [0.0], [1.0], *box) == (-1.0, -0.2)
 
     def test_least_violation_never_worse_than_u_ref(self):
         rng = np.random.default_rng(5)

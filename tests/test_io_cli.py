@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -163,6 +165,34 @@ class TestScenarioFiles:
         for given, canonical in cases:
             assert given != canonical
             assert parse_scenario(scenario_to_dict(given)) == canonical
+
+    def test_closed_only_beside_a_path(self):
+        # the writer puts `closed` beside a path and nowhere else
+        with pytest.raises(ValidationError, match=re.escape("scenario.controller.closed: allowed only beside 'path'")):
+            parse_scenario(minimal_doc(controller={"kind": "p", "closed": False}))
+        stanley = {"kind": "stanley", "path": [[0, 0], [5, 0]]}
+        with pytest.raises(ValidationError, match=re.escape("scenario.controller.closed: expected true or false")):
+            parse_scenario(minimal_doc(model="bicycle", initial_state={"x": 0, "y": 0, "theta": 0, "v": 1.0},
+                                       controller={**stanley, "closed": 1}))
+
+    def test_errors_name_the_document_path(self):
+        cases = [
+            ({"obstacles": [{"center": [1, "x"]}]}, "scenario.obstacles[0].center"),
+            ({"obstacles": [{"center": [1, 2], "segments": [{"t": 1, "velocity": [0]}]}]},
+             "scenario.obstacles[0].segments[0].velocity"),
+            ({"sim": {"dt": "x"}}, "scenario.sim.dt"),
+            ({"sim": {"step": 1}}, "scenario.sim: unknown key"),
+            ({"params": {"w": None}}, "scenario.params.w"),
+            ({"controller": {"v_des_vec": [1]}}, "scenario.controller.v_des_vec"),
+            ({"controller": {"kind": "stanley", "path": [[0, 0], 5]}}, "scenario.controller.path[1]"),
+            ({"filter": {"input_bounds": [[0, 1], [None, "x"]]}}, "scenario.filter.input_bounds"),
+            ({"initial_state": {"x": 0}}, "scenario.initial_state: missing required key 'y'"),
+            ({"model": "boat"}, "scenario.model: expected one of"),
+            ({"hocbf_gamma1": [2]}, "scenario.hocbf_gamma1"),
+        ]
+        for change, where in cases:
+            with pytest.raises(ValidationError, match=re.escape(where)):
+                parse_scenario(minimal_doc(**change))
 
     def test_bad_json_reports_line(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -372,6 +402,8 @@ class TestCli:
         {"sim.dt": 1e-300},
         {"controller.path": [[0, 0], [1]]},
         {"controller.path": [[0, 0], [1, 0]], "controller.closed": "yes"},
+        {"controller.closed": "yes"},
+        {"controller.closed": True},
         {"saturate_speed": "no"},
         {"obstacles": 5},
         {"obstacles.0.segments": 5},
@@ -536,6 +568,22 @@ class TestCli:
             ["diverging", "aborted"], ["pointmass-braking", "safe"]
         ]
 
+    def test_undecodable_and_too_deep_files_exit_3(self, tmp_path, capsys):
+        files = tmp_path / "files"
+        files.mkdir()
+        (files / "a-deep.json").write_text('{"obstacles": ' + "[" * 1500 + "]" * 1500 + "}")
+        (files / "b-utf16.json").write_bytes(b"\xff\xfe" + json.dumps(minimal_doc()).encode())
+        (files / "c-braking.json").write_text((SCENARIO_DIR / "unicycle-braking.json").read_text())
+        for bad in ("a-deep.json", "b-utf16.json"):
+            assert main(["validate", "--scenario", str(files / bad)]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["batch", "--scenarios", str(files), "--out", str(out)]) == 3
+        rows = (out / "report.csv").read_text().splitlines()
+        assert rows[1:3] == ["a-deep,invalid,,,,", "b-utf16,invalid,,,,"]
+        assert rows[3].split(",")[:2] == ["unicycle-braking", "safe"]
+        assert (out / "c-braking" / "trajectory.csv").exists()
+
     def test_batch_goes_on_past_an_invalid_file(self, tmp_path, capsys):
         mixed = tmp_path / "mixed"
         mixed.mkdir()
@@ -699,6 +747,35 @@ class TestPlotRefusals:
         with pytest.raises(ValidationError, match="ragged row"):
             read_trajectory_csv(ragged)
         assert self.plot(ragged) == 3
+
+    def test_not_utf8(self, run):
+        bad = run / "utf16.csv"
+        bad.write_bytes(b"\xff\xfe" + (run / "trajectory.csv").read_bytes())
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            read_trajectory_csv(bad)
+        assert self.plot(bad) == 3
+
+    @pytest.mark.parametrize("input_at", [
+        # all 1e17: the frame's 0.08 pad rounds away and leaves no span
+        lambda k: 1e17,
+        # a span of 4 around 1e16: a tick step under half an ulp of 1e16
+        lambda k: 1e16 + 0.4 * k,
+    ], ids=["constant-1e17", "span-4-at-1e16"])
+    def test_inputs_at_large_magnitude(self, run, input_at):
+        lines = (run / "trajectory.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        inputs = [header.index(c) for c in ("u_ref_0", "u_ref_1", "u_star_0", "u_star_1")]
+        for k in range(1, len(lines)):
+            row = lines[k].split(",")
+            for i in inputs:
+                row[i] = repr(input_at(k - 1))
+            lines[k] = ",".join(row)
+        large = run / "large.csv"
+        large.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        assert self.plot(large) == 0
+        assert time.perf_counter() - start < 1.0
+        ET.fromstring((run / "p.svg").read_text())
 
     def test_path_without_summary(self, run):
         (run / "summary.json").unlink()
