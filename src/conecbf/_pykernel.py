@@ -45,7 +45,10 @@ class CbfEvaluation(NamedTuple):
     dist is the center distance used for gating. `penetration` marks
     configurations inside the effective radius, where the cone
     degenerates to a half-plane. An immutable record, made once per
-    obstacle per tick: a named tuple, built in one tuple construction.
+    obstacle per tick: a named tuple, which the kernels build with one
+    `tuple.__new__` call, as the named tuple's own constructor is a
+    Python frame; that call checks no arity, so every return passes all
+    five fields.
     """
 
     h: float
@@ -53,6 +56,11 @@ class CbfEvaluation(NamedTuple):
     lgh: tuple
     penetration: bool
     dist: float
+
+
+# CbfEvaluation(...) runs the named tuple's Python-level __new__, one more
+# frame per record; this is the C call that __new__ ends in
+_tuple_new = tuple.__new__
 
 
 def wrap_angle(theta):
@@ -133,7 +141,7 @@ def c3bf_unicycle(x, y, th, v, om, l, cx, cy, cxd, cyd, r):
     # input columns of v_rel': a -> -e_t, alpha -> l*e_n
     lg0 = -(bx * ct + by * st)
     lg1 = l * (bx * st - by * ct)
-    return CbfEvaluation(h, lfh, (lg0, lg1), pen, dist)
+    return _tuple_new(CbfEvaluation, (h, lfh, (lg0, lg1), pen, dist))
 
 
 def c3bf_bicycle(x, y, th, v, lr, cx, cy, cxd, cyd, r):
@@ -159,7 +167,7 @@ def c3bf_bicycle(x, y, th, v, lr, cx, cy, cxd, cyd, r):
     a_en = ax * st - ay * ct
     b_en = bx * st - by * ct
     lg1 = v * a_en + (v * v / lr) * b_en
-    return CbfEvaluation(h, lfh, (lg0, lg1), pen, dist)
+    return _tuple_new(CbfEvaluation, (h, lfh, (lg0, lg1), pen, dist))
 
 
 def c3bf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, r):
@@ -169,7 +177,7 @@ def c3bf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, r):
     vx = cxd - vx_s
     vy = cyd - vy_s
     h, ax, ay, bx, by, dist, pen = _cone_terms(px, py, vx, vy, r)
-    return CbfEvaluation(h, ax * vx + ay * vy, (-bx, -by), pen, dist)
+    return _tuple_new(CbfEvaluation, (h, ax * vx + ay * vy, (-bx, -by), pen, dist))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +208,7 @@ def _ellipse_terms(x, y, vx, vy, cx, cy, cxd, cyd, c1, c2):
 def ellipse_unicycle(x, y, th, v, cx, cy, cxd, cyd, c1, c2):
     """Ellipse barrier for the acceleration unicycle: no input appears."""
     h, lfh, _, _, dist = _ellipse_terms(x, y, v * cos(th), v * sin(th), cx, cy, cxd, cyd, c1, c2)
-    return CbfEvaluation(h, lfh, (0.0, 0.0), False, dist)
+    return _tuple_new(CbfEvaluation, (h, lfh, (0.0, 0.0), False, dist))
 
 
 def ellipse_bicycle(x, y, th, v, cx, cy, cxd, cyd, c1, c2):
@@ -209,13 +217,13 @@ def ellipse_bicycle(x, y, th, v, cx, cy, cxd, cyd, c1, c2):
     st = sin(th)
     h, lfh, dxn, dyn, dist = _ellipse_terms(x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2)
     lg1 = 2.0 * dxn * v * st - 2.0 * dyn * v * ct
-    return CbfEvaluation(h, lfh, (0.0, lg1), False, dist)
+    return _tuple_new(CbfEvaluation, (h, lfh, (0.0, lg1), False, dist))
 
 
 def ellipse_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2):
     """Ellipse barrier for the point mass: relative degree two, no input."""
     h, lfh, _, _, dist = _ellipse_terms(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2)
-    return CbfEvaluation(h, lfh, (0.0, 0.0), False, dist)
+    return _tuple_new(CbfEvaluation, (h, lfh, (0.0, 0.0), False, dist))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +266,7 @@ def hocbf_unicycle(x, y, th, v, om, cx, cy, cxd, cyd, c1, c2, gamma1):
     )
     lfh += om * v * (q1 * dx * st - q2 * dy * ct)
     lg0 = -(q1 * dx * ct + q2 * dy * st)
-    return CbfEvaluation(h2, lfh, (lg0, 0.0), False, dist)
+    return _tuple_new(CbfEvaluation, (h2, lfh, (lg0, 0.0), False, dist))
 
 
 def hocbf_bicycle(x, y, th, v, lr, cx, cy, cxd, cyd, c1, c2, gamma1):
@@ -275,7 +283,7 @@ def hocbf_bicycle(x, y, th, v, lr, cx, cy, cxd, cyd, c1, c2, gamma1):
     lg0 = -(q1 * dx * ct + q2 * dy * st)
     # beta column: transport through x, y plus heading rate v/lr
     lg1 = v * st * q1 * ax - v * ct * q2 * ay + (v / lr) * v * (q1 * dx * st - q2 * dy * ct)
-    return CbfEvaluation(h2, lfh, (lg0, lg1), False, dist)
+    return _tuple_new(CbfEvaluation, (h2, lfh, (lg0, lg1), False, dist))
 
 
 def hocbf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1):
@@ -283,7 +291,7 @@ def hocbf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1):
     h2, lfh, q1, q2, dx, dy, _, _, dist = _hocbf_terms(
         x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1
     )
-    return CbfEvaluation(h2, lfh, (-q1 * dx, -q2 * dy), False, dist)
+    return _tuple_new(CbfEvaluation, (h2, lfh, (-q1 * dx, -q2 * dy), False, dist))
 
 
 # ---------------------------------------------------------------------------

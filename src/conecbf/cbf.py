@@ -17,7 +17,7 @@ cone candidate.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
 
 from ._backend import kernel
@@ -28,7 +28,7 @@ from .models import ModelParams, _require_finite, _require_vectors
 CBF_KINDS = ("c3bf", "ellipse", "hocbf", "none")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Obstacle:
     """Elliptical obstacle with piecewise-constant velocity.
 
@@ -36,6 +36,11 @@ class Obstacle:
     `segments` optionally re-points the velocity at given times, each
     entry being (t_start, vx, vy) with strictly increasing t_start > 0.
     c1, c2 are the semi-axes along x and y.
+
+    Slotted like the vehicle states: no instance __dict__, and field reads
+    go through slot descriptors. The motion anchors that __post_init__
+    works out are slots too, left out of init, repr, comparison and hash,
+    so `replace` builds them anew and two obstacles compare by their fields.
     """
 
     cx: float
@@ -45,6 +50,9 @@ class Obstacle:
     c1: float = 1.0
     c2: float = 1.0
     segments: tuple = ()
+    _anchors: tuple = field(init=False, repr=False, compare=False)
+    _times: tuple = field(init=False, repr=False, compare=False)
+    _moves: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cx, cy, vx, vy = self.cx, self.cy, self.vx, self.vy

@@ -20,6 +20,10 @@ from .cbf import CbfEvaluation
 from .errors import ValidationError
 from .models import _require_finite, _require_vectors
 
+# the C call that a FilterResult(...) call ends in, without the named
+# tuple's Python-level __new__ frame (as the kernels build CbfEvaluation)
+_tuple_new = tuple.__new__
+
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -60,6 +64,9 @@ class FilterConfig:
         # config (replace() builds them anew) for filter_qp to append
         rows = [row for row in box if not isinf(row[2])]
         object.__setattr__(self, "_box_rows", tuple(zip(*rows)) or ((), (), ()))
+        # the degeneracy threshold on ||lgh||^2, also once per config; not a
+        # field, so scenario documents do not carry it
+        object.__setattr__(self, "_eps2", self.regularization_eps * self.regularization_eps)
 
 
 class FilterResult(NamedTuple):
@@ -71,7 +78,8 @@ class FilterResult(NamedTuple):
     but uncontrollable constraints (||lgh|| below threshold); `infeasible` a
     non-finite constraint or an empty intersection, where u_star is the point of
     the box of least summed squared violation, of equals the one nearest u_ref
-    on the box's edges (as filter_qp states).
+    on the box's edges (as filter_qp states). The filters build it with one
+    `tuple.__new__` call, as CbfEvaluation is built, and pass all six fields.
     """
 
     u_star: tuple
@@ -96,6 +104,14 @@ def activation_gate(dist: float, cfg: FilterConfig) -> bool:
     raise ValidationError(f"distance must be a number >= 0, got {dist!r}")
 
 
+def _met_by_every_input(psi, lfh, gh, g0, g1) -> bool:
+    """Whether the row of a non-finite psi = lfh + g . u_ref + gh is met by
+    every input: under a finite g, an offset lfh + gh of +inf makes it
+    g . u >= -inf, and psi +inf. Any other (psi NaN or -inf, g infinite, or
+    psi +inf from an overflowing g . u_ref) never counts as met."""
+    return psi == _INF and lfh + gh == _INF and isfinite(g0) and isfinite(g1)
+
+
 def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
     """Closed-form filter for one constraint (no box bounds).
 
@@ -103,10 +119,12 @@ def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
     reference untouched; otherwise the correction is the least-norm
     input restoring psi = 0. A violated constraint with ||lgh|| <=
     regularization_eps cannot be influenced: it is flagged degenerate
-    and the reference passes through. A non-finite psi (NaN or infinite
-    h, lfh or lgh) cannot be met: it is flagged infeasible, as in
-    filter_qp. A finite box row, a u_ref that is not a pair of finite
-    numbers or a malformed evaluation raises ValidationError.
+    and the reference passes through. A psi of +inf from an infinite
+    lfh + gamma*h under a finite lgh is met by every input; any other
+    non-finite psi (NaN or infinite h, lfh or lgh) cannot be met: it is
+    flagged infeasible, as in filter_qp. A finite box row, a u_ref that is
+    not a pair of finite numbers or a malformed evaluation raises
+    ValidationError.
     """
     if cfg._box_rows[2]:
         raise ValidationError("filter_single cannot honour input_bounds; use filter_qp")
@@ -116,20 +134,22 @@ def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
         ur0, ur1 = u_ref
         if not (-_INF < ur0 + 0.0 < _INF and -_INF < ur1 + 0.0 < _INF):
             raise ValidationError(f"u_ref must be a pair of finite numbers, got {u_ref!r}")
-        psi = e.lfh + g0 * ur0 + g1 * ur1 + cfg.gamma * e.h
+        lfh = e.lfh
+        gh = cfg.gamma * e.h
+        psi = lfh + g0 * ur0 + g1 * ur1 + gh
         active = activation_gate(e.dist, cfg)
     except (TypeError, ValueError, IndexError, OverflowError, AttributeError) as exc:
         raise ValidationError(f"filter_single needs a finite pair u_ref and a CbfEvaluation: {exc}") from exc
-    if active and not isfinite(psi):
-        return FilterResult((ur0, ur1), (0.0, 0.0), (), (psi,), infeasible=True)
+    if active and not isfinite(psi) and not _met_by_every_input(psi, lfh, gh, g0, g1):
+        return _tuple_new(FilterResult, ((ur0, ur1), (0.0, 0.0), (), (psi,), False, True))
     if psi >= 0.0 or not active:
-        return FilterResult((ur0, ur1), (0.0, 0.0), (), (psi,))
+        return _tuple_new(FilterResult, ((ur0, ur1), (0.0, 0.0), (), (psi,), False, False))
     gg = g0 * g0 + g1 * g1
-    if gg <= cfg.regularization_eps * cfg.regularization_eps:
-        return FilterResult((ur0, ur1), (0.0, 0.0), (), (psi,), degenerate=True)
+    if gg <= cfg._eps2:
+        return _tuple_new(FilterResult, ((ur0, ur1), (0.0, 0.0), (), (psi,), True, False))
     u_safe = (-g0 * psi / gg, -g1 * psi / gg)
     u_star = (ur0 + u_safe[0], ur1 + u_safe[1])
-    return FilterResult(u_star, u_safe, (0,), (psi,))
+    return _tuple_new(FilterResult, (u_star, u_safe, (0,), (psi,), False, False))
 
 
 def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
@@ -138,10 +158,12 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
     Every psi is reported, but only the evaluations within the activation
     radius make rows. Degenerate ones (||lgh|| <= regularization_eps) are
     left out of the QP -- they are input-independent, so they either hold
-    on their own (psi >= 0) or cannot be fixed (flagged). One whose h, lfh
-    or lgh is NaN or infinite (its psi is then not finite) is left out too
-    and flags the result infeasible: it can never count as met. Every answer
-    is saturated into the box, which the QP meets only within its tolerance.
+    on their own (psi >= 0) or cannot be fixed (flagged). One whose psi is
+    +inf from an infinite lfh + gamma*h under a finite lgh is met by every
+    input and left out. Any other whose h, lfh or lgh is NaN or infinite (its
+    psi is then not finite) is left out too and flags the result infeasible:
+    it can never count as met. Every answer is saturated into the box, which
+    the QP meets only within its tolerance.
     If no input in the box meets every row, the step is flagged and
     kernel.least_violation answers with the least summed squared violation of
     the barrier rows: from u_ref, else on the box's finite edges (of equal
@@ -151,7 +173,7 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
     rows to solve, u_ref passes through.
     """
     gamma = cfg.gamma
-    eps2 = cfg.regularization_eps * cfg.regularization_eps
+    eps2 = cfg._eps2
     g0s, g1s, bs, idx, psis = [], [], [], [], []
     degenerate = nonfinite = False
     # a u_ref that is not a pair of finite numbers (or a malformed
@@ -170,7 +192,8 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
             if not activation_gate(e.dist, cfg):
                 continue
             if not isfinite(psi):
-                nonfinite = True
+                if not _met_by_every_input(psi, lfh, gh, g0, g1):
+                    nonfinite = True
                 continue
             if g0 * g0 + g1 * g1 <= eps2:
                 if psi < 0.0:
@@ -199,11 +222,11 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
         u0, u1 = min(max(u0, lo0), hi0), min(max(u1, lo1), hi1)
     # box rows follow the barrier rows and `active` ascends, so the barrier
     # rows among it map to ascending evaluation indices
-    return FilterResult(
+    return _tuple_new(FilterResult, (
         (u0, u1),
         (u0 - ur0, u1 - ur1),
         tuple([idx[k] for k in active if k < n_barrier]) if active else (),
         tuple(psis),
         degenerate,
         nonfinite or not feasible,
-    )
+    ))

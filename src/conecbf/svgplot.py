@@ -5,6 +5,8 @@ deterministic text files. Trace segments where the filter was active are
 drawn in a highlight color, matching the convention of coloring the
 portions of a run where the safe input differs from the reference.
 Non-finite samples are skipped: they neither frame a plot nor join a trace.
+Every text node is escaped, so a title such as a scenario's name draws as
+itself.
 """
 
 from itertools import repeat
@@ -95,8 +97,16 @@ class _Svg:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
             f'viewBox="0 0 {W} {H}" font-family="Helvetica, Arial, sans-serif">',
             f'<rect width="{W}" height="{H}" fill="white"/>',
-            f'<text x="{W / 2:.1f}" y="24" text-anchor="middle" font-size="15">{title}</text>',
         ]
+        self._text(f'x="{W / 2:.1f}" y="24" text-anchor="middle" font-size="15"', title)
+
+    def _text(self, attrs, s):
+        """A text element with the attribute string `attrs`, its text `s`
+        escaped as xml.sax.saxutils.escape does; that module imports
+        urllib.request, about 1 MB more resident memory in every process
+        that plots."""
+        s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        self.parts.append(f"<text {attrs}>{s}</text>")
 
     def line(self, x1, y1, x2, y2, color, width=1.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
@@ -123,10 +133,7 @@ class _Svg:
         )
 
     def text(self, x, y, s, size=11, anchor="middle", color="#333"):
-        self.parts.append(
-            f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="{anchor}" '
-            f'font-size="{size}" fill="{color}">{s}</text>'
-        )
+        self._text(f'x="{x:.1f}" y="{y:.1f}" text-anchor="{anchor}" font-size="{size}" fill="{color}"', s)
 
     def axes(self, frame, xlabel, ylabel):
         self.line(MARGIN, H - MARGIN, W - MARGIN, H - MARGIN, "#222")
@@ -140,9 +147,10 @@ class _Svg:
             self.line(MARGIN, py, W - MARGIN, py, GRID, 0.6)
             self.text(MARGIN - 6, py + 4, _fmt(ty), anchor="end")
         self.text((W) / 2, H - 12, xlabel, size=12)
-        self.parts.append(
-            f'<text x="16" y="{H / 2:.1f}" text-anchor="middle" font-size="12" '
-            f'fill="#333" transform="rotate(-90 16 {H / 2:.1f})">{ylabel}</text>'
+        self._text(
+            f'x="16" y="{H / 2:.1f}" text-anchor="middle" font-size="12" '
+            f'fill="#333" transform="rotate(-90 16 {H / 2:.1f})"',
+            ylabel,
         )
 
     def tostring(self):

@@ -155,7 +155,10 @@ class TestKernelRecords:
     @pytest.mark.parametrize("name,args", KERNEL_CALLS, ids=[n for n, _ in KERNEL_CALLS])
     def test_barrier_kernel_returns_the_record(self, kern, name, args):
         e = getattr(kern, name)(*args)
-        assert type(e) is CbfEvaluation
+        # built with tuple.__new__, which checks no arity: all five fields,
+        # as CbfEvaluation's own constructor builds them
+        assert type(e) is CbfEvaluation and len(e) == 5
+        assert e == CbfEvaluation(*e)
         assert type(e.penetration) is bool and len(e.lgh) == 2
         assert e.dist == math.hypot(5.0, 1.0)
 

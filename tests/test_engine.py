@@ -1,7 +1,9 @@
 """Closed-loop engine: determinism, verdicts, labels, metrics."""
 
+import copy
 import hashlib
 import math
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +11,9 @@ import pytest
 
 from conecbf import (
     BicycleState,
+    CbfEvaluation,
     FilterConfig,
+    FilterResult,
     ModelParams,
     Obstacle,
     PointMassState,
@@ -26,7 +30,7 @@ from conecbf import (
 )
 import conecbf.engine as engine
 from conecbf.engine import MAX_STEPS, ControllerSpec
-from conecbf.scenario_io import write_trajectory_csv
+from conecbf.scenario_io import parse_scenario, scenario_to_dict, write_trajectory_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -68,6 +72,53 @@ class TestObstacleMotion:
         assert not Obstacle(1, 1).moves()
         assert Obstacle(1, 1, vx=0.1).moves()
         assert Obstacle(1, 1, segments=((1.0, 0.5, 0.0),)).moves()
+
+
+class TestSlottedObstacle:
+    STILL = Obstacle(1.0, -2.0, c1=0.5)
+    SEGMENTED = Obstacle(0.0, 1.0, vx=0.5, vy=-0.25, c2=2.0, segments=((1.5, 0.0, 1.0), (3.0, -1.0, 0.0)))
+    TIMES = (0.0, 0.7, 1.5, 2.2, 3.0, 9.1)
+
+    def test_no_instance_dict_and_frozen(self):
+        for o in (self.STILL, self.SEGMENTED):
+            assert not hasattr(o, "__dict__")
+            with pytest.raises(AttributeError):
+                o.cx = 2.0
+
+    def test_equality_hash_and_repr_read_the_fields_alone(self):
+        # the anchors __post_init__ works out take no part, as before slots
+        assert repr(self.STILL) == "Obstacle(cx=1.0, cy=-2.0, vx=0.0, vy=0.0, c1=0.5, c2=1.0, segments=())"
+        assert repr(self.SEGMENTED) == (
+            "Obstacle(cx=0.0, cy=1.0, vx=0.5, vy=-0.25, c1=1.0, c2=2.0, "
+            "segments=((1.5, 0.0, 1.0), (3.0, -1.0, 0.0)))"
+        )
+        for o in (self.STILL, self.SEGMENTED):
+            values = (o.cx, o.cy, o.vx, o.vy, o.c1, o.c2, o.segments)
+            assert o == Obstacle(*values) and hash(o) == hash(Obstacle(*values)) == hash(values)
+            assert o != replace(o, c2=3.0)
+        assert Obstacle.__match_args__ == ("cx", "cy", "vx", "vy", "c1", "c2", "segments")
+
+    def test_replace_builds_the_motion_anew(self):
+        o = replace(self.STILL, vx=1.0)
+        assert not self.STILL.moves() and o.moves()
+        assert o.state_at(2.0) == (3.0, -2.0, 1.0, 0.0)
+        o = replace(self.SEGMENTED, segments=())
+        assert o.state_at(4.0) == (2.0, 0.0, 0.5, -0.25)
+
+    def test_pickle_and_deepcopy_keep_the_motion(self):
+        for o in (self.STILL, self.SEGMENTED):
+            for twin in (pickle.loads(pickle.dumps(o)), copy.deepcopy(o)):
+                assert twin == o and not hasattr(twin, "__dict__")
+                for t in self.TIMES:
+                    assert [v.hex() for v in twin.state_at(t)] == [v.hex() for v in o.state_at(t)]
+
+    def test_scenario_document_round_trip(self):
+        sc = load_scenario(SCENARIO_DIR / "pointmass-retreat.json")
+        assert any(o.segments for o in sc.obstacles)
+        back = parse_scenario(scenario_to_dict(sc))
+        assert back == sc
+        for o, twin in zip(sc.obstacles, back.obstacles):
+            assert [twin.state_at(t) for t in self.TIMES] == [o.state_at(t) for t in self.TIMES]
 
 
 class TestRunScenario:
@@ -517,6 +568,28 @@ class TestCorpus:
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(run_scenario(sc), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestTickRecords:
+    def test_no_named_tuple_constructor_call_in_a_run(self, monkeypatch):
+        # the barrier kernels and the filters build their records with
+        # tuple.__new__: the named tuples' own constructors, one Python frame
+        # per record, must not run on the tick
+        calls = []
+        for record in (CbfEvaluation, FilterResult):
+            def counted(cls, *args, _new=record.__new__, **kwargs):
+                calls.append(cls.__name__)
+                return _new(cls, *args, **kwargs)
+
+            monkeypatch.setattr(record, "__new__", counted)
+        # the patched constructors count
+        CbfEvaluation(0.0, 0.0, (0.0, 0.0), False, 1.0)
+        FilterResult((0.0, 0.0), (0.0, 0.0))
+        assert calls == ["CbfEvaluation", "FilterResult"]
+        calls.clear()
+        log = run_scenario(load_scenario(SCENARIO_DIR / "unicycle-two-obstacles.json"))
+        assert len(log.t) == 1601 and len(log.h[0]) == 2
+        assert calls == []
 
 
 class TestCallPaths:

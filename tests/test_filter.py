@@ -348,14 +348,16 @@ class TestFilterQp:
         assert res.u_star[0] == pytest.approx(0.0, abs=1e-9)
 
 
-    # each row once passed u_ref through with infeasible=False
+    # each row once passed u_ref through with infeasible=False; an infinite
+    # lgh under an offset of +inf is a row no input is known to meet
     @pytest.mark.parametrize("h, lfh, lg", [
         (math.nan, 0.0, (1.0, 0.0)),
         (0.0, math.nan, (1.0, 0.0)),
         (0.0, 0.0, (math.nan, 0.0)),
         (0.0, -math.inf, (1.0, 0.0)),
-        (math.inf, 0.0, (1.0, 0.0)),
-    ], ids=["h-nan", "lfh-nan", "lgh-nan", "lfh-neg-inf", "h-inf"])
+        (-math.inf, 0.0, (1.0, 0.0)),
+        (math.inf, 0.0, (math.inf, 0.0)),
+    ], ids=["h-nan", "lfh-nan", "lgh-nan", "lfh-neg-inf", "h-neg-inf", "h-inf-lgh-inf"])
     def test_non_finite_row_fails_closed(self, h, lfh, lg):
         for res in (filter_qp((0.0, 0.0), [ev(h, lfh, lg)], CFG),
                     filter_single((0.0, 0.0), ev(h, lfh, lg), CFG)):
@@ -367,6 +369,26 @@ class TestFilterQp:
         assert res.infeasible
         assert res.u_star == pytest.approx((0.0, 1.0))
         assert res.active_set == (1,)
+
+    @pytest.mark.parametrize("h, lfh", [(math.inf, 0.0), (0.0, math.inf), (math.inf, math.inf)],
+                             ids=["h-inf", "lfh-inf", "both-inf"])
+    def test_psi_of_plus_inf_is_met(self, h, lfh):
+        # lfh + gamma*h = +inf under a finite lgh is the row g . u >= -inf,
+        # which every input meets: it adds no row and flags nothing
+        e = CbfEvaluation(h, lfh, (1.0, 0.0), False, 1.0)
+        for res in (filter_qp((1.0, 0.0), [e], FilterConfig()), filter_single((1.0, 0.0), e, FilterConfig())):
+            assert res == ((1.0, 0.0), (0.0, 0.0), (), (math.inf,), False, False)
+        # a finite violated row next to it is enforced alone
+        e_ok = ev(0.0, -1.0, (0.0, 1.0))  # needs u1 >= 1
+        res = filter_qp((0.0, 0.0), [ev(h, lfh, (1.0, 0.0)), e_ok], CFG)
+        assert res == ((0.0, 1.0), (0.0, 1.0), (1,), (math.inf, -1.0), False, False)
+
+    def test_psi_of_plus_inf_from_a_finite_offset_fails_closed(self):
+        # here psi overflows in lgh . u_ref while the offset lfh + gamma*h is
+        # finite: the row g . u >= 0 is real, and it is not counted as met
+        e = ev(0.0, 0.0, (1e300, 0.0))
+        for res in (filter_qp((1e10, 0.0), [e], CFG), filter_single((1e10, 0.0), e, CFG)):
+            assert res.psi == (math.inf,) and res.infeasible
 
 
 class TestSolveQp2:
@@ -490,9 +512,9 @@ class TestFiltersGate:
 
     @pytest.mark.parametrize("h, lfh, lg, flag", [
         (0.0, math.nan, (1.0, 0.0), "infeasible"),
-        (math.inf, 0.0, (1.0, 0.0), "infeasible"),
+        (-math.inf, 0.0, (1.0, 0.0), "infeasible"),
         (0.0, -1.0, (0.0, 0.0), "degenerate"),
-    ], ids=["nan", "inf", "zero-lgh"])
+    ], ids=["nan", "neg-inf", "zero-lgh"])
     def test_far_bad_row_flags_nothing(self, h, lfh, lg, flag):
         for far in (ev(h, lfh, lg, dist=5.0 + 1e-9), ev(h, lfh, lg, dist=math.inf)):
             for res in (filter_qp((0.5, 0.0), [far], self.CFG5),
@@ -596,6 +618,41 @@ class TestRecords:
     def test_assignment_refused(self, record, field):
         with pytest.raises(AttributeError):
             setattr(record, field, 1.0)
+
+    # one call per return path of each filter: (filter, u_ref, evaluations, config)
+    RETURN_PATHS = {
+        "qp-passthrough": (filter_qp, (0.5, 0.0), [ev(1.0, 0.0, (1.0, 0.0))], CFG),
+        "qp-projection": (filter_qp, (0.0, 0.0), [ev(0.0, -1.0, (1.0, 0.0))], CFG),
+        "qp-vertex": (filter_qp, (0.0, 0.0), [ev(0.0, -1.0, (1.0, 0.0)), ev(0.0, -1.0, (0.0, 1.0))], CFG),
+        # the rows of TestSolveQp2.test_closest_candidate_when_no_kkt_point
+        "qp-closest-candidate": (filter_qp, (2.9998280302686386, -0.0), [
+            ev(0.0, -1.1179362614788462e-05, (-0.13001373128710458, 0.0)),
+            ev(0.0, 5.3099833001453664e-05, (0.6175458268877421, -0.0)),
+        ], CFG),
+        "qp-least-violation": (filter_qp, (0.0, 0.0), [ev(0.0, -2.0, (1.0, 0.0)), ev(0.0, -2.0, (-1.0, 0.0))], CFG),
+        "qp-box": (filter_qp, (0.0, 0.0), [ev(0.0, -0.5, (1.0, 0.0))],
+                   FilterConfig(input_bounds=((-1.0, 1.0), (-1.0, 1.0)))),
+        "single-pass": (filter_single, (0.5, 0.0), ev(1.0, 0.0, (1.0, 0.0)), CFG),
+        "single-bind": (filter_single, (0.0, 0.0), ev(0.0, -1.0, (1.0, 0.0)), CFG),
+        "single-degenerate": (filter_single, (0.0, 0.0), ev(-1.0, 0.0, (0.0, 0.0)), CFG),
+        "single-non-finite": (filter_single, (0.0, 0.0), ev(math.nan, 0.0, (1.0, 0.0)), CFG),
+    }
+
+    @pytest.mark.parametrize("path", RETURN_PATHS)
+    def test_every_filter_return_is_a_full_record(self, path):
+        # the filters build FilterResult with tuple.__new__, which checks no
+        # arity: each return path must still give all six fields
+        flt, u_ref, evals, cfg = self.RETURN_PATHS[path]
+        res = flt(u_ref, evals, cfg)
+        assert type(res) is FilterResult and len(res) == 6
+        assert res == FilterResult(*res)
+        assert type(res.degenerate) is bool and type(res.infeasible) is bool
+        flags = {"qp-least-violation": (False, True), "single-degenerate": (True, False),
+                 "single-non-finite": (False, True)}
+        assert (res.degenerate, res.infeasible) == flags.get(path, (False, False))
+        binding = {"qp-projection": (0,), "qp-vertex": (0, 1), "qp-closest-candidate": (1,),
+                   "qp-box": (0,), "single-bind": (0,)}
+        assert res.active_set == binding.get(path, ())
 
     def test_filter_qp_takes_any_iterable(self):
         evals = [ev(-0.5, -1.0, (1.0, 0.2)), ev(-0.2, -0.5, (-0.3, 1.1)), ev(1.0, 0.0, (0.0, 1.0))]

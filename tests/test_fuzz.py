@@ -3,9 +3,10 @@
 Each scenario example takes a corpus scenario, cut to 0.5 s so that runs
 stay short, applies one or two mutations (a value swapped for one of
 another type, for a small number, for NaN or +-inf or for a list nested
-1500 levels deeper than the recursion limit, or a key deleted) and runs `validate` and `simulate` on the
+1500 levels deeper than the recursion limit, or a key deleted) and runs `validate` and `simulate --plot` on the
 result. A file that `validate` accepts never makes `simulate` exit 3 or
-abort at step 0.
+abort at step 0, and a plot it writes is well-formed XML titled with the
+scenario's name, which may hold XML's special characters.
 
 Each plot example takes the trajectory CSV of one short corpus run,
 scales some columns by 1e16 or 1e17, makes them constant or writes NaN
@@ -40,7 +41,9 @@ DELETE = object()
 # which json.dumps cannot write; hypothesis raises the limit while an example
 # runs (to 2017 from 1000), so a fixed depth of 1500 would decode there
 DEEP = "<deeply nested list>"
-REPLACEMENTS = [None, True, "x", [], {}, 0, -1, 0.5, 2.0, [1.0], [1.0, "x"],
+# the text a scenario's name may hold, XML's special characters among it
+NAMES = ["x", "A & B <1>", 'say "hi" & <bye>']
+REPLACEMENTS = [None, True, *NAMES, [], {}, 0, -1, 0.5, 2.0, [1.0], [1.0, "x"],
                 float("nan"), float("inf"), float("-inf"), DEEP, DELETE]
 
 
@@ -70,6 +73,7 @@ def _leaves(node):
 @st.composite
 def mutated_docs(draw):
     doc = copy.deepcopy(CORPUS[draw(st.sampled_from(sorted(CORPUS)))])
+    doc["name"] = draw(st.sampled_from(NAMES))
     for _ in range(draw(st.integers(1, 2))):
         *parents, last = draw(st.sampled_from(list(_key_paths(doc))))
         node = doc
@@ -94,9 +98,13 @@ def test_mutated_corpus_exit_codes(doc):
         depth = sys.getrecursionlimit() + 1500
         path.write_text(json.dumps(doc).replace(json.dumps(DEEP), "[" * depth + "]" * depth))
         validated = main(["validate", "--scenario", str(path)])
-        simulated = main(["simulate", "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+        simulated = main(["simulate", "--scenario", str(path), "--out", str(Path(tmp) / "out"), "--plot"])
         summary = Path(tmp) / "out" / "summary.json"
         aborted_at = json.loads(summary.read_text()).get("step") if summary.exists() else None
+        plot = Path(tmp) / "out" / "plot.svg"
+        if plot.exists():
+            title = ET.parse(plot).getroot().find("{http://www.w3.org/2000/svg}text")
+            assert title.text == json.loads(summary.read_text())["scenario"]["name"]
     assert validated in (0, 3)
     assert simulated in (0, 2, 3)
     if validated == 0:

@@ -342,6 +342,17 @@ class TestCli:
         assert (out / "plot.svg").exists()
         assert "safe" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["A & B <1>", 'say "hi" & <bye>'])
+    def test_plot_title_escaped(self, tmp_path, name):
+        doc = json.loads((SCENARIO_DIR / "unicycle-braking.json").read_text())
+        doc["name"] = name
+        scenario = tmp_path / "named.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out), "--plot"]) == 0
+        title = ET.parse(out / "plot.svg").getroot().find("{http://www.w3.org/2000/svg}text")
+        assert title.text == name
+
     def test_simulate_collision_exit_2(self, tmp_path):
         code = main([
             "simulate",
@@ -800,14 +811,16 @@ class TestNonFinite:
     @staticmethod
     def run_with_obstacle_at(tmp_path, center, cbf="c3bf", code=0):
         """Output directory of unicycle-turning.json run under `cbf` with one
-        more obstacle, at rest at `center`; the run must exit with `code`."""
+        more obstacle, at rest at `center` (none if None); the run must exit
+        with `code`."""
         doc = json.loads((SCENARIO_DIR / "unicycle-turning.json").read_text())
         doc["filter"].pop("activation_radius", None)
-        doc["obstacles"].append({"center": center})
+        if center is not None:
+            doc["obstacles"].append({"center": center})
         doc["cbf"] = cbf
-        scenario = tmp_path / f"far-{cbf}.json"
+        scenario = tmp_path / f"far-{cbf}-{center is not None}.json"
         scenario.write_text(json.dumps(doc))
-        out = tmp_path / f"run-{cbf}"
+        out = tmp_path / f"run-{cbf}-{center is not None}"
         assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == code
         return out
 
@@ -838,6 +851,18 @@ class TestNonFinite:
         summary = read_json(run / "summary.json", "summary")
         assert (summary["collided"], summary["collision_obstacle"]) == (True, 0)
         assert summary["metrics"]["min_clearance"][1] == 1e200
+
+    def test_far_obstacle_hocbf_row_met_by_every_input(self, tmp_path):
+        # the HOCBF barrier of the far obstacle overflows to h = psi = +inf
+        # under a finite lgh: a row every input meets, so no step is
+        # infeasible and the run is the one without that obstacle
+        run = self.run_with_obstacle_at(tmp_path, [1e200, 0.0], "hocbf", code=2)
+        alone = self.run_with_obstacle_at(tmp_path, None, "hocbf", code=2)
+        data = read_trajectory_csv(run / "trajectory.csv")
+        assert all(h == math.inf for h in data["h_1"] + data["psi_1"])
+        assert read_json(run / "summary.json", "summary")["metrics"]["infeasible_steps"] == 0
+        without = read_trajectory_csv(alone / "trajectory.csv")
+        assert {c: data[c] for c in without} == without
 
     @staticmethod
     def plot(run, mode, cells=()):
