@@ -24,6 +24,7 @@ from .controllers import (
     p_controller,
     p_speed_bicycle,
     p_velocity,
+    reference_input,
     stanley_lateral,
 )
 from .engine import (
@@ -81,6 +82,7 @@ __all__ = [
     "p_speed_bicycle",
     "p_velocity",
     "parse_scenario",
+    "reference_input",
     "run_scenario",
     "safety_metrics",
     "save_scenario",

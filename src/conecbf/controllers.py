@@ -3,7 +3,8 @@
 These only need to produce plausible (possibly collision-course)
 references: a proportional speed/yaw law for the unicycle, a P speed
 law plus a Stanley-style lateral tracker for the bicycle, and a
-velocity-tracking law for the point mass.
+velocity-tracking law for the point mass. `reference_input` picks the
+model's law and applies the controller's `a_max`.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from ._backend import kernel
 from .errors import ValidationError
 from .models import (
     BicycleState,
+    MODEL_KINDS,
     ModelParams,
     PointMassState,
     UnicycleState,
@@ -148,3 +150,29 @@ def stanley_lateral(
     delta = min(max(delta, -DELTA_MAX), DELTA_MAX)
     beta = slip_from_steering(delta, p)
     return min(max(beta, -p.beta_max), p.beta_max)
+
+
+def reference_input(c: ControllerSpec, model: str, s, p: ModelParams = None):
+    """The reference input u_ref of controller `c` on `model` at state `s`.
+
+    The model's law runs first: p_controller on the unicycle,
+    p_speed_bicycle with the stanley_lateral slip (under params `p`) or
+    zero slip on the bicycle, p_velocity on the point mass. Then a_max
+    clamps the thrust a of the unicycle and the bicycle, and both
+    components (ax, ay) of the point mass. A 'zero' controller gives
+    (0, 0). An unknown model raises ValidationError.
+    """
+    if model not in MODEL_KINDS:
+        raise ValidationError(f"unknown model kind {model!r}")
+    if c.kind == "zero":
+        return (0.0, 0.0)
+    if model == "unicycle":
+        u = p_controller(s, c)
+    elif model == "bicycle":
+        u = (p_speed_bicycle(s, c), stanley_lateral(s, c.path, c.k_e, p) if c.kind == "stanley" else 0.0)
+    else:
+        u = p_velocity(s, c)
+    if c.a_max is None:
+        return u
+    a0 = min(max(u[0], -c.a_max), c.a_max)
+    return (a0, min(max(u[1], -c.a_max), c.a_max) if model == "pointmass" else u[1])

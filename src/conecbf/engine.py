@@ -1,10 +1,14 @@
 """Deterministic closed-loop scenario execution.
 
 Each step k, at the step's start state and time t = k*dt: evaluate the
-reference controller and the configured barrier per obstacle at its state
-at t, filter the reference through the QP (which gates the obstacles by
-the perception boundary), log, then integrate the vehicle with the
-filtered input held constant. Identical scenarios produce identical logs.
+reference input and the configured barrier per obstacle at its state at
+t, filter the reference through the QP under the scenario's run_filter
+(which gates the obstacles by the perception boundary), log, then
+integrate the vehicle with the filtered input held constant. Each limit
+on the numbers lives with the parameter it reads: reference_input
+clamps the reference by its controller's bound, integrate_step caps the
+speed state by the model params, and run_filter holds the input box the
+params give the model. Identical scenarios produce identical logs.
 """
 
 from dataclasses import dataclass, field, replace
@@ -12,7 +16,7 @@ from math import atan2, hypot, inf, radians
 
 from ._backend import kernel
 from .cbf import CBF_KINDS, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
-from .controllers import ControllerSpec, p_controller, p_speed_bicycle, p_velocity, stanley_lateral
+from .controllers import ControllerSpec, reference_input
 from .errors import SimulationError, ValidationError
 from .models import (
     MODEL_KINDS,
@@ -37,7 +41,12 @@ BRAKE_SPEED_FRACTION = 0.10
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete declarative experiment description."""
+    """Complete declarative experiment description.
+
+    `run_filter`, worked out when built, is the FilterConfig a run
+    applies: `filter` with the input box that `params.input_box` gives
+    the model, which is `filter` itself unless the box is a default.
+    """
 
     name: str
     model: str
@@ -88,14 +97,9 @@ class Scenario:
                 )
         if self.controller.kind == "stanley" and self.model != "bicycle":
             raise ValidationError("stanley controller is bicycle-only")
-        if self.model == "pointmass" and self.params.v_max < inf:
-            raise ValidationError("params.v_max caps the speed state of the unicycle and bicycle only")
-        if self.model == "bicycle" and self.filter.input_bounds is not None:
-            lo, hi = self.filter.input_bounds[1]
-            if lo < -self.params.beta_max or hi > self.params.beta_max:
-                raise ValidationError(
-                    f"bicycle slip bounds [{lo}, {hi}] exceed beta_max={self.params.beta_max}"
-                )
+        box = self.params.input_box(self.model, self.filter.input_bounds)
+        run_filter = self.filter if box is self.filter.input_bounds else replace(self.filter, input_bounds=box)
+        object.__setattr__(self, "run_filter", run_filter)
 
     @property
     def n_steps(self) -> int:
@@ -127,25 +131,6 @@ class TrajectoryLog:
         return len(self.t)
 
 
-def _reference_input(sc: Scenario, state):
-    c = sc.controller
-    if c.kind == "zero":
-        return (0.0, 0.0)
-    if sc.model == "unicycle":
-        u = p_controller(state, c)
-    elif sc.model == "bicycle":
-        a = p_speed_bicycle(state, c)
-        u = (a, stanley_lateral(state, c.path, c.k_e, sc.params) if c.kind == "stanley" else 0.0)
-    else:
-        u = p_velocity(state, c)
-    if c.a_max is None:
-        return u
-    # a_max clamps the thrust a of the unicycle and the bicycle, and both
-    # components (ax, ay) of the point mass
-    a0 = min(max(u[0], -c.a_max), c.a_max)
-    return (a0, min(max(u[1], -c.a_max), c.a_max) if sc.model == "pointmass" else u[1])
-
-
 def run_scenario(sc: Scenario) -> TrajectoryLog:
     """Execute a scenario to completion or until a collision verdict.
 
@@ -157,15 +142,11 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     """
     n_steps = sc.n_steps
     state = sc.initial_state
-    model, params, dt, obstacles = sc.model, sc.params, sc.dt, sc.obstacles
+    model, params, dt, obstacles, controller = sc.model, sc.params, sc.dt, sc.obstacles, sc.controller
     n_obs = len(obstacles)
     # an obstacle collides once its center distance falls to its limit
     limits = [effective_radius(o, params) - COLLISION_SLACK for o in obstacles]
-    bounds = sc.filter.input_bounds
-    if bounds is None and model == "bicycle":
-        # keep the small-slip model valid: the QP may not exceed beta_max
-        bounds = ((-inf, inf), (-params.beta_max, params.beta_max))
-    cfg = replace(sc.filter, input_bounds=bounds)
+    cfg = sc.run_filter
     # the barrier, chosen once, as a positional call on (state, obstacle, t)
     # that looks its function up by module name at call time; with
     # cbf='none' the cone barrier is still evaluated for the log, but
@@ -183,9 +164,6 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             return c3bf_eval(model, state, o, params, t)
     filtering = sc.cbf != "none"
     gamma = sc.filter.gamma
-    # a finite v_max clips the speed state (never on the point mass)
-    v_max = params.v_max
-    clip_speed = v_max < inf
     # shared by every step on which no constraint binds
     no_active = (False,) * n_obs
     # one record per step, in TrajectoryLog field order
@@ -193,7 +171,7 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     degenerate_run = 0
     for k in range(n_steps + 1):
         t = k * dt
-        u_ref = _reference_input(sc, state)
+        u_ref = reference_input(controller, model, state, params)
         evals = [barrier(state, o, t) for o in obstacles]
         if evals:
             hs, lfhs, lghs, penetrations, dists = zip(*evals)
@@ -213,8 +191,8 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
                 for h, lfh, (g0, g1) in zip(hs, lfhs, lghs)
             ])
             # unfiltered, the actuators saturate u_ref (filter_qp saturates its own)
-            if bounds is not None:
-                (lo0, hi0), (lo1, hi1) = bounds
+            if cfg.input_bounds is not None:
+                (lo0, hi0), (lo1, hi1) = cfg.input_bounds
                 u_cmd = (min(max(ur0, lo0), hi0), min(max(ur1, lo1), hi1))
         records.append((
             t, state.as_tuple(), u_ref, u_cmd, hs, psis, dists, active, penetrations,
@@ -234,8 +212,6 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             state = integrate_step(model, state, u_cmd, dt, params)
         except ValidationError as exc:
             raise SimulationError(f"integration failed at step {k}: {exc}", step=k)
-        if clip_speed and abs(state.v) > v_max:
-            state = replace(state, v=v_max if state.v > 0 else -v_max)
     return TrajectoryLog(sc, *map(list, zip(*records)))
 
 

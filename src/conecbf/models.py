@@ -10,8 +10,8 @@ All operations are pure functions; states are immutable. Inputs are plain
 (u0, u1) tuples whose meaning depends on the model.
 """
 
-from dataclasses import dataclass, fields
-from math import atan, isfinite, isinf, pi, tan
+from dataclasses import dataclass, fields, replace
+from math import atan, inf, isfinite, isinf, pi, tan
 
 from ._backend import kernel
 from .errors import ValidationError
@@ -158,6 +158,24 @@ class ModelParams:
         if not self.v_max > 0:
             raise ValidationError(f"v_max must be > 0, got {self.v_max}")
 
+    def input_box(self, model: str, bounds):
+        """The input box a run of `model` filters with, given the box `bounds`.
+
+        A finite v_max caps a speed state, which the point mass lacks.
+        beta_max bounds the bicycle's slip, which keeps the small-slip model
+        valid: by default the box is [-beta_max, beta_max] on the slip and
+        open on the thrust, and a given box must lie within that slip box.
+        Any other box is `bounds` itself.
+        """
+        if model == "pointmass" and self.v_max < inf:
+            raise ValidationError("params.v_max caps the speed state of the unicycle and bicycle only")
+        if model != "bicycle":
+            return bounds
+        lo, hi = (-self.beta_max, self.beta_max) if bounds is None else bounds[1]
+        if lo < -self.beta_max or hi > self.beta_max:
+            raise ValidationError(f"bicycle slip bounds [{lo}, {hi}] exceed beta_max={self.beta_max}")
+        return bounds or ((-inf, inf), (lo, hi))
+
 
 STATE_TYPES = {
     "unicycle": UnicycleState,
@@ -180,8 +198,10 @@ def slip_from_steering(delta: float, p: ModelParams) -> float:
 def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = None):
     """Advance one state by a fixed RK4 step with zero-order-hold input.
 
-    The state types normalize the heading. Raises ValidationError
-    when the result is non-finite, or when `u` is not a pair of numbers.
+    The state types normalize the heading. Given params `p`, a finite
+    p.v_max then caps the speed state v of the unicycle and the bicycle.
+    Raises ValidationError when the result is non-finite, or when `u` is
+    not a pair of numbers.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
@@ -192,19 +212,24 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
     except (TypeError, ValueError, IndexError) as exc:
         raise ValidationError(f"input u must be a pair of numbers, got {u!r}") from exc
     try:
+        if model == "pointmass":
+            return PointMassState(*kernel.rk4_pointmass(s.x, s.y, s.vx, s.vy, u0, u1, dt))
         if model == "unicycle":
-            return UnicycleState(*kernel.rk4_unicycle(s.x, s.y, s.theta, s.v, s.omega, u0, u1, dt))
-        if model == "bicycle":
+            s = UnicycleState(*kernel.rk4_unicycle(s.x, s.y, s.theta, s.v, s.omega, u0, u1, dt))
+        elif model == "bicycle":
             if p is None:
                 raise ValidationError("bicycle integration needs ModelParams (l_r)")
             if abs(u1) > p.beta_max:
                 raise ValidationError(f"|beta|={abs(u1):.4f} exceeds beta_max={p.beta_max}")
-            return BicycleState(*kernel.rk4_bicycle(s.x, s.y, s.theta, s.v, u0, u1, p.l_r, dt))
-        if model == "pointmass":
-            return PointMassState(*kernel.rk4_pointmass(s.x, s.y, s.vx, s.vy, u0, u1, dt))
+            s = BicycleState(*kernel.rk4_bicycle(s.x, s.y, s.theta, s.v, u0, u1, p.l_r, dt))
+        else:
+            raise ValidationError(f"unknown model kind {model!r}")
     except TypeError as exc:
         raise ValidationError(f"input u must be a pair of numbers, got {u!r}") from exc
     except ValueError as exc:
         # cos of a stage heading that overflowed to infinity
         raise ValidationError(f"the step diverged: {exc}") from exc
-    raise ValidationError(f"unknown model kind {model!r}")
+    # the cap acts on a state its type has checked: a non-finite speed raises
+    if p is not None and abs(s.v) > p.v_max:
+        s = replace(s, v=p.v_max if s.v > 0 else -p.v_max)
+    return s

@@ -13,6 +13,7 @@ locale independent; the active and penetration flags as 0 or 1.
 
 import csv
 import json
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields, is_dataclass
@@ -35,6 +36,9 @@ from .errors import ValidationError
 from .models import MODEL_KINDS, STATE_FIELDS, STATE_TYPES
 
 _INF = float("inf")
+# the text a scenario name may hold: the characters of XML 1.0, all of
+# which UTF-8 can carry (no lone surrogate among them)
+_NAME_TEXT = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
 # trajectory CSV rows formatted and written per `%` and per write
 CSV_BLOCK_ROWS = 64
 
@@ -76,6 +80,13 @@ def _two(v, where: str) -> list:
 
 def _pair(v, where: str) -> tuple:
     return tuple(_number(c, where) for c in _two(v, where))
+
+
+def _name(v, where: str) -> str:
+    """A scenario name: a string that both UTF-8 and XML 1.0 can carry."""
+    if not (isinstance(v, str) and _NAME_TEXT.fullmatch(v)):
+        raise ValidationError(f"{where}: expected a string that UTF-8 and XML 1.0 can carry, got {v!r}")
+    return v
 
 
 def _list(v, where: str) -> list:
@@ -136,7 +147,7 @@ def _value(read):
 # the fields not read by the default rule of _read, and the form that reads
 # each from the object d holding it: form(d, key, path of d)
 _FORMS = {
-    "name": _value(lambda v, where: str(v)),
+    "name": _value(_name),
     # the dataclass that takes these checks them
     "model": _value(lambda v, where: v),
     "kind": _value(lambda v, where: v),

@@ -18,6 +18,7 @@ from conecbf import (
     p_controller,
     p_speed_bicycle,
     p_velocity,
+    reference_input,
     run_scenario,
     stanley_lateral,
 )
@@ -71,7 +72,8 @@ class TestPSpeedBicycle:
         assert p_speed_bicycle(BicycleState(0, 0, 0, 1.0), ControllerSpec(k1=1.0, v_des=2.0)) == 1.0
 
     def test_saturation(self):
-        # the engine applies the controller's a_max to the law's output
+        # reference_input applies the controller's a_max to the law's
+        # output, and the engine logs its answer as u_ref
         sc = Scenario(
             name="sat", model="bicycle", params=PARAMS, initial_state=BicycleState(0, 0, 0, 0.0),
             obstacles=(), controller=ControllerSpec(kind="p", k1=5.0, v_des=3.0, a_max=2.0),
@@ -135,3 +137,50 @@ class TestStanleyLateral:
         s = BicycleState(-1.0, 5.0, -math.pi / 2, 1.0)
         b = stanley_lateral(s, square, 1.0, PARAMS)
         assert math.isfinite(b)
+
+
+class TestReferenceInput:
+    """reference_input: the model's law, then the controller's a_max."""
+
+    @pytest.mark.parametrize("v,a", [(0.0, 2.0), (6.0, -2.0)])
+    def test_a_max_clamps_unicycle_thrust_only(self, v, a):
+        # alpha = -k2 omega = -10 lies outside [-a_max, a_max] and is kept
+        spec = ControllerSpec(kind="p", k1=5.0, k2=10.0, v_des=3.0, a_max=2.0)
+        assert reference_input(spec, "unicycle", UnicycleState(0, 0, 0, v, 1.0)) == (a, -10.0)
+
+    @pytest.mark.parametrize("v,a", [(0.0, 0.05), (6.0, -0.05)])
+    def test_a_max_clamps_bicycle_thrust_only(self, v, a):
+        spec = ControllerSpec(kind="stanley", k1=5.0, v_des=3.0, k_e=1.0, path=STRAIGHT, a_max=0.05)
+        state = BicycleState(0, -5.0, 0, v)
+        beta = stanley_lateral(state, STRAIGHT, 1.0, PARAMS)
+        assert beta > 0.05  # outside [-a_max, a_max], and kept
+        assert reference_input(spec, "bicycle", state, PARAMS) == (a, beta)
+
+    def test_p_bicycle_reference_has_zero_slip(self):
+        spec = ControllerSpec(kind="p", k1=5.0, v_des=3.0, a_max=2.0)
+        assert reference_input(spec, "bicycle", BicycleState(0, 0, 0, 0.0), PARAMS) == (2.0, 0.0)
+
+    def test_a_max_clamps_both_pointmass_components(self):
+        spec = ControllerSpec(kind="p", k1=5.0, v_des_vec=(3.0, -3.0), a_max=2.0)
+        assert reference_input(spec, "pointmass", PointMassState(0, 0, 0, 0)) == (2.0, -2.0)
+
+    @pytest.mark.parametrize("model,state,law", [
+        ("unicycle", UnicycleState(0, 0, 0, 6.0, 1.0), p_controller),
+        ("pointmass", PointMassState(0, 0, 1.0, -1.0), p_velocity),
+    ])
+    def test_without_a_max_the_law_is_returned(self, model, state, law):
+        spec = ControllerSpec(kind="p", k1=5.0, k2=10.0, v_des=-3.0)
+        assert reference_input(spec, model, state) == law(state, spec)
+
+    @pytest.mark.parametrize("model,state", [
+        ("unicycle", UnicycleState(0, 0, 0, 1.0, 0.5)),
+        ("bicycle", BicycleState(0, 0, 0, 1.0)),
+        ("pointmass", PointMassState(0, 0, 1.0, -1.0)),
+    ])
+    def test_zero_controller(self, model, state):
+        assert reference_input(ControllerSpec(kind="zero"), model, state, PARAMS) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["p", "zero"])
+    def test_unknown_model_rejected(self, kind):
+        with pytest.raises(ValidationError, match="unknown model kind 'tank'"):
+            reference_input(ControllerSpec(kind=kind), "tank", UnicycleState(0, 0, 0, 0, 0))

@@ -22,8 +22,12 @@ from conecbf import (
     SimulationError,
     UnicycleState,
     ValidationError,
+    c3bf_eval,
     classify_behavior,
+    filter_qp,
+    integrate_step,
     load_scenario,
+    reference_input,
     run_scenario,
     safety_metrics,
     stanley_lateral,
@@ -209,7 +213,8 @@ class TestRunScenario:
         )
         log = run_scenario(sc)
         assert max(s[3] for s in log.states) <= 1.0 + 1e-12
-        # a finite v_max alone switches the clip on, and the speed reaches it
+        # a finite v_max alone switches integrate_step's cap on, and the
+        # speed reaches it
         assert max(s[3] for s in log.states) == 1.0
 
     def test_pointmass_rejects_speed_saturation(self):
@@ -362,7 +367,8 @@ class TestRunScenario:
 
 
 class TestReferenceInput:
-    """The u_ref the engine logs: the controller law, then a_max."""
+    """The u_ref the engine logs is reference_input's: the controller law,
+    then a_max."""
 
     @staticmethod
     def first_u_ref(model, state, controller, params=ModelParams(w=0.6)):
@@ -427,6 +433,89 @@ class TestReferenceInput:
         Scenario(filter=FilterConfig(input_bounds=((-1.0, 1.0), (-0.2, 0.2))), **kw)
         with pytest.raises(ValidationError, match="beta_max"):
             Scenario(filter=FilterConfig(input_bounds=((-1.0, 1.0), (-0.2, 0.25))), **kw)
+
+
+class TestRunFilter:
+    """Scenario.run_filter: the FilterConfig a run applies."""
+
+    BICYCLE = dict(
+        name="slip", model="bicycle", params=ModelParams(w=0.6, beta_max=0.2),
+        initial_state=BicycleState(0, 0, 0, 1.0), obstacles=(),
+        controller=ControllerSpec(kind="p", k1=1.0, v_des=1.0),
+    )
+
+    def test_bicycle_gets_the_default_slip_box(self):
+        sc = Scenario(filter=FilterConfig(gamma=2.0, activation_radius=9.0), **self.BICYCLE)
+        assert sc.run_filter == replace(sc.filter, input_bounds=((-math.inf, math.inf), (-0.2, 0.2)))
+        # worked out anew when the scenario is rebuilt
+        narrow = replace(sc, params=ModelParams(w=0.6, beta_max=0.1))
+        assert narrow.run_filter.input_bounds == ((-math.inf, math.inf), (-0.1, 0.1))
+
+    def test_bicycle_keeps_explicit_bounds(self):
+        sc = Scenario(filter=FilterConfig(input_bounds=((-1.0, 1.0), (-0.1, 0.2))), **self.BICYCLE)
+        assert sc.run_filter is sc.filter
+
+    @pytest.mark.parametrize("bounds", [None, ((-1.0, 1.0), (-1.0, 1.0))])
+    @pytest.mark.parametrize("stem", ["unicycle-braking", "pointmass-braking"])
+    def test_other_models_get_their_filter(self, stem, bounds):
+        sc = load_scenario(SCENARIO_DIR / f"{stem}.json")
+        sc = replace(sc, filter=replace(sc.filter, input_bounds=bounds))
+        assert sc.run_filter is sc.filter
+
+    def test_not_a_field_of_the_document(self):
+        sc = Scenario(filter=FilterConfig(), **self.BICYCLE)
+        assert "run_filter" not in scenario_to_dict(sc)["filter"]
+        assert parse_scenario(scenario_to_dict(sc)) == sc
+
+
+def public_tick_run(sc, cfg, log):
+    """Run `sc` through the public tick under `cfg`, as a vehicle would run
+    it: reference_input, c3bf_eval per obstacle, filter_qp, integrate_step.
+    Each step appends (t, state, u_ref, u_star, psi) to `log`."""
+    state = sc.initial_state
+    for k in range(sc.n_steps + 1):
+        t = k * sc.dt
+        u_ref = reference_input(sc.controller, sc.model, state, sc.params)
+        evals = [c3bf_eval(sc.model, state, o, sc.params, t) for o in sc.obstacles]
+        res = filter_qp(u_ref, evals, cfg)
+        log.append((t, state.as_tuple(), u_ref, res.u_star, res.psi))
+        if k < sc.n_steps:
+            state = integrate_step(sc.model, state, res.u_star, sc.dt, sc.params)
+
+
+class TestPublicTick:
+    """The engine's step is the public tick, bit for bit."""
+
+    @staticmethod
+    def assert_same_as_engine(sc):
+        log = run_scenario(sc)
+        assert not log.collided
+        ticks = []
+        public_tick_run(sc, sc.run_filter, ticks)
+        assert [tuple(col) for col in zip(*ticks)] == [
+            tuple(log.t), tuple(log.states), tuple(log.u_ref), tuple(log.u_star), tuple(log.psi)
+        ]
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_filtered_corpus_run(self, path):
+        sc = load_scenario(path)
+        assert sc.cbf == "c3bf"
+        self.assert_same_as_engine(sc)
+
+    def test_bicycle_needs_the_run_filter(self):
+        sc = Scenario(
+            name="slip", model="bicycle", params=ModelParams(w=0.6, beta_max=0.2),
+            initial_state=BicycleState(0, 0, 0, 2.0), obstacles=(Obstacle(6, 0.3),),
+            controller=ControllerSpec(kind="p", k1=1.0, v_des=2.0),
+            filter=FilterConfig(gamma=5.0), dt=0.01, duration=4.0,
+        )
+        self.assert_same_as_engine(sc)
+        # without the slip box the filter asks for more slip than the
+        # small-slip model allows, and the integrator refuses step 0
+        ticks = []
+        with pytest.raises(ValidationError, match="beta_max"):
+            public_tick_run(sc, sc.filter, ticks)
+        assert len(ticks) == 1 and abs(ticks[0][3][1]) > 0.2
 
 
 class TestClassifyAndMetrics:

@@ -18,8 +18,10 @@ import copy
 import json
 import math
 import shutil
+import subprocess
 import sys
 import tempfile
+import textwrap
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -30,7 +32,8 @@ from hypothesis import strategies as st
 
 from conecbf.cli import main
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 CORPUS = {}
 for _path in sorted(SCENARIO_DIR.glob("*.json")) + sorted(SCENARIO_DIR.glob("baseline/*.json")):
     CORPUS[_path.name] = json.loads(_path.read_text())
@@ -166,3 +169,27 @@ def test_mutated_plot_exit_codes(short_run):
                     ET.fromstring(drawn)
 
     check()
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # under the repository's pytest config, where every other warning is an
+    # error, a failing hypothesis test ends in its falsifying example, not in
+    # an INTERNALERROR raised while the plugin writes that report
+    test = tmp_path / "test_fails.py"
+    test.write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_below_ten(n):
+            assert n < 10
+    """))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", str(test)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.returncode == 1
+    assert "Falsifying example: test_below_ten(" in proc.stdout
+    assert "n=10," in proc.stdout

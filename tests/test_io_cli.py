@@ -189,10 +189,20 @@ class TestScenarioFiles:
             ({"initial_state": {"x": 0}}, "scenario.initial_state: missing required key 'y'"),
             ({"model": "boat"}, "scenario.model: expected one of"),
             ({"hocbf_gamma1": [2]}, "scenario.hocbf_gamma1"),
+            ({"name": 5}, "scenario.name: expected a string"),
         ]
         for change, where in cases:
             with pytest.raises(ValidationError, match=re.escape(where)):
                 parse_scenario(minimal_doc(**change))
+
+    @pytest.mark.parametrize("name", ["A & B <1>", "tab\tnew\nline\r", "Größe 🚗", "\ufffd", ""])
+    def test_name_as_written(self, name):
+        assert parse_scenario(minimal_doc(name=name)).name == name
+
+    @pytest.mark.parametrize("name", ["\ud800x", "bad\u0001name", "\ufffe", 5, None, ["a"]])
+    def test_name_beyond_utf8_or_xml_rejected(self, name):
+        with pytest.raises(ValidationError, match="scenario.name: expected a string that UTF-8 and XML 1.0"):
+            parse_scenario(minimal_doc(name=name))
 
     def test_bad_json_reports_line(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -352,6 +362,26 @@ class TestCli:
         assert main(["simulate", "--scenario", str(scenario), "--out", str(out), "--plot"]) == 0
         title = ET.parse(out / "plot.svg").getroot().find("{http://www.w3.org/2000/svg}text")
         assert title.text == name
+
+    @pytest.mark.parametrize("name", ["\ud800x", "bad\u0001name", 5, None],
+                             ids=["lone-surrogate", "control-character", "number", "null"])
+    def test_name_beyond_utf8_or_xml_exit_3(self, tmp_path, capsys, name):
+        # every verb refuses the name when it reads the file: none prints it
+        # into a UnicodeEncodeError or writes a plot.svg that is not XML
+        doc = json.loads((SCENARIO_DIR / "unicycle-braking.json").read_text())
+        doc["name"] = name
+        folder = tmp_path / "in"
+        folder.mkdir()
+        scenario = folder / "named.json"
+        scenario.write_text(json.dumps(doc))  # escapes the lone surrogate as \ud800
+        out = tmp_path / "run"
+        assert main(["validate", "--scenario", str(scenario)]) == 3
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out), "--plot"]) == 3
+        assert main(["batch", "--scenarios", str(folder), "--out", str(out), "--plot"]) == 3
+        err = capsys.readouterr().err
+        assert err.count(".name: expected a string that UTF-8 and XML 1.0 can carry") == 3
+        assert not list(out.rglob("*.svg"))
+        assert (out / "report.csv").read_text().splitlines()[1] == "named,invalid,,,,"
 
     def test_simulate_collision_exit_2(self, tmp_path):
         code = main([

@@ -401,6 +401,75 @@ class TestInputPairChecked:
             integrate_step("unicycle", s, (0.0, 1e308), 10.0)
 
 
+class TestSpeedCap:
+    """integrate_step caps the speed state at p.v_max after the state check."""
+
+    CAP = ModelParams(v_max=1.2)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("model", ["unicycle", "bicycle"])
+    def test_caps_both_signs(self, model, sign):
+        if model == "unicycle":
+            state = UnicycleState(0, 0, 0.3, sign, 0.2)
+        else:
+            state = BicycleState(0, 0, 0.3, sign)
+        free = integrate_step(model, state, (5.0 * sign, 0.1), 0.1, ModelParams())
+        capped = integrate_step(model, state, (5.0 * sign, 0.1), 0.1, self.CAP)
+        assert abs(free.v) > 1.2
+        assert capped.v == 1.2 * sign
+        # only the speed changes
+        assert capped.as_tuple()[:3] == free.as_tuple()[:3]
+        assert capped.as_tuple()[4:] == free.as_tuple()[4:]
+
+    def test_speed_within_the_cap_is_kept(self):
+        s = UnicycleState(0, 0, 0, 1.0, 0)
+        assert integrate_step("unicycle", s, (1.0, 0.0), 0.1, self.CAP).v == pytest.approx(1.1)
+
+    def test_no_params_leaves_the_speed_uncapped(self):
+        s = UnicycleState(0, 0, 0, 1.0, 0)
+        assert integrate_step("unicycle", s, (5.0, 0.0), 0.1).v == pytest.approx(1.5)
+
+    def test_point_mass_has_no_speed_state_to_cap(self):
+        s = PointMassState(0, 0, 1.0, 1.0)
+        assert integrate_step("pointmass", s, (5.0, 5.0), 0.1, self.CAP) == integrate_step(
+            "pointmass", s, (5.0, 5.0), 0.1
+        )
+
+    @pytest.mark.parametrize("model,state", [
+        ("unicycle", UnicycleState(0, 0, 0, 1e308, 0)),
+        ("bicycle", BicycleState(0, 0, 0, 1e308)),
+    ])
+    def test_non_finite_speed_raises_instead_of_capped(self, model, state):
+        with pytest.raises(ValidationError, match="expected a finite number"):
+            integrate_step(model, state, (1e308, 0.0), 1.0, ModelParams(v_max=1.0))
+
+
+class TestInputBox:
+    """ModelParams.input_box: the box a run of each model filters with."""
+
+    P = ModelParams(beta_max=0.2)
+
+    def test_bicycle_default_is_the_slip_box(self):
+        assert self.P.input_box("bicycle", None) == ((-math.inf, math.inf), (-0.2, 0.2))
+
+    def test_given_bicycle_box_is_kept(self):
+        box = ((-1.0, 1.0), (-0.1, 0.2))
+        assert self.P.input_box("bicycle", box) is box
+
+    def test_bicycle_box_beyond_beta_max_rejected(self):
+        with pytest.raises(ValidationError, match="beta_max"):
+            self.P.input_box("bicycle", ((-1.0, 1.0), (-0.25, 0.2)))
+
+    @pytest.mark.parametrize("model", ["unicycle", "pointmass"])
+    @pytest.mark.parametrize("box", [None, ((-1.0, 1.0), (-1.0, 1.0))])
+    def test_other_models_keep_the_given_box(self, model, box):
+        assert self.P.input_box(model, box) is box
+
+    def test_point_mass_refuses_a_speed_cap(self):
+        with pytest.raises(ValidationError, match="v_max"):
+            ModelParams(v_max=1.0).input_box("pointmass", None)
+
+
 class TestSlottedStates:
     @pytest.mark.parametrize("state", [
         UnicycleState(0, 1, 2, 3, 4), BicycleState(0, 1, 2, 3), PointMassState(0, 1, 2, 3)
