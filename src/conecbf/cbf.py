@@ -16,14 +16,13 @@ reproduce their known degeneracies (missing input columns) next to the
 cone candidate.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import inf
 
 from ._backend import kernel
 from ._pykernel import CbfEvaluation
 from .errors import UnsupportedCbfError, ValidationError
-from .models import ModelParams, _require_finite, _require_vectors
+from .models import BicycleState, ModelParams, UnicycleState, _require_finite, _require_vectors, _unfit_inputs
 
 CBF_KINDS = ("c3bf", "ellipse", "hocbf", "none")
 
@@ -35,12 +34,12 @@ class Obstacle:
     (cx, cy) is the center at t = 0 and (vx, vy) its initial velocity;
     `segments` optionally re-points the velocity at given times, each
     entry being (t_start, vx, vy) with strictly increasing t_start > 0.
-    c1, c2 are the semi-axes along x and y.
+    c1, c2 are the semi-axes along x and y; all are checked when built.
 
-    Slotted like the vehicle states: no instance __dict__, and field reads
-    go through slot descriptors. The motion anchors that __post_init__
-    works out are slots too, left out of init, repr, comparison and hash,
-    so `replace` builds them anew and two obstacles compare by their fields.
+    Slotted like the vehicle states: no instance __dict__. Beyond its
+    fields it holds one slot, `_anchors`, the exact (t_start, x, y, vx, vy)
+    at each segment start, latest first; left out of init, repr,
+    comparison and hash, so `replace` builds it anew.
     """
 
     cx: float
@@ -51,45 +50,42 @@ class Obstacle:
     c2: float = 1.0
     segments: tuple = ()
     _anchors: tuple = field(init=False, repr=False, compare=False)
-    _times: tuple = field(init=False, repr=False, compare=False)
-    _moves: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cx, cy, vx, vy = self.cx, self.cy, self.vx, self.vy
-        _require_finite("Obstacle", ("cx", "cy", "vx", "vy", "c1", "c2"), (cx, cy, vx, vy, self.c1, self.c2))
+        x, y, vx, vy = self.cx, self.cy, self.vx, self.vy
+        _require_finite("Obstacle", ("cx", "cy", "vx", "vy", "c1", "c2"), (x, y, vx, vy, self.c1, self.c2))
         _require_vectors("Obstacle.segments", ("t", "vx", "vy"), self.segments)
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValidationError("Obstacle semi-axes must be > 0")
-        times = [t for t, _, _ in self.segments]
-        if any(t <= 0 for t in times) or times != sorted(set(times)):
-            raise ValidationError("segment times must be strictly increasing and > 0")
-        # anchor positions at each segment start so state_at() is exact
-        anchors = [(0.0, cx, cy, vx, vy)]
+        # one pass checks the start times and anchors the state at each
+        anchors, t0 = [], 0.0
         for t, v0, v1 in self.segments:
-            t0, x0, y0, vx0, vy0 = anchors[-1]
-            anchors.append((t, x0 + vx0 * (t - t0), y0 + vy0 * (t - t0), v0, v1))
-        object.__setattr__(self, "_anchors", tuple(anchors))
-        object.__setattr__(self, "_times", tuple(a[0] for a in anchors))
-        moves = vx != 0.0 or vy != 0.0 or any(v0 != 0.0 or v1 != 0.0 for _, v0, v1 in self.segments)
-        object.__setattr__(self, "_moves", moves)
+            if not t > t0:
+                raise ValidationError("segment times must be strictly increasing and > 0")
+            x, y = x + vx * (t - t0), y + vy * (t - t0)
+            anchors.append((t, x, y, v0, v1))
+            t0, vx, vy = t, v0, v1
+        object.__setattr__(self, "_anchors", tuple(anchors[::-1]))
 
     def moves(self) -> bool:
-        return self._moves
+        return bool(self.vx or self.vy or self.segments and any(v0 or v1 for _, v0, v1 in self.segments))
 
     def state_at(self, t: float):
         """Center and velocity (cx, cy, vx, vy) at time t >= 0.
 
         The one owner of obstacle motion; barrier evaluations given t use it.
         A t that is not a finite number >= 0 (NaN, negative, infinite, a
-        string) raises ValidationError: at t = inf a moving obstacle's
-        still axis would read 0 * inf = NaN.
+        string, an int beyond the doubles) raises ValidationError: at t = inf
+        a moving obstacle's still axis would read 0 * inf = NaN.
         """
         try:
             if 0 <= t < inf:
-                i = bisect_right(self._times, t) - 1
-                t0, x0, y0, vx, vy = self._anchors[i]
-                return (x0 + vx * (t - t0), y0 + vy * (t - t0), vx, vy)
-        except TypeError:
+                # the latest anchor at or before t, else the fields (t - 0.0 is t)
+                for t0, x0, y0, vx, vy in self._anchors:
+                    if t >= t0:
+                        return (x0 + vx * (t - t0), y0 + vy * (t - t0), vx, vy)
+                return (self.cx + self.vx * t, self.cy + self.vy * t, self.vx, self.vy)
+        except (TypeError, OverflowError):
             pass
         raise ValidationError(f"obstacle time must be a finite number >= 0, got {t!r}")
 
@@ -103,29 +99,35 @@ def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> Cb
     """Cone barrier with analytic Lie derivatives for the extended state.
 
     With t given, the obstacle is read as `o.state_at(t)` places it; else
-    from its fields, as given.
+    from its fields. Inputs that do not fit `model` raise ValidationError.
     """
-    r = effective_radius(o, p)
-    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
-    if model == "unicycle":
-        return kernel.c3bf_unicycle(s.x, s.y, s.theta, s.v, s.omega, p.l, cx, cy, vx, vy, r)
-    if model == "bicycle":
-        return kernel.c3bf_bicycle(s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, r)
-    if model == "pointmass":
-        return kernel.c3bf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, r)
-    raise ValidationError(f"unknown model kind {model!r}")
+    try:
+        r = effective_radius(o, p)
+        cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
+        if model == "unicycle":
+            return kernel.c3bf_unicycle(s.x, s.y, s.theta, s.v, s.omega, p.l, cx, cy, vx, vy, r)
+        if model == "bicycle" and type(s) is not UnicycleState:
+            return kernel.c3bf_bicycle(s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, r)
+        if model == "pointmass":
+            return kernel.c3bf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, r)
+    except AttributeError as exc:
+        raise _unfit_inputs("c3bf_eval", model, s, exc) from exc
+    raise _unfit_inputs("c3bf_eval", model, s)
 
 
 def ellipse_cbf_eval(model: str, s, o: Obstacle, t: float = None) -> CbfEvaluation:
     """Ellipse distance barrier; degenerate input columns are structural; `t` as in c3bf_eval."""
-    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
-    if model == "unicycle":
-        return kernel.ellipse_unicycle(s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2)
-    if model == "bicycle":
-        return kernel.ellipse_bicycle(s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2)
-    if model == "pointmass":
-        return kernel.ellipse_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2)
-    raise ValidationError(f"unknown model kind {model!r}")
+    try:
+        cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
+        if model == "unicycle" and type(s) is not BicycleState:
+            return kernel.ellipse_unicycle(s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2)
+        if model == "bicycle" and type(s) is not UnicycleState:
+            return kernel.ellipse_bicycle(s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2)
+        if model == "pointmass":
+            return kernel.ellipse_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2)
+    except AttributeError as exc:
+        raise _unfit_inputs("ellipse_cbf_eval", model, s, exc) from exc
+    raise _unfit_inputs("ellipse_cbf_eval", model, s)
 
 
 def hocbf_eval(
@@ -140,22 +142,19 @@ def hocbf_eval(
     _require_finite("hocbf_eval", ("gamma1",), (gamma1,))
     if gamma1 <= 0:
         raise ValidationError(f"gamma1 must be > 0, got {gamma1}")
-    cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
-    if model == "unicycle":
-        return kernel.hocbf_unicycle(
-            s.x, s.y, s.theta, s.v, s.omega, cx, cy, vx, vy, o.c1, o.c2, gamma1
-        )
-    if model == "bicycle":
-        if o.moves():
-            raise UnsupportedCbfError(
-                "second-order ellipse barrier is not valid for the bicycle "
-                "with a moving obstacle"
-            )
-        if p is None:
-            raise ValidationError("bicycle barrier needs ModelParams (l_r)")
-        return kernel.hocbf_bicycle(
-            s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, o.c1, o.c2, gamma1
-        )
-    if model == "pointmass":
-        return kernel.hocbf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2, gamma1)
-    raise ValidationError(f"unknown model kind {model!r}")
+    try:
+        cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
+        if model == "unicycle":
+            return kernel.hocbf_unicycle(s.x, s.y, s.theta, s.v, s.omega, cx, cy, vx, vy, o.c1, o.c2, gamma1)
+        if model == "bicycle" and type(s) is not UnicycleState:
+            if o.moves():
+                raise UnsupportedCbfError(
+                    "second-order ellipse barrier is not valid for the bicycle with a moving obstacle")
+            if p is None:
+                raise ValidationError("bicycle barrier needs ModelParams (l_r)")
+            return kernel.hocbf_bicycle(s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, o.c1, o.c2, gamma1)
+        if model == "pointmass":
+            return kernel.hocbf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2, gamma1)
+    except AttributeError as exc:
+        raise _unfit_inputs("hocbf_eval", model, s, exc) from exc
+    raise _unfit_inputs("hocbf_eval", model, s)

@@ -21,6 +21,7 @@ from .models import (
     _require_finite,
     _require_vector,
     _require_vectors,
+    _unfit_inputs,
     slip_from_steering,
 )
 
@@ -160,18 +161,24 @@ def reference_input(c: ControllerSpec, model: str, s, p: ModelParams = None):
     zero slip on the bicycle, p_velocity on the point mass. Then a_max
     clamps the thrust a of the unicycle and the bicycle, and both
     components (ax, ay) of the point mass. A 'zero' controller gives
-    (0, 0). An unknown model raises ValidationError.
+    (0, 0). An unknown model, or a state that is not one of `model`, raises
+    ValidationError.
     """
     if model not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {model!r}")
     if c.kind == "zero":
         return (0.0, 0.0)
-    if model == "unicycle":
-        u = p_controller(s, c)
-    elif model == "bicycle":
-        u = (p_speed_bicycle(s, c), stanley_lateral(s, c.path, c.k_e, p) if c.kind == "stanley" else 0.0)
-    else:
-        u = p_velocity(s, c)
+    try:
+        if model == "unicycle":
+            u = p_controller(s, c)
+        elif model == "bicycle" and type(s) is not UnicycleState:
+            u = (p_speed_bicycle(s, c), stanley_lateral(s, c.path, c.k_e, p) if c.kind == "stanley" else 0.0)
+        elif model == "pointmass":
+            u = p_velocity(s, c)
+        else:
+            raise _unfit_inputs("reference_input", model, s)
+    except AttributeError as exc:
+        raise _unfit_inputs("reference_input", model, s, exc) from exc
     if c.a_max is None:
         return u
     a0 = min(max(u[0], -c.a_max), c.a_max)

@@ -188,6 +188,22 @@ MODEL_KINDS = tuple(STATE_TYPES)
 STATE_FIELDS = {kind: tuple(f.name for f in fields(t)) for kind, t in STATE_TYPES.items()}
 
 
+def _unfit_inputs(where, model, s, exc=None):
+    """The ValidationError for inputs that do not fit `model`.
+
+    An unknown model kind; else the AttributeError `exc` of an argument
+    lacking a field (a state of another model, a tuple for an obstacle,
+    None for params); else a state of another model that has every field
+    `model` reads: a UnicycleState read as a bicycle one, or a BicycleState
+    read by the unicycle's ellipse barrier, which needs no yaw rate.
+    """
+    if model not in STATE_TYPES:
+        return ValidationError(f"unknown model kind {model!r}")
+    if exc is not None:
+        return ValidationError(f"{where}: inputs do not fit the {model} model: {exc}")
+    return ValidationError(f"{where}: the {model} model takes a {STATE_TYPES[model].__name__}, got {s!r}")
+
+
 def slip_from_steering(delta: float, p: ModelParams) -> float:
     """Slip angle at the center of mass for a given steering angle."""
     if not abs(delta) < pi / 2:
@@ -200,8 +216,8 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
 
     The state types normalize the heading. Given params `p`, a finite
     p.v_max then caps the speed state v of the unicycle and the bicycle.
-    Raises ValidationError when the result is non-finite, or when `u` is
-    not a pair of numbers.
+    Raises ValidationError when the result is non-finite, when `u` is not
+    a pair of numbers, or when `s` is not a state of `model`.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
@@ -216,20 +232,22 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
             return PointMassState(*kernel.rk4_pointmass(s.x, s.y, s.vx, s.vy, u0, u1, dt))
         if model == "unicycle":
             s = UnicycleState(*kernel.rk4_unicycle(s.x, s.y, s.theta, s.v, s.omega, u0, u1, dt))
-        elif model == "bicycle":
+        elif model == "bicycle" and type(s) is not UnicycleState:
             if p is None:
                 raise ValidationError("bicycle integration needs ModelParams (l_r)")
             if abs(u1) > p.beta_max:
                 raise ValidationError(f"|beta|={abs(u1):.4f} exceeds beta_max={p.beta_max}")
             s = BicycleState(*kernel.rk4_bicycle(s.x, s.y, s.theta, s.v, u0, u1, p.l_r, dt))
         else:
-            raise ValidationError(f"unknown model kind {model!r}")
+            raise _unfit_inputs("integrate_step", model, s)
+        # the cap acts on a state its type has checked: a non-finite speed raises
+        if p is not None and abs(s.v) > p.v_max:
+            s = replace(s, v=p.v_max if s.v > 0 else -p.v_max)
+    except AttributeError as exc:
+        raise _unfit_inputs("integrate_step", model, s, exc) from exc
     except TypeError as exc:
         raise ValidationError(f"input u must be a pair of numbers, got {u!r}") from exc
     except ValueError as exc:
         # cos of a stage heading that overflowed to infinity
         raise ValidationError(f"the step diverged: {exc}") from exc
-    # the cap acts on a state its type has checked: a non-finite speed raises
-    if p is not None and abs(s.v) > p.v_max:
-        s = replace(s, v=p.v_max if s.v > 0 else -p.v_max)
     return s

@@ -423,7 +423,9 @@ class TestObstacleAtTime:
             for t in (0.7, 2.2, 1e9):
                 assert [repr(v) for v in o.state_at(t)] == bits
 
-    @pytest.mark.parametrize("t", [-0.5, -1e-300, math.nan, math.inf, "1.0"])
+    @pytest.mark.parametrize("t", [
+        -0.5, -1e-300, math.nan, math.inf, "1.0", pytest.param(10**400, id="int-beyond-doubles")
+    ])
     def test_time_not_a_finite_number_at_least_zero_rejected(self, t):
         # a moving and a never-moving obstacle agree, and so do the barriers
         # that read them at t

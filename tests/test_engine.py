@@ -4,6 +4,9 @@ import copy
 import hashlib
 import math
 import pickle
+import sys
+import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,6 +71,11 @@ class TestObstacleMotion:
             Obstacle(0, 0, segments=((2.0, 0, 0), (2.0, 1, 0)))
         with pytest.raises(ValidationError):
             Obstacle(0, 0, segments=((-1.0, 0, 0),))
+        # one pass checks each start against the previous one, from 0.0
+        for segments in (((0.0, 1, 0),), ((-0.0, 1, 0),), ((2.0, 1, 0), (1.0, 0, 0)),
+                         ((1.0, 1, 0), (3.0, 0, 0), (2.0, 0, 1))):
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                Obstacle(0, 0, segments=segments)
         for axes in ({"c1": 0.0}, {"c2": -1.0}):
             with pytest.raises(ValidationError, match="semi-axes"):
                 Obstacle(0, 0, **axes)
@@ -101,6 +109,68 @@ class TestSlottedObstacle:
             assert o == Obstacle(*values) and hash(o) == hash(Obstacle(*values)) == hash(values)
             assert o != replace(o, c2=3.0)
         assert Obstacle.__match_args__ == ("cx", "cy", "vx", "vy", "c1", "c2", "segments")
+
+    def test_anchors_only_with_segments(self):
+        assert self.STILL._anchors == () and Obstacle(0.0, 0.0, vx=1.0)._anchors == ()
+        assert [a[0] for a in self.SEGMENTED._anchors] == [3.0, 1.5]
+
+    def test_state_at_keeps_the_anchor_rule_bits(self):
+        # the rule of an anchor at t = 0 plus one per segment start, bisected
+        # over the start times, gives the same bits at 0.0, at each start and
+        # one ulp either side of it
+        o = Obstacle(0.1, -0.3, vx=0.7, vy=-0.11,
+                     segments=((0.3, 0.13, 1.0 / 3), (1.1, -2.9, 0.0), (2.7, 0.0, 0.05)))
+        anchors = [(0.0, o.cx, o.cy, o.vx, o.vy)]
+        for t, v0, v1 in o.segments:
+            t0, x0, y0, vx0, vy0 = anchors[-1]
+            anchors.append((t, x0 + vx0 * (t - t0), y0 + vy0 * (t - t0), v0, v1))
+        times = [a[0] for a in anchors]
+
+        def anchor_rule(t):
+            t0, x0, y0, vx, vy = anchors[bisect_right(times, t) - 1]
+            return (x0 + vx * (t - t0), y0 + vy * (t - t0), vx, vy)
+
+        probes = [0.0, math.nextafter(0.0, 1.0)]
+        for t, _, _ in o.segments:
+            probes += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
+        for t in probes:
+            assert [v.hex() for v in o.state_at(t)] == [v.hex() for v in anchor_rule(t)], t
+
+    @pytest.mark.parametrize("o,moves", [
+        (Obstacle(1.0, 1.0), False),
+        (Obstacle(1.0, 1.0, vx=-0.0, vy=-0.0), False),
+        (Obstacle(1.0, 1.0, segments=((1.0, 0.0, 0.0), (2.0, -0.0, 0.0))), False),
+        (Obstacle(1.0, 1.0, vy=0.2), True),
+        (Obstacle(1.0, 1.0, segments=((1.0, 0.0, 0.3),)), True),
+        (Obstacle(1.0, 1.0, vx=0.5, segments=((1.0, 0.0, 0.0),)), True),
+    ], ids=["still", "still-signed-zeros", "parked", "moving", "parked-then-moving", "moving-then-parked"])
+    def test_moves_reads_the_fields_and_segments(self, o, moves):
+        assert o.moves() is moves
+
+    def test_footprint_is_the_object_alone(self):
+        # 1,000 obstacles without segments allocate the objects and nothing
+        # else beyond their inputs and the list that keeps them (with 1 KiB
+        # for the interpreter's own bookkeeping): a derived table per
+        # obstacle would show here; a segmented obstacle adds its anchors
+        n = 1000
+        still = [(float(i), -float(i), 0.5, 0.25, 0.5, 0.75) for i in range(n)]
+        segmented = [(*args, self.SEGMENTED.segments) for args in still]
+        for inputs in (still, segmented):
+            [Obstacle(*args) for args in inputs[:5]]
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                obstacles = [Obstacle(*args) for args in inputs]
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            o = obstacles[0]
+            held = sys.getsizeof(o)
+            if o._anchors:
+                # the tuple of anchors, each with its new x and y
+                held += sys.getsizeof(o._anchors)
+                held += sum(sys.getsizeof(a) + 2 * sys.getsizeof(0.5) for a in o._anchors)
+            assert grown <= n * held + sys.getsizeof(obstacles) + 1024
 
     def test_replace_builds_the_motion_anew(self):
         o = replace(self.STILL, vx=1.0)

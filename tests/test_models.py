@@ -20,8 +20,11 @@ from conecbf import (
     ReferencePath,
     UnicycleState,
     ValidationError,
+    c3bf_eval,
+    ellipse_cbf_eval,
     hocbf_eval,
     integrate_step,
+    reference_input,
     slip_from_steering,
 )
 from conecbf._backend import kernel
@@ -204,6 +207,51 @@ class TestShapeChecks:
         assert Obstacle(0, 0, segments=[(1.0, 0.5, 0.0)]).moves()
         assert ReferencePath([[0, 0], [1, 0]]).waypoints == ((0.0, 0.0), (1.0, 0.0))
         assert ControllerSpec(v_des_vec=[1.0, 0.0]).v_des_vec == [1.0, 0.0]
+
+
+MISMATCH_STATES = {
+    "unicycle": UnicycleState(0, 0, 0, 1, 0.5),
+    "bicycle": BicycleState(0, 0, 0, 1),
+    "pointmass": PointMassState(0, 0, 1, 0.5),
+}
+# the five functions that read a state of a named model, on (model, s, o, p)
+MISMATCH_CALLS = {
+    "integrate_step": lambda model, s, o, p: integrate_step(model, s, (0.1, 0.05), 0.01, p),
+    "reference_input": lambda model, s, o, p: reference_input(
+        ControllerSpec(k1=1.0, k2=0.5, v_des=1.0), model, s, p),
+    "c3bf_eval": lambda model, s, o, p: c3bf_eval(model, s, o, p),
+    "ellipse_cbf_eval": lambda model, s, o, p: ellipse_cbf_eval(model, s, o),
+    "hocbf_eval": lambda model, s, o, p: hocbf_eval(model, s, o, 1.0, p),
+}
+
+
+def _mismatch_cases():
+    o, p = Obstacle(5.0, 0.5), ModelParams()
+    for name in MISMATCH_CALLS:
+        for model, own in MISMATCH_STATES.items():
+            for other, s in MISMATCH_STATES.items():
+                if other != model:
+                    yield pytest.param(name, model, s, o, p, id=f"{name}-{model}-{other}-state")
+            if name.endswith("_eval"):
+                yield pytest.param(name, model, own, (5.0, 0.5), p, id=f"{name}-{model}-tuple-obstacle")
+            if name == "c3bf_eval":
+                yield pytest.param(name, model, own, o, None, id=f"{name}-{model}-no-params")
+            if name == "integrate_step" and model != "pointmass":
+                yield pytest.param(name, model, own, o, (1.0, 2.0), id=f"{name}-{model}-tuple-params")
+
+
+class TestModelMismatch:
+    # a state of another model, a tuple for the obstacle or the params, or no
+    # params raise ValidationError; a state that has every field the model
+    # reads (a unicycle state read as a bicycle one, a bicycle state by the
+    # unicycle's ellipse barrier) used to pass silently, the rest ended in a
+    # bare AttributeError
+    @pytest.mark.parametrize("name,model,s,o,p", _mismatch_cases())
+    def test_rejected_with_validation_error(self, name, model, s, o, p):
+        call = MISMATCH_CALLS[name]
+        call(model, MISMATCH_STATES[model], Obstacle(5.0, 0.5), ModelParams())
+        with pytest.raises(ValidationError, match=f"{name}: .*{model} model"):
+            call(model, s, o, p)
 
 
 class TestIntegrateStep:
