@@ -22,7 +22,7 @@ from math import inf
 from ._backend import kernel
 from ._pykernel import CbfEvaluation
 from .errors import UnsupportedCbfError, ValidationError
-from .models import BicycleState, ModelParams, UnicycleState, _require_finite, _require_vectors, _unfit_inputs
+from .models import ModelParams, _MODEL_OF, _require_finite, _require_vectors, _unfit_inputs
 
 CBF_KINDS = ("c3bf", "ellipse", "hocbf", "none")
 
@@ -101,33 +101,33 @@ def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> Cb
     With t given, the obstacle is read as `o.state_at(t)` places it; else
     from its fields. Inputs that do not fit `model` raise ValidationError.
     """
+    if _MODEL_OF.get(type(s)) != model:
+        raise _unfit_inputs("c3bf_eval", model, s)
     try:
         r = effective_radius(o, p)
         cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
         if model == "unicycle":
             return kernel.c3bf_unicycle(s.x, s.y, s.theta, s.v, s.omega, p.l, cx, cy, vx, vy, r)
-        if model == "bicycle" and type(s) is not UnicycleState:
+        if model == "bicycle":
             return kernel.c3bf_bicycle(s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, r)
-        if model == "pointmass":
-            return kernel.c3bf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, r)
+        return kernel.c3bf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, r)
     except AttributeError as exc:
         raise _unfit_inputs("c3bf_eval", model, s, exc) from exc
-    raise _unfit_inputs("c3bf_eval", model, s)
 
 
 def ellipse_cbf_eval(model: str, s, o: Obstacle, t: float = None) -> CbfEvaluation:
     """Ellipse distance barrier; degenerate input columns are structural; `t` as in c3bf_eval."""
+    if _MODEL_OF.get(type(s)) != model:
+        raise _unfit_inputs("ellipse_cbf_eval", model, s)
     try:
         cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
-        if model == "unicycle" and type(s) is not BicycleState:
+        if model == "unicycle":
             return kernel.ellipse_unicycle(s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2)
-        if model == "bicycle" and type(s) is not UnicycleState:
+        if model == "bicycle":
             return kernel.ellipse_bicycle(s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2)
-        if model == "pointmass":
-            return kernel.ellipse_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2)
+        return kernel.ellipse_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2)
     except AttributeError as exc:
         raise _unfit_inputs("ellipse_cbf_eval", model, s, exc) from exc
-    raise _unfit_inputs("ellipse_cbf_eval", model, s)
 
 
 def hocbf_eval(
@@ -139,6 +139,8 @@ def hocbf_eval(
     velocities can always be chosen to defeat the constraint there.
     `t` selects the obstacle's state as in c3bf_eval.
     """
+    if _MODEL_OF.get(type(s)) != model:
+        raise _unfit_inputs("hocbf_eval", model, s)
     _require_finite("hocbf_eval", ("gamma1",), (gamma1,))
     if gamma1 <= 0:
         raise ValidationError(f"gamma1 must be > 0, got {gamma1}")
@@ -146,15 +148,13 @@ def hocbf_eval(
         cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
         if model == "unicycle":
             return kernel.hocbf_unicycle(s.x, s.y, s.theta, s.v, s.omega, cx, cy, vx, vy, o.c1, o.c2, gamma1)
-        if model == "bicycle" and type(s) is not UnicycleState:
+        if model == "bicycle":
             if o.moves():
                 raise UnsupportedCbfError(
                     "second-order ellipse barrier is not valid for the bicycle with a moving obstacle")
             if p is None:
                 raise ValidationError("bicycle barrier needs ModelParams (l_r)")
             return kernel.hocbf_bicycle(s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, o.c1, o.c2, gamma1)
-        if model == "pointmass":
-            return kernel.hocbf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2, gamma1)
+        return kernel.hocbf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2, gamma1)
     except AttributeError as exc:
         raise _unfit_inputs("hocbf_eval", model, s, exc) from exc
-    raise _unfit_inputs("hocbf_eval", model, s)

@@ -14,10 +14,10 @@ from ._backend import kernel
 from .errors import ValidationError
 from .models import (
     BicycleState,
-    MODEL_KINDS,
     ModelParams,
     PointMassState,
     UnicycleState,
+    _MODEL_OF,
     _require_finite,
     _require_vector,
     _require_vectors,
@@ -161,25 +161,25 @@ def reference_input(c: ControllerSpec, model: str, s, p: ModelParams = None):
     zero slip on the bicycle, p_velocity on the point mass. Then a_max
     clamps the thrust a of the unicycle and the bicycle, and both
     components (ax, ay) of the point mass. A 'zero' controller gives
-    (0, 0). An unknown model, or a state that is not one of `model`, raises
-    ValidationError.
+    (0, 0). An unknown model, a state that is not exactly a
+    STATE_TYPES[model] (whatever the controller) or a controller that is
+    not a ControllerSpec raises ValidationError.
     """
-    if model not in MODEL_KINDS:
-        raise ValidationError(f"unknown model kind {model!r}")
-    if c.kind == "zero":
-        return (0.0, 0.0)
+    if _MODEL_OF.get(type(s)) != model:
+        raise _unfit_inputs("reference_input", model, s)
     try:
+        if c.kind == "zero":
+            return (0.0, 0.0)
         if model == "unicycle":
             u = p_controller(s, c)
-        elif model == "bicycle" and type(s) is not UnicycleState:
+        elif model == "bicycle":
             u = (p_speed_bicycle(s, c), stanley_lateral(s, c.path, c.k_e, p) if c.kind == "stanley" else 0.0)
-        elif model == "pointmass":
-            u = p_velocity(s, c)
         else:
-            raise _unfit_inputs("reference_input", model, s)
+            u = p_velocity(s, c)
+        a_max = c.a_max
     except AttributeError as exc:
         raise _unfit_inputs("reference_input", model, s, exc) from exc
-    if c.a_max is None:
+    if a_max is None:
         return u
-    a0 = min(max(u[0], -c.a_max), c.a_max)
-    return (a0, min(max(u[1], -c.a_max), c.a_max) if model == "pointmass" else u[1])
+    a0 = min(max(u[0], -a_max), a_max)
+    return (a0, min(max(u[1], -a_max), a_max) if model == "pointmass" else u[1])

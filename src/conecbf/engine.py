@@ -18,13 +18,7 @@ from ._backend import kernel
 from .cbf import CBF_KINDS, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
 from .controllers import ControllerSpec, reference_input
 from .errors import SimulationError, ValidationError
-from .models import (
-    MODEL_KINDS,
-    ModelParams,
-    STATE_TYPES,
-    _require_finite,
-    integrate_step,
-)
+from .models import ModelParams, _MODEL_OF, _require_finite, _unfit_inputs, integrate_step
 from .qpfilter import FilterConfig, filter_qp
 
 # halt margin below the effective radius before declaring a collision
@@ -61,15 +55,10 @@ class Scenario:
     hocbf_gamma1: float = 1.0
 
     def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ValidationError(f"unknown model kind {self.model!r}")
+        if _MODEL_OF.get(type(self.initial_state)) != self.model:
+            raise _unfit_inputs("Scenario", self.model, self.initial_state)
         if self.cbf not in CBF_KINDS:
             raise ValidationError(f"unknown cbf kind {self.cbf!r}")
-        if not isinstance(self.initial_state, STATE_TYPES[self.model]):
-            raise ValidationError(
-                f"initial state type {type(self.initial_state).__name__} does not "
-                f"match model {self.model!r}"
-            )
         _require_finite(
             "Scenario", ("dt", "duration", "hocbf_gamma1"), (self.dt, self.duration, self.hocbf_gamma1)
         )

@@ -185,6 +185,10 @@ STATE_TYPES = {
 
 MODEL_KINDS = tuple(STATE_TYPES)
 
+# the model of each state type, keyed by the type: the one rule of which
+# state a model takes reads it, and never hashes the model value
+_MODEL_OF = {t: kind for kind, t in STATE_TYPES.items()}
+
 STATE_FIELDS = {kind: tuple(f.name for f in fields(t)) for kind, t in STATE_TYPES.items()}
 
 
@@ -192,12 +196,14 @@ def _unfit_inputs(where, model, s, exc=None):
     """The ValidationError for inputs that do not fit `model`.
 
     An unknown model kind; else the AttributeError `exc` of an argument
-    lacking a field (a state of another model, a tuple for an obstacle,
-    None for params); else a state of another model that has every field
-    `model` reads: a UnicycleState read as a bicycle one, or a BicycleState
-    read by the unicycle's ellipse barrier, which needs no yaw rate.
+    lacking a field (a tuple for an obstacle, a controller or params, None
+    for params); else a state that is not exactly of STATE_TYPES[model].
+    Each entry point that reads a state of a named model opens with the one
+    test `_MODEL_OF.get(type(s)) != model`, so a look-alike, a subclass, a
+    state of another model or an unknown model, hashable or not, is refused
+    before any field is read.
     """
-    if model not in STATE_TYPES:
+    if model not in MODEL_KINDS:
         return ValidationError(f"unknown model kind {model!r}")
     if exc is not None:
         return ValidationError(f"{where}: inputs do not fit the {model} model: {exc}")
@@ -216,11 +222,19 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
 
     The state types normalize the heading. Given params `p`, a finite
     p.v_max then caps the speed state v of the unicycle and the bicycle.
-    Raises ValidationError when the result is non-finite, when `u` is not
-    a pair of numbers, or when `s` is not a state of `model`.
+    Raises ValidationError when `s` is not exactly a STATE_TYPES[model],
+    when dt is not a finite number > 0, when `u` is not a pair of numbers,
+    or when the result is non-finite.
     """
-    if dt <= 0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
+    if _MODEL_OF.get(type(s)) != model:
+        raise _unfit_inputs("integrate_step", model, s)
+    # + 0.0 turns an integer beyond the doubles into OverflowError
+    try:
+        dt_ok = 0.0 < dt + 0.0 < inf
+    except (TypeError, OverflowError):
+        dt_ok = False
+    if not dt_ok:
+        raise ValidationError(f"dt must be a finite number > 0, got {dt!r}")
     # a malformed u fails in the unpacking or, holding a non-number, inside
     # the kernel call; the checks cost nothing on the normal path
     try:
@@ -232,14 +246,12 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
             return PointMassState(*kernel.rk4_pointmass(s.x, s.y, s.vx, s.vy, u0, u1, dt))
         if model == "unicycle":
             s = UnicycleState(*kernel.rk4_unicycle(s.x, s.y, s.theta, s.v, s.omega, u0, u1, dt))
-        elif model == "bicycle" and type(s) is not UnicycleState:
+        else:
             if p is None:
                 raise ValidationError("bicycle integration needs ModelParams (l_r)")
             if abs(u1) > p.beta_max:
                 raise ValidationError(f"|beta|={abs(u1):.4f} exceeds beta_max={p.beta_max}")
             s = BicycleState(*kernel.rk4_bicycle(s.x, s.y, s.theta, s.v, u0, u1, p.l_r, dt))
-        else:
-            raise _unfit_inputs("integrate_step", model, s)
         # the cap acts on a state its type has checked: a non-finite speed raises
         if p is not None and abs(s.v) > p.v_max:
             s = replace(s, v=p.v_max if s.v > 0 else -p.v_max)

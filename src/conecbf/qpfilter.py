@@ -95,12 +95,15 @@ def activation_gate(dist: float, cfg: FilterConfig) -> bool:
 
     A distance that is not a number >= 0 (NaN, negative, a string) raises
     ValidationError: gating it out would drop the obstacle from the filter.
+    So does a `cfg` that is not a FilterConfig.
     """
     try:
         if dist >= 0:
             return dist <= cfg.activation_radius
     except TypeError:
         pass
+    except AttributeError as exc:
+        raise ValidationError(f"activation_gate needs a FilterConfig: {exc}") from exc
     raise ValidationError(f"distance must be a number >= 0, got {dist!r}")
 
 
@@ -123,13 +126,13 @@ def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
     lfh + gamma*h under a finite lgh is met by every input; any other
     non-finite psi (NaN or infinite h, lfh or lgh) cannot be met: it is
     flagged infeasible, as in filter_qp. A finite box row, a u_ref that is
-    not a pair of finite numbers or a malformed evaluation raises
-    ValidationError.
+    not a pair of finite numbers, a malformed evaluation or a `cfg` that is
+    not a FilterConfig raises ValidationError.
     """
-    if cfg._box_rows[2]:
-        raise ValidationError("filter_single cannot honour input_bounds; use filter_qp")
-    # u_ref and the evaluation are checked as in filter_qp
+    # u_ref, the evaluation and cfg are checked as in filter_qp
     try:
+        if cfg._box_rows[2]:
+            raise ValidationError("filter_single cannot honour input_bounds; use filter_qp")
         g0, g1 = e.lgh
         ur0, ur1 = u_ref
         if not (-_INF < ur0 + 0.0 < _INF and -_INF < ur1 + 0.0 < _INF):
@@ -139,7 +142,9 @@ def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
         psi = lfh + g0 * ur0 + g1 * ur1 + gh
         active = activation_gate(e.dist, cfg)
     except (TypeError, ValueError, IndexError, OverflowError, AttributeError) as exc:
-        raise ValidationError(f"filter_single needs a finite pair u_ref and a CbfEvaluation: {exc}") from exc
+        raise ValidationError(
+            f"filter_single needs a finite pair u_ref, a CbfEvaluation and a FilterConfig: {exc}"
+        ) from exc
     if active and not isfinite(psi) and not _met_by_every_input(psi, lfh, gh, g0, g1):
         return _tuple_new(FilterResult, ((ur0, ur1), (0.0, 0.0), (), (psi,), False, True))
     if psi >= 0.0 or not active:
@@ -169,17 +174,18 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
     the barrier rows: from u_ref, else on the box's finite edges (of equal
     sums the point nearest u_ref); directions no violated row pins keep
     u_ref's value. A u_ref that is not a pair of finite numbers, a
-    malformed evaluation or a bad distance raises ValidationError. With no
-    rows to solve, u_ref passes through.
+    malformed evaluation, a bad distance or a `cfg` that is not a
+    FilterConfig raises ValidationError. With no rows to solve, u_ref
+    passes through.
     """
-    gamma = cfg.gamma
-    eps2 = cfg._eps2
     g0s, g1s, bs, idx, psis = [], [], [], [], []
     degenerate = nonfinite = False
-    # a u_ref that is not a pair of finite numbers (or a malformed
-    # evaluation) fails in the unpacking, the range test, a psi or the
-    # gate; + 0.0 turns an integer beyond the doubles into OverflowError
+    # a cfg without the config's fields, a u_ref that is not a pair of
+    # finite numbers (or a malformed evaluation) fails in the reads, the
+    # unpacking, the range test, a psi or the gate; + 0.0 turns an integer
+    # beyond the doubles into OverflowError
     try:
+        gamma, eps2, (box_g0s, box_g1s, box_bs) = cfg.gamma, cfg._eps2, cfg._box_rows
         ur0, ur1 = u_ref
         if not (-_INF < ur0 + 0.0 < _INF and -_INF < ur1 + 0.0 < _INF):
             raise ValidationError(f"u_ref must be a pair of finite numbers, got {u_ref!r}")
@@ -205,10 +211,9 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
             idx.append(i)
     except (TypeError, ValueError, IndexError, OverflowError, AttributeError) as exc:
         raise ValidationError(
-            f"filter_qp needs a pair of finite numbers u_ref and CbfEvaluation records: {exc}"
+            f"filter_qp needs a pair of finite numbers u_ref, CbfEvaluation records and a FilterConfig: {exc}"
         ) from exc
     n_barrier = len(bs)
-    box_g0s, box_g1s, box_bs = cfg._box_rows
     if box_bs:
         g0s.extend(box_g0s)
         g1s.extend(box_g1s)

@@ -18,6 +18,7 @@ from conecbf import (
     c3bf_eval,
     filter_qp,
     filter_single,
+    reference_input,
 )
 from conecbf._backend import kernel
 
@@ -781,6 +782,24 @@ class TestInputPairChecked:
     def test_filter_single_rejects_u_ref_not_finite_pair(self, u_ref):
         with pytest.raises(ValidationError):
             filter_single(u_ref, self.EVALS[0], CFG)
+
+    # a controller or config of the wrong type at the tick's entry points
+    # raises ValidationError naming what it needs, not a bare AttributeError
+    @pytest.mark.parametrize("call,match", [
+        (lambda: reference_input((1, 2), "unicycle", UnicycleState(0, 0, 0, 1, 0)),
+         "^reference_input: inputs do not fit the unicycle model: .*'kind'"),
+        (lambda: reference_input(None, "unicycle", UnicycleState(0, 0, 0, 1, 0)),
+         "^reference_input: inputs do not fit the unicycle model: .*'kind'"),
+        (lambda: filter_qp((0, 0), TestInputPairChecked.EVALS, None), "^filter_qp needs .*FilterConfig: .*'gamma'"),
+        (lambda: filter_qp((0, 0), [], (1.0,)), "^filter_qp needs .*FilterConfig: .*'gamma'"),
+        (lambda: filter_single((0, 0), TestInputPairChecked.EVALS[0], None),
+         "^filter_single needs .*FilterConfig: .*'_box_rows'"),
+        (lambda: activation_gate(1.0, None), "^activation_gate needs a FilterConfig: .*'activation_radius'"),
+    ], ids=["reference-tuple-controller", "reference-none-controller", "filter_qp-none", "filter_qp-tuple",
+            "filter_single-none", "activation_gate-none"])
+    def test_wrong_typed_controller_or_config(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call()
 
     def test_no_rows_pass_u_ref_through(self):
         # with no row to solve (none given, or each degenerate) u_ref comes

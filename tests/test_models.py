@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conecbf import (
     Obstacle,
     PointMassState,
     ReferencePath,
+    Scenario,
     UnicycleState,
     ValidationError,
     c3bf_eval,
@@ -214,7 +216,7 @@ MISMATCH_STATES = {
     "bicycle": BicycleState(0, 0, 0, 1),
     "pointmass": PointMassState(0, 0, 1, 0.5),
 }
-# the five functions that read a state of a named model, on (model, s, o, p)
+# the six entry points that take a state of a named model, on (model, s, o, p)
 MISMATCH_CALLS = {
     "integrate_step": lambda model, s, o, p: integrate_step(model, s, (0.1, 0.05), 0.01, p),
     "reference_input": lambda model, s, o, p: reference_input(
@@ -222,7 +224,30 @@ MISMATCH_CALLS = {
     "c3bf_eval": lambda model, s, o, p: c3bf_eval(model, s, o, p),
     "ellipse_cbf_eval": lambda model, s, o, p: ellipse_cbf_eval(model, s, o),
     "hocbf_eval": lambda model, s, o, p: hocbf_eval(model, s, o, 1.0, p),
+    "Scenario": lambda model, s, o, p: Scenario(
+        name="mismatch", model=model, params=p, initial_state=s, obstacles=(o,),
+        controller=ControllerSpec(v_des=1.0), filter=FilterConfig()),
 }
+# a named tuple with a state type's name and fields: it reads like the state
+# but was never checked or wrapped by it
+LOOK_ALIKES = {model: namedtuple(type(s).__name__, type(s).__slots__) for model, s in MISMATCH_STATES.items()}
+# a slotted subclass of each state type, checked and wrapped when built
+SUBCLASSES = {model: type(type(s).__name__, (type(s),), {"__slots__": ()}) for model, s in MISMATCH_STATES.items()}
+
+
+def _foreign_state_cases():
+    nan = float("nan")
+    for name in MISMATCH_CALLS:
+        for model, own in MISMATCH_STATES.items():
+            values = own.as_tuple()
+            like = LOOK_ALIKES[model]
+            yield pytest.param(name, model, like(*values), id=f"{name}-{model}-look-alike")
+            yield pytest.param(name, model, like(nan, *values[1:]), id=f"{name}-{model}-look-alike-nan")
+            if model != "pointmass":
+                heading = like(*values[:2], 7.0, *values[3:])
+                yield pytest.param(name, model, heading, id=f"{name}-{model}-look-alike-heading-7")
+            yield pytest.param(name, model, SUBCLASSES[model](*values), id=f"{name}-{model}-subclass")
+            yield pytest.param(name, model, values, id=f"{name}-{model}-plain-tuple")
 
 
 def _mismatch_cases():
@@ -252,6 +277,38 @@ class TestModelMismatch:
         call(model, MISMATCH_STATES[model], Obstacle(5.0, 0.5), ModelParams())
         with pytest.raises(ValidationError, match=f"{name}: .*{model} model"):
             call(model, s, o, p)
+
+    # each entry point opens with one identity test of the state's type
+    # against STATE_TYPES[model]: a look-alike (a NaN in it, or an unwrapped
+    # heading), a subclass or a plain tuple is refused before any field is read
+    @pytest.mark.parametrize("name,model,s", _foreign_state_cases())
+    def test_only_the_exact_state_type(self, name, model, s):
+        o, p = Obstacle(5.0, 0.5), ModelParams()
+        kind = type(MISMATCH_STATES[model]).__name__
+        with pytest.raises(ValidationError, match=f"^{name}: the {model} model takes a {kind}, got "):
+            MISMATCH_CALLS[name](model, s, o, p)
+
+    # the rule looks up the state's type, never the model value, so a model
+    # that cannot be hashed is an unknown one too
+    @pytest.mark.parametrize("name", MISMATCH_CALLS)
+    def test_unhashable_model_is_unknown(self, name):
+        with pytest.raises(ValidationError, match=r"^unknown model kind \['unicycle'\]$"):
+            MISMATCH_CALLS[name](["unicycle"], MISMATCH_STATES["unicycle"], Obstacle(5.0, 0.5), ModelParams())
+
+    # the zero controller gives (0, 0) on its own model's state and is
+    # refused another, as every other controller is
+    @pytest.mark.parametrize("model,s", [
+        ("bicycle", (1, 2)),
+        ("bicycle", MISMATCH_STATES["unicycle"]),
+        ("unicycle", LOOK_ALIKES["unicycle"](0, 0, 7.0, 1, 0)),
+        ("pointmass", SUBCLASSES["pointmass"](0, 0, 1, 0.5)),
+    ], ids=["tuple", "unicycle-state", "look-alike", "subclass"])
+    def test_zero_controller_checks_the_state(self, model, s):
+        zero = ControllerSpec(kind="zero")
+        assert reference_input(zero, model, MISMATCH_STATES[model]) == (0.0, 0.0)
+        kind = type(MISMATCH_STATES[model]).__name__
+        with pytest.raises(ValidationError, match=f"^reference_input: the {model} model takes a {kind}, got "):
+            reference_input(zero, model, s)
 
 
 class TestIntegrateStep:
@@ -292,6 +349,15 @@ class TestIntegrateStep:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValidationError):
             integrate_step("pointmass", PointMassState(0, 0, 0, 0), (0, 0), 0.0)
+
+    # a dt that is not a finite number > 0 is refused by name, whatever its
+    # type, before the step runs
+    @pytest.mark.parametrize("dt", ["a", None, math.nan, math.inf, -math.inf, -0.01, 0.0, 10**400],
+                             ids=["string", "none", "nan", "inf", "neg-inf", "negative", "zero", "int-beyond-doubles"])
+    @pytest.mark.parametrize("model", list(MISMATCH_STATES))
+    def test_dt_not_a_finite_number_above_zero(self, model, dt):
+        with pytest.raises(ValidationError, match=r"^dt must be a finite number > 0, got "):
+            integrate_step(model, MISMATCH_STATES[model], (0.0, 0.0), dt, ModelParams())
 
     def test_bicycle_needs_params(self):
         with pytest.raises(ValidationError):
