@@ -90,9 +90,19 @@ class Obstacle:
         raise ValidationError(f"obstacle time must be a finite number >= 0, got {t!r}")
 
 
-def effective_radius(o: Obstacle, p: ModelParams) -> float:
-    """Bounding-circle radius absorbing obstacle shape and vehicle width."""
+def _radius(o, p):
     return max(o.c1, o.c2) + 0.5 * p.w
+
+
+def effective_radius(o: Obstacle, p: ModelParams) -> float:
+    """Bounding-circle radius absorbing obstacle shape and vehicle width.
+
+    An `o` or `p` without the fields raises ValidationError.
+    """
+    try:
+        return _radius(o, p)
+    except AttributeError as exc:
+        raise ValidationError(f"effective_radius needs an Obstacle and ModelParams: {exc}") from exc
 
 
 def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> CbfEvaluation:
@@ -104,7 +114,8 @@ def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> Cb
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("c3bf_eval", model, s)
     try:
-        r = effective_radius(o, p)
+        # unchecked, so that a bad o or p names c3bf_eval and the model
+        r = _radius(o, p)
         cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
         if model == "unicycle":
             return kernel.c3bf_unicycle(s.x, s.y, s.theta, s.v, s.omega, p.l, cx, cy, vx, vy, r)

@@ -139,18 +139,22 @@ def stanley_lateral(
     Heading error plus arctan(k_e * e / max(v, floor)), where e is the
     cross-track error signed positive when the vehicle sits left of the
     path; the steering angle is mapped through the slip relation and
-    clamped to beta_max. Positive beta turns left.
+    clamped to beta_max. Positive beta turns left. A state, path or
+    params without the fields raises ValidationError.
     """
-    (px, py), (tx, ty), d = _nearest_on_path(path, s.x, s.y)
-    # left of the path <=> tangent x offset cross product positive
-    ox = s.x - px
-    oy = s.y - py
-    e = d if (tx * oy - ty * ox) > 0 else -d
-    heading_err = kernel.wrap_angle(atan2(ty, tx) - s.theta)
-    delta = heading_err - atan2(k_e * e, max(s.v, V_FLOOR))
-    delta = min(max(delta, -DELTA_MAX), DELTA_MAX)
-    beta = slip_from_steering(delta, p)
-    return min(max(beta, -p.beta_max), p.beta_max)
+    try:
+        (px, py), (tx, ty), d = _nearest_on_path(path, s.x, s.y)
+        # left of the path <=> tangent x offset cross product positive
+        ox = s.x - px
+        oy = s.y - py
+        e = d if (tx * oy - ty * ox) > 0 else -d
+        heading_err = kernel.wrap_angle(atan2(ty, tx) - s.theta)
+        delta = heading_err - atan2(k_e * e, max(s.v, V_FLOOR))
+        delta = min(max(delta, -DELTA_MAX), DELTA_MAX)
+        beta = slip_from_steering(delta, p)
+        return min(max(beta, -p.beta_max), p.beta_max)
+    except AttributeError as exc:
+        raise _unfit_inputs("stanley_lateral", "bicycle", s, exc) from exc
 
 
 def reference_input(c: ControllerSpec, model: str, s, p: ModelParams = None):

@@ -127,8 +127,11 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     total. Raises SimulationError on integrator divergence, when the
     filter refuses a step's numbers (a non-finite u_ref or a NaN
     distance, say), or when the filter stays degenerate for more than
-    DEGENERATE_STEP_BUDGET consecutive steps.
+    DEGENERATE_STEP_BUDGET consecutive steps. An `sc` that is not a
+    Scenario raises ValidationError.
     """
+    if not isinstance(sc, Scenario):
+        raise ValidationError(f"run_scenario needs a Scenario, got {type(sc).__name__}")
     n_steps = sc.n_steps
     state = sc.initial_state
     model, params, dt, obstacles, controller = sc.model, sc.params, sc.dt, sc.obstacles, sc.controller

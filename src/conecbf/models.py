@@ -211,9 +211,16 @@ def _unfit_inputs(where, model, s, exc=None):
 
 
 def slip_from_steering(delta: float, p: ModelParams) -> float:
-    """Slip angle at the center of mass for a given steering angle."""
-    if not abs(delta) < pi / 2:
-        raise ValidationError(f"steering angle must satisfy |delta| < pi/2, got {delta}")
+    """Slip angle at the center of mass for a given steering angle.
+
+    A delta that is not a number with |delta| < pi/2 raises ValidationError.
+    """
+    try:
+        ok = abs(delta) < pi / 2
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"steering angle must satisfy |delta| < pi/2, got {delta!r}")
     return atan(p.l_r / (p.l_f + p.l_r) * tan(delta))
 
 

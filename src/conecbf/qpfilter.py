@@ -107,85 +107,27 @@ def activation_gate(dist: float, cfg: FilterConfig) -> bool:
     raise ValidationError(f"distance must be a number >= 0, got {dist!r}")
 
 
-def _met_by_every_input(psi, lfh, gh, g0, g1) -> bool:
-    """Whether the row of a non-finite psi = lfh + g . u_ref + gh is met by
-    every input: under a finite g, an offset lfh + gh of +inf makes it
-    g . u >= -inf, and psi +inf. Any other (psi NaN or -inf, g infinite, or
-    psi +inf from an overflowing g . u_ref) never counts as met."""
-    return psi == _INF and lfh + gh == _INF and isfinite(g0) and isfinite(g1)
+def _rows(u_ref, evals, cfg: FilterConfig, where: str):
+    """The one rule by which both filters turn evaluations into rows.
 
-
-def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
-    """Closed-form filter for one constraint (no box bounds).
-
-    psi >= 0, or a distance beyond the activation radius, leaves the
-    reference untouched; otherwise the correction is the least-norm
-    input restoring psi = 0. A violated constraint with ||lgh|| <=
-    regularization_eps cannot be influenced: it is flagged degenerate
-    and the reference passes through. A psi of +inf from an infinite
-    lfh + gamma*h under a finite lgh is met by every input; any other
-    non-finite psi (NaN or infinite h, lfh or lgh) cannot be met: it is
-    flagged infeasible, as in filter_qp. A finite box row, a u_ref that is
-    not a pair of finite numbers, a malformed evaluation or a `cfg` that is
-    not a FilterConfig raises ValidationError.
-    """
-    # u_ref, the evaluation and cfg are checked as in filter_qp
-    try:
-        if cfg._box_rows[2]:
-            raise ValidationError("filter_single cannot honour input_bounds; use filter_qp")
-        g0, g1 = e.lgh
-        ur0, ur1 = u_ref
-        if not (-_INF < ur0 + 0.0 < _INF and -_INF < ur1 + 0.0 < _INF):
-            raise ValidationError(f"u_ref must be a pair of finite numbers, got {u_ref!r}")
-        lfh = e.lfh
-        gh = cfg.gamma * e.h
-        psi = lfh + g0 * ur0 + g1 * ur1 + gh
-        active = activation_gate(e.dist, cfg)
-    except (TypeError, ValueError, IndexError, OverflowError, AttributeError) as exc:
-        raise ValidationError(
-            f"filter_single needs a finite pair u_ref, a CbfEvaluation and a FilterConfig: {exc}"
-        ) from exc
-    if active and not isfinite(psi) and not _met_by_every_input(psi, lfh, gh, g0, g1):
-        return _tuple_new(FilterResult, ((ur0, ur1), (0.0, 0.0), (), (psi,), False, True))
-    if psi >= 0.0 or not active:
-        return _tuple_new(FilterResult, ((ur0, ur1), (0.0, 0.0), (), (psi,), False, False))
-    gg = g0 * g0 + g1 * g1
-    if gg <= cfg._eps2:
-        return _tuple_new(FilterResult, ((ur0, ur1), (0.0, 0.0), (), (psi,), True, False))
-    u_safe = (-g0 * psi / gg, -g1 * psi / gg)
-    u_star = (ur0 + u_safe[0], ur1 + u_safe[1])
-    return _tuple_new(FilterResult, (u_star, u_safe, (0,), (psi,), False, False))
-
-
-def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
-    """Stacked-constraint filter; exact QP on the 2-D input.
-
-    Every psi is reported, but only the evaluations within the activation
-    radius make rows. Degenerate ones (||lgh|| <= regularization_eps) are
-    left out of the QP -- they are input-independent, so they either hold
-    on their own (psi >= 0) or cannot be fixed (flagged). One whose psi is
-    +inf from an infinite lfh + gamma*h under a finite lgh is met by every
-    input and left out. Any other whose h, lfh or lgh is NaN or infinite (its
-    psi is then not finite) is left out too and flags the result infeasible:
-    it can never count as met. Every answer is saturated into the box, which
-    the QP meets only within its tolerance.
-    If no input in the box meets every row, the step is flagged and
-    kernel.least_violation answers with the least summed squared violation of
-    the barrier rows: from u_ref, else on the box's finite edges (of equal
-    sums the point nearest u_ref); directions no violated row pins keep
-    u_ref's value. A u_ref that is not a pair of finite numbers, a
-    malformed evaluation, a bad distance or a `cfg` that is not a
-    FilterConfig raises ValidationError. With no rows to solve, u_ref
-    passes through.
+    Computes every psi = lfh + lgh . u_ref + gamma*h and admits as a row
+    g . u >= b (g = lgh, b = -(lfh + gamma*h)) each evaluation that passes
+    activation_gate with a finite psi and ||lgh|| > regularization_eps.
+    A degenerate one (||lgh|| <= regularization_eps) is input-independent:
+    it holds on its own (psi >= 0) or cannot be fixed (flags degenerate).
+    A non-finite psi flags nonfinite unless every input meets its row.
+    Returns (ur0, ur1), psis, (g0s, g1s, bs), idx, box_rows, degenerate,
+    nonfinite: the rows as lists with their evaluation indices, and the
+    config's finite box rows. A cfg without the config's fields, a u_ref
+    that is not a pair of finite numbers or a malformed evaluation fails in
+    the reads, the unpacking, the range test, a psi or the gate, and raises
+    ValidationError naming `where`.
     """
     g0s, g1s, bs, idx, psis = [], [], [], [], []
     degenerate = nonfinite = False
-    # a cfg without the config's fields, a u_ref that is not a pair of
-    # finite numbers (or a malformed evaluation) fails in the reads, the
-    # unpacking, the range test, a psi or the gate; + 0.0 turns an integer
-    # beyond the doubles into OverflowError
+    # + 0.0 turns an integer beyond the doubles into OverflowError
     try:
-        gamma, eps2, (box_g0s, box_g1s, box_bs) = cfg.gamma, cfg._eps2, cfg._box_rows
+        gamma, eps2, box_rows = cfg.gamma, cfg._eps2, cfg._box_rows
         ur0, ur1 = u_ref
         if not (-_INF < ur0 + 0.0 < _INF and -_INF < ur1 + 0.0 < _INF):
             raise ValidationError(f"u_ref must be a pair of finite numbers, got {u_ref!r}")
@@ -198,7 +140,11 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
             if not activation_gate(e.dist, cfg):
                 continue
             if not isfinite(psi):
-                if not _met_by_every_input(psi, lfh, gh, g0, g1):
+                # met by every input: under a finite g, an offset lfh + gh
+                # of +inf makes the row g . u >= -inf, and psi +inf. Any
+                # other (psi NaN or -inf, g infinite, or psi +inf from an
+                # overflowing g . u_ref) never counts as met
+                if not (psi == _INF and lfh + gh == _INF and isfinite(g0) and isfinite(g1)):
                     nonfinite = True
                 continue
             if g0 * g0 + g1 * g1 <= eps2:
@@ -211,8 +157,49 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
             idx.append(i)
     except (TypeError, ValueError, IndexError, OverflowError, AttributeError) as exc:
         raise ValidationError(
-            f"filter_qp needs a pair of finite numbers u_ref, CbfEvaluation records and a FilterConfig: {exc}"
+            f"{where} needs a pair of finite numbers u_ref, CbfEvaluation records and a FilterConfig: {exc}"
         ) from exc
+    return (ur0, ur1), psis, (g0s, g1s, bs), idx, box_rows, degenerate, nonfinite
+
+
+def filter_single(u_ref, e: CbfEvaluation, cfg: FilterConfig) -> FilterResult:
+    """Closed-form filter for one constraint (no box bounds).
+
+    The evaluation makes a row by the rule filter_qp applies (_rows). A
+    violated row is corrected by the least-norm input restoring psi = 0;
+    otherwise the reference passes through, flagged as _rows flags it. A
+    finite box row raises ValidationError, as does any input _rows refuses.
+    """
+    (ur0, ur1), (psi,), (g0s, g1s, _), _, box_rows, degenerate, nonfinite = _rows(
+        u_ref, (e,), cfg, "filter_single"
+    )
+    if box_rows[2]:
+        raise ValidationError("filter_single cannot honour input_bounds; use filter_qp")
+    if not g0s or psi >= 0.0:
+        return _tuple_new(FilterResult, ((ur0, ur1), (0.0, 0.0), (), (psi,), degenerate, nonfinite))
+    g0, g1 = g0s[0], g1s[0]
+    gg = g0 * g0 + g1 * g1
+    u_safe = (-g0 * psi / gg, -g1 * psi / gg)
+    u_star = (ur0 + u_safe[0], ur1 + u_safe[1])
+    return _tuple_new(FilterResult, (u_star, u_safe, (0,), (psi,), False, False))
+
+
+def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
+    """Stacked-constraint filter; exact QP on the 2-D input.
+
+    Every psi is reported; the rows solved are the ones _rows admits, plus
+    the config's finite box rows, and _rows' flags carry over. Every answer
+    is saturated into the box, which the QP meets only within its tolerance.
+    If no input in the box meets every row, the step is flagged and
+    kernel.least_violation answers with the least summed squared violation of
+    the barrier rows: from u_ref, else on the box's finite edges (of equal
+    sums the point nearest u_ref); directions no violated row pins keep
+    u_ref's value. Any input _rows refuses raises ValidationError. With no
+    rows to solve, u_ref passes through.
+    """
+    (ur0, ur1), psis, (g0s, g1s, bs), idx, (box_g0s, box_g1s, box_bs), degenerate, nonfinite = _rows(
+        u_ref, evals, cfg, "filter_qp"
+    )
     n_barrier = len(bs)
     if box_bs:
         g0s.extend(box_g0s)

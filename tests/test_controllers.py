@@ -132,6 +132,11 @@ class TestStanleyLateral:
                 worst_tail = max(worst_tail, abs(s.y))
         assert worst_tail <= 0.05
 
+    def test_params_not_model_params_raises(self):
+        s = BicycleState(0.0, 1.0, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="^stanley_lateral: inputs do not fit the bicycle model: .*'l_r'"):
+            stanley_lateral(s, STRAIGHT, 1.0, None)
+
     def test_closed_path_wraps(self):
         square = ReferencePath(((0, 0), (10, 0), (10, 10), (0, 10)), closed=True)
         s = BicycleState(-1.0, 5.0, -math.pi / 2, 1.0)

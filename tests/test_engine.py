@@ -27,6 +27,7 @@ from conecbf import (
     ValidationError,
     c3bf_eval,
     classify_behavior,
+    effective_radius,
     filter_qp,
     integrate_step,
     load_scenario,
@@ -196,6 +197,18 @@ class TestSlottedObstacle:
 
 
 class TestRunScenario:
+    # a wrong-typed argument raises ValidationError naming what it needs,
+    # not a bare AttributeError
+    @pytest.mark.parametrize("call,match", [
+        (lambda: effective_radius((1, 2), ModelParams()), "^effective_radius needs .*'c1'"),
+        (lambda: effective_radius(Obstacle(1, 2), None), "^effective_radius needs .*'w'"),
+        (lambda: run_scenario(None), "^run_scenario needs a Scenario, got NoneType$"),
+        (lambda: run_scenario(scenario_to_dict(simple_scenario())), "^run_scenario needs a Scenario, got dict$"),
+    ], ids=["radius-tuple-obstacle", "radius-no-params", "run-none", "run-document"])
+    def test_wrong_typed_argument(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call()
+
     def test_record_count_and_time_grid(self):
         sc = simple_scenario(duration=2.5, dt=0.01)
         log = run_scenario(sc)

@@ -793,7 +793,7 @@ class TestInputPairChecked:
         (lambda: filter_qp((0, 0), TestInputPairChecked.EVALS, None), "^filter_qp needs .*FilterConfig: .*'gamma'"),
         (lambda: filter_qp((0, 0), [], (1.0,)), "^filter_qp needs .*FilterConfig: .*'gamma'"),
         (lambda: filter_single((0, 0), TestInputPairChecked.EVALS[0], None),
-         "^filter_single needs .*FilterConfig: .*'_box_rows'"),
+         "^filter_single needs .*FilterConfig: .*'gamma'"),
         (lambda: activation_gate(1.0, None), "^activation_gate needs a FilterConfig: .*'activation_radius'"),
     ], ids=["reference-tuple-controller", "reference-none-controller", "filter_qp-none", "filter_qp-tuple",
             "filter_single-none", "activation_gate-none"])

@@ -1,5 +1,6 @@
 """Scenario files, trajectory CSV contract, and the command line."""
 
+import csv
 import hashlib
 import json
 import math
@@ -788,6 +789,13 @@ class TestPlotRefusals:
         with pytest.raises(ValidationError, match="ragged row"):
             read_trajectory_csv(ragged)
         assert self.plot(ragged) == 3
+
+    def test_field_beyond_size_limit(self, tmp_path):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("t," + "1" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(ValidationError, match="malformed CSV"):
+            read_trajectory_csv(huge)
+        assert self.plot(huge) == 3
 
     def test_not_utf8(self, run):
         bad = run / "utf16.csv"

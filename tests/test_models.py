@@ -131,8 +131,22 @@ class TestSlipFromSteering:
         with pytest.raises(ValidationError, match="steering angle"):
             slip_from_steering(delta, ModelParams())
 
+    def test_rejects_steering_angle_not_a_number(self):
+        with pytest.raises(ValidationError, match="^steering angle must satisfy .*, got 'a'$"):
+            slip_from_steering("a", ModelParams())
+
 
 class TestModelParams:
+    @pytest.mark.parametrize("field,value,match", [
+        ("l", -0.1, "body-center offset l must be >= 0"),
+        ("l_f", 0.0, "axle distances"),
+        ("l_r", -1.0, "axle distances"),
+        ("w", -0.5, "vehicle width must be >= 0"),
+    ])
+    def test_rejects_negative_geometry(self, field, value, match):
+        with pytest.raises(ValidationError, match=match):
+            ModelParams(**{field: value})
+
     @pytest.mark.parametrize("beta_max", [math.pi / 2, 0.0])
     def test_rejects_beta_max_outside_open_quarter_turn(self, beta_max):
         with pytest.raises(ValidationError, match="beta_max"):
