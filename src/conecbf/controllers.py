@@ -151,8 +151,11 @@ def stanley_lateral(
         heading_err = kernel.wrap_angle(atan2(ty, tx) - s.theta)
         delta = heading_err - atan2(k_e * e, max(s.v, V_FLOOR))
         delta = min(max(delta, -DELTA_MAX), DELTA_MAX)
+        # read first, so that params without the fields fail here, not in
+        # slip_from_steering under its name
+        beta_max = p.beta_max
         beta = slip_from_steering(delta, p)
-        return min(max(beta, -p.beta_max), p.beta_max)
+        return min(max(beta, -beta_max), beta_max)
     except AttributeError as exc:
         raise _unfit_inputs("stanley_lateral", "bicycle", s, exc) from exc
 

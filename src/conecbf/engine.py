@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, replace
 from math import atan2, hypot, inf, radians
 
 from ._backend import kernel
-from .cbf import CBF_KINDS, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
+from .cbf import CBF_KINDS, Obstacle, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
 from .controllers import ControllerSpec, reference_input
 from .errors import SimulationError, ValidationError
-from .models import ModelParams, _MODEL_OF, _require_finite, _unfit_inputs, integrate_step
-from .qpfilter import FilterConfig, filter_qp
+from .models import ModelParams, _MODEL_OF, _name, _require_finite, _unfit_inputs, integrate_step
+from .qpfilter import FilterConfig, _unfiltered, filter_qp
 
 # halt margin below the effective radius before declaring a collision
 COLLISION_SLACK = 1e-6
@@ -55,8 +55,14 @@ class Scenario:
     hocbf_gamma1: float = 1.0
 
     def __post_init__(self):
+        _name(self.name, "Scenario.name")
         if _MODEL_OF.get(type(self.initial_state)) != self.model:
             raise _unfit_inputs("Scenario", self.model, self.initial_state)
+        for key, cls in (("params", ModelParams), ("controller", ControllerSpec), ("filter", FilterConfig)):
+            if type(getattr(self, key)) is not cls:
+                raise ValidationError(f"Scenario.{key}: expected a {cls.__name__}, got {getattr(self, key)!r}")
+        if not (isinstance(self.obstacles, tuple) and all(type(o) is Obstacle for o in self.obstacles)):
+            raise ValidationError(f"Scenario.obstacles: expected a tuple of Obstacle, got {self.obstacles!r}")
         if self.cbf not in CBF_KINDS:
             raise ValidationError(f"unknown cbf kind {self.cbf!r}")
         _require_finite(
@@ -124,9 +130,12 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     """Execute a scenario to completion or until a collision verdict.
 
     The log gains one record per step boundary, sc.n_steps + 1 in
-    total. Raises SimulationError on integrator divergence, when the
-    filter refuses a step's numbers (a non-finite u_ref or a NaN
-    distance, say), or when the filter stays degenerate for more than
+    total. A `cbf: none` run filters nothing but takes psi and the
+    input refusals from the filter's own rule (qpfilter._unfiltered),
+    and applies u_ref saturated to the box. Raises SimulationError on
+    integrator divergence, when the filter's rule refuses a step's
+    numbers (a non-finite u_ref or a NaN distance, say), whatever the
+    barrier kind, or when the filter stays degenerate for more than
     DEGENERATE_STEP_BUDGET consecutive steps. An `sc` that is not a
     Scenario raises ValidationError.
     """
@@ -141,8 +150,8 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     cfg = sc.run_filter
     # the barrier, chosen once, as a positional call on (state, obstacle, t)
     # that looks its function up by module name at call time; with
-    # cbf='none' the cone barrier is still evaluated for the log, but
-    # nothing is filtered
+    # cbf='none' the cone barrier is still evaluated, and _unfiltered logs
+    # its psi and applies u_ref saturated to the box
     if sc.cbf == "ellipse":
         def barrier(state, o, t):
             return ellipse_cbf_eval(model, state, o, t)
@@ -154,8 +163,7 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     else:
         def barrier(state, o, t):
             return c3bf_eval(model, state, o, params, t)
-    filtering = sc.cbf != "none"
-    gamma = sc.filter.gamma
+    filters = sc.cbf != "none"
     # shared by every step on which no constraint binds
     no_active = (False,) * n_obs
     # one record per step, in TrajectoryLog field order
@@ -166,26 +174,14 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
         u_ref = reference_input(controller, model, state, params)
         evals = [barrier(state, o, t) for o in obstacles]
         if evals:
-            hs, lfhs, lghs, penetrations, dists = zip(*evals)
+            hs, _, _, penetrations, dists = zip(*evals)
         else:
-            hs = lfhs = lghs = penetrations = dists = ()
-        if filtering:
-            try:
-                u_cmd, _, binding, psis, degenerate, infeasible = filter_qp(u_ref, evals, cfg)
-            except ValidationError as exc:
-                raise SimulationError(f"filter failed at step {k}: {exc}", step=k)
-            active = tuple([i in binding for i in range(n_obs)]) if binding else no_active
-        else:
-            u_cmd, degenerate, infeasible, active = u_ref, False, False, no_active
-            ur0, ur1 = u_ref
-            psis = tuple([
-                lfh + g0 * ur0 + g1 * ur1 + gamma * h
-                for h, lfh, (g0, g1) in zip(hs, lfhs, lghs)
-            ])
-            # unfiltered, the actuators saturate u_ref (filter_qp saturates its own)
-            if cfg.input_bounds is not None:
-                (lo0, hi0), (lo1, hi1) = cfg.input_bounds
-                u_cmd = (min(max(ur0, lo0), hi0), min(max(ur1, lo1), hi1))
+            hs = penetrations = dists = ()
+        try:
+            u_cmd, _, binding, psis, degenerate, infeasible = (filter_qp if filters else _unfiltered)(u_ref, evals, cfg)
+        except ValidationError as exc:
+            raise SimulationError(f"filter failed at step {k}: {exc}", step=k)
+        active = tuple([i in binding for i in range(n_obs)]) if binding else no_active
         records.append((
             t, state.as_tuple(), u_ref, u_cmd, hs, psis, dists, active, penetrations,
             degenerate, infeasible,

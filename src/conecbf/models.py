@@ -10,6 +10,7 @@ All operations are pure functions; states are immutable. Inputs are plain
 (u0, u1) tuples whose meaning depends on the model.
 """
 
+import re
 from dataclasses import dataclass, fields, replace
 from math import atan, inf, isfinite, isinf, pi, tan
 
@@ -41,6 +42,22 @@ def _require_finite(where, names, values, inf_ok=()):
         if not ok:
             kind = "non-NaN" if name in inf_ok else "finite"
             raise ValidationError(f"{where}.{name}: expected a {kind} number, got {v!r}")
+
+
+# the text a scenario name may hold: the characters of XML 1.0, all of
+# which UTF-8 can carry (no lone surrogate among them)
+_NAME_TEXT = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
+
+
+def _name(v, where: str) -> str:
+    """A scenario name: a string that both UTF-8 and XML 1.0 can carry.
+
+    Scenario checks its name by this rule, and parse_scenario the
+    document's, each naming its own `where`.
+    """
+    if not (isinstance(v, str) and _NAME_TEXT.fullmatch(v)):
+        raise ValidationError(f"{where}: expected a string that UTF-8 and XML 1.0 can carry, got {v!r}")
+    return v
 
 
 def _require_vector(where, names, value, inf_ok=()):
@@ -213,15 +230,20 @@ def _unfit_inputs(where, model, s, exc=None):
 def slip_from_steering(delta: float, p: ModelParams) -> float:
     """Slip angle at the center of mass for a given steering angle.
 
-    A delta that is not a number with |delta| < pi/2 raises ValidationError.
+    A delta that is not a real number with |delta| < pi/2 raises
+    ValidationError (a complex one fails the comparison), as do params
+    `p` without the axle distances.
     """
     try:
-        ok = abs(delta) < pi / 2
+        ok = -pi / 2 < delta < pi / 2
     except TypeError:
         ok = False
     if not ok:
         raise ValidationError(f"steering angle must satisfy |delta| < pi/2, got {delta!r}")
-    return atan(p.l_r / (p.l_f + p.l_r) * tan(delta))
+    try:
+        return atan(p.l_r / (p.l_f + p.l_r) * tan(delta))
+    except AttributeError as exc:
+        raise _unfit_inputs("slip_from_steering", "bicycle", None, exc) from exc
 
 
 def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = None):

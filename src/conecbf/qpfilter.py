@@ -9,6 +9,9 @@ that is, every i whose center distance lies within the activation radius.
 One constraint solves in closed form (a switching law on the slack psi);
 several go through the kernel's exact QP on the two-dimensional input.
 Optional box bounds on u join the QP as rows; filter_qp answers inside them.
+A run without a filter (cbf 'none') takes its tick from _unfiltered: psi
+and the input refusals by the filters' own rule (_rows), and u_ref
+saturated to the box.
 """
 
 from dataclasses import dataclass
@@ -50,7 +53,6 @@ class FilterConfig:
         for name, v in zip(names, gains):
             if not v > 0:
                 raise ValidationError(f"{name} must be > 0, got {v}")
-        box = ()
         if self.input_bounds is not None:
             _require_vectors(
                 "FilterConfig.input_bounds", ("lo", "hi"), self.input_bounds, count=2, inf_ok=("lo", "hi")
@@ -58,10 +60,13 @@ class FilterConfig:
             for lo, hi in self.input_bounds:
                 if not lo < hi:
                     raise ValidationError(f"empty input bound [{lo}, {hi}]")
-            (lo0, hi0), (lo1, hi1) = self.input_bounds
-            box = ((1.0, 0.0, lo0), (-1.0, 0.0, -hi0), (0.0, 1.0, lo1), (0.0, -1.0, -hi1))
-        # the box's finite rows g . u >= b as (g0s, g1s, bs), built once per
-        # config (replace() builds them anew) for filter_qp to append
+        # the box once per config (replace() builds it anew): its sides as
+        # (lo0, hi0, lo1, hi1), infinite without input_bounds, to saturate
+        # into, and its finite rows g . u >= b as (g0s, g1s, bs) for
+        # filter_qp to append
+        (lo0, hi0), (lo1, hi1) = self.input_bounds or ((-_INF, _INF), (-_INF, _INF))
+        object.__setattr__(self, "_bounds", (lo0, hi0, lo1, hi1))
+        box = ((1.0, 0.0, lo0), (-1.0, 0.0, -hi0), (0.0, 1.0, lo1), (0.0, -1.0, -hi1))
         rows = [row for row in box if not isinf(row[2])]
         object.__setattr__(self, "_box_rows", tuple(zip(*rows)) or ((), (), ()))
         # the degeneracy threshold on ||lgh||^2, also once per config; not a
@@ -207,7 +212,7 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
         bs.extend(box_bs)
     u0, u1, active, feasible = kernel.solve_qp2(ur0, ur1, g0s, g1s, bs)
     if box_bs or not feasible:
-        (lo0, hi0), (lo1, hi1) = cfg.input_bounds or ((-_INF, _INF), (-_INF, _INF))
+        lo0, hi0, lo1, hi1 = cfg._bounds
         if not feasible:
             rows = g0s[:n_barrier], g1s[:n_barrier], bs[:n_barrier]
             u0, u1 = kernel.least_violation(ur0, ur1, *rows, lo0, hi0, lo1, hi1)
@@ -222,3 +227,16 @@ def filter_qp(u_ref, evals, cfg: FilterConfig) -> FilterResult:
         degenerate,
         nonfinite or not feasible,
     ))
+
+
+def _unfiltered(u_ref, evals, cfg: FilterConfig) -> FilterResult:
+    """The tick of a run that filters nothing (cbf 'none').
+
+    psi and the refusals are those of _rows, so the run logs and refuses
+    what a filtering run would; u_ref is saturated to the box, as the
+    actuators would saturate it. No row binds and no flag is set.
+    """
+    (ur0, ur1), psis, *_ = _rows(u_ref, evals, cfg, "_unfiltered")
+    lo0, hi0, lo1, hi1 = cfg._bounds
+    u0, u1 = min(max(ur0, lo0), hi0), min(max(ur1, lo1), hi1)
+    return _tuple_new(FilterResult, ((u0, u1), (u0 - ur0, u1 - ur1), (), tuple(psis), False, False))

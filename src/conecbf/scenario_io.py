@@ -13,7 +13,6 @@ locale independent; the active and penetration flags as 0 or 1.
 
 import csv
 import json
-import re
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields, is_dataclass
@@ -33,12 +32,9 @@ from .engine import (
     safety_metrics,
 )
 from .errors import ValidationError
-from .models import MODEL_KINDS, STATE_FIELDS, STATE_TYPES
+from .models import MODEL_KINDS, STATE_FIELDS, STATE_TYPES, _name
 
 _INF = float("inf")
-# the text a scenario name may hold: the characters of XML 1.0, all of
-# which UTF-8 can carry (no lone surrogate among them)
-_NAME_TEXT = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
 # trajectory CSV rows formatted and written per `%` and per write
 CSV_BLOCK_ROWS = 64
 
@@ -80,13 +76,6 @@ def _two(v, where: str) -> list:
 
 def _pair(v, where: str) -> tuple:
     return tuple(_number(c, where) for c in _two(v, where))
-
-
-def _name(v, where: str) -> str:
-    """A scenario name: a string that both UTF-8 and XML 1.0 can carry."""
-    if not (isinstance(v, str) and _NAME_TEXT.fullmatch(v)):
-        raise ValidationError(f"{where}: expected a string that UTF-8 and XML 1.0 can carry, got {v!r}")
-    return v
 
 
 def _list(v, where: str) -> list:

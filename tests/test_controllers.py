@@ -134,7 +134,7 @@ class TestStanleyLateral:
 
     def test_params_not_model_params_raises(self):
         s = BicycleState(0.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ValidationError, match="^stanley_lateral: inputs do not fit the bicycle model: .*'l_r'"):
+        with pytest.raises(ValidationError, match="^stanley_lateral: inputs do not fit the bicycle model: .*'beta_max'"):
             stanley_lateral(s, STRAIGHT, 1.0, None)
 
     def test_closed_path_wraps(self):

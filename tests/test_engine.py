@@ -204,7 +204,19 @@ class TestRunScenario:
         (lambda: effective_radius(Obstacle(1, 2), None), "^effective_radius needs .*'w'"),
         (lambda: run_scenario(None), "^run_scenario needs a Scenario, got NoneType$"),
         (lambda: run_scenario(scenario_to_dict(simple_scenario())), "^run_scenario needs a Scenario, got dict$"),
-    ], ids=["radius-tuple-obstacle", "radius-no-params", "run-none", "run-document"])
+        # a Scenario holds each part as exactly its type, and a name that
+        # its own document can carry
+        (lambda: replace(simple_scenario(), controller=None), "^Scenario.controller: expected a ControllerSpec, got None$"),
+        (lambda: replace(simple_scenario(), filter=None), "^Scenario.filter: expected a FilterConfig, got None$"),
+        (lambda: replace(simple_scenario(), obstacles=None), "^Scenario.obstacles: expected a tuple of Obstacle, got None$"),
+        (lambda: replace(simple_scenario(), obstacles=((8, 0),)), "^Scenario.obstacles: expected a tuple of Obstacle"),
+        (lambda: replace(simple_scenario(), params=None, obstacles=()), "^Scenario.params: expected a ModelParams, got None$"),
+        (lambda: replace(simple_scenario(), name=5), "^Scenario.name: expected a string .*, got 5$"),
+    ], ids=[
+        "radius-tuple-obstacle", "radius-no-params", "run-none", "run-document", "scenario-controller-none",
+        "scenario-filter-none", "scenario-obstacles-none", "scenario-obstacle-tuple", "scenario-params-none",
+        "scenario-name-number",
+    ])
     def test_wrong_typed_argument(self, call, match):
         with pytest.raises(ValidationError, match=match):
             call()
@@ -274,16 +286,23 @@ class TestRunScenario:
             run_scenario(sc)
         assert err.value.step is not None
 
-    @pytest.mark.parametrize("radius", [math.inf, 2.0])
-    def test_non_finite_reference_aborts_gated_or_not(self, radius):
+    @pytest.mark.parametrize("radius,cbf,bounds", [
+        pytest.param(math.inf, "c3bf", None, id="inf"),
+        pytest.param(2.0, "c3bf", None, id="2.0"),
+        pytest.param(math.inf, "none", None, id="none-inf"),
+        pytest.param(math.inf, "none", ((-1.0, 1.0), (-1.0, 1.0)), id="none-boxed"),
+    ])
+    def test_non_finite_reference_aborts_gated_or_not(self, radius, cbf, bounds):
         # k1 = 1e308 passes ControllerSpec but gives u_ref = (inf, 0.0) at
-        # step 0; the filter refuses it on a gated step, the integrator on
-        # an ungated one, and either way the run aborts at that step
+        # step 0; the filter's rule refuses it, whether the obstacle is
+        # gated or not and whether the run filters or not, so the run
+        # aborts at that step; a box does not saturate it into a command
         sc = load_scenario(SCENARIO_DIR / "pointmass-braking.json")
         sc = replace(
             sc,
             controller=ControllerSpec(kind="p", k1=1e308, k2=0.0, v_des=5.0, v_des_vec=(5.0, 0.0)),
-            filter=replace(sc.filter, activation_radius=radius),
+            filter=replace(sc.filter, activation_radius=radius, input_bounds=bounds),
+            cbf=cbf,
         )
         with pytest.raises(SimulationError) as err:
             run_scenario(sc)

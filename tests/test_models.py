@@ -131,9 +131,15 @@ class TestSlipFromSteering:
         with pytest.raises(ValidationError, match="steering angle"):
             slip_from_steering(delta, ModelParams())
 
-    def test_rejects_steering_angle_not_a_number(self):
-        with pytest.raises(ValidationError, match="^steering angle must satisfy .*, got 'a'$"):
-            slip_from_steering("a", ModelParams())
+    @pytest.mark.parametrize("delta,p,match", [
+        ("a", ModelParams(), "^steering angle must satisfy .*, got 'a'$"),
+        # abs(1j) < pi/2 holds, but a complex angle is not a real number
+        (1j, ModelParams(), "^steering angle must satisfy .*, got 1j$"),
+        (0.1, None, "^slip_from_steering: inputs do not fit the bicycle model: .*'l_r'"),
+    ], ids=["str", "complex", "params-none"])
+    def test_rejects_steering_angle_not_a_number(self, delta, p, match):
+        with pytest.raises(ValidationError, match=match):
+            slip_from_steering(delta, p)
 
 
 class TestModelParams:
