@@ -33,8 +33,9 @@ class Obstacle:
 
     (cx, cy) is the center at t = 0 and (vx, vy) its initial velocity;
     `segments` optionally re-points the velocity at given times, each
-    entry being (t_start, vx, vy) with strictly increasing t_start > 0.
-    c1, c2 are the semi-axes along x and y; all are checked when built.
+    entry being (t_start, vx, vy) with strictly increasing t_start > 0,
+    kept as a tuple of tuples. c1, c2 are the semi-axes along x and y; all
+    are checked when built.
 
     Slotted like the vehicle states: no instance __dict__. Beyond its
     fields it holds one slot, `_anchors`, the exact (t_start, x, y, vx, vy)
@@ -54,17 +55,18 @@ class Obstacle:
     def __post_init__(self):
         x, y, vx, vy = self.cx, self.cy, self.vx, self.vy
         _require_finite("Obstacle", ("cx", "cy", "vx", "vy", "c1", "c2"), (x, y, vx, vy, self.c1, self.c2))
-        _require_vectors("Obstacle.segments", ("t", "vx", "vy"), self.segments)
+        segments = _require_vectors("Obstacle.segments", ("t", "vx", "vy"), self.segments)
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValidationError("Obstacle semi-axes must be > 0")
         # one pass checks the start times and anchors the state at each
         anchors, t0 = [], 0.0
-        for t, v0, v1 in self.segments:
+        for t, v0, v1 in segments:
             if not t > t0:
                 raise ValidationError("segment times must be strictly increasing and > 0")
             x, y = x + vx * (t - t0), y + vy * (t - t0)
             anchors.append((t, x, y, v0, v1))
             t0, vx, vy = t, v0, v1
+        object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "_anchors", tuple(anchors[::-1]))
 
     def moves(self) -> bool:

@@ -18,6 +18,7 @@ import csv
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .engine import run_scenario
 from .errors import ConeCbfError, SimulationError, ValidationError
@@ -48,8 +49,16 @@ def _apply_overrides(sc, args):
 
 
 def _run_one(sc, out_dir, make_plot=False):
-    """Run a scenario and write its artifacts; returns (exit_code, summary)."""
+    """Run a scenario and write its artifacts; returns (exit_code, summary).
+
+    The trajectory.csv and plot.svg that an earlier run left in `out_dir`
+    are removed first, so that no verb reads a run other than the one the
+    summary describes: an aborted run leaves only its summary.json, and a
+    run without `make_plot` no plot.svg.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    for name in ("trajectory.csv", "plot.svg"):
+        Path(out_dir, name).unlink(missing_ok=True)
     try:
         log = run_scenario(sc)
     except SimulationError as exc:

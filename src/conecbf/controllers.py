@@ -88,7 +88,8 @@ class ControllerSpec:
         if not self.k2 >= 0:
             raise ValidationError(f"k2 must be >= 0, got {self.k2}")
         if self.v_des_vec is not None:
-            _require_vector("ControllerSpec.v_des_vec", ("x", "y"), self.v_des_vec)
+            vec = _require_vector("ControllerSpec.v_des_vec", ("x", "y"), self.v_des_vec)
+            object.__setattr__(self, "v_des_vec", vec)
         if self.a_max is not None:
             _require_finite("ControllerSpec", ("a_max",), (self.a_max,))
             if not self.a_max > 0:
@@ -169,18 +170,21 @@ def reference_input(c: ControllerSpec, model: str, s, p: ModelParams = None):
     clamps the thrust a of the unicycle and the bicycle, and both
     components (ax, ay) of the point mass. A 'zero' controller gives
     (0, 0). An unknown model, a state that is not exactly a
-    STATE_TYPES[model] (whatever the controller) or a controller that is
-    not a ControllerSpec raises ValidationError.
+    STATE_TYPES[model] (whatever the controller), a controller that is
+    not a ControllerSpec or a 'stanley' controller off the bicycle raises
+    ValidationError.
     """
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("reference_input", model, s)
     try:
         if c.kind == "zero":
             return (0.0, 0.0)
-        if model == "unicycle":
-            u = p_controller(s, c)
-        elif model == "bicycle":
+        if model == "bicycle":
             u = (p_speed_bicycle(s, c), stanley_lateral(s, c.path, c.k_e, p) if c.kind == "stanley" else 0.0)
+        elif c.kind == "stanley":
+            raise ValidationError("stanley controller is bicycle-only")
+        elif model == "unicycle":
+            u = p_controller(s, c)
         else:
             u = p_velocity(s, c)
         a_max = c.a_max

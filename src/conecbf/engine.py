@@ -37,9 +37,13 @@ BRAKE_SPEED_FRACTION = 0.10
 class Scenario:
     """Complete declarative experiment description.
 
-    `run_filter`, worked out when built, is the FilterConfig a run
-    applies: `filter` with the input box that `params.input_box` gives
-    the model, which is `filter` itself unless the box is a default.
+    Two values are worked out when built, neither of them a field (so
+    documents, comparison and hash leave them out, and `replace` builds
+    them anew). `radii` holds each obstacle's effective_radius under
+    `params`, in obstacle order: the radius every reader of a run takes.
+    `run_filter` is the FilterConfig a run applies: `filter` with the
+    input box that `params.input_box` gives the model, which is `filter`
+    itself unless the box is a default.
     """
 
     name: str
@@ -78,8 +82,8 @@ class Scenario:
             )
         if not self.hocbf_gamma1 > 0:
             raise ValidationError(f"hocbf_gamma1 must be > 0, got {self.hocbf_gamma1}")
-        for o in self.obstacles:
-            r = effective_radius(o, self.params)
+        radii = tuple([effective_radius(o, self.params) for o in self.obstacles])
+        for r in radii:
             if r >= self.filter.activation_radius:
                 raise ValidationError(
                     f"activation_radius {self.filter.activation_radius} must exceed "
@@ -94,6 +98,7 @@ class Scenario:
             raise ValidationError("stanley controller is bicycle-only")
         box = self.params.input_box(self.model, self.filter.input_bounds)
         run_filter = self.filter if box is self.filter.input_bounds else replace(self.filter, input_bounds=box)
+        object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "run_filter", run_filter)
 
     @property
@@ -130,14 +135,19 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     """Execute a scenario to completion or until a collision verdict.
 
     The log gains one record per step boundary, sc.n_steps + 1 in
-    total. A `cbf: none` run filters nothing but takes psi and the
-    input refusals from the filter's own rule (qpfilter._unfiltered),
-    and applies u_ref saturated to the box. Raises SimulationError on
-    integrator divergence, when the filter's rule refuses a step's
-    numbers (a non-finite u_ref or a NaN distance, say), whatever the
-    barrier kind, or when the filter stays degenerate for more than
-    DEGENERATE_STEP_BUDGET consecutive steps. An `sc` that is not a
-    Scenario raises ValidationError.
+    total. Each step calls reference_input, the barrier of the run's
+    kind once per obstacle (c3bf_eval, ellipse_cbf_eval or hocbf_eval,
+    read by its module name at call time, as are the others), filter_qp
+    and integrate_step. An obstacle collides once its center distance
+    falls to COLLISION_SLACK below its radius in sc.radii. A `cbf: none`
+    run evaluates the cone barrier and filters nothing, but takes psi
+    and the input refusals from the filter's own rule
+    (qpfilter._unfiltered), and applies u_ref saturated to the box.
+    Raises SimulationError on integrator divergence, when the filter's
+    rule refuses a step's numbers (a non-finite u_ref or a NaN distance,
+    say), whatever the barrier kind, or when the filter stays degenerate
+    for more than DEGENERATE_STEP_BUDGET consecutive steps. An `sc` that
+    is not a Scenario raises ValidationError.
     """
     if not isinstance(sc, Scenario):
         raise ValidationError(f"run_scenario needs a Scenario, got {type(sc).__name__}")
@@ -146,24 +156,10 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     model, params, dt, obstacles, controller = sc.model, sc.params, sc.dt, sc.obstacles, sc.controller
     n_obs = len(obstacles)
     # an obstacle collides once its center distance falls to its limit
-    limits = [effective_radius(o, params) - COLLISION_SLACK for o in obstacles]
+    limits = [r - COLLISION_SLACK for r in sc.radii]
     cfg = sc.run_filter
-    # the barrier, chosen once, as a positional call on (state, obstacle, t)
-    # that looks its function up by module name at call time; with
-    # cbf='none' the cone barrier is still evaluated, and _unfiltered logs
-    # its psi and applies u_ref saturated to the box
-    if sc.cbf == "ellipse":
-        def barrier(state, o, t):
-            return ellipse_cbf_eval(model, state, o, t)
-    elif sc.cbf == "hocbf":
-        gamma1 = sc.hocbf_gamma1
-
-        def barrier(state, o, t):
-            return hocbf_eval(model, state, o, gamma1, params, t)
-    else:
-        def barrier(state, o, t):
-            return c3bf_eval(model, state, o, params, t)
-    filters = sc.cbf != "none"
+    kind, gamma1 = sc.cbf, sc.hocbf_gamma1
+    filters = kind != "none"
     # shared by every step on which no constraint binds
     no_active = (False,) * n_obs
     # one record per step, in TrajectoryLog field order
@@ -172,11 +168,13 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     for k in range(n_steps + 1):
         t = k * dt
         u_ref = reference_input(controller, model, state, params)
-        evals = [barrier(state, o, t) for o in obstacles]
-        if evals:
-            hs, _, _, penetrations, dists = zip(*evals)
+        if kind == "ellipse":
+            evals = [ellipse_cbf_eval(model, state, o, t) for o in obstacles]
+        elif kind == "hocbf":
+            evals = [hocbf_eval(model, state, o, gamma1, params, t) for o in obstacles]
         else:
-            hs = penetrations = dists = ()
+            evals = [c3bf_eval(model, state, o, params, t) for o in obstacles]
+        hs, _, _, penetrations, dists = zip(*evals) if evals else ((),) * 5
         try:
             u_cmd, _, binding, psis, degenerate, infeasible = (filter_qp if filters else _unfiltered)(u_ref, evals, cfg)
         except ValidationError as exc:
@@ -296,10 +294,9 @@ class SafetyMetrics:
 def safety_metrics(log: TrajectoryLog) -> SafetyMetrics:
     """Clearance, barrier, and filter-effort summary of a completed log."""
     sc = log.scenario
-    radii = [effective_radius(o, sc.params) for o in sc.obstacles]
     if sc.obstacles and log.t:
         # min(d) - r is min(d - r) bit for bit: rounding keeps the order
-        per_obs = tuple(min(column) - r for column, r in zip(zip(*log.dist), radii))
+        per_obs = tuple(min(column) - r for column, r in zip(zip(*log.dist), sc.radii))
         min_h = min(map(min, log.h))
         overall = min(per_obs)
     else:

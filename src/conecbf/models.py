@@ -61,10 +61,12 @@ def _name(v, where: str) -> str:
 
 
 def _require_vector(where, names, value, inf_ok=()):
-    """Raise ValidationError unless `value` is a sequence of len(names) numbers.
+    """`value` as a tuple, or ValidationError unless it is a sequence of len(names) numbers.
 
     The numbers are checked as in _require_finite, which alone would
-    accept a short sequence (it zips names with values).
+    accept a short sequence (it zips names with values). The tuple holds
+    the values themselves, unconverted, so a frozen record that stores it
+    keeps every bit and no later change to the caller's sequence reaches it.
     """
     try:
         ok = len(value) == len(names)
@@ -73,13 +75,14 @@ def _require_vector(where, names, value, inf_ok=()):
     if not ok:
         raise ValidationError(f"{where}: expected ({', '.join(names)}), got {value!r}")
     _require_finite(where, names, value, inf_ok)
+    return tuple(value)
 
 
 def _require_vectors(where, names, rows, count=None, inf_ok=()):
-    """Raise ValidationError unless `rows` is a sequence of vectors.
+    """`rows` as a tuple of tuples, or ValidationError unless it is a sequence of vectors.
 
-    Each row is checked by _require_vector; `count`, if given, fixes the
-    number of rows.
+    Each row is checked and frozen by _require_vector; `count`, if given,
+    fixes the number of rows.
     """
     try:
         n = len(rows)
@@ -88,8 +91,7 @@ def _require_vectors(where, names, rows, count=None, inf_ok=()):
     if n is None or count is not None and n != count:
         want = "a sequence" if count is None else f"{count} rows"
         raise ValidationError(f"{where}: expected {want} of ({', '.join(names)}), got {rows!r}")
-    for row in rows:
-        _require_vector(where, names, row, inf_ok)
+    return tuple([_require_vector(where, names, row, inf_ok) for row in rows])
 
 
 @dataclass(frozen=True, slots=True)

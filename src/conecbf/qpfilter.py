@@ -37,7 +37,8 @@ class FilterConfig:
                           constraint is declared degenerate
     activation_radius  -- perception boundary; the filters enforce a
                           constraint only within this center distance
-    input_bounds       -- optional ((lo0, hi0), (lo1, hi1)) box on u
+    input_bounds       -- optional ((lo0, hi0), (lo1, hi1)) box on u, kept
+                          as a tuple of tuples
     """
 
     gamma: float = 1.0
@@ -54,12 +55,13 @@ class FilterConfig:
             if not v > 0:
                 raise ValidationError(f"{name} must be > 0, got {v}")
         if self.input_bounds is not None:
-            _require_vectors(
+            bounds = _require_vectors(
                 "FilterConfig.input_bounds", ("lo", "hi"), self.input_bounds, count=2, inf_ok=("lo", "hi")
             )
-            for lo, hi in self.input_bounds:
+            for lo, hi in bounds:
                 if not lo < hi:
                     raise ValidationError(f"empty input bound [{lo}, {hi}]")
+            object.__setattr__(self, "input_bounds", bounds)
         # the box once per config (replace() builds it anew): its sides as
         # (lo0, hi0, lo1, hi1), infinite without input_bounds, to saturate
         # into, and its finite rows g . u >= b as (g0s, g1s, bs) for

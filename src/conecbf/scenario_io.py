@@ -20,7 +20,7 @@ from functools import partial
 from itertools import islice
 from math import isfinite
 
-from .cbf import Obstacle, effective_radius
+from .cbf import Obstacle
 from .controllers import ReferencePath
 from .engine import (
     BRAKE_SPEED_FRACTION,
@@ -377,7 +377,7 @@ def summarize(log: TrajectoryLog) -> dict:
         "collision_step": log.collision_step,
         "collision_obstacle": log.collision_obstacle,
         "behaviors": list(classify_behavior(log)) if not log.collided else [],
-        "effective_radii": [effective_radius(o, sc.params) for o in sc.obstacles],
+        "effective_radii": list(sc.radii),
         "metrics": {
             **asdict(safety_metrics(log)),
             "degenerate_steps": sum(log.degenerate),

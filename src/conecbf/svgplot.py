@@ -12,7 +12,6 @@ itself.
 from itertools import repeat
 from math import ceil, floor, inf, isfinite, log10
 
-from .cbf import effective_radius
 from .errors import ValidationError
 from .scenario_io import parse_scenario
 
@@ -203,8 +202,7 @@ def plot_path(data, summary, title="vehicle path"):
     t_end = data["t"][-1]
     sc = parse_scenario(summary.get("scenario"))
     discs = []
-    for o in sc.obstacles:
-        r = effective_radius(o, sc.params)
+    for o, r in zip(sc.obstacles, sc.radii):
         start, end = o.state_at(0.0)[:2], o.state_at(t_end)[:2]
         discs.append((start, end, r))
         for (px, py) in (start, end):

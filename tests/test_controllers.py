@@ -189,3 +189,14 @@ class TestReferenceInput:
     def test_unknown_model_rejected(self, kind):
         with pytest.raises(ValidationError, match="unknown model kind 'tank'"):
             reference_input(ControllerSpec(kind=kind), "tank", UnicycleState(0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("model,state", [
+        ("unicycle", UnicycleState(0, 1, 0, 0.5, 0.2)),
+        ("pointmass", PointMassState(0, 1, 0.5, 0.0)),
+    ])
+    def test_stanley_off_the_bicycle_rejected(self, model, state):
+        # Scenario refuses the pair when built; the public tick refuses it
+        # too, instead of running the P law with the path ignored
+        spec = ControllerSpec(kind="stanley", path=STRAIGHT, v_des=1.0)
+        with pytest.raises(ValidationError, match="^stanley controller is bicycle-only$"):
+            reference_input(spec, model, state, PARAMS)

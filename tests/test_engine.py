@@ -38,7 +38,7 @@ from conecbf import (
 )
 import conecbf.engine as engine
 from conecbf.engine import MAX_STEPS, ControllerSpec
-from conecbf.scenario_io import parse_scenario, scenario_to_dict, write_trajectory_csv
+from conecbf.scenario_io import parse_scenario, scenario_to_dict, summarize, write_trajectory_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -568,6 +568,40 @@ class TestRunFilter:
         sc = Scenario(filter=FilterConfig(), **self.BICYCLE)
         assert "run_filter" not in scenario_to_dict(sc)["filter"]
         assert parse_scenario(scenario_to_dict(sc)) == sc
+
+
+class TestRadii:
+    """Scenario.radii: the effective radius of each obstacle, worked out once."""
+
+    OBSTACLES = (Obstacle(6, 0.5), Obstacle(9, -1.0, c1=1.5, c2=0.4, vy=0.3))
+
+    def test_each_obstacles_effective_radius_in_order(self):
+        sc = simple_scenario(obstacles=self.OBSTACLES)
+        assert sc.radii == tuple(effective_radius(o, sc.params) for o in self.OBSTACLES) == (1.3, 1.8)
+        assert simple_scenario().radii == ()
+        # worked out anew when the scenario is rebuilt
+        assert replace(sc, params=ModelParams(w=1.0)).radii == (1.5, 2.0)
+
+    def test_not_a_field(self):
+        sc = simple_scenario(obstacles=self.OBSTACLES)
+        assert "radii" not in scenario_to_dict(sc)
+        rebuilt = parse_scenario(scenario_to_dict(sc))
+        assert rebuilt == sc and hash(rebuilt) == hash(sc) and rebuilt.radii == sc.radii
+
+    def test_every_reader_takes_the_scenarios_radii(self):
+        # radii set apart from the obstacles' own show that the collision
+        # limits, the metrics and the summary read them, not effective_radius
+        sc = simple_scenario(obstacles=self.OBSTACLES, duration=0.5)
+        object.__setattr__(sc, "radii", (0.25, 0.5))
+        log = run_scenario(sc)
+        assert not log.collided
+        assert summarize(log)["effective_radii"] == [0.25, 0.5]
+        per_obs = tuple(min(col) - r for col, r in zip(zip(*log.dist), (0.25, 0.5)))
+        assert safety_metrics(log).min_clearance == per_obs
+        # the first obstacle lies 6 m away, within a radius of 10 m
+        object.__setattr__(sc, "radii", (10.0, 0.5))
+        log = run_scenario(sc)
+        assert (log.collided, log.collision_step, log.collision_obstacle) == (True, 0, 0)
 
 
 def public_tick_run(sc, cfg, log):

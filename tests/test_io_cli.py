@@ -404,6 +404,36 @@ class TestCli:
         assert text.endswith("}\n")
         assert json.loads(text)["aborted"] == "filter degenerate for 201 consecutive steps"
 
+    @pytest.mark.parametrize("plot", [[], ["--plot"]], ids=["no-plot", "plot"])
+    def test_abort_removes_the_previous_runs_outputs(self, tmp_path, plot):
+        # a run aborted into the folder of an earlier run leaves only its own
+        # summary there: plot reads no stale trajectory in its name
+        doc = json.loads((SCENARIO_DIR / "pointmass-braking.json").read_text())
+        doc["controller"].update(k1=1e308, v_des_vec=[5.0, 0.0])
+        scenario = tmp_path / "huge-gain.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        braking = str(SCENARIO_DIR / "pointmass-braking.json")
+        assert main(["simulate", "--scenario", braking, "--out", str(out), "--plot"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["plot.svg", "summary.json", "trajectory.csv"]
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out), *plot]) == 2
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+        assert "filter failed" in read_json(out / "summary.json", "summary")["aborted"]
+        svg = str(tmp_path / "p.svg")
+        for mode in ("path", "hvalue", "inputs"):
+            assert main(["plot", "--csv", str(out / "trajectory.csv"), "--out", svg, "--mode", mode]) == 3
+        # an abort into a fresh folder has nothing to remove
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "new")]) == 2
+
+    def test_run_without_plot_removes_an_earlier_plot(self, tmp_path):
+        # the folder's plot.svg would draw the earlier run beside this one's files
+        out = tmp_path / "o"
+        for stem, plot in (("unicycle-braking", ["--plot"]), ("unicycle-turning", [])):
+            scenario = str(SCENARIO_DIR / f"{stem}.json")
+            assert main(["simulate", "--scenario", scenario, "--out", str(out), *plot]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trajectory.csv"]
+        assert read_json(out / "summary.json", "summary")["scenario"]["name"] == "unicycle-turning"
+
     def test_simulate_invalid_exit_3(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_doc(sim={"dt": -0.01, "duration": 2.0})))

@@ -225,10 +225,43 @@ class TestShapeChecks:
             build()
 
     def test_well_shaped_values_accepted(self):
-        assert FilterConfig(input_bounds=[[-1, 1], [-math.inf, 2]]).input_bounds == [[-1, 1], [-math.inf, 2]]
+        assert FilterConfig(input_bounds=[[-1, 1], [-math.inf, 2]]).input_bounds == ((-1, 1), (-math.inf, 2))
         assert Obstacle(0, 0, segments=[(1.0, 0.5, 0.0)]).moves()
         assert ReferencePath([[0, 0], [1, 0]]).waypoints == ((0.0, 0.0), (1.0, 0.0))
-        assert ControllerSpec(v_des_vec=[1.0, 0.0]).v_des_vec == [1.0, 0.0]
+        assert ControllerSpec(v_des_vec=[1.0, 0.0]).v_des_vec == (1.0, 0.0)
+
+    def test_records_keep_frozen_copies_of_the_callers_sequences(self):
+        # a later change to the caller's list must not reach a frozen record,
+        # whose checks and derived values saw the list as it was
+        bounds = [[-1.0, 1.0], [-1.0, 1.0]]
+        segments = [[1.0, 0.5, 0.0]]
+        vec = [1.0, 0.0]
+        cfg = FilterConfig(input_bounds=bounds)
+        o = Obstacle(0, 0, segments=segments)
+        c = ControllerSpec(v_des_vec=vec)
+        bounds[0][0] = math.nan
+        segments[0][0] = -1.0
+        segments.append([2.0, 1.0, 1.0])
+        vec[0] = math.nan
+        assert cfg.input_bounds == ((-1.0, 1.0), (-1.0, 1.0))
+        assert cfg._bounds == (-1.0, 1.0, -1.0, 1.0)
+        assert o.segments == ((1.0, 0.5, 0.0),) and o._anchors == ((1.0, 0.0, 0.0, 0.5, 0.0),)
+        assert c.v_des_vec == (1.0, 0.0) == c._v_target
+        # tuples all the way down: the records hash, and equal their tuple form
+        for built, frozen in (
+            (Obstacle(1, 1, segments=[(1.0, 0, 0)]), Obstacle(1, 1, segments=((1.0, 0, 0),))),
+            (FilterConfig(input_bounds=[[-1, 1], [-1, 1]]), FilterConfig(input_bounds=((-1, 1), (-1, 1)))),
+            (ControllerSpec(v_des_vec=[1.0, 0.0]), ControllerSpec(v_des_vec=(1.0, 0.0))),
+        ):
+            assert built == frozen and hash(built) == hash(frozen)
+
+    def test_frozen_copies_keep_the_values_themselves(self):
+        # no conversion: an int stays the int it was, a double keeps its bits
+        big = 2**60 + 1
+        o = Obstacle(0, 0, segments=[[big, 0.1, 0.0]])
+        assert o.segments[0][0] is big
+        cfg = FilterConfig(input_bounds=np.array([[-1.0, 1.0], [-2.0, 2.0]]))
+        assert cfg.input_bounds == ((-1.0, 1.0), (-2.0, 2.0)) and type(cfg.input_bounds[0]) is tuple
 
 
 MISMATCH_STATES = {
