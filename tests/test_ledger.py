@@ -1,20 +1,21 @@
-"""A deterministic ledger of the Python frames an engine run makes.
+"""A deterministic ledger of the calls an engine run makes.
 
 Timing cannot see a cost of tens of nanoseconds per call on a shared
 host, but the number of calls a run makes is exact. The test counts the
-`call` events of `sys.setprofile` per function while `run_scenario` runs
-a fixed subset of the corpus, and compares them with LEDGER. A change
-that adds or removes a frame on the tick changes a count here, and
-updates the table with the old and new figures stated.
+events of `sys.setprofile` per function while `run_scenario` runs a
+fixed subset of the corpus: Python frames (`call`) against LEDGER and
+builtin calls (`c_call`) against BUILTINS. A change that adds or removes
+a call on the tick changes a count here, and updates the table with the
+old and new figures stated.
 
 Comprehension frames are left out: Python 3.12 inlines list, dict and
 set comprehensions (PEP 709), and the counts are the same on 3.10 to
-3.12 without them. Builtin calls (`c_call`) are not counted, and the
-garbage collector is off while the runs are counted.
+3.12 without them. So is the profiler's own `sys.setprofile` call, and
+the garbage collector is off while the runs are counted.
 
     PYTHONPATH=src python tests/test_ledger.py
 
-prints the counts of the current tree in LEDGER's layout.
+prints the counts of the current tree in the tables' layout.
 """
 
 import gc
@@ -22,6 +23,8 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from conecbf import load_scenario, run_scenario
 
@@ -93,10 +96,36 @@ LEDGER = {
     "conecbf.qpfilter:filter_qp": 4707,
 }
 
+# builtin calls over RUNS, keyed by the builtin's qualified name, prefixed
+# with its module where it has one ("math.atan2", not "dict.get")
+BUILTINS = {
+    "builtins.abs": 33155,
+    "builtins.all": 5874,
+    "builtins.isinstance": 5,
+    "builtins.len": 17783,
+    "builtins.max": 23652,
+    "builtins.min": 15933,
+    "dict.get": 17262,
+    "list.append": 37009,
+    "list.extend": 7347,
+    "math.atan": 2001,
+    "math.atan2": 4002,
+    "math.cos": 24410,
+    "math.fmod": 6562,
+    "math.hypot": 9960,
+    "math.isfinite": 6689,
+    "math.sin": 24410,
+    "math.sqrt": 18257,
+    "math.tan": 2001,
+    "tuple.__new__": 12045,
+}
+
 
 def frame_ledger(scenarios):
-    """(records logged, Counter of Python frames per function) over the runs."""
+    """(records logged, Counter of Python frames per function, Counter of
+    builtin calls per builtin) over the runs."""
     counts = Counter()
+    builtins = Counter()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_name not in INLINED:
@@ -105,6 +134,9 @@ def frame_ledger(scenarios):
             if code.co_varnames[:1] == ("self",):
                 name = f"{type(frame.f_locals['self']).__name__}.{name}"
             counts[f"{frame.f_globals.get('__name__')}:{name}"] += 1
+        elif event == "c_call" and arg is not sys.setprofile:
+            module = arg.__module__
+            builtins[arg.__qualname__ if module is None else f"{module}.{arg.__qualname__}"] += 1
 
     steps = 0
     # no collection runs while counting: the frames of a collector callback
@@ -123,7 +155,7 @@ def frame_ledger(scenarios):
     finally:
         if gc_was_on:
             gc.enable()
-    return steps, counts
+    return steps, counts, builtins
 
 
 def ledger_scenarios():
@@ -132,16 +164,30 @@ def ledger_scenarios():
         yield sc if cbf is None else replace(sc, cbf=cbf)
 
 
-def test_frames_per_run_match_the_ledger():
-    steps, counts = frame_ledger(list(ledger_scenarios()))
+@pytest.fixture(scope="module")
+def ledger():
+    return frame_ledger(list(ledger_scenarios()))
+
+
+def test_frames_per_run_match_the_ledger(ledger):
+    steps, counts, _ = ledger
     assert steps == STEPS
     assert dict(sorted(counts.items())) == LEDGER
 
 
+def test_builtin_calls_per_run_match_the_ledger(ledger):
+    steps, _, builtins = ledger
+    assert steps == STEPS
+    assert dict(sorted(builtins.items())) == BUILTINS
+
+
 if __name__ == "__main__":
-    steps, counts = frame_ledger(list(ledger_scenarios()))
-    print(f"STEPS = {steps}  # {sum(counts.values()) / steps:.3f} frames per record")
-    print("LEDGER = {")
-    for name, n in sorted(counts.items()):
-        print(f'    "{name}": {n},')
-    print("}")
+    steps, counts, builtins = frame_ledger(list(ledger_scenarios()))
+    tables = (("LEDGER", counts, "frames"), ("BUILTINS", builtins, "builtin calls"))
+    for table, counted, what in tables:
+        print(f"# {sum(counted.values())} {what}, {sum(counted.values()) / steps:.3f} per record")
+        print(f"{table} = {{")
+        for name, n in sorted(counted.items()):
+            print(f'    "{name}": {n},')
+        print("}")
+    print(f"STEPS = {steps}")
