@@ -13,26 +13,6 @@ record, defined here once.
 from math import cos, fmod, hypot, inf as _INF, isinf, pi, sin, sqrt
 from typing import NamedTuple
 
-__all__ = [
-    "CbfEvaluation",
-    "backend_name",
-    "c3bf_unicycle",
-    "c3bf_bicycle",
-    "c3bf_pointmass",
-    "ellipse_unicycle",
-    "ellipse_bicycle",
-    "ellipse_pointmass",
-    "hocbf_unicycle",
-    "hocbf_bicycle",
-    "hocbf_pointmass",
-    "least_violation",
-    "rk4_unicycle",
-    "rk4_bicycle",
-    "rk4_pointmass",
-    "solve_qp2",
-    "wrap_angle",
-]
-
 backend_name = "pure"
 
 _TWO_PI = 2.0 * pi

@@ -48,17 +48,22 @@ def _apply_overrides(sc, args):
     return replace(sc, **changes)
 
 
+def _remove_run_files(out_dir):
+    """Remove the files _run_one writes from `out_dir`, if they are there."""
+    for name in ("trajectory.csv", "plot.svg", "summary.json"):
+        Path(out_dir, name).unlink(missing_ok=True)
+
+
 def _run_one(sc, out_dir, make_plot=False):
     """Run a scenario and write its artifacts; returns (exit_code, summary).
 
-    The trajectory.csv and plot.svg that an earlier run left in `out_dir`
-    are removed first, so that no verb reads a run other than the one the
-    summary describes: an aborted run leaves only its summary.json, and a
-    run without `make_plot` no plot.svg.
+    The files that an earlier run left in `out_dir` are removed first, so
+    that no verb reads a run other than the one the summary describes: an
+    aborted run leaves only its summary.json, and a run without
+    `make_plot` no plot.svg.
     """
     os.makedirs(out_dir, exist_ok=True)
-    for name in ("trajectory.csv", "plot.svg"):
-        Path(out_dir, name).unlink(missing_ok=True)
+    _remove_run_files(out_dir)
     try:
         log = run_scenario(sc)
     except SimulationError as exc:
@@ -111,6 +116,9 @@ def cmd_batch(args):
             print(f"{fname}: {exc}", file=sys.stderr)
             worst = max(worst, EXIT_INVALID)
             rows.append((stem, "invalid", "", "", "", ""))
+            # an earlier run's outputs would stand beside the report's
+            # `invalid` as if this file had run
+            _remove_run_files(os.path.join(args.out, stem))
             continue
         code, doc = _run_one(sc, os.path.join(args.out, stem), make_plot=args.plot)
         worst = max(worst, code)

@@ -33,27 +33,39 @@ DELTA_MAX = 1.2
 
 @dataclass(frozen=True)
 class ReferencePath:
-    """Piecewise-linear path through ordered waypoints."""
+    """Piecewise-linear path through ordered waypoints.
+
+    A closed path also runs from its last waypoint back to its first.
+    Every segment, the closing one included, must have a squared length
+    > 0. The one loop that checks this also keeps, in `_segments`, each
+    segment's (start, dx, dy, squared length, unit tangent, heading), so
+    that the tracker's tick derives none of them. `_segments` is not a
+    field: documents, `==` and hash do not see it, and `replace` builds
+    it anew.
+    """
 
     waypoints: tuple
     closed: bool = False
 
     def __post_init__(self):
-        _require_vectors("ReferencePath.waypoints", ("x", "y"), self.waypoints)
-        pts = tuple((float(x), float(y)) for x, y in self.waypoints)
+        rows = _require_vectors("ReferencePath.waypoints", ("x", "y"), self.waypoints)
+        if not isinstance(self.closed, bool):
+            raise ValidationError(f"ReferencePath.closed: expected True or False, got {self.closed!r}")
+        pts = tuple((float(x), float(y)) for x, y in rows)
         if len(pts) < 2:
             raise ValidationError("a path needs at least 2 waypoints")
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise ValidationError("consecutive waypoints must differ")
+        segments = []
+        for a, b in zip(pts, pts[1:] + pts[:1] if self.closed else pts[1:]):
+            dx = b[0] - a[0]
+            dy = b[1] - a[1]
+            seg2 = dx * dx + dy * dy
+            if not seg2 > 0:
+                raise ValidationError(f"consecutive waypoints must differ: {a} -> {b} has squared length {seg2!r}")
+            norm = hypot(dx, dy)
+            tangent = (dx / norm, dy / norm)
+            segments.append((a, dx, dy, seg2, tangent, atan2(tangent[1], tangent[0])))
         object.__setattr__(self, "waypoints", pts)
-
-    def segments(self):
-        pts = self.waypoints
-        segs = list(zip(pts, pts[1:]))
-        if self.closed:
-            segs.append((pts[-1], pts[0]))
-        return segs
+        object.__setattr__(self, "_segments", tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,8 @@ class ControllerSpec:
             raise ValidationError(f"unknown controller kind {self.kind!r}")
         if self.kind == "stanley" and self.path is None:
             raise ValidationError("stanley controller needs a path")
+        if self.path is not None and type(self.path) is not ReferencePath:
+            raise ValidationError(f"ControllerSpec.path: expected a ReferencePath, got {self.path!r}")
         _require_finite(
             "ControllerSpec", ("k1", "k2", "v_des", "k_e"), (self.k1, self.k2, self.v_des, self.k_e)
         )
@@ -115,20 +129,16 @@ def p_velocity(s: PointMassState, c: ControllerSpec):
 
 
 def _nearest_on_path(path: ReferencePath, x: float, y: float):
-    """Closest point over all segments: (point, tangent, distance)."""
+    """Closest point over all segments: (point, tangent, heading, distance)."""
     best = None
-    for (ax, ay), (bx, by) in path.segments():
-        dx = bx - ax
-        dy = by - ay
-        seg2 = dx * dx + dy * dy
+    for (ax, ay), dx, dy, seg2, tangent, heading in path._segments:
         t = ((x - ax) * dx + (y - ay) * dy) / seg2
         t = min(max(t, 0.0), 1.0)
         px = ax + t * dx
         py = ay + t * dy
         d = hypot(x - px, y - py)
-        if best is None or d < best[2]:
-            norm = hypot(dx, dy)
-            best = ((px, py), (dx / norm, dy / norm), d)
+        if best is None or d < best[3]:
+            best = ((px, py), tangent, heading, d)
     return best
 
 
@@ -144,12 +154,12 @@ def stanley_lateral(
     params without the fields raises ValidationError.
     """
     try:
-        (px, py), (tx, ty), d = _nearest_on_path(path, s.x, s.y)
+        (px, py), (tx, ty), heading, d = _nearest_on_path(path, s.x, s.y)
         # left of the path <=> tangent x offset cross product positive
         ox = s.x - px
         oy = s.y - py
         e = d if (tx * oy - ty * ox) > 0 else -d
-        heading_err = kernel.wrap_angle(atan2(ty, tx) - s.theta)
+        heading_err = kernel.wrap_angle(heading - s.theta)
         delta = heading_err - atan2(k_e * e, max(s.v, V_FLOOR))
         delta = min(max(delta, -DELTA_MAX), DELTA_MAX)
         # read first, so that params without the fields fail here, not in

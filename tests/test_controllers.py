@@ -137,6 +137,16 @@ class TestStanleyLateral:
         with pytest.raises(ValidationError, match="^stanley_lateral: inputs do not fit the bicycle model: .*'beta_max'"):
             stanley_lateral(s, STRAIGHT, 1.0, None)
 
+    @pytest.mark.parametrize("waypoints,closed", [
+        (((0, 0), (10, 0), (10, 10), (0, 0)), True),
+        (((0, 0), (1e-200, 0)), False),
+    ], ids=["closing-segment-of-length-0", "segment-whose-square-underflows"])
+    def test_rejects_a_segment_of_squared_length_0(self, waypoints, closed):
+        # every segment the tracker divides by, the closing one included,
+        # is checked when the path is built, not on the first tick
+        with pytest.raises(ValidationError, match="^consecutive waypoints must differ: .* squared length 0.0$"):
+            ReferencePath(waypoints, closed=closed)
+
     def test_closed_path_wraps(self):
         square = ReferencePath(((0, 0), (10, 0), (10, 10), (0, 10)), closed=True)
         s = BicycleState(-1.0, 5.0, -math.pi / 2, 1.0)

@@ -425,6 +425,23 @@ class TestCli:
         # an abort into a fresh folder has nothing to remove
         assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "new")]) == 2
 
+    def test_batch_removes_an_invalid_files_previous_outputs(self, tmp_path):
+        # a file that batch reports invalid leaves no earlier run's outputs
+        # in its folder
+        folder = tmp_path / "s"
+        folder.mkdir()
+        doc = json.loads((SCENARIO_DIR / "unicycle-braking.json").read_text())
+        (folder / "unicycle-braking.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["batch", "--scenarios", str(folder), "--out", str(out), "--plot"]) == 0
+        assert sorted(p.name for p in (out / "unicycle-braking").iterdir()) == [
+            "plot.svg", "summary.json", "trajectory.csv"]
+        doc["filter"]["gamma"] = -1
+        (folder / "unicycle-braking.json").write_text(json.dumps(doc))
+        assert main(["batch", "--scenarios", str(folder), "--out", str(out)]) == 3
+        assert (out / "report.csv").read_text().splitlines()[1] == "unicycle-braking,invalid,,,,"
+        assert list((out / "unicycle-braking").iterdir()) == []
+
     def test_run_without_plot_removes_an_earlier_plot(self, tmp_path):
         # the folder's plot.svg would draw the earlier run beside this one's files
         out = tmp_path / "o"
@@ -766,6 +783,16 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["validate", "--scenario", str(bad)]) == 3
+
+    def test_path_closing_on_its_first_waypoint_exit_3(self, tmp_path, capsys):
+        # a closed path's closing segment would have length 0
+        doc = json.loads((SCENARIO_DIR / "bicycle-path-yield.json").read_text())
+        doc["controller"].update(path=[[0, 0], [10, 0], [10, 10], [0, 0]], closed=True)
+        looped = tmp_path / "looped.json"
+        looped.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(looped)]) == 3
+        assert "error: consecutive waypoints must differ" in capsys.readouterr().err
+        assert main(["simulate", "--scenario", str(looped), "--out", str(tmp_path / "o")]) == 3
 
     @pytest.mark.parametrize("field", ["gamma", "activation_radius"])
     def test_validate_nan_filter_exit_3(self, tmp_path, field):

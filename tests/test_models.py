@@ -209,6 +209,10 @@ class TestShapeChecks:
         lambda: Obstacle(0, 0, segments=5),
         lambda: ReferencePath(((0, 0), (1,))),
         lambda: ReferencePath(7),
+        lambda: ReferencePath(((0, 0), (1, 0)), closed="no"),
+        lambda: ReferencePath(((0, 0), (1, 0)), closed=1),
+        lambda: ControllerSpec(kind="stanley", path=((0, 0), (1, 0))),
+        lambda: ControllerSpec(path=[[0, 0], [1, 0]]),
         lambda: ControllerSpec(v_des_vec=(1.0,)),
         lambda: ControllerSpec(v_des_vec=1.0),
         lambda: integrate_step("unicycle", UnicycleState(0, 0, 0, 0, 0), ("a", 0), 0.1),
@@ -217,7 +221,8 @@ class TestShapeChecks:
     ], ids=[
         "filter-bounds-row-of-3", "filter-bounds-flat", "filter-bounds-one-row",
         "obstacle-segment-of-1", "obstacle-segments-int", "path-waypoint-of-1", "path-int",
-        "controller-v_des_vec-of-1", "controller-v_des_vec-scalar",
+        "path-closed-string", "path-closed-int", "controller-stanley-path-tuple",
+        "controller-p-path-list", "controller-v_des_vec-of-1", "controller-v_des_vec-scalar",
         "integrate-string-input", "integrate-short-input", "integrate-none-input",
     ])
     def test_rejected_with_validation_error(self, build):
