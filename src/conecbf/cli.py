@@ -109,6 +109,7 @@ def cmd_batch(args):
     for fname in names:
         path = os.path.join(args.scenarios, fname)
         stem = os.path.splitext(fname)[0]
+        out_dir = os.path.join(args.out, stem)
         try:
             sc = load_scenario(path)
             sc = _apply_overrides(sc, args)
@@ -118,9 +119,10 @@ def cmd_batch(args):
             rows.append((stem, "invalid", "", "", "", ""))
             # an earlier run's outputs would stand beside the report's
             # `invalid` as if this file had run
-            _remove_run_files(os.path.join(args.out, stem))
+            if os.path.isdir(out_dir):
+                _remove_run_files(out_dir)
             continue
-        code, doc = _run_one(sc, os.path.join(args.out, stem), make_plot=args.plot)
+        code, doc = _run_one(sc, out_dir, make_plot=args.plot)
         worst = max(worst, code)
         if "metrics" in doc:
             m = doc["metrics"]

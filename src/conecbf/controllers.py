@@ -8,7 +8,7 @@ model's law and applies the controller's `a_max`.
 """
 
 from dataclasses import dataclass
-from math import atan2, hypot
+from math import atan2, hypot, inf
 
 from ._backend import kernel
 from .errors import ValidationError
@@ -36,8 +36,8 @@ class ReferencePath:
     """Piecewise-linear path through ordered waypoints.
 
     A closed path also runs from its last waypoint back to its first.
-    Every segment, the closing one included, must have a squared length
-    > 0. The one loop that checks this also keeps, in `_segments`, each
+    Every segment, the closing one included, must have a finite squared
+    length > 0. The one loop that checks this also keeps, in `_segments`, each
     segment's (start, dx, dy, squared length, unit tangent, heading), so
     that the tracker's tick derives none of them. `_segments` is not a
     field: documents, `==` and hash do not see it, and `replace` builds
@@ -59,8 +59,10 @@ class ReferencePath:
             dx = b[0] - a[0]
             dy = b[1] - a[1]
             seg2 = dx * dx + dy * dy
-            if not seg2 > 0:
-                raise ValidationError(f"consecutive waypoints must differ: {a} -> {b} has squared length {seg2!r}")
+            if not 0 < seg2 < inf:
+                raise ValidationError(
+                    f"consecutive waypoints must differ by a finite squared length: {a} -> {b} gives {seg2!r}"
+                )
             norm = hypot(dx, dy)
             tangent = (dx / norm, dy / norm)
             segments.append((a, dx, dy, seg2, tangent, atan2(tangent[1], tangent[0])))

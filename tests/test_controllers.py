@@ -115,6 +115,17 @@ class TestStanleyLateral:
             ReferencePath(((1.0, 1.0),))
         with pytest.raises(ValidationError):
             ReferencePath(((1.0, 1.0), (1.0, 1.0)))
+        # every segment the tracker divides by is checked when the path is
+        # built, not on the first tick: a closed path's closing segment, one
+        # whose squared length underflows to 0, and one whose squared length
+        # overflows, which would put every projection at the segment's start
+        for waypoints, closed, seg2 in (
+            (((0, 0), (10, 0), (10, 10), (0, 0)), True, "0.0"),
+            (((0, 0), (1e-200, 0)), False, "0.0"),
+            (((0, 0), (1e200, 0)), False, "inf"),
+        ):
+            with pytest.raises(ValidationError, match=f"^consecutive waypoints must differ .* gives {seg2}$"):
+                ReferencePath(waypoints, closed=closed)
         with pytest.raises(ValidationError, match="needs a path"):
             ControllerSpec(kind="stanley")
 
@@ -136,16 +147,6 @@ class TestStanleyLateral:
         s = BicycleState(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValidationError, match="^stanley_lateral: inputs do not fit the bicycle model: .*'beta_max'"):
             stanley_lateral(s, STRAIGHT, 1.0, None)
-
-    @pytest.mark.parametrize("waypoints,closed", [
-        (((0, 0), (10, 0), (10, 10), (0, 0)), True),
-        (((0, 0), (1e-200, 0)), False),
-    ], ids=["closing-segment-of-length-0", "segment-whose-square-underflows"])
-    def test_rejects_a_segment_of_squared_length_0(self, waypoints, closed):
-        # every segment the tracker divides by, the closing one included,
-        # is checked when the path is built, not on the first tick
-        with pytest.raises(ValidationError, match="^consecutive waypoints must differ: .* squared length 0.0$"):
-            ReferencePath(waypoints, closed=closed)
 
     def test_closed_path_wraps(self):
         square = ReferencePath(((0, 0), (10, 0), (10, 10), (0, 10)), closed=True)
