@@ -37,11 +37,11 @@ class ReferencePath:
 
     A closed path also runs from its last waypoint back to its first.
     Every segment, the closing one included, must have a finite squared
-    length > 0. The one loop that checks this also keeps, in `_segments`, each
-    segment's (start, dx, dy, squared length, unit tangent, heading), so
-    that the tracker's tick derives none of them. `_segments` is not a
-    field: documents, `==` and hash do not see it, and `replace` builds
-    it anew.
+    length > 0. The one loop that checks this also keeps each segment's
+    (start, dx, dy, squared length, unit tangent, heading) in
+    `_segments`, so that the tracker's tick derives none of them.
+    `_segments` is not a field: documents, `==` and hash do not see it,
+    and `replace` builds it anew.
     """
 
     waypoints: tuple
