@@ -24,6 +24,7 @@ from .engine import run_scenario
 from .errors import ConeCbfError, SimulationError, ValidationError
 from .scenario_io import (
     load_scenario,
+    parse_scenario,
     read_json,
     read_trajectory_csv,
     write_json,
@@ -54,7 +55,7 @@ def _remove_run_files(out_dir):
         Path(out_dir, name).unlink(missing_ok=True)
 
 
-def _run_one(sc, out_dir, make_plot=False):
+def _run_one(sc, out_dir, make_plot):
     """Run a scenario and write its artifacts; returns (exit_code, summary).
 
     The files that an earlier run left in `out_dir` are removed first, so
@@ -76,7 +77,7 @@ def _run_one(sc, out_dir, make_plot=False):
     if make_plot:
         data = read_trajectory_csv(os.path.join(out_dir, "trajectory.csv"))
         with open(os.path.join(out_dir, "plot.svg"), "w", encoding="utf-8") as fh:
-            fh.write(plot_path(data, doc, title=sc.name))
+            fh.write(plot_path(data, sc, title=sc.name))
     return (EXIT_COLLISION if log.collided else EXIT_OK), doc
 
 
@@ -151,12 +152,9 @@ def cmd_batch(args):
 def cmd_plot(args):
     data = read_trajectory_csv(args.csv)
     if args.mode == "path":
-        summary_path = os.path.join(os.path.dirname(os.path.abspath(args.csv)), "summary.json")
-        if not os.path.exists(summary_path):
-            raise ValidationError(
-                f"path mode needs {summary_path} (written by simulate) for obstacle geometry"
-            )
-        svg = plot_path(data, read_json(summary_path, "summary"))
+        # the obstacles are those of the scenario in the run's summary.json
+        summary = os.path.join(os.path.dirname(os.path.abspath(args.csv)), "summary.json")
+        svg = plot_path(data, parse_scenario(read_json(summary, "summary").get("scenario")))
     elif args.mode == "hvalue":
         svg = plot_hvalue(data)
     else:

@@ -13,10 +13,11 @@ from itertools import repeat
 from math import ceil, floor, inf, isfinite, log10
 
 from .errors import ValidationError
-from .scenario_io import parse_scenario
 
 W, H = 760, 520
 MARGIN = 56
+PAD = 0.08  # share of a data span left free on each side of a plot
+N_TICKS = 6  # ticks an axis aims for
 ACTIVE = "#d9541e"
 INACTIVE = "#3567a6"
 REF = "#8a8a8a"
@@ -24,24 +25,24 @@ OBSTACLE = "#2e8b57"
 GRID = "#d8d8d8"
 
 
-def _padded(vs, pad):
-    """The range of the finite values `vs`, widened on each side by `pad` of
+def _padded(vs):
+    """The range of the finite values `vs`, widened on each side by PAD of
     its span, or of 1 if it has none."""
     vs = [v for v in vs if isfinite(v)] or [0.0]
     lo, hi = min(vs), max(vs)
     d = (hi - lo) or 1.0
-    lo, hi = lo - pad * d, hi + pad * d
+    lo, hi = lo - PAD * d, hi + PAD * d
     if lo == hi:  # that pad rounds away next to values this large: pad by theirs
-        lo, hi = lo - pad * abs(lo), hi + pad * abs(hi)
+        lo, hi = lo - PAD * abs(lo), hi + PAD * abs(hi)
     return lo, hi
 
 
 class _Frame:
     """Maps world coordinates into the pixel viewport framing the finite ones."""
 
-    def __init__(self, xs, ys, equal_aspect=False, pad=0.08):
-        xmin, xmax = _padded(xs, pad)
-        ymin, ymax = _padded(ys, pad)
+    def __init__(self, xs, ys, equal_aspect=False):
+        xmin, xmax = _padded(xs)
+        ymin, ymax = _padded(ys)
         if equal_aspect:
             w_avail = W - 2 * MARGIN
             h_avail = H - 2 * MARGIN
@@ -66,19 +67,19 @@ class _Frame:
         return (W - 2 * MARGIN) / (self.xmax - self.xmin)
 
 
-def _ticks(lo, hi, n=6):
-    """Round-numbered ticks in [lo, hi]: at most n + 2, as the step is at
-    least span / n, so the count, not x, bounds the loop; next to values
-    this large x += step may not move x, and a repeated tick is dropped."""
+def _ticks(lo, hi):
+    """Round-numbered ticks in [lo, hi]: at most N_TICKS + 2, as the step is
+    at least span / N_TICKS, so the count, not x, bounds the loop; next to
+    values this large x += step may not move x, and a repeated tick is dropped."""
     span = hi - lo
-    raw = span / n
+    raw = span / N_TICKS
     if not raw > 0:
         return [lo]
     mag = 10 ** floor(log10(raw))
     step = next((mult * mag for mult in (1, 2, 2.5, 5) if raw <= mult * mag), 10 * mag)
     out = []
     x = ceil(lo / step) * step
-    for _ in range(n + 2):
+    for _ in range(N_TICKS + 2):
         if not x <= hi + 1e-12 * span:
             break
         out.append(round(x, 10))
@@ -114,7 +115,7 @@ class _Svg:
             f'stroke="{color}" stroke-width="{width}"{d}/>'
         )
 
-    def polyline(self, pts, color, width=1.6, dash=None):
+    def polyline(self, pts, color, width, dash=None):
         if len(pts) < 2:
             return
         d = f' stroke-dasharray="{dash}"' if dash else ""
@@ -124,11 +125,11 @@ class _Svg:
             f'stroke-width="{width}"{d}/>'
         )
 
-    def circle(self, cx, cy, r, stroke, fill="none", width=1.5, dash=None, opacity=1.0):
+    def circle(self, cx, cy, r, stroke, fill="none", dash=None, opacity=1.0):
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{r:.2f}" stroke="{stroke}" '
-            f'fill="{fill}" fill-opacity="{opacity}" stroke-width="{width}"{d}/>'
+            f'fill="{fill}" fill-opacity="{opacity}" stroke-width="1.5"{d}/>'
         )
 
     def text(self, x, y, s, size=11, anchor="middle", color="#333"):
@@ -193,14 +194,14 @@ def _any_active(data):
     return [any(data[c][k] > 0.5 for c in cols) for k in range(n)]
 
 
-def plot_path(data, summary, title="vehicle path"):
-    """Top-down trace with obstacle discs at effective radius."""
+def plot_path(data, sc, title="vehicle path"):
+    """Top-down trace with the obstacles of Scenario `sc` as discs at its
+    effective radii, where they start and where they are at the last sample."""
     xs = data["x"]
     ys = data["y"]
     all_x = list(xs)
     all_y = list(ys)
     t_end = data["t"][-1]
-    sc = parse_scenario(summary.get("scenario"))
     discs = []
     for o, r in zip(sc.obstacles, sc.radii):
         start, end = o.state_at(0.0)[:2], o.state_at(t_end)[:2]
@@ -226,14 +227,14 @@ def plot_path(data, summary, title="vehicle path"):
     return svg.tostring()
 
 
-def plot_hvalue(data, title="barrier value over time"):
+def plot_hvalue(data):
     """h(t) per obstacle, highlighted where the filter was active."""
     t = data["t"]
     h_cols = sorted((c for c in data if c.startswith("h_")), key=lambda c: int(c.split("_")[1]))
     if not h_cols:
         raise ValidationError("no h columns in CSV (scenario had no obstacles)")
     frame = _Frame(t, [v for c in h_cols for v in data[c]] + [0.0])
-    svg = _Svg(title)
+    svg = _Svg("barrier value over time")
     svg.axes(frame, "t [s]", "h")
     if frame.ymin < 0 < frame.ymax:
         svg.line(MARGIN, frame.py(0), W - MARGIN, frame.py(0), "#555", 1.0, dash="6 4")
@@ -244,7 +245,7 @@ def plot_hvalue(data, title="barrier value over time"):
     return svg.tostring()
 
 
-def plot_inputs(data, title="reference vs filtered input"):
+def plot_inputs(data):
     """Both input components: reference dashed, filtered solid."""
     t = data["t"]
     series = [
@@ -255,7 +256,7 @@ def plot_inputs(data, title="reference vs filtered input"):
     ]
     vals = [v for name, _, _ in series for v in data[name]]
     frame = _Frame(t, vals)
-    svg = _Svg(title)
+    svg = _Svg("reference vs filtered input")
     svg.axes(frame, "t [s]", "u")
     for name, color, dash in series:
         _trace(svg, frame, t, data[name], repeat(False), ((color, 1.6, dash),))
