@@ -165,8 +165,6 @@ def hocbf_eval(
             if o.moves():
                 raise UnsupportedCbfError(
                     "second-order ellipse barrier is not valid for the bicycle with a moving obstacle")
-            if p is None:
-                raise ValidationError("bicycle barrier needs ModelParams (l_r)")
             return kernel.hocbf_bicycle(s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, o.c1, o.c2, gamma1)
         return kernel.hocbf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2, gamma1)
     except AttributeError as exc:

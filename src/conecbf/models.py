@@ -24,19 +24,21 @@ def _require_finite(where, names, values, inf_ok=()):
     """Raise ValidationError unless each value is a finite number.
 
     The values named in `inf_ok` may also be +-inf; NaN never passes. A
-    string, None or an integer beyond the double range fails too. The
-    error names the value as `where.name`. Callers pass field values, not
+    string, None, a bool or an integer beyond the double range fails too:
+    a document cannot hold a bool where it takes a number, so a record that
+    held one would save a file that does not load. The error names the
+    value as `where.name`. Callers pass a sequence of field values, not
     `vars(obj)`, which would give every instance a dict and slow its
     attribute reads.
     """
     try:
-        if all(map(isfinite, values)):
+        if bool not in map(type, values) and all(map(isfinite, values)):
             return
     except (TypeError, OverflowError):
         pass
     for name, v in zip(names, values):
         try:
-            ok = isfinite(v) or name in inf_ok and isinf(v)
+            ok = type(v) is not bool and (isfinite(v) or name in inf_ok and isinf(v))
         except (TypeError, OverflowError):
             ok = False
         if not ok:
@@ -255,7 +257,8 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
     p.v_max then caps the speed state v of the unicycle and the bicycle.
     Raises ValidationError when `s` is not exactly a STATE_TYPES[model],
     when dt is not a finite number > 0, when `u` is not a pair of numbers,
-    or when the result is non-finite.
+    when a bicycle step has no params to read l_r and beta_max from, or
+    when the result is non-finite.
     """
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("integrate_step", model, s)
@@ -278,8 +281,6 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
         if model == "unicycle":
             s = UnicycleState(*kernel.rk4_unicycle(s.x, s.y, s.theta, s.v, s.omega, u0, u1, dt))
         else:
-            if p is None:
-                raise ValidationError("bicycle integration needs ModelParams (l_r)")
             if abs(u1) > p.beta_max:
                 raise ValidationError(f"|beta|={abs(u1):.4f} exceeds beta_max={p.beta_max}")
             s = BicycleState(*kernel.rk4_bicycle(s.x, s.y, s.theta, s.v, u0, u1, p.l_r, dt))

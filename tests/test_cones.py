@@ -282,7 +282,7 @@ class TestEllipseBaseline:
 
 class TestHocbf:
     def test_bicycle_needs_params(self):
-        with pytest.raises(ValidationError, match="ModelParams"):
+        with pytest.raises(ValidationError, match="^hocbf_eval: inputs do not fit the bicycle model"):
             hocbf_eval("bicycle", BicycleState(0, 0, 0, 1), Obstacle(5, 0), 1.0)
 
     def test_unicycle_static_regains_thrust(self):

@@ -82,6 +82,24 @@ class TestScenarioFiles:
         save_scenario(sc, out)
         assert scenario_to_dict(load_scenario(out)) == scenario_to_dict(sc)
 
+    # a number field set to a bool is refused when built, as the document
+    # reader refuses it; set to the int the bool stands for, the scenario
+    # saves a file that loads back equal
+    @pytest.mark.parametrize("edit,value", [
+        (lambda sc, v: replace(sc, filter=replace(sc.filter, gamma=v)), True),
+        (lambda sc, v: replace(sc, obstacles=(replace(sc.obstacles[0], cx=v),)), True),
+        (lambda sc, v: replace(sc, dt=v), True),
+        (lambda sc, v: replace(sc, params=replace(sc.params, w=v)), False),
+        (lambda sc, v: replace(sc, initial_state=replace(sc.initial_state, v=v)), True),
+    ], ids=["filter-gamma", "obstacle-cx", "dt", "params-w", "state-v"])
+    def test_bool_refused_and_int_round_trips(self, tmp_path, edit, value):
+        sc = load_scenario(SCENARIO_DIR / "unicycle-braking.json")
+        with pytest.raises(ValidationError, match=f"expected a finite number, got {value}"):
+            edit(sc, value)
+        sc = edit(sc, int(value))
+        save_scenario(sc, tmp_path / "sc.json")
+        assert load_scenario(tmp_path / "sc.json") == sc
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown key"):
             parse_scenario(minimal_doc(extra=1))

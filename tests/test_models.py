@@ -187,11 +187,24 @@ class TestNumberChecks:
         lambda: ReferencePath(((0, 0), (math.nan, 1))),
         lambda: hocbf_eval("pointmass", PointMassState(0, 0, 0, 0), Obstacle(5, 0), math.nan),
         lambda: hocbf_eval("pointmass", PointMassState(0, 0, 0, 0), Obstacle(5, 0), math.inf),
+        # a bool is no number: a document cannot hold one where it takes a number
+        lambda: FilterConfig(gamma=True),
+        lambda: Obstacle(True, 0),
+        lambda: ModelParams(w=False),
+        lambda: UnicycleState(0, 0, 0, True, 0),
+        lambda: Scenario(name="b", model="pointmass", params=ModelParams(),
+                         initial_state=PointMassState(0, 0, 0, 0), obstacles=(),
+                         controller=ControllerSpec(), filter=FilterConfig(), dt=True),
+        lambda: FilterConfig(input_bounds=((-1.0, True), (-1.0, 1.0))),
+        lambda: ReferencePath(((0, 0), (False, 1))),
+        lambda: hocbf_eval("pointmass", PointMassState(0, 0, 0, 0), Obstacle(5, 0), True),
     ], ids=[
         "controller-k_e", "controller-v_des", "controller-a_max", "controller-k1",
         "params-l", "params-v_max", "filter-gamma", "filter-activation_radius",
         "filter-input_bounds", "obstacle-cx", "obstacle-segment", "state-x",
         "path-string", "path-nan", "hocbf-gamma1-nan", "hocbf-gamma1-inf",
+        "filter-gamma-bool", "obstacle-cx-bool", "params-w-bool", "state-v-bool",
+        "scenario-dt-bool", "filter-input_bounds-bool", "path-bool", "hocbf-gamma1-bool",
     ])
     def test_rejected_with_validation_error(self, build):
         with pytest.raises(ValidationError):
@@ -317,7 +330,8 @@ def _mismatch_cases():
                     yield pytest.param(name, model, s, o, p, id=f"{name}-{model}-{other}-state")
             if name.endswith("_eval"):
                 yield pytest.param(name, model, own, (5.0, 0.5), p, id=f"{name}-{model}-tuple-obstacle")
-            if name == "c3bf_eval":
+            # the bicycle integrator and HOCBF read params the others do without
+            if name == "c3bf_eval" or name in ("integrate_step", "hocbf_eval") and model == "bicycle":
                 yield pytest.param(name, model, own, o, None, id=f"{name}-{model}-no-params")
             if name == "integrate_step" and model != "pointmass":
                 yield pytest.param(name, model, own, o, (1.0, 2.0), id=f"{name}-{model}-tuple-params")
