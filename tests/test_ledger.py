@@ -4,9 +4,12 @@ Timing cannot see a cost of tens of nanoseconds per call on a shared
 host, but the number of calls a run makes is exact. The test counts the
 events of `sys.setprofile` per function while `run_scenario` runs a
 fixed subset of the corpus: Python frames (`call`) against LEDGER and
-builtin calls (`c_call`) against BUILTINS. A change that adds or removes
-a call on the tick changes a count here, and updates the table with the
-old and new figures stated.
+builtin calls (`c_call`) against BUILTINS. It counts the same events
+while the public tick of the README (`c3bf_eval` per obstacle, then
+`filter_qp`) replays every record of the runs that filter with the cone
+barrier, against TICK_LEDGER and TICK_BUILTINS. A change that adds or
+removes a call on the tick changes a count here, and updates the table
+with the old and new figures stated.
 
 Comprehension frames are left out: Python 3.12 inlines list, dict and
 set comprehensions (PEP 709), and the counts are the same on 3.10 to
@@ -25,7 +28,8 @@ from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
-from conecbf import load_scenario, run_scenario
+from conecbf import c3bf_eval, filter_qp, load_scenario, run_scenario
+from conecbf.models import STATE_TYPES
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -118,13 +122,45 @@ BUILTINS = {
     "tuple.__new__": 12045,
 }
 
+# public ticks replayed: every record of the two runs of RUNS that filter
+# with the cone barrier, 1601 + 2001
+TICKS = 3602
 
-def frame_ledger(scenarios):
-    """(records logged, Counter of Python frames per function, Counter of
-    builtin calls per builtin) over the runs."""
-    counts = Counter()
-    builtins = Counter()
+# Python frames per function over the replayed ticks, keyed as in LEDGER
+TICK_LEDGER = {
+    "conecbf._pykernel:_cone_terms": 5203,
+    "conecbf._pykernel:_unmet": 8905,
+    "conecbf._pykernel:c3bf_bicycle": 2001,
+    "conecbf._pykernel:c3bf_unicycle": 3202,
+    "conecbf._pykernel:solve_qp2": 3602,
+    "conecbf.cbf:Obstacle.state_at": 5203,
+    "conecbf.cbf:_radius": 5203,
+    "conecbf.cbf:c3bf_eval": 5203,
+    "conecbf.qpfilter:_rows": 3602,
+    "conecbf.qpfilter:activation_gate": 5203,
+    "conecbf.qpfilter:filter_qp": 3602,
+}
 
+# builtin calls over the replayed ticks, keyed as in BUILTINS
+TICK_BUILTINS = {
+    "builtins.abs": 24114,
+    "builtins.len": 14608,
+    "builtins.max": 9205,
+    "builtins.min": 4002,
+    "dict.get": 5203,
+    "list.append": 26015,
+    "list.extend": 6003,
+    "math.cos": 5203,
+    "math.isfinite": 5203,
+    "math.sin": 5203,
+    "math.sqrt": 15609,
+    "tuple.__new__": 8805,
+}
+
+
+def _profiler(counts, builtins):
+    """A `sys.setprofile` function that adds the Python frames per function
+    to the Counter `counts` and the builtin calls per builtin to `builtins`."""
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_name not in INLINED:
             code = frame.f_code
@@ -136,13 +172,31 @@ def frame_ledger(scenarios):
             module = arg.__module__
             builtins[arg.__qualname__ if module is None else f"{module}.{arg.__qualname__}"] += 1
 
-    steps = 0
-    # no collection runs while counting: the frames of a collector callback
-    # (hypothesis installs one) would land in the counts, where a cycle
-    # left by an earlier test happened to be collected
+    return profile
+
+
+def _gc_off(count):
+    """count() with the garbage collector off: the frames of a collector
+    callback (hypothesis installs one) would land in the counts, where a
+    cycle left by an earlier test happened to be collected."""
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
+        return count()
+    finally:
+        if gc_was_on:
+            gc.enable()
+
+
+def frame_ledger(scenarios):
+    """(records logged, Counter of Python frames per function, Counter of
+    builtin calls per builtin) over the runs."""
+    counts = Counter()
+    builtins = Counter()
+    profile = _profiler(counts, builtins)
+
+    def count():
+        steps = 0
         for sc in scenarios:
             sys.setprofile(profile)
             try:
@@ -150,10 +204,38 @@ def frame_ledger(scenarios):
             finally:
                 sys.setprofile(None)
             steps += len(log.t)
-    finally:
-        if gc_was_on:
-            gc.enable()
-    return steps, counts, builtins
+        return steps
+
+    return _gc_off(count), counts, builtins
+
+
+def tick_ledger(runs):
+    """(ticks replayed, ticks whose u_star differs from the logged one,
+    Counter of Python frames per function, Counter of builtin calls per
+    builtin) over the public tick of every record of the (scenario, log)
+    `runs`. Each state is rebuilt from its logged tuple before the
+    profiler starts, so the counts hold the tick alone."""
+    counts = Counter()
+    builtins = Counter()
+    profile = _profiler(counts, builtins)
+
+    def count():
+        ticks = differ = 0
+        for sc, log in runs:
+            model, obstacles, p, cfg = sc.model, sc.obstacles, sc.params, sc.run_filter
+            records = [(STATE_TYPES[model](*s), t, u_ref, u_star)
+                       for s, t, u_ref, u_star in zip(log.states, log.t, log.u_ref, log.u_star)]
+            sys.setprofile(profile)
+            try:
+                for s, t, u_ref, u_star in records:
+                    evals = [c3bf_eval(model, s, o, p, t) for o in obstacles]
+                    differ += filter_qp(u_ref, evals, cfg).u_star != u_star
+            finally:
+                sys.setprofile(None)
+            ticks += len(records)
+        return ticks, differ
+
+    return (*_gc_off(count), counts, builtins)
 
 
 def ledger_scenarios():
@@ -168,6 +250,12 @@ def counted():
     return frame_ledger(list(ledger_scenarios()))
 
 
+@cache
+def ticked():
+    """tick_ledger over the cone-barrier runs, counted once for both tables."""
+    return tick_ledger([(sc, run_scenario(sc)) for sc in ledger_scenarios() if sc.cbf == "c3bf"])
+
+
 def test_frames_per_run_match_the_ledger():
     steps, counts, _ = counted()
     assert steps == STEPS
@@ -180,13 +268,33 @@ def test_builtin_calls_per_run_match_the_ledger():
     assert dict(sorted(builtins.items())) == BUILTINS
 
 
+def test_frames_per_tick_match_the_tick_ledger():
+    # every replayed tick gives the logged u_star, bit for bit
+    ticks, differ, counts, _ = ticked()
+    assert (ticks, differ) == (TICKS, 0)
+    assert dict(sorted(counts.items())) == TICK_LEDGER
+
+
+def test_builtin_calls_per_tick_match_the_tick_ledger():
+    ticks, differ, _, builtins = ticked()
+    assert (ticks, differ) == (TICKS, 0)
+    assert dict(sorted(builtins.items())) == TICK_BUILTINS
+
+
 if __name__ == "__main__":
     steps, counts, builtins = counted()
-    tables = (("LEDGER", counts, "frames"), ("BUILTINS", builtins, "builtin calls"))
-    for table, per_name, what in tables:
-        print(f"# {sum(per_name.values())} {what}, {sum(per_name.values()) / steps:.3f} per record")
+    ticks, differ, tick_counts, tick_builtins = ticked()
+    tables = (
+        ("LEDGER", counts, "frames", steps, "record"),
+        ("BUILTINS", builtins, "builtin calls", steps, "record"),
+        ("TICK_LEDGER", tick_counts, "frames", ticks, "tick"),
+        ("TICK_BUILTINS", tick_builtins, "builtin calls", ticks, "tick"),
+    )
+    for table, per_name, what, n_per, per in tables:
+        print(f"# {sum(per_name.values())} {what}, {sum(per_name.values()) / n_per:.3f} per {per}")
         print(f"{table} = {{")
         for name, n in sorted(per_name.items()):
             print(f'    "{name}": {n},')
         print("}")
     print(f"STEPS = {steps}")
+    print(f"TICKS = {ticks}, of which {differ} replay a u_star other than the logged one")
