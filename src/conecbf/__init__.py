@@ -35,7 +35,7 @@ from .engine import (
     run_scenario,
     safety_metrics,
 )
-from .errors import ConeCbfError, SimulationError, UnsupportedCbfError, ValidationError
+from .errors import ConeCbfError, SimulationError, ValidationError
 from .models import (
     BicycleState,
     ModelParams,
@@ -65,7 +65,6 @@ __all__ = [
     "SimulationError",
     "TrajectoryLog",
     "UnicycleState",
-    "UnsupportedCbfError",
     "ValidationError",
     "activation_gate",
     "c3bf_eval",

@@ -21,10 +21,14 @@ from math import inf
 
 from ._backend import kernel
 from ._pykernel import CbfEvaluation
-from .errors import UnsupportedCbfError, ValidationError
+from .errors import ValidationError
 from .models import ModelParams, _MODEL_OF, _require_finite, _require_vectors, _unfit_inputs
 
 CBF_KINDS = ("c3bf", "ellipse", "hocbf", "none")
+# the one pairing of barrier, model and obstacle refused, by Scenario and
+# hocbf_eval alike: obstacle velocities can always be chosen to defeat the
+# second-order ellipse barrier of the bicycle
+_HOCBF_MOVING_BICYCLE = "hocbf with a moving obstacle is invalid for the bicycle model"
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,9 +152,9 @@ def hocbf_eval(
 ) -> CbfEvaluation:
     """Second-order ellipse barrier h2 = Lf h1 + gamma1 h1.
 
-    The bicycle/moving-obstacle combination is rejected: obstacle
-    velocities can always be chosen to defeat the constraint there.
-    `t` selects the obstacle's state as in c3bf_eval.
+    The bicycle/moving-obstacle combination raises ValidationError:
+    obstacle velocities can always be chosen to defeat the constraint
+    there. `t` selects the obstacle's state as in c3bf_eval.
     """
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("hocbf_eval", model, s)
@@ -163,8 +167,7 @@ def hocbf_eval(
             return kernel.hocbf_unicycle(s.x, s.y, s.theta, s.v, s.omega, cx, cy, vx, vy, o.c1, o.c2, gamma1)
         if model == "bicycle":
             if o.moves():
-                raise UnsupportedCbfError(
-                    "second-order ellipse barrier is not valid for the bicycle with a moving obstacle")
+                raise ValidationError(_HOCBF_MOVING_BICYCLE)
             return kernel.hocbf_bicycle(s.x, s.y, s.theta, s.v, p.l_r, cx, cy, vx, vy, o.c1, o.c2, gamma1)
         return kernel.hocbf_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2, gamma1)
     except AttributeError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from math import atan2, hypot, inf, radians
 
 from ._backend import kernel
-from .cbf import CBF_KINDS, Obstacle, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
+from .cbf import CBF_KINDS, Obstacle, _HOCBF_MOVING_BICYCLE, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
 from .controllers import ControllerSpec, reference_input
 from .errors import SimulationError, ValidationError
 from .models import ModelParams, _MODEL_OF, _name, _require_finite, _unfit_inputs, integrate_step
@@ -33,9 +33,14 @@ TURN_THRESHOLD_DEG = 15.0
 BRAKE_SPEED_FRACTION = 0.10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Complete declarative experiment description.
+
+    Built by keyword only: the order of the fields is the key order of a
+    scenario document. `name`, `model` and `initial_state` are required;
+    every other field has its default here, the one a document that
+    leaves its key out reads too (a missing controller is 'zero').
 
     Two values are worked out when built, neither of them a field (so
     documents, comparison and hash leave them out, and `replace` builds
@@ -48,11 +53,11 @@ class Scenario:
 
     name: str
     model: str
-    params: ModelParams
+    params: ModelParams = ModelParams()
     initial_state: object
-    obstacles: tuple
-    controller: ControllerSpec
-    filter: FilterConfig
+    obstacles: tuple = ()
+    controller: ControllerSpec = ControllerSpec(kind="zero")
+    filter: FilterConfig = FilterConfig()
     dt: float = field(default=0.01, metadata={"section": "sim"})
     duration: float = field(default=10.0, metadata={"section": "sim"})
     cbf: str = "c3bf"
@@ -91,9 +96,7 @@ class Scenario:
                 )
         if self.cbf == "hocbf" and self.model == "bicycle":
             if any(o.moves() for o in self.obstacles):
-                raise ValidationError(
-                    "hocbf with a moving obstacle is invalid for the bicycle model"
-                )
+                raise ValidationError(_HOCBF_MOVING_BICYCLE)
         if self.controller.kind == "stanley" and self.model != "bicycle":
             raise ValidationError("stanley controller is bicycle-only")
         box = self.params.input_box(self.model, self.filter.input_bounds)

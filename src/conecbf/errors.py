@@ -15,7 +15,3 @@ class SimulationError(ConeCbfError):
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
-
-
-class UnsupportedCbfError(ConeCbfError):
-    """Barrier/model/obstacle combination known to be invalid."""

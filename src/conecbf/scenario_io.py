@@ -40,9 +40,6 @@ CSV_BLOCK_ROWS = 64
 
 # an obstacle's document pairs and the Obstacle fields each fills
 _OBSTACLE_PAIRS = (("center", ("cx", "cy")), ("velocity", ("vx", "vy")), ("semi_axes", ("c1", "c2")))
-# the Scenario fields without a default that a document may leave out, as
-# read then; a missing controller is 'zero'
-_OPTIONAL_SECTIONS = {"params": {}, "obstacles": [], "controller": {"kind": "zero"}, "filter": {}}
 
 
 def _check_keys(d, allowed, where: str):
@@ -133,20 +130,19 @@ def _value(read):
     return lambda d, key, where: read(_required(d, key, where), f"{where}.{key}")
 
 
-# the fields not read by the default rule of _read, and the form that reads
-# each from the object d holding it: form(d, key, path of d)
+# the fields read some other way than their type says, and the form that
+# reads each from the object d holding it: form(d, key, path of d)
 _FORMS = {
     "name": _value(_name),
-    # the dataclass that takes these checks them
-    "model": _value(lambda v, where: v),
-    "kind": _value(lambda v, where: v),
-    "cbf": _value(lambda v, where: v),
     "initial_state": _state,
     "obstacles": _value(_obstacles),
     "v_des_vec": _value(_pair),
     "path": _path,
     "input_bounds": _value(_box),
 }
+# how a field that _FORMS leaves out is read, by its type: a float as a
+# number, a str as it is (its dataclass checks it), a dataclass by _read
+_TYPE_FORMS = {float: _number, str: lambda v, where: v}
 # a field written with a key beside it, and that key
 _BESIDE = {"path": "closed"}
 
@@ -155,9 +151,10 @@ def _read(cls, d, where: str):
     """Inverse of _fields_doc: the `cls` instance that document object `d`
     at `where` describes. A key names a field of dataclass `cls`, the section
     its metadata names or the _BESIDE key of a field. A field is read by its
-    _FORMS entry, else as an object by this rule if dataclass-typed, else as
-    a number; left out, it keeps its default, and without one it is required
-    (the form refuses it missing).
+    _FORMS entry, else by its type: a dataclass as an object by this rule, a
+    float as a number and a str as it is, which its dataclass checks. Left
+    out, it keeps its default, and without one it is required (the form
+    refuses it missing).
     """
     fs = fields(cls)
     keys = {f.metadata.get("section", f.name) for f in fs}
@@ -169,7 +166,7 @@ def _read(cls, d, where: str):
             holder, at = d.get(section, {}), f"{where}.{section}"
             _check_keys(holder, [g.name for g in fs if g.metadata.get("section") == section], at)
         if f.name in holder or f.default is MISSING and f.default_factory is MISSING:
-            form = _FORMS.get(f.name) or _value(partial(_read, f.type) if is_dataclass(f.type) else _number)
+            form = _FORMS.get(f.name) or _value(_TYPE_FORMS.get(f.type) or partial(_read, f.type))
             kw[f.name] = form(holder, f.name, at)
         elif _BESIDE.get(f.name) in holder:
             raise ValidationError(f"{at}.{_BESIDE[f.name]}: allowed only beside {f.name!r}")
@@ -178,10 +175,10 @@ def _read(cls, d, where: str):
 
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     """Build a Scenario from a parsed JSON document by the one rule of _read;
-    `name` is the default name, and a left-out _OPTIONAL_SECTIONS entry reads
-    as given there."""
+    `name` is the default name, and a left-out section takes the default of
+    its Scenario field."""
     if isinstance(doc, dict):
-        doc = {"name": name, **_OPTIONAL_SECTIONS, **doc}
+        doc = {"name": name, **doc}
     return _read(Scenario, doc, name)
 
 

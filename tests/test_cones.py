@@ -20,8 +20,8 @@ from conecbf import (
     ModelParams,
     Obstacle,
     PointMassState,
+    Scenario,
     UnicycleState,
-    UnsupportedCbfError,
     ValidationError,
     _pykernel,
     c3bf_eval,
@@ -320,11 +320,13 @@ class TestHocbf:
 
     def test_bicycle_moving_rejected(self):
         s = BicycleState(0, 0, 0, 1)
-        with pytest.raises(UnsupportedCbfError):
-            hocbf_eval("bicycle", s, Obstacle(5, 0, vx=-1), 1.0, ModelParams())
-        with pytest.raises(UnsupportedCbfError):
-            hocbf_eval("bicycle", s, Obstacle(5, 0, segments=((1.0, -1.0, 0.0),)),
-                       1.0, ModelParams())
+        for o in (Obstacle(5, 0, vx=-1), Obstacle(5, 0, segments=((1.0, -1.0, 0.0),))):
+            with pytest.raises(ValidationError, match="invalid for the bicycle") as by_eval:
+                hocbf_eval("bicycle", s, o, 1.0, ModelParams())
+            # a Scenario refuses the pairing with the same error and message
+            with pytest.raises(ValidationError) as by_scenario:
+                Scenario(name="x", model="bicycle", initial_state=s, obstacles=(o,), cbf="hocbf")
+            assert str(by_scenario.value) == str(by_eval.value)
 
     def test_gamma1_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -438,7 +440,7 @@ class TestObstacleAtTime:
 
     def test_hocbf_bicycle_moving_rejected_at_t(self):
         o = Obstacle(5, 0, segments=((1.0, -1.0, 0.0),))
-        with pytest.raises(UnsupportedCbfError):
+        with pytest.raises(ValidationError, match="invalid for the bicycle"):
             barrier("hocbf", "bicycle", STATES["bicycle"], o, t=0.5)
 
 

@@ -23,7 +23,6 @@ from conecbf import (
     Obstacle,
     Scenario,
     SimulationError,
-    UnsupportedCbfError,
     ValidationError,
     load_scenario,
     parse_scenario,
@@ -32,7 +31,7 @@ from conecbf import (
     scenario_to_dict,
 )
 from conecbf.cli import main
-from conecbf.models import STATE_FIELDS
+from conecbf.models import STATE_FIELDS, STATE_TYPES
 from conecbf.scenario_io import (
     CSV_BLOCK_ROWS,
     csv_header,
@@ -122,15 +121,24 @@ class TestScenarioFiles:
 
     def test_missing_sections_use_dataclass_defaults(self):
         doc = minimal_doc(obstacles=[{"center": [6, 0.5]}])
-        for key in ("params", "filter", "sim", "cbf"):
+        for key in ("params", "controller", "filter", "sim", "cbf"):
             del doc[key]
         sc = parse_scenario(doc)
         defaults = {f.name: f.default for f in fields(Scenario)}
         assert sc.params == ModelParams()
+        assert sc.controller == ControllerSpec(kind="zero")
         assert sc.filter == FilterConfig()
         assert sc.obstacles == (Obstacle(6.0, 0.5),)
-        for name in ("dt", "duration", "cbf", "hocbf_gamma1"):
+        for name in ("params", "controller", "filter", "dt", "duration", "cbf", "hocbf_gamma1"):
             assert getattr(sc, name) == defaults[name], name
+
+    @pytest.mark.parametrize("model", sorted(STATE_TYPES))
+    def test_scenario_built_in_python_takes_the_document_defaults(self, model):
+        # a document with only the required keys and a Scenario given only
+        # those fields are the same Scenario
+        s = STATE_TYPES[model](*range(len(STATE_FIELDS[model])))
+        doc = {"name": "bare", "model": model, "initial_state": dict(zip(STATE_FIELDS[model], range(9)))}
+        assert Scenario(name="bare", model=model, initial_state=s) == parse_scenario(doc)
 
     def test_input_bounds_with_open_sides(self):
         # a null side is an open side, and scenario_to_dict writes it back
@@ -593,7 +601,7 @@ class TestCli:
 
     @pytest.mark.parametrize("exc, code", [
         (SimulationError("diverged", step=3), 2),
-        (UnsupportedCbfError("unsupported"), 3),
+        (ValidationError("unsupported"), 3),
     ])
     def test_escaping_package_errors_mapped(self, monkeypatch, exc, code):
         def fail(path):
