@@ -81,11 +81,11 @@ class Obstacle:
 
         The one owner of obstacle motion; barrier evaluations given t use it.
         A t that is not a finite number >= 0 (NaN, negative, infinite, a
-        string, an int beyond the doubles) raises ValidationError: at t = inf
-        a moving obstacle's still axis would read 0 * inf = NaN.
+        string, a bool, an int beyond the doubles) raises ValidationError: at
+        t = inf a moving obstacle's still axis would read 0 * inf = NaN.
         """
         try:
-            if 0 <= t < inf:
+            if t.__class__ is not bool and 0 <= t < inf:
                 # the latest anchor at or before t, else the fields (t - 0.0 is t)
                 for t0, x0, y0, vx, vy in self._anchors:
                     if t >= t0:
@@ -152,15 +152,20 @@ def hocbf_eval(
 ) -> CbfEvaluation:
     """Second-order ellipse barrier h2 = Lf h1 + gamma1 h1.
 
-    The bicycle/moving-obstacle combination raises ValidationError:
+    A gamma1 that is not a finite number > 0 (a bool is none) raises
+    ValidationError, and so does the bicycle/moving-obstacle combination:
     obstacle velocities can always be chosen to defeat the constraint
     there. `t` selects the obstacle's state as in c3bf_eval.
     """
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("hocbf_eval", model, s)
-    _require_finite("hocbf_eval", ("gamma1",), (gamma1,))
-    if gamma1 <= 0:
-        raise ValidationError(f"gamma1 must be > 0, got {gamma1}")
+    # + 0.0 turns an integer beyond the doubles into OverflowError
+    try:
+        ok = gamma1.__class__ is not bool and 0.0 < gamma1 + 0.0 < inf
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"gamma1 must be a finite number > 0, got {gamma1!r}")
     try:
         cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
         if model == "unicycle":

@@ -235,11 +235,11 @@ def slip_from_steering(delta: float, p: ModelParams) -> float:
     """Slip angle at the center of mass for a given steering angle.
 
     A delta that is not a real number with |delta| < pi/2 raises
-    ValidationError (a complex one fails the comparison), as do params
-    `p` without the axle distances.
+    ValidationError (a complex one fails the comparison, and a bool is
+    refused), as do params `p` without the axle distances.
     """
     try:
-        ok = -pi / 2 < delta < pi / 2
+        ok = delta.__class__ is not bool and -pi / 2 < delta < pi / 2
     except TypeError:
         ok = False
     if not ok:
@@ -258,13 +258,13 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
     Raises ValidationError when `s` is not exactly a STATE_TYPES[model],
     when dt is not a finite number > 0, when `u` is not a pair of numbers,
     when a bicycle step has no params to read l_r and beta_max from, or
-    when the result is non-finite.
+    when the result is non-finite. A bool is not a number to any of them.
     """
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("integrate_step", model, s)
     # + 0.0 turns an integer beyond the doubles into OverflowError
     try:
-        dt_ok = 0.0 < dt + 0.0 < inf
+        dt_ok = dt.__class__ is not bool and 0.0 < dt + 0.0 < inf
     except (TypeError, OverflowError):
         dt_ok = False
     if not dt_ok:
@@ -273,6 +273,8 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
     # the kernel call; the checks cost nothing on the normal path
     try:
         u0, u1 = u
+        if u0.__class__ is bool or u1.__class__ is bool:
+            raise TypeError("a bool is not a number")
     except (TypeError, ValueError, IndexError) as exc:
         raise ValidationError(f"input u must be a pair of numbers, got {u!r}") from exc
     try:

@@ -100,12 +100,13 @@ class FilterResult(NamedTuple):
 def activation_gate(dist: float, cfg: FilterConfig) -> bool:
     """Whether an obstacle at center distance `dist` participates.
 
-    A distance that is not a number >= 0 (NaN, negative, a string) raises
-    ValidationError: gating it out would drop the obstacle from the filter.
+    A distance that is not a number >= 0 (NaN, negative, a string, a bool)
+    raises ValidationError: gating it out would drop the obstacle from the
+    filter.
     So does a `cfg` that is not a FilterConfig.
     """
     try:
-        if dist >= 0:
+        if dist.__class__ is not bool and dist >= 0:
             return dist <= cfg.activation_radius
     except TypeError:
         pass
@@ -126,9 +127,9 @@ def _rows(u_ref, evals, cfg: FilterConfig, where: str):
     Returns (ur0, ur1), psis, (g0s, g1s, bs), idx, box_rows, degenerate,
     nonfinite: the rows as lists with their evaluation indices, and the
     config's finite box rows. A cfg without the config's fields, a u_ref
-    that is not a pair of finite numbers or a malformed evaluation fails in
-    the reads, the unpacking, the range test, a psi or the gate, and raises
-    ValidationError naming `where`.
+    that is not a pair of finite numbers (a bool is none) or a malformed
+    evaluation fails in the reads, the unpacking, the range test, a psi or
+    the gate, and raises ValidationError naming `where`.
     """
     g0s, g1s, bs, idx, psis = [], [], [], [], []
     degenerate = nonfinite = False
@@ -136,7 +137,8 @@ def _rows(u_ref, evals, cfg: FilterConfig, where: str):
     try:
         gamma, eps2, box_rows = cfg.gamma, cfg._eps2, cfg._box_rows
         ur0, ur1 = u_ref
-        if not (-_INF < ur0 + 0.0 < _INF and -_INF < ur1 + 0.0 < _INF):
+        if ur0.__class__ is bool or ur1.__class__ is bool or not (
+                -_INF < ur0 + 0.0 < _INF and -_INF < ur1 + 0.0 < _INF):
             raise ValidationError(f"u_ref must be a pair of finite numbers, got {u_ref!r}")
         for i, e in enumerate(evals):
             g0, g1 = e.lgh

@@ -328,9 +328,12 @@ class TestHocbf:
                 Scenario(name="x", model="bicycle", initial_state=s, obstacles=(o,), cbf="hocbf")
             assert str(by_scenario.value) == str(by_eval.value)
 
-    def test_gamma1_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            hocbf_eval("unicycle", UnicycleState(0, 0, 0, 1, 0), Obstacle(5, 0), 0.0)
+    @pytest.mark.parametrize("gamma1", [
+        0.0, -1.0, math.nan, math.inf, "1.0", None, True, pytest.param(10**400, id="int-beyond-doubles")
+    ])
+    def test_gamma1_must_be_a_finite_number_above_zero(self, gamma1):
+        with pytest.raises(ValidationError, match="^gamma1 must be a finite number > 0, got "):
+            hocbf_eval("unicycle", UnicycleState(0, 0, 0, 1, 0), Obstacle(5, 0), gamma1)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_fd_oracle(self, kern, model):
@@ -426,7 +429,7 @@ class TestObstacleAtTime:
                 assert [repr(v) for v in o.state_at(t)] == bits
 
     @pytest.mark.parametrize("t", [
-        -0.5, -1e-300, math.nan, math.inf, "1.0", pytest.param(10**400, id="int-beyond-doubles")
+        -0.5, -1e-300, math.nan, math.inf, "1.0", pytest.param(10**400, id="int-beyond-doubles"), True
     ])
     def test_time_not_a_finite_number_at_least_zero_rejected(self, t):
         # a moving and a never-moving obstacle agree, and so do the barriers

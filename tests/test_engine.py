@@ -4,6 +4,7 @@ import copy
 import hashlib
 import math
 import pickle
+import re
 import sys
 import tracemalloc
 from bisect import bisect_right
@@ -40,7 +41,8 @@ import conecbf.engine as engine
 from conecbf.engine import MAX_STEPS, ControllerSpec
 from conecbf.scenario_io import parse_scenario, scenario_to_dict, summarize, write_trajectory_csv
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def simple_scenario(**over):
@@ -652,6 +654,18 @@ class TestPublicTick:
         with pytest.raises(ValidationError, match="beta_max"):
             public_tick_run(sc, sc.filter, ticks)
         assert len(ticks) == 1 and abs(ticks[0][3][1]) > 0.2
+
+    def test_readme_loop_as_written(self, monkeypatch):
+        # the README's one python block, run as written from the repo root,
+        # ends on the state that run_scenario logs last
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        (code,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+        monkeypatch.chdir(ROOT)
+        ns = {}
+        exec(code, ns)
+        log = run_scenario(ns["sc"])
+        assert not log.collided
+        assert ns["state"].as_tuple() == log.states[-1]
 
 
 class TestClassifyAndMetrics:

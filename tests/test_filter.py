@@ -490,7 +490,7 @@ class TestActivationGate:
         with pytest.raises(ValidationError):
             activation_gate(-1.0, self.CFG10)
 
-    @pytest.mark.parametrize("dist", [math.nan, -1e-300, -math.inf, "3.0", None, 1j])
+    @pytest.mark.parametrize("dist", [math.nan, -1e-300, -math.inf, "3.0", None, 1j, True])
     def test_rejects_distance_not_a_number_at_least_zero(self, dist):
         # gating such a distance out would drop its obstacle from the filter
         with pytest.raises(ValidationError):
@@ -768,7 +768,7 @@ class TestInputPairChecked:
 
     BOX = FilterConfig(input_bounds=((-1.0, 1.0), (-1.0, 1.0)))
     NOT_FINITE = ["ab", (math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0), ("a", 0.0),
-                  (None, 0.0), (1j, 0.0), (10**400, 0.0)]
+                  (None, 0.0), (1j, 0.0), (10**400, 0.0), (True, False), (0.0, True)]
 
     @pytest.mark.parametrize("u_ref", NOT_FINITE)
     @pytest.mark.parametrize("with_evals", [False, True])

@@ -89,7 +89,7 @@ LEDGER = {
     "conecbf.models:UnicycleState.__init__": 2114,
     "conecbf.models:UnicycleState.__post_init__": 2114,
     "conecbf.models:UnicycleState.as_tuple": 4230,
-    "conecbf.models:_require_finite": 5874,
+    "conecbf.models:_require_finite": 5217,
     "conecbf.models:integrate_step": 5217,
     "conecbf.models:slip_from_steering": 2001,
     "conecbf.qpfilter:_rows": 5222,
@@ -102,7 +102,7 @@ LEDGER = {
 # with its module where it has one ("math.atan2", not "dict.get")
 BUILTINS = {
     "builtins.abs": 33155,
-    "builtins.all": 5874,
+    "builtins.all": 5217,
     "builtins.isinstance": 5,
     "builtins.len": 17783,
     "builtins.max": 23652,

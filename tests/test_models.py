@@ -136,7 +136,9 @@ class TestSlipFromSteering:
         # abs(1j) < pi/2 holds, but a complex angle is not a real number
         (1j, ModelParams(), "^steering angle must satisfy .*, got 1j$"),
         (0.1, None, "^slip_from_steering: inputs do not fit the bicycle model: .*'l_r'"),
-    ], ids=["str", "complex", "params-none"])
+        # a bool is an int to the comparison, but no angle
+        (True, ModelParams(), "^steering angle must satisfy .*, got True$"),
+    ], ids=["str", "complex", "params-none", "bool"])
     def test_rejects_steering_angle_not_a_number(self, delta, p, match):
         with pytest.raises(ValidationError, match=match):
             slip_from_steering(delta, p)
@@ -231,12 +233,13 @@ class TestShapeChecks:
         lambda: integrate_step("unicycle", UnicycleState(0, 0, 0, 0, 0), ("a", 0), 0.1),
         lambda: integrate_step("pointmass", PointMassState(0, 0, 0, 0), (1.0,), 0.1),
         lambda: integrate_step("bicycle", BicycleState(0, 0, 0, 1), None, 0.1, ModelParams()),
+        lambda: integrate_step("unicycle", UnicycleState(0, 0, 0, 0, 0), (True, 0.0), 0.01),
     ], ids=[
         "filter-bounds-row-of-3", "filter-bounds-flat", "filter-bounds-one-row",
         "obstacle-segment-of-1", "obstacle-segments-int", "path-waypoint-of-1", "path-int",
         "path-closed-string", "path-closed-int", "controller-stanley-path-tuple",
         "controller-p-path-list", "controller-v_des_vec-of-1", "controller-v_des_vec-scalar",
-        "integrate-string-input", "integrate-short-input", "integrate-none-input",
+        "integrate-string-input", "integrate-short-input", "integrate-none-input", "integrate-bool-input",
     ])
     def test_rejected_with_validation_error(self, build):
         with pytest.raises(ValidationError):
@@ -424,8 +427,9 @@ class TestIntegrateStep:
 
     # a dt that is not a finite number > 0 is refused by name, whatever its
     # type, before the step runs
-    @pytest.mark.parametrize("dt", ["a", None, math.nan, math.inf, -math.inf, -0.01, 0.0, 10**400],
-                             ids=["string", "none", "nan", "inf", "neg-inf", "negative", "zero", "int-beyond-doubles"])
+    @pytest.mark.parametrize("dt", ["a", None, math.nan, math.inf, -math.inf, -0.01, 0.0, 10**400, True],
+                             ids=["string", "none", "nan", "inf", "neg-inf", "negative", "zero", "int-beyond-doubles",
+                                  "bool"])
     @pytest.mark.parametrize("model", list(MISMATCH_STATES))
     def test_dt_not_a_finite_number_above_zero(self, model, dt):
         with pytest.raises(ValidationError, match=r"^dt must be a finite number > 0, got "):
