@@ -102,8 +102,7 @@ def activation_gate(dist: float, cfg: FilterConfig) -> bool:
 
     A distance that is not a number >= 0 (NaN, negative, a string, a bool)
     raises ValidationError: gating it out would drop the obstacle from the
-    filter.
-    So does a `cfg` that is not a FilterConfig.
+    filter. So does a `cfg` that is not a FilterConfig.
     """
     try:
         if dist.__class__ is not bool and dist >= 0:
