@@ -21,11 +21,7 @@ from .cbf import (
 from .controllers import (
     ControllerSpec,
     ReferencePath,
-    p_controller,
-    p_speed_bicycle,
-    p_velocity,
     reference_input,
-    stanley_lateral,
 )
 from .engine import (
     SafetyMetrics,
@@ -77,9 +73,6 @@ __all__ = [
     "integrate_step",
     "kernel_backend",
     "load_scenario",
-    "p_controller",
-    "p_speed_bicycle",
-    "p_velocity",
     "parse_scenario",
     "reference_input",
     "run_scenario",
@@ -87,5 +80,4 @@ __all__ = [
     "save_scenario",
     "scenario_to_dict",
     "slip_from_steering",
-    "stanley_lateral",
 ]

@@ -3,8 +3,9 @@
 These only need to produce plausible (possibly collision-course)
 references: a proportional speed/yaw law for the unicycle, a P speed
 law plus a Stanley-style lateral tracker for the bicycle, and a
-velocity-tracking law for the point mass. `reference_input` picks the
-model's law and applies the controller's `a_max`.
+velocity-tracking law for the point mass. `reference_input`, the laws'
+one caller and the entry point that checks inputs, picks the model's law
+and applies the controller's `a_max`.
 """
 
 from dataclasses import dataclass
@@ -152,25 +153,21 @@ def stanley_lateral(
     Heading error plus arctan(k_e * e / max(v, floor)), where e is the
     cross-track error signed positive when the vehicle sits left of the
     path; the steering angle is mapped through the slip relation and
-    clamped to beta_max. Positive beta turns left. A state, path or
-    params without the fields raises ValidationError.
+    clamped to beta_max. Positive beta turns left.
     """
-    try:
-        (px, py), (tx, ty), heading, d = _nearest_on_path(path, s.x, s.y)
-        # left of the path <=> tangent x offset cross product positive
-        ox = s.x - px
-        oy = s.y - py
-        e = d if (tx * oy - ty * ox) > 0 else -d
-        heading_err = kernel.wrap_angle(heading - s.theta)
-        delta = heading_err - atan2(k_e * e, max(s.v, V_FLOOR))
-        delta = min(max(delta, -DELTA_MAX), DELTA_MAX)
-        # read first, so that params without the fields fail here, not in
-        # slip_from_steering under its name
-        beta_max = p.beta_max
-        beta = slip_from_steering(delta, p)
-        return min(max(beta, -beta_max), beta_max)
-    except AttributeError as exc:
-        raise _unfit_inputs("stanley_lateral", "bicycle", s, exc) from exc
+    (px, py), (tx, ty), heading, d = _nearest_on_path(path, s.x, s.y)
+    # left of the path <=> tangent x offset cross product positive
+    ox = s.x - px
+    oy = s.y - py
+    e = d if (tx * oy - ty * ox) > 0 else -d
+    heading_err = kernel.wrap_angle(heading - s.theta)
+    delta = heading_err - atan2(k_e * e, max(s.v, V_FLOOR))
+    delta = min(max(delta, -DELTA_MAX), DELTA_MAX)
+    # read first: params without the fields fail here, which reference_input
+    # reports under its name, not in slip_from_steering under its own
+    beta_max = p.beta_max
+    beta = slip_from_steering(delta, p)
+    return min(max(beta, -beta_max), beta_max)
 
 
 def reference_input(c: ControllerSpec, model: str, s, p: ModelParams = None):

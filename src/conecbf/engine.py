@@ -247,6 +247,8 @@ def classify_behavior(log: TrajectoryLog):
     overtaking -- a moving obstacle's along-track position relative to
                   the vehicle flips from ahead to behind
     """
+    if not isinstance(log, TrajectoryLog):
+        raise ValidationError(f"classify_behavior needs a TrajectoryLog, got {type(log).__name__}")
     if not log.t:
         return ()
     labels = []
@@ -296,6 +298,8 @@ class SafetyMetrics:
 
 def safety_metrics(log: TrajectoryLog) -> SafetyMetrics:
     """Clearance, barrier, and filter-effort summary of a completed log."""
+    if not isinstance(log, TrajectoryLog):
+        raise ValidationError(f"safety_metrics needs a TrajectoryLog, got {type(log).__name__}")
     sc = log.scenario
     if sc.obstacles and log.t:
         # min(d) - r is min(d - r) bit for bit: rounding keeps the order

@@ -258,7 +258,8 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
     Raises ValidationError when `s` is not exactly a STATE_TYPES[model],
     when dt is not a finite number > 0, when `u` is not a pair of numbers,
     when a bicycle step has no params to read l_r and beta_max from, or
-    when the result is non-finite. A bool is not a number to any of them.
+    when the result is non-finite. Neither a bool nor an int beyond the
+    doubles is a number to them.
     """
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("integrate_step", model, s)
@@ -291,7 +292,7 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
             s = replace(s, v=p.v_max if s.v > 0 else -p.v_max)
     except AttributeError as exc:
         raise _unfit_inputs("integrate_step", model, s, exc) from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValidationError(f"input u must be a pair of numbers, got {u!r}") from exc
     except ValueError as exc:
         # cos of a stage heading that overflowed to infinity

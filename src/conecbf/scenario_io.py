@@ -208,8 +208,11 @@ def scenario_to_dict(sc: Scenario) -> dict:
     unless sc sets a field its run never reads; such a field is dropped and
     comes back at its default: hocbf_gamma1 unless cbf is 'hocbf', every
     controller field but kind for a 'zero' controller, and k_e and the path
-    unless it is 'stanley'.
+    unless it is 'stanley'. An `sc` that is not a Scenario raises
+    ValidationError, so save_scenario refuses it before it opens the file.
     """
+    if not isinstance(sc, Scenario):
+        raise ValidationError(f"scenario_to_dict needs a Scenario, got {type(sc).__name__}")
     doc = _fields_doc(sc, skip=() if sc.cbf == "hocbf" else ("hocbf_gamma1",))
     c = sc.controller
     if c.kind == "zero":

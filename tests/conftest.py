@@ -8,15 +8,8 @@ themselves.
 """
 
 import numpy as np
-import pytest
 
 from conecbf._backend import kernel
-
-
-@pytest.fixture(params=[kernel], ids=[kernel.backend_name])
-def kern(request):
-    """The kernel module under test; its backend name tags the test id."""
-    return request.param
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +186,21 @@ def sample_case(rng, model, min_margin=0.3):
             return np.array(z), u, obs_vel, params, (c1, c2, r)
 
 
-def kernel_c3bf(kern, model, z, obs_vel, params, r):
+def kernel_c3bf(model, z, obs_vel, params, r):
     """Call the per-model cone kernel on an extended-state vector.
 
     Returns the record flattened to (h, lfh, lg0, lg1, dist, penetration).
     """
     if model == "unicycle":
-        e = kern.c3bf_unicycle(
+        e = kernel.c3bf_unicycle(
             z[0], z[1], z[2], z[3], z[4], params["l"], z[5], z[6], obs_vel[0], obs_vel[1], r
         )
     elif model == "bicycle":
-        e = kern.c3bf_bicycle(
+        e = kernel.c3bf_bicycle(
             z[0], z[1], z[2], z[3], params["l_r"], z[4], z[5], obs_vel[0], obs_vel[1], r
         )
     else:
-        e = kern.c3bf_pointmass(
+        e = kernel.c3bf_pointmass(
             z[0], z[1], z[2], z[3], z[4], z[5], obs_vel[0], obs_vel[1], r
         )
     return e.h, e.lfh, *e.lgh, e.dist, e.penetration

@@ -32,7 +32,6 @@ from conecbf import (
     run_scenario,
     safety_metrics,
 )
-from conecbf._backend import kernel
 from conecbf.scenario_io import write_trajectory_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -64,7 +63,7 @@ def test_criterion_01_lie_derivative_oracle():
     for model in MODELS:
         for _ in range(n_per_model):
             z, u, obs_vel, params, (c1, c2, r) = sample_case(rng, model)
-            h, lfh, lg0, lg1, dist, pen = kernel_c3bf(kernel, model, z, obs_vel, params, r)
+            h, lfh, lg0, lg1, dist, pen = kernel_c3bf(model, z, obs_vel, params, r)
             hdot_fd = fd_hdot(
                 lambda zz: cone_h_of_ext(model, zz, obs_vel, params, r),
                 model, z, u, obs_vel, params, eps=1e-5,

@@ -3,10 +3,11 @@
 import copy
 import hashlib
 import math
+import os
 import pickle
 import re
+import subprocess
 import sys
-import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
@@ -35,9 +36,9 @@ from conecbf import (
     reference_input,
     run_scenario,
     safety_metrics,
-    stanley_lateral,
 )
 import conecbf.engine as engine
+from conecbf.controllers import stanley_lateral
 from conecbf.engine import MAX_STEPS, ControllerSpec
 from conecbf.scenario_io import parse_scenario, scenario_to_dict, summarize, write_trajectory_csv
 
@@ -70,18 +71,11 @@ class TestObstacleMotion:
         assert o.state_at(5.0) == (2.0, 2.0, 0.0, 0.0)
 
     def test_segment_validation(self):
-        with pytest.raises(ValidationError):
-            Obstacle(0, 0, segments=((2.0, 0, 0), (2.0, 1, 0)))
-        with pytest.raises(ValidationError):
-            Obstacle(0, 0, segments=((-1.0, 0, 0),))
         # one pass checks each start against the previous one, from 0.0
-        for segments in (((0.0, 1, 0),), ((-0.0, 1, 0),), ((2.0, 1, 0), (1.0, 0, 0)),
-                         ((1.0, 1, 0), (3.0, 0, 0), (2.0, 0, 1))):
+        for segments in (((0.0, 1, 0),), ((-0.0, 1, 0),), ((-1.0, 0, 0),), ((2.0, 0, 0), (2.0, 1, 0)),
+                         ((2.0, 1, 0), (1.0, 0, 0)), ((1.0, 1, 0), (3.0, 0, 0), (2.0, 0, 1))):
             with pytest.raises(ValidationError, match="strictly increasing"):
                 Obstacle(0, 0, segments=segments)
-        for axes in ({"c1": 0.0}, {"c2": -1.0}):
-            with pytest.raises(ValidationError, match="semi-axes"):
-                Obstacle(0, 0, **axes)
 
     def test_moves_flag(self):
         assert not Obstacle(1, 1).moves()
@@ -150,30 +144,41 @@ class TestSlottedObstacle:
     def test_moves_reads_the_fields_and_segments(self, o, moves):
         assert o.moves() is moves
 
+    # measured in a fresh interpreter: in a long session, free lists that
+    # earlier tests filled serve some of the objects untraced
+    FOOTPRINT = """
+import sys, tracemalloc
+from conecbf import Obstacle
+n = 1000
+still = [(float(i), -float(i), 0.5, 0.25, 0.5, 0.75) for i in range(n)]
+segmented = [(*args, ((1.5, 0.0, 1.0), (3.0, -1.0, 0.0))) for args in still]
+for inputs in (still, segmented):
+    [Obstacle(*args) for args in inputs[:5]]
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    obstacles = [Obstacle(*args) for args in inputs]
+    grown = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    o = obstacles[0]
+    held = sys.getsizeof(o)
+    if o._anchors:
+        # the frozen copy of the segments (a new tuple of the caller's rows),
+        # and the tuple of anchors, each with its new x and y
+        held += sys.getsizeof(o.segments) + sys.getsizeof(o._anchors)
+        held += sum(sys.getsizeof(a) + 2 * sys.getsizeof(0.5) for a in o._anchors)
+    print(grown, n * held + sys.getsizeof(obstacles) + 1024)
+"""
+
     def test_footprint_is_the_object_alone(self):
         # 1,000 obstacles without segments allocate the objects and nothing
         # else beyond their inputs and the list that keeps them (with 1 KiB
         # for the interpreter's own bookkeeping): a derived table per
         # obstacle would show here; a segmented obstacle adds its anchors
-        n = 1000
-        still = [(float(i), -float(i), 0.5, 0.25, 0.5, 0.75) for i in range(n)]
-        segmented = [(*args, self.SEGMENTED.segments) for args in still]
-        for inputs in (still, segmented):
-            [Obstacle(*args) for args in inputs[:5]]
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                obstacles = [Obstacle(*args) for args in inputs]
-                grown = tracemalloc.get_traced_memory()[0] - before
-            finally:
-                tracemalloc.stop()
-            o = obstacles[0]
-            held = sys.getsizeof(o)
-            if o._anchors:
-                # the tuple of anchors, each with its new x and y
-                held += sys.getsizeof(o._anchors)
-                held += sum(sys.getsizeof(a) + 2 * sys.getsizeof(0.5) for a in o._anchors)
-            assert grown <= n * held + sys.getsizeof(obstacles) + 1024
+        env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).resolve().parent.parent)}
+        run = subprocess.run([sys.executable, "-c", self.FOOTPRINT], env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        measured = [tuple(map(int, line.split())) for line in run.stdout.splitlines()]
+        assert len(measured) == 2 and all(grown <= bound for grown, bound in measured), measured
 
     def test_replace_builds_the_motion_anew(self):
         o = replace(self.STILL, vx=1.0)
@@ -199,29 +204,6 @@ class TestSlottedObstacle:
 
 
 class TestRunScenario:
-    # a wrong-typed argument raises ValidationError naming what it needs,
-    # not a bare AttributeError
-    @pytest.mark.parametrize("call,match", [
-        (lambda: effective_radius((1, 2), ModelParams()), "^effective_radius needs .*'c1'"),
-        (lambda: effective_radius(Obstacle(1, 2), None), "^effective_radius needs .*'w'"),
-        (lambda: run_scenario(None), "^run_scenario needs a Scenario, got NoneType$"),
-        (lambda: run_scenario(scenario_to_dict(simple_scenario())), "^run_scenario needs a Scenario, got dict$"),
-        # a Scenario holds each part as exactly its type, and a name that
-        # its own document can carry
-        (lambda: replace(simple_scenario(), controller=None), "^Scenario.controller: expected a ControllerSpec, got None$"),
-        (lambda: replace(simple_scenario(), filter=None), "^Scenario.filter: expected a FilterConfig, got None$"),
-        (lambda: replace(simple_scenario(), obstacles=None), "^Scenario.obstacles: expected a tuple of Obstacle, got None$"),
-        (lambda: replace(simple_scenario(), obstacles=((8, 0),)), "^Scenario.obstacles: expected a tuple of Obstacle"),
-        (lambda: replace(simple_scenario(), params=None, obstacles=()), "^Scenario.params: expected a ModelParams, got None$"),
-        (lambda: replace(simple_scenario(), name=5), "^Scenario.name: expected a string .*, got 5$"),
-    ], ids=[
-        "radius-tuple-obstacle", "radius-no-params", "run-none", "run-document", "scenario-controller-none",
-        "scenario-filter-none", "scenario-obstacles-none", "scenario-obstacle-tuple", "scenario-params-none",
-        "scenario-name-number",
-    ])
-    def test_wrong_typed_argument(self, call, match):
-        with pytest.raises(ValidationError, match=match):
-            call()
 
     def test_record_count_and_time_grid(self):
         sc = simple_scenario(duration=2.5, dt=0.01)
@@ -339,74 +321,20 @@ class TestRunScenario:
         assert log.dist[first_active - 1][0] > 7.0 >= log.dist[first_active][0]
 
     def test_validation_errors(self):
-        with pytest.raises(ValidationError):
-            simple_scenario(dt=-0.1)
-        with pytest.raises(ValidationError):
-            simple_scenario(duration=0.0)
-        with pytest.raises(ValidationError):
-            simple_scenario(cbf="nope")
-        with pytest.raises(ValidationError):
-            simple_scenario(initial_state=BicycleState(0, 0, 0, 0))
-        with pytest.raises(ValidationError, match="unknown model kind 'tank'"):
-            simple_scenario(model="tank")
+        # the rules across fields; tests/test_contract.py holds each field's own
         stanley = ControllerSpec(kind="stanley", path=ReferencePath(((0.0, 0.0), (1.0, 0.0))))
         with pytest.raises(ValidationError, match="bicycle-only"):
             simple_scenario(controller=stanley)
-        with pytest.raises(ValidationError):
-            # activation radius inside the effective radius
+        with pytest.raises(ValidationError, match="^activation_radius 2.0 must exceed effective radius 2.3"):
             simple_scenario(
                 obstacles=(Obstacle(5, 0, c1=2.0, c2=2.0),),
                 filter=FilterConfig(gamma=1.0, activation_radius=2.0),
             )
-        with pytest.raises(ValidationError):
-            # hocbf + moving obstacle + bicycle is invalid by construction
-            Scenario(
-                name="x", model="bicycle",
-                params=ModelParams(beta_max=0.2),
-                initial_state=BicycleState(0, 0, 0, 1),
-                obstacles=(Obstacle(5, 0, vx=-1.0),),
-                controller=ControllerSpec(kind="p", k1=1.0, v_des=1.0),
-                filter=FilterConfig(gamma=1.0),
-                dt=0.01, duration=1.0, cbf="hocbf",
-            )
-
-    @pytest.mark.parametrize("field,value", [
-        ("dt", float("nan")),
-        ("duration", float("nan")),
-        ("duration", float("inf")),
-        ("hocbf_gamma1", float("nan")),
-        ("hocbf_gamma1", float("inf")),
-        ("hocbf_gamma1", 0.0),
-        ("hocbf_gamma1", -1.0),
-        ("dt", "0.01"),
-        ("hocbf_gamma1", "1"),
-    ])
-    def test_rejects_bad_numbers(self, field, value):
-        with pytest.raises(ValidationError, match=field):
-            simple_scenario(**{field: value})
 
     def test_step_count_capped(self):
         assert simple_scenario(dt=0.5, duration=0.5 * MAX_STEPS).n_steps == MAX_STEPS
         with pytest.raises(ValidationError, match="MAX_STEPS"):
             simple_scenario(dt=0.5, duration=0.5 * (MAX_STEPS + 1))
-
-    @pytest.mark.parametrize("gains", [
-        {"k1": 0.0},
-        {"k1": float("nan")},
-        {"k2": -1.0},
-        {"a_max": -1.0},
-        {"a_max": 0.0},
-        {"a_max": float("nan")},
-        {"a_max": float("inf")},
-        {"v_des": float("nan")},
-        {"v_des": float("inf")},
-        {"k_e": float("nan")},
-        {"v_des_vec": (float("nan"), 0.0)},
-        {"v_des_vec": (0.0, float("-inf"))},
-    ])
-    def test_controller_gains_checked_when_built(self, gains):
-        with pytest.raises(ValidationError):
-            ControllerSpec(kind="p", **gains)
 
     def test_infeasible_steps_logged_under_tight_bounds(self):
         # a box too small for the required correction loses the

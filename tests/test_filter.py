@@ -18,7 +18,6 @@ from conecbf import (
     c3bf_eval,
     filter_qp,
     filter_single,
-    reference_input,
 )
 from conecbf._backend import kernel
 
@@ -486,16 +485,6 @@ class TestActivationGate:
     def test_infinite_radius_always_active(self):
         assert activation_gate(1e12, FilterConfig(gamma=1.0))
 
-    def test_rejects_negative_distance(self):
-        with pytest.raises(ValidationError):
-            activation_gate(-1.0, self.CFG10)
-
-    @pytest.mark.parametrize("dist", [math.nan, -1e-300, -math.inf, "3.0", None, 1j, True])
-    def test_rejects_distance_not_a_number_at_least_zero(self, dist):
-        # gating such a distance out would drop its obstacle from the filter
-        with pytest.raises(ValidationError):
-            activation_gate(dist, FilterConfig(gamma=1.0))
-
 
 class TestFiltersGate:
     # the filters apply the activation radius themselves: an evaluation
@@ -528,14 +517,6 @@ class TestFiltersGate:
                     filter_single((0.5, 0.0), near, self.CFG5)):
             assert getattr(res, flag)
 
-    @pytest.mark.parametrize("dist", [math.nan, -1.0, "3.0", None])
-    def test_bad_distance_raises(self, dist):
-        e = ev(1.0, 0.0, (1.0, 0.0), dist=dist)
-        with pytest.raises(ValidationError):
-            filter_qp((0.0, 0.0), [ev(1.0, 0.0, (0.0, 1.0)), e], CFG)
-        with pytest.raises(ValidationError):
-            filter_single((0.0, 0.0), e, CFG)
-
     def test_filter_single_passes_through_beyond_radius(self):
         e = ev(-0.5, -1.0, (1.0, 0.2), dist=7.0)
         res = filter_single((0.2, 0.1), e, self.CFG5)
@@ -554,26 +535,6 @@ class TestFiltersGate:
         # a box of infinite bounds has no row and is accepted
         inf_box = FilterConfig(input_bounds=((-math.inf, math.inf), (-math.inf, math.inf)))
         assert filter_single((0.0, 0.0), e, inf_box) == filter_single((0.0, 0.0), e, CFG)
-
-    @pytest.mark.parametrize("record", ["x", None, (1.0, 0.0)])
-    def test_non_record_evaluation_raises(self, record):
-        with pytest.raises(ValidationError):
-            filter_qp((0.0, 0.0), [record], FilterConfig())
-        with pytest.raises(ValidationError):
-            filter_single((0.0, 0.0), record, FilterConfig())
-
-
-class TestFilterConfig:
-    @pytest.mark.parametrize("field", ["gamma", "activation_radius", "regularization_eps"])
-    @pytest.mark.parametrize("value", [float("nan"), 0.0])
-    def test_rejects_nan_and_non_positive(self, field, value):
-        with pytest.raises(ValidationError, match=field):
-            FilterConfig(**{field: value})
-
-    @pytest.mark.parametrize("field", ["gamma", "regularization_eps"])
-    def test_rejects_infinite(self, field):
-        with pytest.raises(ValidationError, match=field):
-            FilterConfig(**{field: float("inf")})
 
 
 def spy_solve_qp2(monkeypatch):
@@ -740,21 +701,8 @@ class TestKernelLookup:
 
 
 class TestInputPairChecked:
-    # a u_ref that is not a pair of numbers raises ValidationError, not
-    # ValueError/TypeError, and is never accepted or truncated
+    # a u_ref may be any sequence pair; tests/test_contract.py refuses the rest
     EVALS = [ev(-0.5, -1.0, (1.0, 0.2)), ev(1.0, 0.0, (0.0, 1.0))]
-
-    def test_filter_qp_rejects_three_inputs(self):
-        with pytest.raises(ValidationError):
-            filter_qp((0, 0, 0), self.EVALS, CFG)
-
-    def test_filter_qp_rejects_string_input(self):
-        with pytest.raises(ValidationError):
-            filter_qp("ab", self.EVALS, CFG)
-
-    def test_filter_single_rejects_three_inputs(self):
-        with pytest.raises(ValidationError):
-            filter_single((0, 0, 0), self.EVALS[0], CFG)
 
     def test_pairs_of_any_sequence_type_accepted(self):
         assert filter_qp([2.0, 1.0], self.EVALS, CFG) == filter_qp((2.0, 1.0), self.EVALS, CFG)
@@ -765,41 +713,6 @@ class TestInputPairChecked:
     def test_nothing_binding_gives_empty_active_set(self):
         res = filter_qp((2.0, 1.0), [ev(1.0, 0.0, (0.0, 1.0))], FilterConfig(input_bounds=((-5, 5), (-5, 5))))
         assert res.active_set == () and res.u_star == (2.0, 1.0)
-
-    BOX = FilterConfig(input_bounds=((-1.0, 1.0), (-1.0, 1.0)))
-    NOT_FINITE = ["ab", (math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0), ("a", 0.0),
-                  (None, 0.0), (1j, 0.0), (10**400, 0.0), (True, False), (0.0, True)]
-
-    @pytest.mark.parametrize("u_ref", NOT_FINITE)
-    @pytest.mark.parametrize("with_evals", [False, True])
-    @pytest.mark.parametrize("with_box", [False, True])
-    def test_filter_qp_rejects_u_ref_not_finite_pair(self, u_ref, with_evals, with_box):
-        evals = self.EVALS if with_evals else []
-        with pytest.raises(ValidationError):
-            filter_qp(u_ref, evals, self.BOX if with_box else CFG)
-
-    @pytest.mark.parametrize("u_ref", NOT_FINITE)
-    def test_filter_single_rejects_u_ref_not_finite_pair(self, u_ref):
-        with pytest.raises(ValidationError):
-            filter_single(u_ref, self.EVALS[0], CFG)
-
-    # a controller or config of the wrong type at the tick's entry points
-    # raises ValidationError naming what it needs, not a bare AttributeError
-    @pytest.mark.parametrize("call,match", [
-        (lambda: reference_input((1, 2), "unicycle", UnicycleState(0, 0, 0, 1, 0)),
-         "^reference_input: inputs do not fit the unicycle model: .*'kind'"),
-        (lambda: reference_input(None, "unicycle", UnicycleState(0, 0, 0, 1, 0)),
-         "^reference_input: inputs do not fit the unicycle model: .*'kind'"),
-        (lambda: filter_qp((0, 0), TestInputPairChecked.EVALS, None), "^filter_qp needs .*FilterConfig: .*'gamma'"),
-        (lambda: filter_qp((0, 0), [], (1.0,)), "^filter_qp needs .*FilterConfig: .*'gamma'"),
-        (lambda: filter_single((0, 0), TestInputPairChecked.EVALS[0], None),
-         "^filter_single needs .*FilterConfig: .*'gamma'"),
-        (lambda: activation_gate(1.0, None), "^activation_gate needs a FilterConfig: .*'activation_radius'"),
-    ], ids=["reference-tuple-controller", "reference-none-controller", "filter_qp-none", "filter_qp-tuple",
-            "filter_single-none", "activation_gate-none"])
-    def test_wrong_typed_controller_or_config(self, call, match):
-        with pytest.raises(ValidationError, match=match):
-            call()
 
     def test_no_rows_pass_u_ref_through(self):
         # with no row to solve (none given, or each degenerate) u_ref comes

@@ -2,7 +2,6 @@
 
 import math
 import random
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -19,14 +18,9 @@ from conecbf import (
     Obstacle,
     PointMassState,
     ReferencePath,
-    Scenario,
     UnicycleState,
     ValidationError,
-    c3bf_eval,
-    ellipse_cbf_eval,
-    hocbf_eval,
     integrate_step,
-    reference_input,
     slip_from_steering,
 )
 from conecbf._backend import kernel
@@ -53,17 +47,6 @@ class TestUnicycleDerivative:
             "unicycle", UnicycleState(3, -2, math.pi / 4, math.sqrt(2), 0), (0, 0)
         )
         assert d == pytest.approx((1, 1, 0, 0, 0), abs=1e-15)
-
-    def test_rejects_non_finite(self):
-        nan = float("nan")
-        with pytest.raises(ValidationError):
-            integrate_step("unicycle", UnicycleState(0, 0, 0, 1, 0), (nan, 0), 0.01)
-        with pytest.raises(ValidationError):
-            integrate_step("bicycle", BicycleState(0, 0, 0, 1), (0, nan), 0.01, ModelParams())
-        with pytest.raises(ValidationError):
-            integrate_step("pointmass", PointMassState(0, 0, 0, 0), (0, nan), 0.01)
-        with pytest.raises(ValidationError):
-            UnicycleState(0, 0, 0, float("inf"), 0)
 
 
 class TestBicycleDerivative:
@@ -126,125 +109,9 @@ class TestSlipFromSteering:
                 assert b1 < b2
 
 
-    @pytest.mark.parametrize("delta", [math.pi / 2, -math.pi / 2, 2.0, math.nan])
-    def test_rejects_steering_at_least_half_pi(self, delta):
-        with pytest.raises(ValidationError, match="steering angle"):
-            slip_from_steering(delta, ModelParams())
-
-    @pytest.mark.parametrize("delta,p,match", [
-        ("a", ModelParams(), "^steering angle must satisfy .*, got 'a'$"),
-        # abs(1j) < pi/2 holds, but a complex angle is not a real number
-        (1j, ModelParams(), "^steering angle must satisfy .*, got 1j$"),
-        (0.1, None, "^slip_from_steering: inputs do not fit the bicycle model: .*'l_r'"),
-        # a bool is an int to the comparison, but no angle
-        (True, ModelParams(), "^steering angle must satisfy .*, got True$"),
-    ], ids=["str", "complex", "params-none", "bool"])
-    def test_rejects_steering_angle_not_a_number(self, delta, p, match):
-        with pytest.raises(ValidationError, match=match):
-            slip_from_steering(delta, p)
-
-
-class TestModelParams:
-    @pytest.mark.parametrize("field,value,match", [
-        ("l", -0.1, "body-center offset l must be >= 0"),
-        ("l_f", 0.0, "axle distances"),
-        ("l_r", -1.0, "axle distances"),
-        ("w", -0.5, "vehicle width must be >= 0"),
-    ])
-    def test_rejects_negative_geometry(self, field, value, match):
-        with pytest.raises(ValidationError, match=match):
-            ModelParams(**{field: value})
-
-    @pytest.mark.parametrize("beta_max", [math.pi / 2, 0.0])
-    def test_rejects_beta_max_outside_open_quarter_turn(self, beta_max):
-        with pytest.raises(ValidationError, match="beta_max"):
-            ModelParams(beta_max=beta_max)
-
-    @pytest.mark.parametrize("v_max", [-1.0, 0.0, math.nan])
-    def test_rejects_bad_v_max(self, v_max):
-        with pytest.raises(ValidationError, match="v_max"):
-            ModelParams(v_max=v_max)
-
-    def test_unbounded_v_max_allowed(self):
-        assert ModelParams(v_max=math.inf).v_max == math.inf
-
-
-class TestNumberChecks:
-    # every API constructor refuses a string or a non-finite number with
-    # ValidationError, through the one shared check
-    @pytest.mark.parametrize("build", [
-        lambda: ControllerSpec(k_e="x"),
-        lambda: ControllerSpec(v_des="x"),
-        lambda: ControllerSpec(a_max="1"),
-        lambda: ControllerSpec(k1="x"),
-        lambda: ModelParams(l="x"),
-        lambda: ModelParams(v_max="1"),
-        lambda: FilterConfig(gamma="1"),
-        lambda: FilterConfig(activation_radius="1"),
-        lambda: FilterConfig(input_bounds=((-1.0, "1"), (-1.0, 1.0))),
-        lambda: Obstacle("1", 0),
-        lambda: Obstacle(0, 0, segments=((1.0, "1", 0.0),)),
-        lambda: UnicycleState("0", 0, 0, 0, 0),
-        lambda: ReferencePath(((0, 0), ("1", 1))),
-        lambda: ReferencePath(((0, 0), (math.nan, 1))),
-        lambda: hocbf_eval("pointmass", PointMassState(0, 0, 0, 0), Obstacle(5, 0), math.nan),
-        lambda: hocbf_eval("pointmass", PointMassState(0, 0, 0, 0), Obstacle(5, 0), math.inf),
-        # a bool is no number: a document cannot hold one where it takes a number
-        lambda: FilterConfig(gamma=True),
-        lambda: Obstacle(True, 0),
-        lambda: ModelParams(w=False),
-        lambda: UnicycleState(0, 0, 0, True, 0),
-        lambda: Scenario(name="b", model="pointmass", params=ModelParams(),
-                         initial_state=PointMassState(0, 0, 0, 0), obstacles=(),
-                         controller=ControllerSpec(), filter=FilterConfig(), dt=True),
-        lambda: FilterConfig(input_bounds=((-1.0, True), (-1.0, 1.0))),
-        lambda: ReferencePath(((0, 0), (False, 1))),
-        lambda: hocbf_eval("pointmass", PointMassState(0, 0, 0, 0), Obstacle(5, 0), True),
-    ], ids=[
-        "controller-k_e", "controller-v_des", "controller-a_max", "controller-k1",
-        "params-l", "params-v_max", "filter-gamma", "filter-activation_radius",
-        "filter-input_bounds", "obstacle-cx", "obstacle-segment", "state-x",
-        "path-string", "path-nan", "hocbf-gamma1-nan", "hocbf-gamma1-inf",
-        "filter-gamma-bool", "obstacle-cx-bool", "params-w-bool", "state-v-bool",
-        "scenario-dt-bool", "filter-input_bounds-bool", "path-bool", "hocbf-gamma1-bool",
-    ])
-    def test_rejected_with_validation_error(self, build):
-        with pytest.raises(ValidationError):
-            build()
-
-
 class TestShapeChecks:
-    # tuple-valued API fields and inputs of the wrong length or shape raise
-    # ValidationError, not ValueError/TypeError, and are never accepted
-    @pytest.mark.parametrize("build", [
-        lambda: FilterConfig(input_bounds=((0, 1, 2), (0, 1))),
-        lambda: FilterConfig(input_bounds=(1, 2)),
-        lambda: FilterConfig(input_bounds=((0, 1),)),
-        lambda: Obstacle(0, 0, segments=((1.0,),)),
-        lambda: Obstacle(0, 0, segments=5),
-        lambda: ReferencePath(((0, 0), (1,))),
-        lambda: ReferencePath(7),
-        lambda: ReferencePath(((0, 0), (1, 0)), closed="no"),
-        lambda: ReferencePath(((0, 0), (1, 0)), closed=1),
-        lambda: ControllerSpec(kind="stanley", path=((0, 0), (1, 0))),
-        lambda: ControllerSpec(path=[[0, 0], [1, 0]]),
-        lambda: ControllerSpec(v_des_vec=(1.0,)),
-        lambda: ControllerSpec(v_des_vec=1.0),
-        lambda: integrate_step("unicycle", UnicycleState(0, 0, 0, 0, 0), ("a", 0), 0.1),
-        lambda: integrate_step("pointmass", PointMassState(0, 0, 0, 0), (1.0,), 0.1),
-        lambda: integrate_step("bicycle", BicycleState(0, 0, 0, 1), None, 0.1, ModelParams()),
-        lambda: integrate_step("unicycle", UnicycleState(0, 0, 0, 0, 0), (True, 0.0), 0.01),
-    ], ids=[
-        "filter-bounds-row-of-3", "filter-bounds-flat", "filter-bounds-one-row",
-        "obstacle-segment-of-1", "obstacle-segments-int", "path-waypoint-of-1", "path-int",
-        "path-closed-string", "path-closed-int", "controller-stanley-path-tuple",
-        "controller-p-path-list", "controller-v_des_vec-of-1", "controller-v_des_vec-scalar",
-        "integrate-string-input", "integrate-short-input", "integrate-none-input", "integrate-bool-input",
-    ])
-    def test_rejected_with_validation_error(self, build):
-        with pytest.raises(ValidationError):
-            build()
-
+    # a tuple-valued field takes any sequence of the right shape and keeps
+    # a frozen copy of it; tests/test_contract.py refuses the wrong shapes
     def test_well_shaped_values_accepted(self):
         assert FilterConfig(input_bounds=[[-1, 1], [-math.inf, 2]]).input_bounds == ((-1, 1), (-math.inf, 2))
         assert Obstacle(0, 0, segments=[(1.0, 0.5, 0.0)]).moves()
@@ -285,107 +152,6 @@ class TestShapeChecks:
         assert cfg.input_bounds == ((-1.0, 1.0), (-2.0, 2.0)) and type(cfg.input_bounds[0]) is tuple
 
 
-MISMATCH_STATES = {
-    "unicycle": UnicycleState(0, 0, 0, 1, 0.5),
-    "bicycle": BicycleState(0, 0, 0, 1),
-    "pointmass": PointMassState(0, 0, 1, 0.5),
-}
-# the six entry points that take a state of a named model, on (model, s, o, p)
-MISMATCH_CALLS = {
-    "integrate_step": lambda model, s, o, p: integrate_step(model, s, (0.1, 0.05), 0.01, p),
-    "reference_input": lambda model, s, o, p: reference_input(
-        ControllerSpec(k1=1.0, k2=0.5, v_des=1.0), model, s, p),
-    "c3bf_eval": lambda model, s, o, p: c3bf_eval(model, s, o, p),
-    "ellipse_cbf_eval": lambda model, s, o, p: ellipse_cbf_eval(model, s, o),
-    "hocbf_eval": lambda model, s, o, p: hocbf_eval(model, s, o, 1.0, p),
-    "Scenario": lambda model, s, o, p: Scenario(
-        name="mismatch", model=model, params=p, initial_state=s, obstacles=(o,),
-        controller=ControllerSpec(v_des=1.0), filter=FilterConfig()),
-}
-# a named tuple with a state type's name and fields: it reads like the state
-# but was never checked or wrapped by it
-LOOK_ALIKES = {model: namedtuple(type(s).__name__, type(s).__slots__) for model, s in MISMATCH_STATES.items()}
-# a slotted subclass of each state type, checked and wrapped when built
-SUBCLASSES = {model: type(type(s).__name__, (type(s),), {"__slots__": ()}) for model, s in MISMATCH_STATES.items()}
-
-
-def _foreign_state_cases():
-    nan = float("nan")
-    for name in MISMATCH_CALLS:
-        for model, own in MISMATCH_STATES.items():
-            values = own.as_tuple()
-            like = LOOK_ALIKES[model]
-            yield pytest.param(name, model, like(*values), id=f"{name}-{model}-look-alike")
-            yield pytest.param(name, model, like(nan, *values[1:]), id=f"{name}-{model}-look-alike-nan")
-            if model != "pointmass":
-                heading = like(*values[:2], 7.0, *values[3:])
-                yield pytest.param(name, model, heading, id=f"{name}-{model}-look-alike-heading-7")
-            yield pytest.param(name, model, SUBCLASSES[model](*values), id=f"{name}-{model}-subclass")
-            yield pytest.param(name, model, values, id=f"{name}-{model}-plain-tuple")
-
-
-def _mismatch_cases():
-    o, p = Obstacle(5.0, 0.5), ModelParams()
-    for name in MISMATCH_CALLS:
-        for model, own in MISMATCH_STATES.items():
-            for other, s in MISMATCH_STATES.items():
-                if other != model:
-                    yield pytest.param(name, model, s, o, p, id=f"{name}-{model}-{other}-state")
-            if name.endswith("_eval"):
-                yield pytest.param(name, model, own, (5.0, 0.5), p, id=f"{name}-{model}-tuple-obstacle")
-            # the bicycle integrator and HOCBF read params the others do without
-            if name == "c3bf_eval" or name in ("integrate_step", "hocbf_eval") and model == "bicycle":
-                yield pytest.param(name, model, own, o, None, id=f"{name}-{model}-no-params")
-            if name == "integrate_step" and model != "pointmass":
-                yield pytest.param(name, model, own, o, (1.0, 2.0), id=f"{name}-{model}-tuple-params")
-
-
-class TestModelMismatch:
-    # a state of another model, a tuple for the obstacle or the params, or no
-    # params raise ValidationError; a state that has every field the model
-    # reads (a unicycle state read as a bicycle one, a bicycle state by the
-    # unicycle's ellipse barrier) used to pass silently, the rest ended in a
-    # bare AttributeError
-    @pytest.mark.parametrize("name,model,s,o,p", _mismatch_cases())
-    def test_rejected_with_validation_error(self, name, model, s, o, p):
-        call = MISMATCH_CALLS[name]
-        call(model, MISMATCH_STATES[model], Obstacle(5.0, 0.5), ModelParams())
-        with pytest.raises(ValidationError, match=f"{name}: .*{model} model"):
-            call(model, s, o, p)
-
-    # each entry point opens with one identity test of the state's type
-    # against STATE_TYPES[model]: a look-alike (a NaN in it, or an unwrapped
-    # heading), a subclass or a plain tuple is refused before any field is read
-    @pytest.mark.parametrize("name,model,s", _foreign_state_cases())
-    def test_only_the_exact_state_type(self, name, model, s):
-        o, p = Obstacle(5.0, 0.5), ModelParams()
-        kind = type(MISMATCH_STATES[model]).__name__
-        with pytest.raises(ValidationError, match=f"^{name}: the {model} model takes a {kind}, got "):
-            MISMATCH_CALLS[name](model, s, o, p)
-
-    # the rule looks up the state's type, never the model value, so a model
-    # that cannot be hashed is an unknown one too
-    @pytest.mark.parametrize("name", MISMATCH_CALLS)
-    def test_unhashable_model_is_unknown(self, name):
-        with pytest.raises(ValidationError, match=r"^unknown model kind \['unicycle'\]$"):
-            MISMATCH_CALLS[name](["unicycle"], MISMATCH_STATES["unicycle"], Obstacle(5.0, 0.5), ModelParams())
-
-    # the zero controller gives (0, 0) on its own model's state and is
-    # refused another, as every other controller is
-    @pytest.mark.parametrize("model,s", [
-        ("bicycle", (1, 2)),
-        ("bicycle", MISMATCH_STATES["unicycle"]),
-        ("unicycle", LOOK_ALIKES["unicycle"](0, 0, 7.0, 1, 0)),
-        ("pointmass", SUBCLASSES["pointmass"](0, 0, 1, 0.5)),
-    ], ids=["tuple", "unicycle-state", "look-alike", "subclass"])
-    def test_zero_controller_checks_the_state(self, model, s):
-        zero = ControllerSpec(kind="zero")
-        assert reference_input(zero, model, MISMATCH_STATES[model]) == (0.0, 0.0)
-        kind = type(MISMATCH_STATES[model]).__name__
-        with pytest.raises(ValidationError, match=f"^reference_input: the {model} model takes a {kind}, got "):
-            reference_input(zero, model, s)
-
-
 class TestIntegrateStep:
     def test_constant_velocity_exact(self):
         s = integrate_step("unicycle", UnicycleState(0, 0, 0, 1, 0), (0, 0), 0.1)
@@ -421,30 +187,8 @@ class TestIntegrateStep:
         s = integrate_step("unicycle", s, (0, 0), 0.2)
         assert -math.pi < s.theta <= math.pi
 
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValidationError):
-            integrate_step("pointmass", PointMassState(0, 0, 0, 0), (0, 0), 0.0)
-
-    # a dt that is not a finite number > 0 is refused by name, whatever its
-    # type, before the step runs
-    @pytest.mark.parametrize("dt", ["a", None, math.nan, math.inf, -math.inf, -0.01, 0.0, 10**400, True],
-                             ids=["string", "none", "nan", "inf", "neg-inf", "negative", "zero", "int-beyond-doubles",
-                                  "bool"])
-    @pytest.mark.parametrize("model", list(MISMATCH_STATES))
-    def test_dt_not_a_finite_number_above_zero(self, model, dt):
-        with pytest.raises(ValidationError, match=r"^dt must be a finite number > 0, got "):
-            integrate_step(model, MISMATCH_STATES[model], (0.0, 0.0), dt, ModelParams())
-
-    def test_bicycle_needs_params(self):
-        with pytest.raises(ValidationError):
-            integrate_step("bicycle", BicycleState(0, 0, 0, 1), (0, 0.1), 0.01)
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValidationError, match="unknown model kind 'tank'"):
-            integrate_step("tank", UnicycleState(0, 0, 0, 1, 0), (0, 0), 0.01)
-
-    def test_kernels_agree(self, kern):
-        out = kern.rk4_unicycle(0.1, -0.2, 0.4, 1.1, 0.3, 0.5, -0.2, 0.01)
+    def test_kernels_agree(self):
+        out = kernel.rk4_unicycle(0.1, -0.2, 0.4, 1.1, 0.3, 0.5, -0.2, 0.01)
         ref = pytest_reference_rk4_unicycle(0.1, -0.2, 0.4, 1.1, 0.3, 0.5, -0.2, 0.01)
         assert out == pytest.approx(ref, abs=1e-14)
 
@@ -570,13 +314,7 @@ class TestRk4StagesExact:
 
 
 class TestInputPairChecked:
-    # an input that is not a pair of numbers raises ValidationError
-    # instead of being truncated or escaping as ValueError/TypeError
-    def test_integrate_step_rejects_three_inputs(self):
-        s = UnicycleState(0, 0, 0, 1, 0)
-        with pytest.raises(ValidationError):
-            integrate_step("unicycle", s, (0.5, 0.0, 99.0), 0.1)
-
+    # any sequence pair is an input; a step that diverges is refused
     def test_integrate_step_pair_still_accepted(self):
         s = UnicycleState(0, 0, 0, 1, 0)
         assert integrate_step("unicycle", s, [0.5, 0.0], 0.1) == integrate_step(
