@@ -6,13 +6,13 @@ ValidationError or accepts it by design. ROWS holds one row per public
 callable and parameter, for everything in `conecbf.__all__` but the
 exception classes. A row names the parameter's kind, and the kind fixes
 the cell in each column, a class of bad value: ValidationError, or
-accepted. Where the contract differs from the kind, the row lists the
-cell by hand. A row's `opening` starts every message it refuses with,
-and its `outside` values lie outside the parameter's range (the "range"
-column). The output records check nothing by design, so their rows
-accept everything. A refusal leaves the working directory as it was. A
-cell that names another exception pins a known gap, what the code raises
-today, until it is mended.
+accepted. Each cell is a test of its own. Where the contract differs
+from the kind, the row lists the cell by hand. A row's `opening` starts
+every message it refuses with, and its `outside` values lie outside the
+parameter's range (the "range" column). The output records check nothing
+by design, so their rows accept everything. A refusal leaves the working
+directory as it was. A cell that names another exception pins a known
+gap, what the code raises today, until it is mended.
 
 A parameter written `u[]` puts each value into every component of `u` in
 turn, `input_bounds[][0]` into the low side of every row of the box, and
@@ -27,6 +27,7 @@ parameter cannot skip the table.
 import inspect
 import math
 import os
+import tempfile
 from collections import namedtuple
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -404,27 +405,51 @@ def _row_id(row):
     return f"{row.call}.{row.param}" + (f"[{','.join(row.models)}]" if row.models else "")
 
 
-@pytest.mark.parametrize("row", ROWS, ids=map(_row_id, ROWS))
-def test_cells(row, tmp_path, monkeypatch):
+def _bases(row):
+    """(model, base arguments) for each model and base of the row."""
+    for model in row.models or (MODELS if row.call in MODELLED else (None,)):
+        for over in row.bases:
+            yield model, {**BASES[row.call](model), **over}
+
+
+def _columns(row, model, base):
+    """The row's columns on `model` from `base`, each with its samples."""
+    columns = row.kind.samples(model, base[_split(row.param)[0]])
+    if row.outside:
+        columns["range"] = row.outside
+    return columns
+
+
+# one test per cell: a row and a column, over the row's models and bases
+CELLS = [pytest.param(row, column, id=f"{_row_id(row)}-{column}") for row in ROWS
+         for column in dict.fromkeys(c for model, base in _bases(row) for c in _columns(row, model, base))]
+
+
+@pytest.mark.parametrize("row, column", CELLS)
+def test_cells(row, column):
     # a path given as a plain string lands in a fresh directory
-    monkeypatch.chdir(tmp_path)
+    back = os.getcwd()
+    with tempfile.TemporaryDirectory() as fresh:
+        os.chdir(fresh)
+        try:
+            _check_cell(row, column)
+        finally:
+            os.chdir(back)
+
+
+def _check_cell(row, column):
     call = CALLS.get(row.call) or getattr(conecbf, row.call)
     head, steps = _split(row.param)
     failures = []
-    for model in row.models or (MODELS if row.call in MODELLED else (None,)):
-        for over in row.bases:
-            base = {**BASES[row.call](model), **over}
-            assert _outcome(call, base) == OK, (model, over)
-            columns = row.kind.samples(model, base[head])
-            if row.outside:
-                columns["range"] = row.outside
-            for column, samples in columns.items():
-                expect, opening = _cell(row, column, model)
-                for value in (v for sample in samples for v in _put(base[head], steps, sample)):
-                    got = _outcome(call, {**base, head: value})
-                    if got != OK if expect == OK else not (type(got) is expect and str(got).startswith(opening)):
-                        failures.append(f"{column}: {row.param}={value!r} on {model}: expected "
-                                        f"{getattr(expect, '__name__', expect)} {opening!r}, got {got!r}")
+    for model, base in _bases(row):
+        assert _outcome(call, base) == OK, model
+        expect, opening = _cell(row, column, model)
+        samples = _columns(row, model, base).get(column, ())
+        for value in (v for sample in samples for v in _put(base[head], steps, sample)):
+            got = _outcome(call, {**base, head: value})
+            if got != OK if expect == OK else not (type(got) is expect and str(got).startswith(opening)):
+                failures.append(f"{row.param}={value!r} on {model}: expected "
+                                f"{getattr(expect, '__name__', expect)} {opening!r}, got {got!r}")
     assert not failures, "\n".join(failures)
 
 
