@@ -30,6 +30,9 @@ from .models import (
 V_FLOOR = 0.5
 # steering-angle clamp ahead of the slip mapping
 DELTA_MAX = 1.2
+# the refusal of a Stanley tracker off the bicycle, by Scenario and
+# reference_input alike
+_STANLEY_BICYCLE_ONLY = "stanley controller is bicycle-only"
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ def reference_input(c: ControllerSpec, model: str, s, p: ModelParams = None):
         if model == "bicycle":
             u = (p_speed_bicycle(s, c), stanley_lateral(s, c.path, c.k_e, p) if c.kind == "stanley" else 0.0)
         elif c.kind == "stanley":
-            raise ValidationError("stanley controller is bicycle-only")
+            raise ValidationError(_STANLEY_BICYCLE_ONLY)
         elif model == "unicycle":
             u = p_controller(s, c)
         else:

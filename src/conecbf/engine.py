@@ -16,7 +16,7 @@ from math import atan2, hypot, inf, radians
 
 from ._backend import kernel
 from .cbf import CBF_KINDS, Obstacle, _HOCBF_MOVING_BICYCLE, c3bf_eval, effective_radius, ellipse_cbf_eval, hocbf_eval
-from .controllers import ControllerSpec, reference_input
+from .controllers import ControllerSpec, _STANLEY_BICYCLE_ONLY, reference_input
 from .errors import SimulationError, ValidationError
 from .models import ModelParams, _MODEL_OF, _name, _require_finite, _unfit_inputs, integrate_step
 from .qpfilter import FilterConfig, _unfiltered, filter_qp
@@ -98,7 +98,7 @@ class Scenario:
             if any(o.moves() for o in self.obstacles):
                 raise ValidationError(_HOCBF_MOVING_BICYCLE)
         if self.controller.kind == "stanley" and self.model != "bicycle":
-            raise ValidationError("stanley controller is bicycle-only")
+            raise ValidationError(_STANLEY_BICYCLE_ONLY)
         box = self.params.input_box(self.model, self.filter.input_bounds)
         run_filter = self.filter if box is self.filter.input_bounds else replace(self.filter, input_bounds=box)
         object.__setattr__(self, "radii", radii)

@@ -13,6 +13,7 @@ locale independent; the active and penetration flags as 0 or 1.
 
 import csv
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields, is_dataclass
@@ -287,12 +288,20 @@ def write_json(doc, path):
         fh.write("\n")
 
 
+def _scenario_path(path):
+    """`path` if it is a str or an os.PathLike; `open` would take an int or
+    a bool for a file descriptor."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValidationError(f"scenario file path must be a str or os.PathLike, got {type(path).__name__}")
+    return path
+
+
 def load_scenario(path) -> Scenario:
-    return parse_scenario(read_json(path, "scenario file"), name=str(path))
+    return parse_scenario(read_json(_scenario_path(path), "scenario file"), name=str(path))
 
 
 def save_scenario(sc: Scenario, path):
-    write_json(scenario_to_dict(sc), path)
+    write_json(scenario_to_dict(sc), _scenario_path(path))
 
 
 def csv_header(model: str, n_obstacles: int):

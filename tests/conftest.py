@@ -5,11 +5,27 @@ extended-state flow with numpy, independently of the package kernels,
 and differentiates h along the flow by central differences. Kernel
 analytic Lie derivatives are checked against it, never against
 themselves.
+
+The filter's oracles, `exact_qp` and `violation_gap`, work in exact
+rationals (`fractions`), which hold every float.
 """
+
+from fractions import Fraction
+from math import inf, isfinite
 
 import numpy as np
 
+from conecbf import CbfEvaluation
 from conecbf._backend import kernel
+
+
+def ev(h, lfh, lg, pen=False, dist=10.0):
+    return CbfEvaluation(h, lfh, tuple(lg), pen, dist)
+
+
+def rows_of(evals, gamma=1.0):
+    """The QP rows g . u >= b of the evaluations, as (g0s, g1s, bs)."""
+    return [e.lgh[0] for e in evals], [e.lgh[1] for e in evals], [-(e.lfh + gamma * e.h) for e in evals]
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +220,53 @@ def kernel_c3bf(model, z, obs_vel, params, r):
             z[0], z[1], z[2], z[3], z[4], z[5], obs_vel[0], obs_vel[1], r
         )
     return e.h, e.lfh, *e.lgh, e.dist, e.penetration
+
+
+# ---------------------------------------------------------------------------
+# oracle: the filter's QP and least violation, in exact rationals
+# ---------------------------------------------------------------------------
+
+
+def exact_qp(u_ref, g0s, g1s, bs):
+    """(d2, u0, u1) minimizing d2 = ||u - u_ref||^2 s.t. g_i . u >= b_i,
+    worked out exactly, or None if no u meets every row.
+
+    In the plane the optimum is u_ref, the projection of u_ref onto one
+    row's boundary, or the vertex of two rows, so it is the closest of
+    those candidates that meets every row, and none does only if no u
+    does."""
+    r0, r1 = Fraction(u_ref[0]), Fraction(u_ref[1])
+    rows = [(Fraction(g0), Fraction(g1), Fraction(b)) for g0, g1, b in zip(g0s, g1s, bs)]
+    points = [(r0, r1)]
+    for i, (g0, g1, b) in enumerate(rows):
+        if g0 or g1:
+            lam = (b - g0 * r0 - g1 * r1) / (g0 * g0 + g1 * g1)
+            points.append((r0 + lam * g0, r1 + lam * g1))
+        for h0, h1, c in rows[i + 1:]:
+            det = g0 * h1 - g1 * h0
+            if det:
+                points.append(((b * h1 - g1 * c) / det, (g0 * c - b * h0) / det))
+    candidates = sorted(((u0 - r0) ** 2 + (u1 - r1) ** 2, u0, u1) for u0, u1 in points)
+    return next((c for c in candidates if all(g0 * c[1] + g1 * c[2] >= b for g0, g1, b in rows)), None)
+
+
+def violation_gap(u, rows, box):
+    """(f(u), a bound on f(u) - min of f over the box), f = sum_i min(0,
+    g_i . u - b_i)^2 over `rows` = (g0s, g1s, bs), worked out exactly; `box`
+    is (lo0, hi0, lo1, hi1), sides may be infinite.
+
+    f is convex and continuously differentiable, so f(u) - f(v) <= grad
+    f(u) . (u - v) for every v, and the bound is the largest of that over
+    the box, one term per axis: inf where the gradient points to an
+    infinite side."""
+    u = [Fraction(x) for x in u]
+    f, grad, gap = 0, [0, 0], 0
+    for g0, g1, b in zip(*rows):
+        g = (Fraction(g0), Fraction(g1))
+        r = min(0, g[0] * u[0] + g[1] * u[1] - Fraction(b))
+        f, grad = f + r * r, [grad[k] + 2 * r * g[k] for k in (0, 1)]
+    for k, d in enumerate(grad):
+        if d:
+            side = box[2 * k] if d > 0 else box[2 * k + 1]
+            gap += d * (u[k] - Fraction(side)) if isfinite(side) else inf
+    return f, gap

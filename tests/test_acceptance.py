@@ -8,12 +8,12 @@ pinned here and nowhere else.
 import math
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from conftest import cone_h_of_ext, fd_hdot, kernel_c3bf, sample_case
-from test_filter import ev, grid_search
+from conftest import cone_h_of_ext, ev, exact_qp, fd_hdot, kernel_c3bf, rows_of, sample_case
 
 import conecbf
 from conecbf import (
@@ -98,7 +98,7 @@ def test_criterion_02_closed_form_qp_agreement():
 
 
 def test_criterion_03_qp_grid_oracle():
-    """Two-constraint QP matches brute-force grid search at 1e-3."""
+    """Two-constraint QP matches the exact rational optimum (conftest.exact_qp)."""
     rng = np.random.default_rng(8)
     cfg = FilterConfig(gamma=1.0)
     worst_pos = 0.0
@@ -112,18 +112,18 @@ def test_criterion_03_qp_grid_oracle():
             lg = (math.cos(ang) * rng.uniform(0.5, 2), math.sin(ang) * rng.uniform(0.5, 2))
             evals.append(ev(float(rng.uniform(-1.5, 0.5)), float(rng.uniform(-2, 2)), lg))
         res = filter_qp(u_ref, evals, cfg)
-        if res.infeasible or max(abs(res.u_star[0]), abs(res.u_star[1])) > 10.0:
+        if res.infeasible:
             continue
-        got = grid_search(u_ref, evals, cfg.gamma)
+        got = exact_qp(u_ref, *rows_of(evals, cfg.gamma))
         assert got is not None
-        d2, u0, u1, u0_grid, u1_grid = got
-        worst_pos = max(worst_pos, abs(res.u_star[0] - u0_grid), abs(res.u_star[1] - u1_grid))
-        d2_qp = (res.u_star[0] - u_ref[0]) ** 2 + (res.u_star[1] - u_ref[1]) ** 2
+        d2, u0, u1 = got
+        worst_pos = max(worst_pos, abs(res.u_star[0] - u0), abs(res.u_star[1] - u1))
+        d2_qp = sum((Fraction(u) - Fraction(r)) ** 2 for u, r in zip(res.u_star, u_ref))
         worst_obj = max(worst_obj, d2_qp - d2)
         done += 1
-    ok = worst_pos <= 1e-3 + 1e-9 and worst_obj <= 1e-9
+    ok = worst_pos <= 1e-3 and worst_obj <= 1e-9
     _report(3, ok, f"{done} two-constraint instances, worst component gap "
-                   f"{worst_pos:.2e} (tol 1e-3), objective excess {worst_obj:.2e}")
+                   f"{float(worst_pos):.2e} (tol 1e-3), objective excess {float(worst_obj):.2e} (tol 1e-9)")
 
 
 def test_criterion_04_baseline_degeneracies():

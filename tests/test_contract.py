@@ -149,12 +149,6 @@ def text(model, base):
     return {**number(model, base), "type": ["\ud800x", "bad\u0001name", "\ufffe", ["a"], 5]}
 
 
-def file_path(model, base):
-    # a bool is a file descriptor to `open`: True would read or write the
-    # test's own stdout, so that class is not probed
-    return {c: v for c, v in number(model, base).items() if c != "bool"}
-
-
 class Kind(NamedTuple):
     samples: object
     accepts: frozenset = frozenset()
@@ -169,7 +163,6 @@ STATE = Kind(state)
 CHOICE = Kind(choice)
 FLAG = Kind(flag, frozenset({"bool"}))
 TEXT = Kind(text, frozenset({"str"}))
-FILE_PATH = Kind(file_path)
 # an output record checks nothing, and a parameter a model does not read
 # takes anything
 ANY = Kind(number, frozenset(NUMBERS))
@@ -204,9 +197,10 @@ TAKES = "{call}: the {model} model takes a {state}, got "
 UNKNOWN = "unknown model kind "
 TIME = "obstacle time must be a finite number >= 0, got "
 DIST = "distance must be a number >= 0, got "
-# a known gap (CHANGES.md): load_scenario and save_scenario hand the path
-# to `open` unchecked, so a value that is no path raises TypeError
-NOT_A_PATH = dict.fromkeys(("nan", "inf", "-inf", "complex", "None", "int>double"), TypeError)
+# a path is a str or an os.PathLike, refused before anything is opened: a
+# bool or an int would be a file descriptor to `open`
+NOT_A_PATH = dict.fromkeys(("nan", "inf", "-inf", "bool", "complex", "None", "int>double"),
+                           "scenario file path must be a str or os.PathLike, got ")
 
 ROWS = [
     *finite("UnicycleState", "x y theta v omega"),
@@ -305,8 +299,8 @@ ROWS = [
     Row("classify_behavior", "log", RECORD, opening="classify_behavior needs a TrajectoryLog, got "),
     Row("scenario_to_dict", "sc", RECORD, opening="scenario_to_dict needs a Scenario, got "),
     Row("save_scenario", "sc", RECORD, opening="scenario_to_dict needs a Scenario, got "),
-    Row("save_scenario", "path", FILE_PATH, {**NOT_A_PATH, "str": OK}),
-    Row("load_scenario", "path", FILE_PATH, NOT_A_PATH, opening="cannot read scenario file "),
+    Row("save_scenario", "path", NUMBER, {**NOT_A_PATH, "str": OK}),
+    Row("load_scenario", "path", NUMBER, NOT_A_PATH, opening="cannot read scenario file "),
     Row("parse_scenario", "doc", RECORD),
     Row("parse_scenario", "name", TEXT),
 ]

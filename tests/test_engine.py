@@ -16,9 +16,7 @@ import pytest
 
 from conecbf import (
     BicycleState,
-    CbfEvaluation,
     FilterConfig,
-    FilterResult,
     ModelParams,
     Obstacle,
     PointMassState,
@@ -735,28 +733,6 @@ class TestCorpus:
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(run_scenario(sc), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-class TestTickRecords:
-    def test_no_named_tuple_constructor_call_in_a_run(self, monkeypatch):
-        # the barrier kernels and the filters build their records with
-        # tuple.__new__: the named tuples' own constructors, one Python frame
-        # per record, must not run on the tick
-        calls = []
-        for record in (CbfEvaluation, FilterResult):
-            def counted(cls, *args, _new=record.__new__, **kwargs):
-                calls.append(cls.__name__)
-                return _new(cls, *args, **kwargs)
-
-            monkeypatch.setattr(record, "__new__", counted)
-        # the patched constructors count
-        CbfEvaluation(0.0, 0.0, (0.0, 0.0), False, 1.0)
-        FilterResult((0.0, 0.0), (0.0, 0.0))
-        assert calls == ["CbfEvaluation", "FilterResult"]
-        calls.clear()
-        log = run_scenario(load_scenario(SCENARIO_DIR / "unicycle-two-obstacles.json"))
-        assert len(log.t) == 1601 and len(log.h[0]) == 2
-        assert calls == []
 
 
 class TestCallPaths:

@@ -1,7 +1,10 @@
-"""Safety filter: closed form, QP, gating, and the grid-search oracle."""
+"""Safety filter: closed form, QP, gating, and the exact oracle on recorded solves."""
 
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,78 +21,27 @@ from conecbf import (
     c3bf_eval,
     filter_qp,
     filter_single,
+    load_scenario,
+    parse_scenario,
+    run_scenario,
 )
 from conecbf._backend import kernel
+from conftest import ev, exact_qp, rows_of, violation_gap
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from crowd import crowd_documents  # noqa: E402  (the benchmark's crowd scenes)
 
 CFG = FilterConfig(gamma=1.0)
 # least_violation's box bounds (lo0, hi0, lo1, hi1) with no box
 NO_BOX = (-math.inf, math.inf, -math.inf, math.inf)
 
 
-def ev(h, lfh, lg, pen=False, dist=10.0):
-    return CbfEvaluation(h, lfh, tuple(lg), pen, dist)
-
-
 def eval_from_psi(psi, lg, u_ref, gamma=1.0):
     """Construct an evaluation whose slack at u_ref equals psi (h = 0)."""
     lfh = psi - (lg[0] * u_ref[0] + lg[1] * u_ref[1])
     return ev(0.0, lfh, lg)
-
-
-def _grid_sweep(u_ref, g, b, axis, lo, hi, step):
-    """Grid one input axis at `step`; solve the other exactly per line.
-
-    On each grid line the feasible set of the free coordinate is an
-    interval, so the per-line optimum is its projection of u_ref. The
-    returned gridded coordinate is therefore within one step of the true
-    optimum, free of point-snapping noise.
-    """
-    n = round((hi - lo) / step)
-    ug = lo + np.arange(n + 1) * step
-    gk = g[:, axis]
-    gf = g[:, 1 - axis]
-    lo_f = np.full(ug.shape, -np.inf)
-    hi_f = np.full(ug.shape, np.inf)
-    ok = np.ones(ug.shape, dtype=bool)
-    for gi_k, gi_f, bi in zip(gk, gf, b):
-        rhs = bi - gi_k * ug  # need gi_f * u_free >= rhs on this line
-        if gi_f > 1e-15:
-            lo_f = np.maximum(lo_f, rhs / gi_f)
-        elif gi_f < -1e-15:
-            hi_f = np.minimum(hi_f, rhs / gi_f)
-        else:
-            ok &= rhs <= 1e-12
-    ok &= lo_f <= hi_f
-    if not ok.any():
-        return None
-    u_free = np.clip(u_ref[1 - axis], lo_f, np.maximum(lo_f, hi_f))
-    d2 = (ug - u_ref[axis]) ** 2 + (u_free - u_ref[1 - axis]) ** 2
-    d2[~ok] = np.inf
-    k = int(np.argmin(d2))
-    if axis == 0:
-        return float(d2[k]), float(ug[k]), float(u_free[k])
-    return float(d2[k]), float(u_free[k]), float(ug[k])
-
-
-def squared_violation(u, g0s, g1s, bs):
-    """Summed squared violation of the rows g . u >= b at u."""
-    return sum(min(0.0, g0 * u[0] + g1 * u[1] - b) ** 2 for g0, g1, b in zip(g0s, g1s, bs))
-
-
-def grid_search(u_ref, evals, gamma, lo=-12.0, hi=12.0, step=1e-3):
-    """Brute-force grid minimizer of ||u - u_ref||^2, both sweep axes.
-
-    Returns (d2, u0, u1, u0_gridded, u1_gridded) where u*_gridded come
-    from the sweep that gridded that axis (accurate to one step in it).
-    """
-    g = np.array([e.lgh for e in evals], dtype=float)
-    b = np.array([-(e.lfh + gamma * e.h) for e in evals], dtype=float)
-    sweep0 = _grid_sweep(u_ref, g, b, 0, lo, hi, step)
-    sweep1 = _grid_sweep(u_ref, g, b, 1, lo, hi, step)
-    if sweep0 is None or sweep1 is None:
-        return None
-    best = min(sweep0, sweep1)
-    return best[0], best[1], best[2], sweep0[1], sweep1[2]
 
 
 class TestFilterSingle:
@@ -167,36 +119,8 @@ class TestFilterQp:
         assert res.u_star == (1.5, -0.5)  # exact, not approximate
         assert res.active_set == ()
 
-    def test_two_constraint_grid_oracle(self):
-        rng = np.random.default_rng(8)
-        done = 0
-        while done < 50:
-            u_ref = tuple(rng.uniform(-2, 2, 2))
-            evals = []
-            for _ in range(2):
-                ang = rng.uniform(0, 2 * math.pi)
-                lg = (math.cos(ang) * rng.uniform(0.5, 2), math.sin(ang) * rng.uniform(0.5, 2))
-                evals.append(ev(rng.uniform(-1.5, 0.5), rng.uniform(-2, 2), lg))
-            res = filter_qp(u_ref, evals, CFG)
-            if res.infeasible:
-                continue
-            if max(abs(res.u_star[0]), abs(res.u_star[1])) > 10.0:
-                continue  # near-antiparallel wedge: optimum outside the oracle box
-            got = grid_search(u_ref, evals, CFG.gamma)
-            assert got is not None
-            d2, u0, u1, u0_grid, u1_grid = got
-            assert abs(res.u_star[0] - u0_grid) <= 1e-3 + 1e-9
-            assert abs(res.u_star[1] - u1_grid) <= 1e-3 + 1e-9
-            # never a worse objective than the grid's best point
-            d2_qp = (res.u_star[0] - u_ref[0]) ** 2 + (res.u_star[1] - u_ref[1]) ** 2
-            assert d2_qp <= d2 + 1e-9
-            done += 1
-
-    def test_minimality_against_grid(self):
-        # ||u* - u_ref|| <= ||u - u_ref|| for every feasible grid point u
+    def test_three_rows_reach_the_exact_optimum(self):
         rng = np.random.default_rng(12)
-        us = np.arange(-6, 6, 7e-3)
-        u0g, u1g = np.meshgrid(us, us)
         for _ in range(10):
             u_ref = tuple(rng.uniform(-1, 1, 2))
             evals = [
@@ -205,15 +129,12 @@ class TestFilterQp:
                 for _ in range(3)
             ]
             res = filter_qp(u_ref, evals, CFG)
-            if res.infeasible:
-                continue
-            feas = np.ones(u0g.shape, dtype=bool)
-            for e in evals:
-                b = -(e.lfh + CFG.gamma * e.h)
-                feas &= e.lgh[0] * u0g + e.lgh[1] * u1g >= b - 1e-12
-            d_star = math.hypot(res.u_star[0] - u_ref[0], res.u_star[1] - u_ref[1])
-            d_grid = np.hypot(u0g - u_ref[0], u1g - u_ref[1])
-            assert not feas.any() or d_star <= d_grid[feas].min() + 1e-6
+            got = exact_qp(u_ref, *rows_of(evals))
+            assert got is not None and not res.infeasible
+            d2, u0, u1 = got
+            assert abs(res.u_star[0] - u0) <= 1e-12 and abs(res.u_star[1] - u1) <= 1e-12
+            d2_qp = sum((Fraction(u) - Fraction(r)) ** 2 for u, r in zip(res.u_star, u_ref))
+            assert abs(d2_qp - d2) <= 1e-12 * d2
 
     def test_complementarity(self):
         rng = np.random.default_rng(21)
@@ -304,10 +225,10 @@ class TestFilterQp:
                 kinds["feasible"] += 1
         assert min(kinds.values()) > 100, kinds
 
-    def test_box_bounded_infeasible_against_grid_oracle(self):
+    def test_box_bounded_infeasible_has_the_least_violation(self):
         # on an infeasible step the answer has the least summed squared
-        # violation of the barrier rows over the box: no grid point of the
-        # box (edges included) does better
+        # violation f of the barrier rows over the box: the first-order
+        # bound on f(u*) - min f over the box is at rounding level
         rng = np.random.default_rng(23)
         done = 0
         while done < 60:
@@ -320,14 +241,8 @@ class TestFilterQp:
             res = filter_qp(u_ref, evals, cfg)
             if not res.infeasible:
                 continue
-            rows = ([e.lgh[0] for e in evals], [e.lgh[1] for e in evals],
-                    [-(e.lfh + e.h) for e in evals])
-            u0g, u1g = np.meshgrid(np.linspace(lo[0], hi[0], 401), np.linspace(lo[1], hi[1], 401))
-            f_grid = sum(np.minimum(0.0, g0 * u0g + g1 * u1g - b) ** 2 for g0, g1, b in zip(*rows))
-            f_star = squared_violation(res.u_star, *rows)
-            assert f_star <= f_grid.min() * (1 + 1e-12) + 1e-15
-            # and the grid's best point is near the answer's violation
-            assert f_grid.min() - f_star <= 1e-2 * (1 + f_star)
+            f, gap = violation_gap(res.u_star, rows_of(evals), (lo[0], hi[0], lo[1], hi[1]))
+            assert f > 0 and gap <= 1e-12 * (1 + f)
             done += 1
 
     def test_degenerate_constraint_flagged_and_excluded(self):
@@ -424,7 +339,7 @@ class TestSolveQp2:
         _, _, active, feasible = kernel.solve_qp2(0.0, 0.0, *rows)
         u0, u1 = kernel.least_violation(0.0, 0.0, *rows, *NO_BOX)
         assert not feasible and active == ()
-        assert squared_violation((u0, u1), *rows) <= squared_violation((0.0, 0.0), *rows)
+        assert violation_gap((u0, u1), rows, NO_BOX)[0] <= violation_gap((0.0, 0.0), rows, NO_BOX)[0]
 
     def test_zero_normal_rows(self):
         # a violated row with a zero normal: no candidate, no Newton step
@@ -448,7 +363,7 @@ class TestSolveQp2:
                 continue
             u0, u1 = kernel.least_violation(*u_ref, *rows, *NO_BOX)
             infeasible += 1
-            assert squared_violation((u0, u1), *rows) <= squared_violation(u_ref, *rows)
+            assert violation_gap((u0, u1), rows, NO_BOX)[0] <= violation_gap(u_ref, rows, NO_BOX)[0]
         assert infeasible > 300
 
     @pytest.mark.parametrize("s", [1e-150, 1e-100, 1.0, 1e100, 1e150])
@@ -464,7 +379,7 @@ class TestSolveQp2:
         shift = (0.4 / (1.36 * s) - 0.5) / 2
         assert u0 == pytest.approx(0.3 + shift, rel=1e-12, abs=1e-15)
         assert u1 == pytest.approx(0.2 + shift, rel=1e-12, abs=1e-15)
-        assert squared_violation((u0, u1), *rows) <= squared_violation((0.3, 0.2), *rows)
+        assert violation_gap((u0, u1), rows, NO_BOX)[0] <= violation_gap((0.3, 0.2), rows, NO_BOX)[0]
         # opposed normals of that size leave u_ref, their least squares point
         assert kernel.solve_qp2(0.0, 0.0, [s, -s], [0.0, 0.0], [1.0, 1.0]) == (0.0, 0.0, (), False)
         assert kernel.least_violation(0.0, 0.0, [s, -s], [0.0, 0.0], [1.0, 1.0], *NO_BOX) == (0.0, 0.0)
@@ -548,6 +463,59 @@ def spy_solve_qp2(monkeypatch):
 
     monkeypatch.setattr(kernel, "solve_qp2", recorded)
     return calls
+
+
+# every solve_qp2 call of three runs, solved again by the exact oracle: the
+# ledger's two corpus runs that filter with the cone barrier, and the bicycle
+# scene of the benchmark's crowd seed 2. Per run, the answers that pass u_ref
+# through as it meets every row exactly, or only within _FEAS_TOL * (1 + |b|),
+# that solve, within GAP of the exact least ||u - u_ref||^2 (the worst seen is
+# 7.2e-16), and that are infeasible
+RECORDED_SOLVES = {
+    "unicycle-two-obstacles": (0, 0, 1601, 0),
+    "bicycle-path-yield": (1501, 0, 500, 0),
+    "crowd-bicycle-2": (1386, 80, 535, 0),
+}
+GAP = 1e-12
+
+
+def worst_miss(u0, u1, g0s, g1s, bs):
+    """The largest (b - g . u) / (1 + |b|) over the rows, exactly."""
+    u0, u1 = Fraction(u0), Fraction(u1)
+    return max((Fraction(b) - Fraction(g0) * u0 - Fraction(g1) * u1) / (1 + abs(Fraction(b)))
+               for g0, g1, b in zip(g0s, g1s, bs))
+
+
+def test_every_recorded_solve_agrees_with_the_exact_oracle(monkeypatch):
+    calls = spy_solve_qp2(monkeypatch)
+    runs = {}
+    crowd = parse_scenario(next(d for d in crowd_documents(2) if d["model"] == "bicycle"))
+    for sc in [load_scenario(ROOT / "scenarios" / f"{name}.json") for name in list(RECORDED_SOLVES)[:2]] + [crowd]:
+        run_scenario(sc)
+        runs[sc.name], calls[:] = calls[:], []
+    monkeypatch.undo()
+    counts, disagree = {}, []
+    for name, solves in runs.items():
+        n = counts[name] = [0, 0, 0, 0]
+        for ur0, ur1, *rows in solves:
+            u0, u1, _, feasible = kernel.solve_qp2(ur0, ur1, *rows)
+            if feasible and (u0, u1) == (ur0, ur1):
+                miss = worst_miss(u0, u1, *rows)
+                n[miss > 0] += 1
+                ok = miss <= kernel._FEAS_TOL
+            elif not feasible:
+                n[3] += 1
+                ok = exact_qp((ur0, ur1), *rows) is None
+            else:
+                n[2] += 1
+                got = exact_qp((ur0, ur1), *rows)
+                d2 = (Fraction(u0) - Fraction(ur0)) ** 2 + (Fraction(u1) - Fraction(ur1)) ** 2
+                ok = (got is not None and worst_miss(u0, u1, *rows) <= kernel._FEAS_TOL
+                      and abs(d2 - got[0]) <= GAP * got[0])
+            if not ok:
+                disagree.append((name, ur0, ur1, *rows))
+    assert disagree == []
+    assert {name: tuple(n) for name, n in counts.items()} == RECORDED_SOLVES
 
 
 class TestRecords:
@@ -676,26 +644,15 @@ class TestKernelLookup:
     # perfbench's tracer and StepClock patch the kernel module's attributes;
     # these calls must reach the patched functions, not import-time bindings
     def test_one_qp_call_per_filter_with_box_rows(self, monkeypatch):
-        counts = {"solve_qp2": [], "c3bf_unicycle": 0}
-        solve, cone = kernel.solve_qp2, kernel.c3bf_unicycle
-
-        def counted_solve(*args):
-            counts["solve_qp2"].append(args)
-            return solve(*args)
-
-        def counted_cone(*args):
-            counts["c3bf_unicycle"] += 1
-            return cone(*args)
-
-        monkeypatch.setattr(kernel, "solve_qp2", counted_solve)
-        monkeypatch.setattr(kernel, "c3bf_unicycle", counted_cone)
+        calls, cones, cone = spy_solve_qp2(monkeypatch), [], kernel.c3bf_unicycle
+        monkeypatch.setattr(kernel, "c3bf_unicycle", lambda *args: cones.append(args) or cone(*args))
         s, p = UnicycleState(0.0, 0.0, 0.0, 1.0, 0.0), ModelParams()
         evals = [c3bf_eval("unicycle", s, o, p) for o in (Obstacle(3.0, 0.0), Obstacle(5.0, 0.3))]
-        assert counts["c3bf_unicycle"] == 2
+        assert len(cones) == 2
         cfg = FilterConfig(input_bounds=((-2.0, 2.0), (-math.inf, 1.5)))
         filter_qp((0.5, 0.0), evals, cfg)
-        assert len(counts["solve_qp2"]) == 1
-        bs = counts["solve_qp2"][0][4]
+        assert len(calls) == 1
+        bs = calls[0][4]
         assert len(bs) == 2 + 3
         assert bs[2:] == [-2.0, -2.0, -1.5]
 

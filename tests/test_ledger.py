@@ -9,7 +9,9 @@ while the public tick of the README (`c3bf_eval` per obstacle, then
 `filter_qp`) replays every record of the runs that filter with the cone
 barrier, against TICK_LEDGER and TICK_BUILTINS. A change that adds or
 removes a call on the tick changes a count here, and updates the table
-with the old and new figures stated.
+with the old and new figures stated. A named tuple's constructor is a
+Python frame (`namedtuple_FilterResult:<lambda>`), so the exact tables
+also fail on a record built through it and not by `tuple.__new__`.
 
 Comprehension frames are left out: Python 3.12 inlines list, dict and
 set comprehensions (PEP 709), and the counts are the same on 3.10 to
