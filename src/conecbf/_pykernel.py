@@ -362,18 +362,21 @@ def rk4_pointmass(x, y, vx, vy, ax, ay, dt):
 #
 # In the plane the optimum is u_ref, the projection of u_ref onto one row's
 # boundary, or the vertex of two rows, so an exact solve enumerates those
-# candidates in that order.  A feasible projection of a row u_ref violates,
-# and a feasible vertex with nonnegative multipliers, satisfy KKT and are
-# returned at once; otherwise the closest feasible candidate wins, as when
-# opposed rows leave an empty strip thinner than _FEAS_TOL (closed-loop runs
-# meet such rows).  With none feasible, u_ref comes back flagged.  The rule
-# for that step's input is least_violation, the least sum_i min(0, g_i . u
-# - b_i)^2 over a box: Gauss-Newton passes from u_ref with exact line
-# searches (Mangasarian's finite Newton method, 2002) until one no longer
-# lowers the sum; if that point leaves the box, the best point of the box's
-# finite edges, each searched from u_ref saturated to the box, equal sums
-# going to the edge point nearest u_ref.  Directions that no violated row
-# pins keep u_ref's value.
+# candidates in that order.  One rule picks among them: u_ref if it meets
+# every row; else the first feasible projection of a row u_ref violates
+# (its multiplier is positive: the one-row KKT point, returned at once);
+# else the closest feasible candidate, which also serves where no KKT
+# point exists, as when opposed rows leave an empty strip thinner than
+# _FEAS_TOL (closed-loop runs meet such rows).  Distances are squared as
+# products, which overflow to inf where ** would raise.  With none
+# feasible, u_ref comes back flagged.  The rule for that step's input is
+# least_violation, the least sum_i min(0, g_i . u - b_i)^2 over a box:
+# Gauss-Newton passes from u_ref with exact line searches (Mangasarian's
+# finite Newton method, 2002) until one no longer lowers the sum; if that
+# point leaves the box, the best point of the box's finite edges, each
+# searched from u_ref saturated to the box, equal sums going to the edge
+# point nearest u_ref.  Directions that no violated row pins keep u_ref's
+# value.
 # ---------------------------------------------------------------------------
 
 _FEAS_TOL = 1e-10
@@ -468,13 +471,10 @@ def solve_qp2(ur0, ur1, g0s, g1s, bs):
     """Solve min ||u - u_ref||^2 s.t. g_i . u >= b_i over u in R^2.
 
     Returns (u0, u1, active, feasible) where `active` is the sorted tuple
-    of binding constraint indices.  When the constraint set is empty or
-    u_ref already satisfies everything, u_ref is returned unchanged.
-    Otherwise the 1-row projections and then the 2-row vertices are
-    enumerated (see above); the result is the exact optimum whenever the
-    constraints are feasible.  With no candidate feasible, or a row holding
-    NaN (never met), u_ref comes back with feasible=False and nothing more
-    is computed; least_violation gives that step's input by one rule.
+    of binding constraint indices, by the rule above: the exact optimum
+    whenever the constraints are feasible.  With no candidate feasible, or
+    a row holding NaN (never met), u_ref comes back with feasible=False and
+    nothing more is computed; least_violation gives that step's input.
     """
     if _unmet(ur0, ur1, g0s, g1s, bs) < 0:
         return ur0, ur1, (), True
@@ -491,25 +491,21 @@ def solve_qp2(ur0, ur1, g0s, g1s, bs):
             if lam > 0.0:
                 # the optimum over row i alone, and feasible: the optimum
                 return u0, u1, (i,), True
-            d2 = (u0 - ur0) ** 2 + (u1 - ur1) ** 2
+            du0 = u0 - ur0
+            du1 = u1 - ur1
+            d2 = du0 * du0 + du1 * du1
             if best is None or d2 < best[0]:
                 best = (d2, u0, u1, (i,))
     for i in range(m):
         for j in range(i + 1, m):
             det = g0s[i] * g1s[j] - g1s[i] * g0s[j]
-            scale = abs(g0s[i]) + abs(g1s[i]) + abs(g0s[j]) + abs(g1s[j])
-            if abs(det) <= 1e-14 * scale * scale:
+            if det == 0.0:
                 continue
             u0 = (bs[i] * g1s[j] - g1s[i] * bs[j]) / det
             u1 = (g0s[i] * bs[j] - bs[i] * g0s[j]) / det
             if _unmet(u0, u1, g0s, g1s, bs) < 0:
                 du0 = u0 - ur0
                 du1 = u1 - ur1
-                li = (du0 * g1s[j] - g0s[j] * du1) / det
-                lj = (g0s[i] * du1 - du0 * g1s[i]) / det
-                if li >= -1e-12 and lj >= -1e-12:
-                    # both multipliers nonnegative: KKT holds
-                    return u0, u1, (i, j), True
                 d2 = du0 * du0 + du1 * du1
                 if best is None or d2 < best[0]:
                     best = (d2, u0, u1, (i, j))

@@ -153,12 +153,15 @@ def hocbf_eval(
     """Second-order ellipse barrier h2 = Lf h1 + gamma1 h1.
 
     A gamma1 that is not a finite number > 0 (a bool is none) raises
-    ValidationError, and so does the bicycle/moving-obstacle combination:
+    ValidationError, and so do params `p` that are neither None nor a
+    ModelParams, and the bicycle/moving-obstacle combination:
     obstacle velocities can always be chosen to defeat the constraint
     there. `t` selects the obstacle's state as in c3bf_eval.
     """
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("hocbf_eval", model, s)
+    if p is not None and p.__class__ is not ModelParams:
+        raise _unfit_inputs("hocbf_eval", model, s, f"p must be None or a ModelParams, got {p!r}")
     # + 0.0 turns an integer beyond the doubles into OverflowError
     try:
         ok = gamma1.__class__ is not bool and 0.0 < gamma1 + 0.0 < inf

@@ -182,12 +182,15 @@ def reference_input(c: ControllerSpec, model: str, s, p: ModelParams = None):
     clamps the thrust a of the unicycle and the bicycle, and both
     components (ax, ay) of the point mass. A 'zero' controller gives
     (0, 0). An unknown model, a state that is not exactly a
-    STATE_TYPES[model] (whatever the controller), a controller that is
-    not a ControllerSpec or a 'stanley' controller off the bicycle raises
+    STATE_TYPES[model] (whatever the controller), params `p` that are
+    neither None nor a ModelParams, a controller that is not a
+    ControllerSpec or a 'stanley' controller off the bicycle raises
     ValidationError.
     """
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("reference_input", model, s)
+    if p is not None and p.__class__ is not ModelParams:
+        raise _unfit_inputs("reference_input", model, s, f"p must be None or a ModelParams, got {p!r}")
     try:
         if c.kind == "zero":
             return (0.0, 0.0)

@@ -216,9 +216,11 @@ STATE_FIELDS = {kind: tuple(f.name for f in fields(t)) for kind, t in STATE_TYPE
 def _unfit_inputs(where, model, s, exc=None):
     """The ValidationError for inputs that do not fit `model`.
 
-    An unknown model kind; else the AttributeError `exc` of an argument
-    lacking a field (a tuple for an obstacle, a controller or params, None
-    for params); else a state that is not exactly of STATE_TYPES[model].
+    An unknown model kind; else the reason `exc`: the AttributeError of an
+    argument lacking a field (a tuple for an obstacle, a controller or
+    params, None for params that a model reads), or params that are not
+    None and not a ModelParams; else a state that is not exactly of
+    STATE_TYPES[model].
     Each entry point that reads a state of a named model opens with the one
     test `_MODEL_OF.get(type(s)) != model`, so a look-alike, a subclass, a
     state of another model or an unknown model, hashable or not, is refused
@@ -257,12 +259,15 @@ def integrate_step(model: str, s, u: ControlInput, dt: float, p: ModelParams = N
     p.v_max then caps the speed state v of the unicycle and the bicycle.
     Raises ValidationError when `s` is not exactly a STATE_TYPES[model],
     when dt is not a finite number > 0, when `u` is not a pair of numbers,
-    when a bicycle step has no params to read l_r and beta_max from, or
-    when the result is non-finite. Neither a bool nor an int beyond the
-    doubles is a number to them.
+    when `p` is neither None nor a ModelParams, when a bicycle step has no
+    params to read l_r and beta_max from, or when the result is
+    non-finite. Neither a bool nor an int beyond the doubles is a number
+    to them.
     """
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("integrate_step", model, s)
+    if p is not None and p.__class__ is not ModelParams:
+        raise _unfit_inputs("integrate_step", model, s, f"p must be None or a ModelParams, got {p!r}")
     # + 0.0 turns an integer beyond the doubles into OverflowError
     try:
         dt_ok = dt.__class__ is not bool and 0.0 < dt + 0.0 < inf

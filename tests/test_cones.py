@@ -85,6 +85,9 @@ class TestConeValue:
         assert out.penetration is True and out.h == -1.0
         out = cone_kernel((5, 0), (-1, 0), 3.0)
         assert out.penetration is False and out.h == pytest.approx(-1.0)
+        # contact counts as inside, where the cone's sqrt(d^2 - r^2) is 0
+        out = cone_kernel((3, 0), (-1, 0), 3.0)
+        assert out.penetration is True and out.h == -3.0
 
     def test_scale_covariance_in_v(self):
         rng = np.random.default_rng(7)
@@ -113,6 +116,7 @@ class TestConeValue:
             assert big.penetration is False
         inside = cone_kernel((lam, 0.0), v, 2.0 * lam)
         assert inside.penetration is True and inside.dist == lam
+        assert cone_kernel((lam, 0.0), v, lam).penetration is True
 
     def test_cone_membership_equivalence(self):
         # h >= 0 iff the angle between p_rel and v_rel is at most pi - phi

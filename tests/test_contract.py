@@ -163,8 +163,7 @@ STATE = Kind(state)
 CHOICE = Kind(choice)
 FLAG = Kind(flag, frozenset({"bool"}))
 TEXT = Kind(text, frozenset({"str"}))
-# an output record checks nothing, and a parameter a model does not read
-# takes anything
+# an output record checks nothing, so it takes anything
 ANY = Kind(number, frozenset(NUMBERS))
 
 
@@ -264,7 +263,7 @@ ROWS = [
     Row("c3bf_eval", "p", RECORD, opening=UNFIT),
     Row("hocbf_eval", "gamma1", NUMBER, opening="gamma1 must be a finite number > 0, got ", outside=(0.0, -1.0)),
     Row("hocbf_eval", "p", RECORD, opening=UNFIT, models=("bicycle",)),
-    Row("hocbf_eval", "p", ANY, models=("unicycle", "pointmass")),
+    Row("hocbf_eval", "p", RECORD, {"None": OK}, UNFIT, ("unicycle", "pointmass")),
     *rows("effective_radius", "o p", RECORD, opening="effective_radius needs an Obstacle and ModelParams: "),
     *[r for name, e in (("filter_qp", "evals"), ("filter_single", "e")) for r in (
         Row(name, "u_ref", SHAPE),
@@ -284,13 +283,13 @@ ROWS = [
     Row("integrate_step", "dt", NUMBER, opening="dt must be a finite number > 0, got ", outside=(0.0, -0.01)),
     Row("integrate_step", "p", RECORD, {"None": OK}, UNFIT, ("unicycle",)),
     Row("integrate_step", "p", RECORD, opening=UNFIT, models=("bicycle",)),
-    Row("integrate_step", "p", ANY, models=("pointmass",)),
+    Row("integrate_step", "p", RECORD, {"None": OK}, UNFIT, ("pointmass",)),
     Row("reference_input", "c", RECORD, opening=UNFIT),
     Row("reference_input", "model", CHOICE, opening=UNKNOWN, bases=({}, {"c": ZERO})),
     Row("reference_input", "s", STATE, opening=TAKES, bases=({}, {"c": ZERO})),
     # the bicycle's base controller is a Stanley tracker, which reads p
     Row("reference_input", "p", RECORD, opening=UNFIT, models=("bicycle",)),
-    Row("reference_input", "p", ANY, models=("unicycle", "pointmass")),
+    Row("reference_input", "p", RECORD, {"None": OK}, UNFIT, ("unicycle", "pointmass")),
     Row("slip_from_steering", "delta", NUMBER, opening="steering angle must satisfy |delta| < pi/2, got ",
         outside=(math.pi / 2, -math.pi / 2, 2.0)),
     Row("slip_from_steering", "p", RECORD, opening="slip_from_steering: inputs do not fit the bicycle model: "),

@@ -36,7 +36,6 @@ from conecbf import (
     safety_metrics,
 )
 import conecbf.engine as engine
-from conecbf.controllers import stanley_lateral
 from conecbf.engine import MAX_STEPS, ControllerSpec
 from conecbf.scenario_io import parse_scenario, scenario_to_dict, summarize, write_trajectory_csv
 
@@ -397,42 +396,9 @@ class TestRunScenario:
 
 
 class TestReferenceInput:
-    """The u_ref the engine logs is reference_input's: the controller law,
-    then a_max."""
-
-    @staticmethod
-    def first_u_ref(model, state, controller, params=ModelParams(w=0.6)):
-        sc = simple_scenario(model=model, params=params, initial_state=state,
-                             controller=controller, cbf="none", duration=0.01)
-        return run_scenario(sc).u_ref[0]
-
-    @pytest.mark.parametrize("v,a", [(0.0, 2.0), (6.0, -2.0)])
-    def test_a_max_clamps_unicycle_thrust_only(self, v, a):
-        # alpha = -k2 omega = -10 lies outside [-a_max, a_max] and is kept
-        spec = ControllerSpec(kind="p", k1=5.0, k2=10.0, v_des=3.0, a_max=2.0)
-        assert self.first_u_ref("unicycle", UnicycleState(0, 0, 0, v, 1.0), spec) == (a, -10.0)
-
-    @pytest.mark.parametrize("v,a", [(0.0, 0.05), (6.0, -0.05)])
-    def test_a_max_clamps_bicycle_thrust_only(self, v, a):
-        params = ModelParams(w=0.6, beta_max=0.3)
-        path = ReferencePath(((0.0, 5.0), (50.0, 5.0)))
-        spec = ControllerSpec(kind="stanley", k1=5.0, v_des=3.0, k_e=1.0, path=path, a_max=0.05)
-        state = BicycleState(0, 0, 0, v)
-        beta = stanley_lateral(state, path, 1.0, params)
-        assert beta > 0.05  # outside [-a_max, a_max], and kept
-        assert self.first_u_ref("bicycle", state, spec, params) == (a, beta)
-
-    def test_a_max_clamps_both_pointmass_components(self):
-        spec = ControllerSpec(kind="p", k1=5.0, v_des_vec=(3.0, -3.0), a_max=2.0)
-        assert self.first_u_ref("pointmass", PointMassState(0, 0, 0, 0), spec) == (2.0, -2.0)
-
-    @pytest.mark.parametrize("model,state", [
-        ("unicycle", UnicycleState(0, 0, 0, 1.0, 0.5)),
-        ("bicycle", BicycleState(0, 0, 0, 1.0)),
-        ("pointmass", PointMassState(0, 0, 1.0, -1.0)),
-    ])
-    def test_zero_controller(self, model, state):
-        assert self.first_u_ref(model, state, ControllerSpec(kind="zero")) == (0.0, 0.0)
+    """The input box and beta_max around the logged u_ref. That the engine
+    logs reference_input's output is TestPublicTick's to check, and the
+    controller laws and a_max are test_controllers.py's."""
 
     @pytest.mark.parametrize("v", [0.0, 3.0])
     def test_unfiltered_run_saturates_to_the_box(self, v):
@@ -676,36 +642,13 @@ class TestClassifyAndMetrics:
 
 
 class TestCorpus:
-    """The shipped scenario corpus stays safe and correctly labeled."""
+    """The shipped scenario corpus, and its runs under the baseline
+    barriers. The golden summary digests pin each corpus run's collision
+    verdict and clearances, and acceptance criterion 7 its labels."""
 
     def test_corpus_size(self):
         files = sorted(SCENARIO_DIR.glob("*.json"))
         assert len(files) >= 12
-
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("unicycle-turning", "turning"),
-            ("unicycle-braking", "braking"),
-            ("unicycle-reversing", "reversing"),
-            ("unicycle-overtaking", "overtaking"),
-        ],
-    )
-    def test_canonical_labels(self, name, expected):
-        log = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"))
-        assert not log.collided
-        assert expected in classify_behavior(log)
-
-    def test_all_corpus_scenarios_safe(self):
-        for path in sorted(SCENARIO_DIR.glob("*.json")):
-            log = run_scenario(load_scenario(path))
-            assert not log.collided, path.name
-            assert safety_metrics(log).min_clearance_overall > 0, path.name
-
-    def test_unfiltered_baselines_collide(self):
-        for path in sorted((SCENARIO_DIR / "baseline").glob("*.json")):
-            log = run_scenario(load_scenario(path))
-            assert log.collided, path.name
 
     @pytest.mark.parametrize("name,cbf,digest", [
         # segmented obstacle; 1001 steps, 417 of them with the filter active

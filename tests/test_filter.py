@@ -312,6 +312,12 @@ class TestSolveQp2:
         got = kernel.solve_qp2(0.4, -0.1, [1.0, -0.3, 0.2], [0.2, 1.1, -0.9], [0.8, 0.3, -0.5])
         assert got == (0.7068965517241379, 0.46551724137931033, (0, 1), True)
 
+    def test_rows_met_within_the_relative_tolerance(self):
+        # a row counts as met where u misses it by at most _FEAS_TOL (1 + |b|)
+        assert kernel.solve_qp2(-1e-10, 0.0, [1.0], [0.0], [0.0]) == (-1e-10, 0.0, (), True)
+        assert kernel.solve_qp2(1e6 - 1e-5, 0.0, [1.0], [0.0], [1e6]) == (1e6 - 1e-5, 0.0, (), True)
+        assert kernel.solve_qp2(1e6 - 1e-3, 0.0, [1.0], [0.0], [1e6]) == (1e6, 0.0, (0,), True)
+
     def test_nan_row_never_feasible(self):
         assert kernel.solve_qp2(0.0, 0.0, [1.0], [0.0], [math.nan])[3] is False
 
@@ -325,6 +331,25 @@ class TestSolveQp2:
             [1.1179362614788462e-05, -5.3099833001453664e-05],
         )
         assert got == (-8.59852511174708e-05, 0.0, (1,), True)
+
+    def test_candidate_at_an_overflowing_distance(self):
+        # the projection onto row 0 is feasible 1e200 away, a squared
+        # distance beyond the floats: it ranks as inf, below the vertex of
+        # rows 1 and 2, and raises nothing
+        got = kernel.solve_qp2(0.0, 0.0, [1.0, -1.0, -1.0], [0.0, 1.0, -1.0], [-1e200, 1.0, 1.0])
+        assert got == (-1.0, 0.0, (1, 2), True)
+
+    def test_opposed_rows_meet_far_away(self):
+        # the normals are 5.3e-14 rad from opposed, so the rows meet 4.4e13
+        # away, where the exact optimum lies: the vertex is found, not
+        # skipped as near-parallel
+        u_ref, rows = (-0.41722454365601636, 0.19445214053672175), (
+            [-0.44827371847060987, 0.448273718470713], [0.10957096148347521, -0.10957096148347521],
+            [0.30841722139124067, 0.7759920341408423])
+        _, e0, e1 = exact_qp(u_ref, *rows)
+        u0, u1, active, feasible = kernel.solve_qp2(*u_ref, *rows)
+        assert feasible and active == (0, 1)
+        assert u0 == pytest.approx(float(e0), rel=1e-3) and u1 == pytest.approx(float(e1), rel=1e-3)
 
     def test_infeasible_returns_u_ref(self):
         # solve_qp2 only solves; the caller picks an infeasible step's input
@@ -352,18 +377,30 @@ class TestSolveQp2:
         assert kernel.least_violation(-3.0, -0.2, [0.0], [0.0], [1.0], *box) == (-1.0, -0.2)
 
     def test_least_violation_never_worse_than_u_ref(self):
+        # 2-7 Gaussian rows: a feasible answer is the exact optimum, within
+        # GAP of exact_qp's d2, and an infeasible one has no exact optimum.
+        # There the least-violation point lies inside a +-1e3 box, so it is
+        # stationary: its certified gap to the minimum is at most
+        # 1e-8 (1 + f). The worst of the 387 infeasible instances is
+        # 1.8e-11; a Newton step that also counted the met rows reaches
+        # 2.3e3, over the bound on 348 of them
+        box = (-1e3, 1e3, -1e3, 1e3)
         rng = np.random.default_rng(5)
         infeasible = 0
         for _ in range(1000):
             m = int(rng.integers(2, 8))
             rows = [rng.normal(size=m).tolist() for _ in range(3)]
             u_ref = tuple(rng.normal(size=2).tolist())
-            _, _, _, feasible = kernel.solve_qp2(*u_ref, *rows)
+            u0, u1, _, feasible = kernel.solve_qp2(*u_ref, *rows)
+            exact = exact_qp(u_ref, *rows)
             if feasible:
+                d2 = (Fraction(u0) - Fraction(u_ref[0])) ** 2 + (Fraction(u1) - Fraction(u_ref[1])) ** 2
+                assert abs(d2 - exact[0]) <= GAP * exact[0]
                 continue
-            u0, u1 = kernel.least_violation(*u_ref, *rows, *NO_BOX)
             infeasible += 1
-            assert violation_gap((u0, u1), rows, NO_BOX)[0] <= violation_gap(u_ref, rows, NO_BOX)[0]
+            assert exact is None
+            f, gap = violation_gap(kernel.least_violation(*u_ref, *rows, *box), rows, box)
+            assert f <= violation_gap(u_ref, rows, box)[0] and gap <= 1e-8 * (1 + f)
         assert infeasible > 300
 
     @pytest.mark.parametrize("s", [1e-150, 1e-100, 1.0, 1e100, 1e150])

@@ -3,11 +3,15 @@
 The trajectory table is the benchmark's reference file, so one set of
 digests serves both the benchmark's output check and this test; the
 summary and plot digests are held here. A refactor that drifts a single
-bit in any corpus trajectory, summary or figure fails here.
+bit in any corpus trajectory, summary or figure fails here. Each
+scenario runs once, under `simulate --plot`, and the three tests read
+that run's digests.
 """
 
 import hashlib
 import json
+import tempfile
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -23,13 +27,28 @@ def test_reference_kernel_backend():
     assert conecbf.kernel_backend() == REFERENCE["kernel_backend"]
 
 
+@cache
+def simulated(scenario):
+    """(exit code, CSV digest, summary digest, plot digest) of one
+    `simulate --plot` run; the plot digest covers the plot.svg it writes
+    followed by the `plot --mode path`, `hvalue` and `inputs` SVGs of its
+    trajectory, in that order."""
+    with tempfile.TemporaryDirectory() as out:
+        out = Path(out)
+        code = main(["simulate", "--scenario", str(ROOT / scenario), "--out", str(out), "--plot"])
+        plot = hashlib.sha256((out / "plot.svg").read_bytes())
+        for mode in ("path", "hvalue", "inputs"):
+            svg = out / f"{mode}.svg"
+            assert main(["plot", "--csv", str(out / "trajectory.csv"), "--out", str(svg), "--mode", mode]) == 0
+            plot.update(svg.read_bytes())
+        csv, summary = (hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("trajectory.csv", "summary.json"))
+        return code, csv, summary, plot.hexdigest()
+
+
 @pytest.mark.parametrize("scenario", sorted(REFERENCE["corpus"]))
-def test_corpus_trajectory_digest(tmp_path, scenario):
+def test_corpus_trajectory_digest(scenario):
     expect = REFERENCE["corpus"][scenario]
-    code = main(["simulate", "--scenario", str(ROOT / scenario), "--out", str(tmp_path)])
-    assert code == expect["exit_code"]
-    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
-    assert digest == expect["csv_sha256"]
+    assert simulated(scenario)[:2] == (expect["exit_code"], expect["csv_sha256"])
 
 
 # SHA-256 of the summary.json `simulate` writes for each corpus scenario,
@@ -55,15 +74,12 @@ SUMMARY_SHA256 = {
 
 
 @pytest.mark.parametrize("scenario", sorted(REFERENCE["corpus"]))
-def test_corpus_summary_digest(tmp_path, scenario):
-    main(["simulate", "--scenario", str(ROOT / scenario), "--out", str(tmp_path)])
-    digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
-    assert digest == SUMMARY_SHA256[scenario]
+def test_corpus_summary_digest(scenario):
+    assert simulated(scenario)[2] == SUMMARY_SHA256[scenario]
 
 
-# SHA-256 over the plot.svg `simulate --plot` writes for each corpus
-# scenario followed by the `plot --mode path`, `hvalue` and `inputs` SVGs of
-# its trajectory, in that order, so a figure cannot drift unseen either
+# SHA-256 of each corpus scenario's figures, as `simulated` digests them,
+# so a figure cannot drift unseen either
 PLOT_SHA256 = {
     "scenarios/baseline/unicycle-braking-unfiltered.json": "c1490207f9f65def3ee949f388fd294ddddd9b9b3b7ec34d8ef333af2b9344c1",
     "scenarios/baseline/unicycle-reversing-unfiltered.json": "211e3dc37c12185dc24a501f812db0876713ac2c8133ada8793c326e358261cc",
@@ -85,11 +101,5 @@ PLOT_SHA256 = {
 
 
 @pytest.mark.parametrize("scenario", sorted(REFERENCE["corpus"]))
-def test_corpus_plot_digest(tmp_path, scenario):
-    main(["simulate", "--scenario", str(ROOT / scenario), "--out", str(tmp_path), "--plot"])
-    digest = hashlib.sha256((tmp_path / "plot.svg").read_bytes())
-    for mode in ("path", "hvalue", "inputs"):
-        svg = tmp_path / f"{mode}.svg"
-        assert main(["plot", "--csv", str(tmp_path / "trajectory.csv"), "--out", str(svg), "--mode", mode]) == 0
-        digest.update(svg.read_bytes())
-    assert digest.hexdigest() == PLOT_SHA256[scenario]
+def test_corpus_plot_digest(scenario):
+    assert simulated(scenario)[3] == PLOT_SHA256[scenario]

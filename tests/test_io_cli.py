@@ -618,6 +618,30 @@ class TestCli:
             assert label in txt
         assert (out / "report.csv").exists()
 
+    def test_input_box_beyond_the_squares_of_floats(self, tmp_path):
+        # the QP ranks candidates by squared distance; under a +-1e200 box
+        # the box rows' projections lie 1e200 away, and the run is the one
+        # under a +-1e100 box, byte for byte
+        doc = minimal_doc(model="pointmass", initial_state={"x": 0, "y": 0, "vx": 2.0, "vy": 0},
+                          obstacles=[{"center": [8, y], "semi_axes": [0.8, 0.8]} for y in (0.9, -0.9)],
+                          controller={"kind": "p", "k1": 1.0, "v_des_vec": [2.0, 0.0]})
+        csv = {}
+        for bound in (1e100, 1e200):
+            doc["filter"]["input_bounds"] = [[-bound, bound], [-bound, bound]]
+            folder = tmp_path / f"in-{bound:g}"
+            folder.mkdir()
+            (folder / "wide.json").write_text(json.dumps(doc))
+            out = tmp_path / f"out-{bound:g}"
+            assert main(["simulate", "--scenario", str(folder / "wide.json"), "--out", str(out)]) == 0
+            csv[bound] = (out / "trajectory.csv").read_bytes()
+        assert csv[1e200] == csv[1e100]
+        # the +-1e200 scene under validate and batch
+        assert main(["validate", "--scenario", str(folder / "wide.json")]) == 0
+        batch = tmp_path / "batch"
+        assert main(["batch", "--scenarios", str(folder), "--out", str(batch)]) == 0
+        assert (batch / "report.csv").exists()
+        assert (batch / "wide" / "trajectory.csv").read_bytes() == csv[1e200]
+
     def test_batch_empty_dir_exit_3(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -968,6 +992,8 @@ class TestNonFinite:
         run = self.run_with_obstacle_at(tmp_path, [1e200, 0.0], "ellipse", code=2)
         summary = read_json(run / "summary.json", "summary")
         assert (summary["aborted"], summary["step"]) == ("filter degenerate for 201 consecutive steps", 519)
+        sc = load_scenario(tmp_path / "far-ellipse-True.json")
+        assert conecbf.ellipse_cbf_eval(sc.model, sc.initial_state, sc.obstacles[1]).dist == 1e200
         run = self.run_with_obstacle_at(tmp_path, [1e200, 0.0], "hocbf", code=2)
         summary = read_json(run / "summary.json", "summary")
         assert (summary["collided"], summary["collision_obstacle"]) == (True, 0)

@@ -103,7 +103,7 @@ LEDGER = {
 # builtin calls over RUNS, keyed by the builtin's qualified name, prefixed
 # with its module where it has one ("math.atan2", not "dict.get")
 BUILTINS = {
-    "builtins.abs": 33155,
+    "builtins.abs": 25150,
     "builtins.all": 5217,
     "builtins.isinstance": 5,
     "builtins.len": 17783,
@@ -145,7 +145,7 @@ TICK_LEDGER = {
 
 # builtin calls over the replayed ticks, keyed as in BUILTINS
 TICK_BUILTINS = {
-    "builtins.abs": 24114,
+    "builtins.abs": 16109,
     "builtins.len": 14608,
     "builtins.max": 9205,
     "builtins.min": 4002,

@@ -187,27 +187,6 @@ class TestIntegrateStep:
         s = integrate_step("unicycle", s, (0, 0), 0.2)
         assert -math.pi < s.theta <= math.pi
 
-    def test_kernels_agree(self):
-        out = kernel.rk4_unicycle(0.1, -0.2, 0.4, 1.1, 0.3, 0.5, -0.2, 0.01)
-        ref = pytest_reference_rk4_unicycle(0.1, -0.2, 0.4, 1.1, 0.3, 0.5, -0.2, 0.01)
-        assert out == pytest.approx(ref, abs=1e-14)
-
-
-def pytest_reference_rk4_unicycle(x, y, th, v, om, a, al, dt):
-    """Independent dense RK4 on the 5-state unicycle, numpy arithmetic."""
-
-    def f(z):
-        return np.array([z[3] * np.cos(z[2]), z[3] * np.sin(z[2]), z[4], a, al])
-
-    z = np.array([x, y, th, v, om], dtype=float)
-    k1 = f(z)
-    k2 = f(z + dt / 2 * k1)
-    k3 = f(z + dt / 2 * k2)
-    k4 = f(z + dt * k3)
-    z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    z[2] = math.atan2(math.sin(z[2]), math.cos(z[2]))
-    return tuple(z)
-
 
 def _stagewise_rk4_unicycle(x, y, th, v, om, a, al, dt):
     """The unicycle RK4 step in stage-by-stage closure form, float for float."""
@@ -311,6 +290,14 @@ class TestRk4StagesExact:
         assert out[2] > math.pi
         theta = integrate_step("bicycle", s, (0.0, 0.2), 0.01, ModelParams(l_r=1.0)).theta
         assert theta == kernel.wrap_angle(out[2]) < -math.pi + 0.02
+        # below -pi: a state built there, and a clockwise step across -pi,
+        # both land near +pi
+        assert UnicycleState(0.0, 0.0, -3.5, 1.0, 0.0).theta == pytest.approx(2 * math.pi - 3.5, abs=1e-15)
+        s = UnicycleState(0.0, 0.0, -math.pi + 1e-4, 1.0, -1.0)
+        out = kernel.rk4_unicycle(*s.as_tuple(), 0.0, 0.0, 0.01)
+        assert out[2] < -math.pi
+        theta = integrate_step("unicycle", s, (0.0, 0.0), 0.01).theta
+        assert theta == kernel.wrap_angle(out[2]) > math.pi - 0.02
 
 
 class TestInputPairChecked:
