@@ -31,11 +31,6 @@ def _require_finite(where, names, values, inf_ok=()):
     `vars(obj)`, which would give every instance a dict and slow its
     attribute reads.
     """
-    try:
-        if bool not in map(type, values) and all(map(isfinite, values)):
-            return
-    except (TypeError, OverflowError):
-        pass
     for name, v in zip(names, values):
         try:
             ok = type(v) is not bool and (isfinite(v) or name in inf_ok and isinf(v))

@@ -282,10 +282,14 @@ def _finite_or_none(doc):
 
 
 def write_json(doc, path):
-    """Write `doc` as strict JSON (NaN or infinity raise) indented by 2, ending in a newline."""
+    """Write `doc` as strict JSON (NaN or infinity raise) indented by 2, ending in a newline.
+
+    The document is encoded before the file is opened, so a refused one
+    leaves no file behind.
+    """
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _scenario_path(path):

@@ -15,8 +15,8 @@ from math import inf, isfinite
 
 import numpy as np
 
-from conecbf import CbfEvaluation
-from conecbf._backend import kernel
+from conecbf import CbfEvaluation, ModelParams, Obstacle, c3bf_eval, ellipse_cbf_eval, hocbf_eval
+from conecbf.models import STATE_TYPES
 
 
 def ev(h, lfh, lg, pen=False, dist=10.0):
@@ -202,24 +202,22 @@ def sample_case(rng, model, min_margin=0.3):
             return np.array(z), u, obs_vel, params, (c1, c2, r)
 
 
-def kernel_c3bf(model, z, obs_vel, params, r):
-    """Call the per-model cone kernel on an extended-state vector.
+def evaluate_case(kind, model, z, obs_vel, params, c1, c2, gamma1=1.0):
+    """The public evaluator of barrier `kind` at a sample_case draw.
 
-    Returns the record flattened to (h, lfh, lg0, lg1, dist, penetration).
+    The one map from an extended-state vector [vehicle..., cx, cy] to the
+    package's state, obstacle and params; the c3bf radius it derives is
+    sample_case's r.
     """
-    if model == "unicycle":
-        e = kernel.c3bf_unicycle(
-            z[0], z[1], z[2], z[3], z[4], params["l"], z[5], z[6], obs_vel[0], obs_vel[1], r
-        )
-    elif model == "bicycle":
-        e = kernel.c3bf_bicycle(
-            z[0], z[1], z[2], z[3], params["l_r"], z[4], z[5], obs_vel[0], obs_vel[1], r
-        )
-    else:
-        e = kernel.c3bf_pointmass(
-            z[0], z[1], z[2], z[3], z[4], z[5], obs_vel[0], obs_vel[1], r
-        )
-    return e.h, e.lfh, *e.lgh, e.dist, e.penetration
+    *vehicle, cx, cy = map(float, z)
+    s = STATE_TYPES[model](*vehicle)
+    o = Obstacle(cx, cy, float(obs_vel[0]), float(obs_vel[1]), c1, c2)
+    p = ModelParams(l=params["l"], l_r=params["l_r"], w=params["w"])
+    if kind == "c3bf":
+        return c3bf_eval(model, s, o, p)
+    if kind == "ellipse":
+        return ellipse_cbf_eval(model, s, o)
+    return hocbf_eval(model, s, o, gamma1, p)
 
 
 # ---------------------------------------------------------------------------

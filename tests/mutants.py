@@ -1,12 +1,11 @@
-"""Mutation audit of the QP and cone kernels.
+"""Mutation audit of the kernel and the filter.
 
     python tests/mutants.py
 
 Makes every operator mutant (+ and -, * and /, < and <=, > and >=
 swapped, one place at a time) and every branch mutant (each `if` test,
 conditional expression test and comprehension condition forced True and
-then False) of `_cone_terms`, `_unmet`, `solve_qp2` and
-`least_violation` in `src/conecbf/_pykernel.py`. Each mutant runs
+then False) of the functions that SITES lists per file. Each mutant runs
 against the fast subset of tier-1 (the cone, filter, golden and engine
 tests); a mutant that survives it runs against the full tier-1. A run
 that fails kills its mutant, and so does one that passes its time limit
@@ -31,8 +30,14 @@ from bisect import bisect_right
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNEL = Path("src", "conecbf", "_pykernel.py")
-FUNCTIONS = ("_cone_terms", "_unmet", "solve_qp2", "least_violation")
+# the functions mutated, by file; each name is unique across the files
+SITES = {
+    Path("src", "conecbf", "_pykernel.py"): (
+        "wrap_angle", "_cone_terms", "_ellipse_terms", "_hocbf_terms", "rk4_unicycle", "rk4_bicycle",
+        "rk4_pointmass", "_unmet", "_sq_violation", "_line_min", "least_violation", "solve_qp2",
+    ),
+    Path("src", "conecbf", "qpfilter.py"): ("activation_gate", "_rows", "filter_single", "filter_qp", "_unfiltered"),
+}
 FAST = ["tests/test_cones.py", "tests/test_filter.py", "tests/test_golden.py", "tests/test_engine.py"]
 # seconds; tier-1 takes about 30 s and its fast subset about 7 s
 FAST_LIMIT, FULL_LIMIT = 60, 240
@@ -42,9 +47,10 @@ SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 COMPARE = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 
 
-def mutants(source):
+def mutants(source, functions):
     """(function, description, (line, column), mutated source) for every
-    mutant, at the swapped operator or the forced test."""
+    mutant of the named functions, at the swapped operator or the forced
+    test."""
     starts = [0]
     for line in source.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
@@ -66,7 +72,7 @@ def mutants(source):
         return place(k), source[:k] + new + source[k + len(old):]
 
     tree = ast.parse(source)
-    for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in FUNCTIONS):
+    for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in functions):
         for node in ast.walk(fn):
             op = getattr(node, "op", None)
             if isinstance(node, ast.BinOp) and type(op) in SWAP:
@@ -108,18 +114,19 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp, "tree")
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
-        kernel = tree / KERNEL
-        source = kernel.read_text()
         if not passes(tree, [], FULL_LIMIT):
             sys.exit("tier-1 fails on the unmutated tree")
         survivors, total = [], 0
-        for total, (fn, what, (line, col), mutated) in enumerate(sorted(mutants(source), key=lambda m: m[2]), 1):
-            kernel.write_text(mutated)
-            alive = passes(tree, FAST, FAST_LIMIT) and passes(tree, [], FULL_LIMIT)
-            print(f"{'SURVIVED' if alive else 'killed  '} {fn}:{line}:{col} {what}", flush=True)
-            if alive:
-                survivors.append(f"{fn}:{line}:{col} {what}")
-        kernel.write_text(source)
+        for path, functions in SITES.items():
+            source = (tree / path).read_text()
+            for fn, what, (line, col), mutated in sorted(mutants(source, functions), key=lambda m: m[2]):
+                (tree / path).write_text(mutated)
+                alive = passes(tree, FAST, FAST_LIMIT) and passes(tree, [], FULL_LIMIT)
+                print(f"{'SURVIVED' if alive else 'killed  '} {fn}:{line}:{col} {what}", flush=True)
+                total += 1
+                if alive:
+                    survivors.append(f"{fn}:{line}:{col} {what}")
+            (tree / path).write_text(source)
     print(f"{total} mutants, {len(survivors)} survived full tier-1")
     for s in survivors:
         print("  " + s)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import cone_h_of_ext, ev, exact_qp, fd_hdot, kernel_c3bf, rows_of, sample_case
+from conftest import cone_h_of_ext, ev, evaluate_case, exact_qp, fd_hdot, rows_of, sample_case
 
 import conecbf
 from conecbf import (
@@ -63,12 +63,12 @@ def test_criterion_01_lie_derivative_oracle():
     for model in MODELS:
         for _ in range(n_per_model):
             z, u, obs_vel, params, (c1, c2, r) = sample_case(rng, model)
-            h, lfh, lg0, lg1, dist, pen = kernel_c3bf(model, z, obs_vel, params, r)
+            e = evaluate_case("c3bf", model, z, obs_vel, params, c1, c2)
             hdot_fd = fd_hdot(
                 lambda zz: cone_h_of_ext(model, zz, obs_vel, params, r),
                 model, z, u, obs_vel, params, eps=1e-5,
             )
-            err = abs((lfh + lg0 * u[0] + lg1 * u[1]) - hdot_fd) / (1 + abs(hdot_fd))
+            err = abs((e.lfh + e.lgh[0] * u[0] + e.lgh[1] * u[1]) - hdot_fd) / (1 + abs(hdot_fd))
             worst = max(worst, err)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 10.0

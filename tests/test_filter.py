@@ -97,21 +97,6 @@ class TestFilterSingle:
 
 
 class TestFilterQp:
-    def test_matches_single_on_1000_instances(self):
-        rng = np.random.default_rng(4)
-        n = 0
-        while n < 1000:
-            u_ref = tuple(rng.uniform(-4, 4, 2))
-            lg = tuple(rng.uniform(-3, 3, 2))
-            if math.hypot(*lg) < 1e-6:
-                continue
-            e = ev(rng.uniform(-2, 2), rng.uniform(-4, 4), lg)
-            a = filter_single(u_ref, e, CFG)
-            b = filter_qp(u_ref, [e], CFG)
-            assert abs(a.u_star[0] - b.u_star[0]) <= 1e-8
-            assert abs(a.u_star[1] - b.u_star[1]) <= 1e-8
-            n += 1
-
     def test_interior_reference_untouched(self):
         e1 = eval_from_psi(0.5, (1.0, 0.0), (1.5, -0.5))
         e2 = eval_from_psi(0.2, (0.0, 1.0), (1.5, -0.5))
@@ -195,6 +180,11 @@ class TestFilterQp:
         res = filter_qp((3.0, 0.0), evals, cfg)
         assert res.u_star == (1.0, 0.0) and res.infeasible
         assert filter_qp((-3.0, 0.0), evals, cfg).u_star == (-1.0, 0.0)
+        # the mirror: rows u0 >= 1 and u0 <= -1, u1 boxed to [-1, 1]
+        cfg = FilterConfig(gamma=1.0, input_bounds=((-math.inf, math.inf), (-1.0, 1.0)))
+        evals = [ev(0.0, -1.0, (1.0, 0.0), dist=1.0), ev(0.0, -1.0, (-1.0, 0.0), dist=1.0)]
+        assert filter_qp((0.0, 3.0), evals, cfg).u_star == (0.0, 1.0)
+        assert filter_qp((0.0, -3.0), evals, cfg).u_star == (0.0, -1.0)
 
     def test_u_star_inside_box_bit_for_bit(self):
         # passthrough, feasible and infeasible answers all lie inside the
@@ -429,7 +419,8 @@ class TestActivationGate:
     CFG10 = FilterConfig(gamma=1.0, activation_radius=10.0)
 
     def test_closed_boundary(self):
-        assert activation_gate(10.0, self.CFG10)
+        # both ends of [0, radius] are in
+        assert activation_gate(10.0, self.CFG10) and activation_gate(0.0, self.CFG10)
 
     def test_just_outside(self):
         assert not activation_gate(10.0 + 1e-9, self.CFG10)

@@ -37,6 +37,7 @@ from conecbf.scenario_io import (
     csv_header,
     read_json,
     read_trajectory_csv,
+    write_json,
     write_trajectory_csv,
 )
 
@@ -1039,6 +1040,13 @@ class TestNonFinite:
         metrics = read_json(run / "summary.json", "summary")["metrics"]
         assert metrics["min_clearance"][0] > 0
         assert metrics["min_clearance"][1] is None
+
+    def test_refused_document_leaves_no_file(self, tmp_path):
+        # the whole document is encoded before the file is opened
+        path = tmp_path / "summary.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json({"h": [0.5, NAN]}, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("mode", ["path", "hvalue", "inputs"])
     def test_plots_skip_non_finite_samples(self, far_run, mode):

@@ -101,10 +101,12 @@ LEDGER = {
 }
 
 # builtin calls over RUNS, keyed by the builtin's qualified name, prefixed
-# with its module where it has one ("math.atan2", not "dict.get")
+# with its module where it has one ("math.atan2", not "dict.get");
+# `_require_finite` tests each value once, in its per-name loop, so the
+# `builtins.all` row of its former pre-scan (5217) is gone and
+# `math.isfinite` went from 6689 to 29671
 BUILTINS = {
     "builtins.abs": 25150,
-    "builtins.all": 5217,
     "builtins.isinstance": 5,
     "builtins.len": 17783,
     "builtins.max": 23652,
@@ -117,7 +119,7 @@ BUILTINS = {
     "math.cos": 24410,
     "math.fmod": 6562,
     "math.hypot": 6003,
-    "math.isfinite": 6689,
+    "math.isfinite": 29671,
     "math.sin": 24410,
     "math.sqrt": 18257,
     "math.tan": 2001,

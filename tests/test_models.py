@@ -293,6 +293,8 @@ class TestRk4StagesExact:
         # below -pi: a state built there, and a clockwise step across -pi,
         # both land near +pi
         assert UnicycleState(0.0, 0.0, -3.5, 1.0, 0.0).theta == pytest.approx(2 * math.pi - 3.5, abs=1e-15)
+        # -pi is the open end of (-pi, pi], so it wraps to +pi
+        assert UnicycleState(0.0, 0.0, -math.pi, 1.0, 0.0).theta == math.pi
         s = UnicycleState(0.0, 0.0, -math.pi + 1e-4, 1.0, -1.0)
         out = kernel.rk4_unicycle(*s.as_tuple(), 0.0, 0.0, 0.01)
         assert out[2] < -math.pi
