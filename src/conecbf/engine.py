@@ -112,7 +112,15 @@ class Scenario:
 
 @dataclass
 class TrajectoryLog:
-    """Column-oriented per-step record of one run."""
+    """Column-oriented per-step record of one run.
+
+    run_scenario appends each step's values to the columns as it steps,
+    and shares the rows that say nothing new: every step on which no
+    constraint binds, and every step on which nothing penetrates, logs
+    one all-False tuple per run in `active` and `penetration`; a step
+    whose u_star is the reference's own floats (a pass-through) logs its
+    u_ref tuple in `u_star`. Rows are tuples, so sharing them is safe.
+    """
 
     scenario: Scenario
     t: list = field(default_factory=list)
@@ -163,10 +171,14 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
     cfg = sc.run_filter
     kind, gamma1 = sc.cbf, sc.hocbf_gamma1
     filters = kind != "none"
-    # shared by every step on which no constraint binds
-    no_active = (False,) * n_obs
-    # one record per step, in TrajectoryLog field order
-    records = []
+    # shared by every step on which no constraint binds, and by every step
+    # on which nothing penetrates
+    no_flags = (False,) * n_obs
+    log = TrajectoryLog(sc)
+    add_t, add_state, add_u_ref, add_u_star = log.t.append, log.states.append, log.u_ref.append, log.u_star.append
+    add_h, add_psi, add_dist, add_active = log.h.append, log.psi.append, log.dist.append, log.active.append
+    add_penetration, add_degenerate = log.penetration.append, log.degenerate.append
+    add_infeasible = log.infeasible.append
     degenerate_run = 0
     for k in range(n_steps + 1):
         t = k * dt
@@ -182,14 +194,22 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             u_cmd, _, binding, psis, degenerate, infeasible = (filter_qp if filters else _unfiltered)(u_ref, evals, cfg)
         except ValidationError as exc:
             raise SimulationError(f"filter failed at step {k}: {exc}", step=k)
-        active = tuple([i in binding for i in range(n_obs)]) if binding else no_active
-        records.append((
-            t, state.as_tuple(), u_ref, u_cmd, hs, psis, dists, active, penetrations,
-            degenerate, infeasible,
-        ))
+        add_t(t)
+        add_state(state.as_tuple())
+        add_u_ref(u_ref)
+        # a pass-through input is the reference's own floats: log its pair
+        add_u_star(u_ref if u_cmd[0] is u_ref[0] and u_cmd[1] is u_ref[1] else u_cmd)
+        add_h(hs)
+        add_psi(psis)
+        add_dist(dists)
+        add_active(tuple([i in binding for i in range(n_obs)]) if binding else no_flags)
+        add_penetration(penetrations if True in penetrations else no_flags)
+        add_degenerate(degenerate)
+        add_infeasible(infeasible)
         for i, (d, limit) in enumerate(zip(dists, limits)):
             if d <= limit:
-                return TrajectoryLog(sc, *map(list, zip(*records)), True, k, i)
+                log.collided, log.collision_step, log.collision_obstacle = True, k, i
+                return log
         degenerate_run = degenerate_run + 1 if degenerate else 0
         if degenerate_run > DEGENERATE_STEP_BUDGET:
             raise SimulationError(
@@ -201,7 +221,7 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
             state = integrate_step(model, state, u_cmd, dt, params)
         except ValidationError as exc:
             raise SimulationError(f"integration failed at step {k}: {exc}", step=k)
-    return TrajectoryLog(sc, *map(list, zip(*records)))
+    return log
 
 
 def _speed_series(log: TrajectoryLog):

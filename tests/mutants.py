@@ -1,4 +1,4 @@
-"""Mutation audit of the kernel and the filter.
+"""Mutation audit of the kernel, the filter and the engine's step loop.
 
     python tests/mutants.py
 
@@ -37,6 +37,7 @@ SITES = {
         "rk4_pointmass", "_unmet", "_sq_violation", "_line_min", "least_violation", "solve_qp2",
     ),
     Path("src", "conecbf", "qpfilter.py"): ("activation_gate", "_rows", "filter_single", "filter_qp", "_unfiltered"),
+    Path("src", "conecbf", "engine.py"): ("run_scenario",),
 }
 FAST = ["tests/test_cones.py", "tests/test_filter.py", "tests/test_golden.py", "tests/test_engine.py"]
 # seconds; tier-1 takes about 30 s and its fast subset about 7 s

@@ -368,6 +368,46 @@ class TestRunScenario:
             run_scenario(sc)
 
 
+class TestLogFootprint:
+    """A run holds each record once, in the log's columns."""
+
+    PATH = SCENARIO_DIR / "unicycle-turn-from-rest.json"
+
+    # measured in a fresh interpreter, after a first run has filled the
+    # caches a run leaves behind; that run's log is kept, so its objects
+    # fill no free list that would serve the measured run untraced
+    PEAK = """
+import sys, tracemalloc
+from conecbf import load_scenario, run_scenario
+sc = load_scenario(sys.argv[1])
+first = run_scenario(sc)
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+log = run_scenario(sc)
+held, peak = (n - before for n in tracemalloc.get_traced_memory())
+tracemalloc.stop()
+print(len(log.t), peak, held)
+"""
+
+    def test_peak_is_the_log_it_returns(self):
+        # no second copy of the records while the run steps or returns
+        env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).resolve().parent.parent)}
+        run = subprocess.run([sys.executable, "-c", self.PEAK, str(self.PATH)], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        records, peak, held = map(int, run.stdout.split())
+        assert records == 5601
+        assert peak <= 1.05 * held, (peak / records, held / records)
+
+    def test_unchanged_rows_are_shared(self):
+        log = run_scenario(load_scenario(self.PATH))
+        passed = [k for k, (us, ur) in enumerate(zip(log.u_star, log.u_ref)) if us[0] is ur[0] and us[1] is ur[1]]
+        assert 0 < len(passed) < len(log.t)
+        assert all(log.u_star[k] is log.u_ref[k] for k in passed)
+        # one all-False row per column: no constraint binds, nothing penetrates
+        for rows in (log.active, log.penetration):
+            assert len({id(row) for row in rows if True not in row}) == 1
+
+
 class TestReferenceInput:
     """The input box and beta_max around the logged u_ref. That the engine
     logs reference_input's output is TestPublicTick's to check, and the
@@ -469,6 +509,13 @@ class TestRadii:
         object.__setattr__(sc, "radii", (10.0, 0.5))
         log = run_scenario(sc)
         assert (log.collided, log.collision_step, log.collision_obstacle) == (True, 0, 0)
+        # at rest 6 m from a still obstacle: a radius of 6 m sets the limit
+        # COLLISION_SLACK below the distance, and one of 6 m + COLLISION_SLACK
+        # sets it at the distance, which collides
+        sc = simple_scenario(obstacles=(Obstacle(6, 0.0),), duration=0.5)
+        for radius, collided in ((6.0, False), (6.0 + engine.COLLISION_SLACK, True)):
+            object.__setattr__(sc, "radii", (radius,))
+            assert run_scenario(sc).collided is collided
 
 
 def public_tick_run(sc, cfg, log):

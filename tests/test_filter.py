@@ -52,6 +52,9 @@ class TestFilterSingle:
         assert res.u_star == (0.2, 0.1)
         assert res.active_set == ()
         assert res.psi == pytest.approx((0.3,))
+        # a slack of exactly 0 is met: nothing binds
+        res = filter_single((0.0, 0.0), ev(0.0, 0.0, (1.0, 0.0)), CFG)
+        assert res.active_set == () and res.u_safe == (0.0, 0.0)
 
     def test_hand_case_axis_aligned(self):
         e = eval_from_psi(-2.0, (1.0, 0.0), (0.0, 0.0))
@@ -67,6 +70,10 @@ class TestFilterSingle:
         e = eval_from_psi(-1.0, (0.0, 0.0), (0.5, 0.5))
         res = filter_single((0.5, 0.5), e, CFG)
         assert res.degenerate
+        assert res.u_star == (0.5, 0.5)
+        # an input-independent row with a slack of exactly 0 holds
+        res = filter_single((0.5, 0.5), eval_from_psi(0.0, (0.0, 0.0), (0.5, 0.5)), CFG)
+        assert not res.degenerate and res.psi == (0.0,)
         assert res.u_star == (0.5, 0.5)
 
     def test_constraint_restored_to_boundary(self):
@@ -701,9 +708,11 @@ class TestInputPairChecked:
 
     def test_no_rows_pass_u_ref_through(self):
         # with no row to solve (none given, or each degenerate) u_ref comes
-        # back unchanged and u_safe is a pair of +0.0
+        # back unchanged and u_safe is a pair of +0.0; a degenerate row
+        # with a slack of exactly 0 holds, so it flags nothing
         deg = ev(-1.0, -1.0, (0.0, 0.0))
-        for evals, degenerate in (([], False), ([deg], True), ([deg, deg], True)):
+        met = ev(0.0, 0.0, (0.0, 0.0))
+        for evals, degenerate in (([], False), ([deg], True), ([deg, deg], True), ([met], False)):
             res = filter_qp((0.3, -0.2), evals, CFG)
             assert res.u_star == (0.3, -0.2) and res.active_set == ()
             assert [repr(v) for v in res.u_safe] == ["0.0", "0.0"]
