@@ -167,27 +167,29 @@ def c3bf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, r):
 # ---------------------------------------------------------------------------
 
 
+def _dist(px, py):
+    """dist of the six baseline kernels, from the body center as the cone
+    measures it: the squares overflow although the distance may not."""
+    d2 = px * px + py * py
+    return hypot(px, py) if d2 == _INF else sqrt(d2)
+
+
 def _ellipse_terms(x, y, vx, vy, cx, cy, cxd, cyd, c1, c2):
-    """(h, lfh, dxn, dyn, dist) for a vehicle at (x, y) moving at (vx, vy);
+    """(h, lfh, dxn, dyn) for a vehicle at (x, y) moving at (vx, vy);
     (dxn, dyn) is half of dh/d(cx, cy)."""
     dxn = (cx - x) / (c1 * c1)
     dyn = (cy - y) / (c2 * c2)
     h = (cx - x) * dxn + (cy - y) * dyn - 1.0
     lfh = 2.0 * dxn * (cxd - vx) + 2.0 * dyn * (cyd - vy)
-    # ** 2 differs from x * x in the last bit on some inputs, and the golden
-    # ellipse digests hold the bits of ** 2; float ** raises on overflow
-    try:
-        d2 = (cx - x) ** 2 + (cy - y) ** 2
-    except OverflowError:
-        d2 = _INF
-    # the squares overflow although the distance may not
-    dist = hypot(cx - x, cy - y) if d2 == _INF else sqrt(d2)
-    return h, lfh, dxn, dyn, dist
+    return h, lfh, dxn, dyn
 
 
-def ellipse_unicycle(x, y, th, v, cx, cy, cxd, cyd, c1, c2):
-    """Ellipse barrier for the acceleration unicycle: no input appears."""
-    h, lfh, _, _, dist = _ellipse_terms(x, y, v * cos(th), v * sin(th), cx, cy, cxd, cyd, c1, c2)
+def ellipse_unicycle(x, y, th, v, l, cx, cy, cxd, cyd, c1, c2):
+    """Ellipse barrier for the acceleration unicycle: no input appears; `l` serves dist alone."""
+    ct = cos(th)
+    st = sin(th)
+    h, lfh, _, _ = _ellipse_terms(x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2)
+    dist = _dist(cx - (x + l * ct), cy - (y + l * st))
     return _tuple_new(CbfEvaluation, (h, lfh, (0.0, 0.0), False, dist))
 
 
@@ -195,15 +197,15 @@ def ellipse_bicycle(x, y, th, v, cx, cy, cxd, cyd, c1, c2):
     """Ellipse barrier for the bicycle: only the slip input survives."""
     ct = cos(th)
     st = sin(th)
-    h, lfh, dxn, dyn, dist = _ellipse_terms(x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2)
+    h, lfh, dxn, dyn = _ellipse_terms(x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2)
     lg1 = 2.0 * dxn * v * st - 2.0 * dyn * v * ct
-    return _tuple_new(CbfEvaluation, (h, lfh, (0.0, lg1), False, dist))
+    return _tuple_new(CbfEvaluation, (h, lfh, (0.0, lg1), False, _dist(cx - x, cy - y)))
 
 
 def ellipse_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2):
     """Ellipse barrier for the point mass: relative degree two, no input."""
-    h, lfh, _, _, dist = _ellipse_terms(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2)
-    return _tuple_new(CbfEvaluation, (h, lfh, (0.0, 0.0), False, dist))
+    h, lfh, _, _ = _ellipse_terms(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2)
+    return _tuple_new(CbfEvaluation, (h, lfh, (0.0, 0.0), False, _dist(cx - x, cy - y)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +216,7 @@ def ellipse_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2):
 
 
 def _hocbf_terms(x, y, vx, vy, cx, cy, cxd, cyd, c1, c2, gamma1):
-    """(h2, lfh, q1, q2, dx, dy, ax, ay, dist) for a vehicle at (x, y) moving at
+    """(h2, lfh, q1, q2, dx, dy, ax, ay) for a vehicle at (x, y) moving at
     (vx, vy); lfh is the drift at constant (vx, vy), (ax, ay) = v_rel + gamma1 (dx, dy)."""
     q1 = 2.0 / (c1 * c1)
     q2 = 2.0 / (c2 * c2)
@@ -227,25 +229,21 @@ def _hocbf_terms(x, y, vx, vy, cx, cy, cxd, cyd, c1, c2, gamma1):
     ax = vxr + gamma1 * dx
     ay = vyr + gamma1 * dy
     lfh = q1 * ax * vxr + q2 * ay * vyr
-    d2 = dx * dx + dy * dy
-    # the squares overflow although the distance may not
-    dist = hypot(dx, dy) if d2 == _INF else sqrt(d2)
-    return h2, lfh, q1, q2, dx, dy, ax, ay, dist
+    return h2, lfh, q1, q2, dx, dy, ax, ay
 
 
-def hocbf_unicycle(x, y, th, v, om, cx, cy, cxd, cyd, c1, c2, gamma1):
+def hocbf_unicycle(x, y, th, v, om, l, cx, cy, cxd, cyd, c1, c2, gamma1):
     """Second-order ellipse barrier for the unicycle.
 
     Recovers the thrust input (a) but never the steering input (alpha):
-    the alpha column is structurally zero.
+    the alpha column is structurally zero. `l` serves dist alone.
     """
     ct = cos(th)
     st = sin(th)
-    h2, lfh, q1, q2, dx, dy, _, _, dist = _hocbf_terms(
-        x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2, gamma1
-    )
+    h2, lfh, q1, q2, dx, dy, _, _ = _hocbf_terms(x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2, gamma1)
     lfh += om * v * (q1 * dx * st - q2 * dy * ct)
     lg0 = -(q1 * dx * ct + q2 * dy * st)
+    dist = _dist(cx - (x + l * ct), cy - (y + l * st))
     return _tuple_new(CbfEvaluation, (h2, lfh, (lg0, 0.0), False, dist))
 
 
@@ -257,21 +255,17 @@ def hocbf_bicycle(x, y, th, v, lr, cx, cy, cxd, cyd, c1, c2, gamma1):
     """
     ct = cos(th)
     st = sin(th)
-    h2, lfh, q1, q2, dx, dy, ax, ay, dist = _hocbf_terms(
-        x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2, gamma1
-    )
+    h2, lfh, q1, q2, dx, dy, ax, ay = _hocbf_terms(x, y, v * ct, v * st, cx, cy, cxd, cyd, c1, c2, gamma1)
     lg0 = -(q1 * dx * ct + q2 * dy * st)
     # beta column: transport through x, y plus heading rate v/lr
     lg1 = v * st * q1 * ax - v * ct * q2 * ay + (v / lr) * v * (q1 * dx * st - q2 * dy * ct)
-    return _tuple_new(CbfEvaluation, (h2, lfh, (lg0, lg1), False, dist))
+    return _tuple_new(CbfEvaluation, (h2, lfh, (lg0, lg1), False, _dist(dx, dy)))
 
 
 def hocbf_pointmass(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1):
     """Second-order ellipse barrier for the point mass."""
-    h2, lfh, q1, q2, dx, dy, _, _, dist = _hocbf_terms(
-        x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1
-    )
-    return _tuple_new(CbfEvaluation, (h2, lfh, (-q1 * dx, -q2 * dy), False, dist))
+    h2, lfh, q1, q2, dx, dy, _, _ = _hocbf_terms(x, y, vx_s, vy_s, cx, cy, cxd, cyd, c1, c2, gamma1)
+    return _tuple_new(CbfEvaluation, (h2, lfh, (-q1 * dx, -q2 * dy), False, _dist(dx, dy)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +359,10 @@ def rk4_pointmass(x, y, vx, vy, ax, ay, dt):
 # candidates in that order.  One rule picks among them: u_ref if it meets
 # every row; else the first feasible projection of a row u_ref violates
 # (its multiplier is positive: the one-row KKT point, returned at once);
-# else the closest feasible candidate, which also serves where no KKT
-# point exists, as when opposed rows leave an empty strip thinner than
-# _FEAS_TOL (closed-loop runs meet such rows).  Distances are squared as
-# products, which overflow to inf where ** would raise.  With none
+# else the closest feasible candidate, ties to the first, which also serves
+# where no KKT point exists, as when opposed rows leave an empty strip
+# thinner than _FEAS_TOL (closed-loop runs meet such rows).  Distances are
+# squared as products, which overflow to inf where ** would raise.  With none
 # feasible, u_ref comes back flagged.  The rule for that step's input is
 # least_violation, the least sum_i min(0, g_i . u - b_i)^2 over a box:
 # Gauss-Newton passes from u_ref with exact line searches (Mangasarian's

@@ -115,12 +115,17 @@ def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> Cb
     """Cone barrier with analytic Lie derivatives for the extended state.
 
     With t given, the obstacle is read as `o.state_at(t)` places it; else
-    from its fields. Inputs that do not fit `model` raise ValidationError.
+    from its fields. Every model takes params `p`, and only a ModelParams;
+    the unicycle's `l` places the body center that `dist` is measured
+    from, under every barrier kind. Inputs that do not fit `model` raise
+    ValidationError.
     """
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("c3bf_eval", model, s)
+    if p.__class__ is not ModelParams:
+        raise _unfit_inputs("c3bf_eval", model, s, f"p must be a ModelParams, got {p!r}")
     try:
-        # unchecked, so that a bad o or p names c3bf_eval and the model
+        # unchecked, so that a bad o names c3bf_eval and the model
         r = _radius(o, p)
         cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
         if model == "unicycle":
@@ -132,14 +137,16 @@ def c3bf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> Cb
         raise _unfit_inputs("c3bf_eval", model, s, exc) from exc
 
 
-def ellipse_cbf_eval(model: str, s, o: Obstacle, t: float = None) -> CbfEvaluation:
-    """Ellipse distance barrier; degenerate input columns are structural; `t` as in c3bf_eval."""
+def ellipse_cbf_eval(model: str, s, o: Obstacle, p: ModelParams, t: float = None) -> CbfEvaluation:
+    """Ellipse distance barrier; degenerate input columns are structural; `p` and `t` as in c3bf_eval."""
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("ellipse_cbf_eval", model, s)
+    if p.__class__ is not ModelParams:
+        raise _unfit_inputs("ellipse_cbf_eval", model, s, f"p must be a ModelParams, got {p!r}")
     try:
         cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
         if model == "unicycle":
-            return kernel.ellipse_unicycle(s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2)
+            return kernel.ellipse_unicycle(s.x, s.y, s.theta, s.v, p.l, cx, cy, vx, vy, o.c1, o.c2)
         if model == "bicycle":
             return kernel.ellipse_bicycle(s.x, s.y, s.theta, s.v, cx, cy, vx, vy, o.c1, o.c2)
         return kernel.ellipse_pointmass(s.x, s.y, s.vx, s.vy, cx, cy, vx, vy, o.c1, o.c2)
@@ -147,21 +154,18 @@ def ellipse_cbf_eval(model: str, s, o: Obstacle, t: float = None) -> CbfEvaluati
         raise _unfit_inputs("ellipse_cbf_eval", model, s, exc) from exc
 
 
-def hocbf_eval(
-    model: str, s, o: Obstacle, gamma1: float, p: ModelParams = None, t: float = None
-) -> CbfEvaluation:
+def hocbf_eval(model: str, s, o: Obstacle, gamma1: float, p: ModelParams, t: float = None) -> CbfEvaluation:
     """Second-order ellipse barrier h2 = Lf h1 + gamma1 h1.
 
     A gamma1 that is not a finite number > 0 (a bool is none) raises
-    ValidationError, and so do params `p` that are neither None nor a
-    ModelParams, and the bicycle/moving-obstacle combination:
+    ValidationError, and so does the bicycle/moving-obstacle combination:
     obstacle velocities can always be chosen to defeat the constraint
-    there. `t` selects the obstacle's state as in c3bf_eval.
+    there. `p` and `t` as in c3bf_eval.
     """
     if _MODEL_OF.get(type(s)) != model:
         raise _unfit_inputs("hocbf_eval", model, s)
-    if p is not None and p.__class__ is not ModelParams:
-        raise _unfit_inputs("hocbf_eval", model, s, f"p must be None or a ModelParams, got {p!r}")
+    if p.__class__ is not ModelParams:
+        raise _unfit_inputs("hocbf_eval", model, s, f"p must be a ModelParams, got {p!r}")
     # + 0.0 turns an integer beyond the doubles into OverflowError
     try:
         ok = gamma1.__class__ is not bool and 0.0 < gamma1 + 0.0 < inf
@@ -172,7 +176,7 @@ def hocbf_eval(
     try:
         cx, cy, vx, vy = (o.cx, o.cy, o.vx, o.vy) if t is None else o.state_at(t)
         if model == "unicycle":
-            return kernel.hocbf_unicycle(s.x, s.y, s.theta, s.v, s.omega, cx, cy, vx, vy, o.c1, o.c2, gamma1)
+            return kernel.hocbf_unicycle(s.x, s.y, s.theta, s.v, s.omega, p.l, cx, cy, vx, vy, o.c1, o.c2, gamma1)
         if model == "bicycle":
             if o.moves():
                 raise ValidationError(_HOCBF_MOVING_BICYCLE)

@@ -184,7 +184,7 @@ def run_scenario(sc: Scenario) -> TrajectoryLog:
         t = k * dt
         u_ref = reference_input(controller, model, state, params)
         if kind == "ellipse":
-            evals = [ellipse_cbf_eval(model, state, o, t) for o in obstacles]
+            evals = [ellipse_cbf_eval(model, state, o, params, t) for o in obstacles]
         elif kind == "hocbf":
             evals = [hocbf_eval(model, state, o, gamma1, params, t) for o in obstacles]
         else:

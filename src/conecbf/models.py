@@ -214,8 +214,8 @@ def _unfit_inputs(where, model, s, exc=None):
     An unknown model kind; else the reason `exc`: the AttributeError of an
     argument lacking a field (a tuple for an obstacle, a controller or
     params, None for params that a model reads), or params that are not
-    None and not a ModelParams; else a state that is not exactly of
-    STATE_TYPES[model].
+    a ModelParams (nor None, where params are optional); else a state
+    that is not exactly of STATE_TYPES[model].
     Each entry point that reads a state of a named model opens with the one
     test `_MODEL_OF.get(type(s)) != model`, so a look-alike, a subclass, a
     state of another model or an unknown model, hashable or not, is refused

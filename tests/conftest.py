@@ -154,7 +154,8 @@ def fd_hdot(h_of_ext, model, z, u, obs_vel, params, eps=1e-5):
 
 
 def sample_case(rng, model, min_margin=0.3):
-    """Random non-penetrating (state, obstacle, params, input) tuple.
+    """Random non-penetrating (state, input, obstacle velocity, params,
+    (c1, c2, r, dist)) draw; dist is measured from the body center.
 
     Ranges are everyday ground-vehicle magnitudes. They also keep the
     barrier's along-flow curvature small enough that the eps=1e-5
@@ -199,7 +200,7 @@ def sample_case(rng, model, min_margin=0.3):
             u = tuple(rng.uniform(-2.5, 2.5, size=2))
             v_rel = np.hypot(obs_vel[0] - vx, obs_vel[1] - vy)
         if v_rel >= 0.1:
-            return np.array(z), u, obs_vel, params, (c1, c2, r)
+            return np.array(z), u, obs_vel, params, (c1, c2, r, dist)
 
 
 def evaluate_case(kind, model, z, obs_vel, params, c1, c2, gamma1=1.0):
@@ -216,7 +217,7 @@ def evaluate_case(kind, model, z, obs_vel, params, c1, c2, gamma1=1.0):
     if kind == "c3bf":
         return c3bf_eval(model, s, o, p)
     if kind == "ellipse":
-        return ellipse_cbf_eval(model, s, o)
+        return ellipse_cbf_eval(model, s, o, p)
     return hocbf_eval(model, s, o, gamma1, p)
 
 

@@ -33,7 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the functions mutated, by file; each name is unique across the files
 SITES = {
     Path("src", "conecbf", "_pykernel.py"): (
-        "wrap_angle", "_cone_terms", "_ellipse_terms", "_hocbf_terms", "rk4_unicycle", "rk4_bicycle",
+        "wrap_angle", "_cone_terms", "_dist", "_ellipse_terms", "_hocbf_terms", "rk4_unicycle", "rk4_bicycle",
         "rk4_pointmass", "_unmet", "_sq_violation", "_line_min", "least_violation", "solve_qp2",
     ),
     Path("src", "conecbf", "qpfilter.py"): ("activation_gate", "_rows", "filter_single", "filter_qp", "_unfiltered"),

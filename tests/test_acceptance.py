@@ -62,7 +62,7 @@ def test_criterion_01_lie_derivative_oracle():
     n_per_model = 1000
     for model in MODELS:
         for _ in range(n_per_model):
-            z, u, obs_vel, params, (c1, c2, r) = sample_case(rng, model)
+            z, u, obs_vel, params, (c1, c2, r, _) = sample_case(rng, model)
             e = evaluate_case("c3bf", model, z, obs_vel, params, c1, c2)
             hdot_fd = fd_hdot(
                 lambda zz: cone_h_of_ext(model, zz, obs_vel, params, r),
@@ -129,13 +129,14 @@ def test_criterion_03_qp_grid_oracle():
 def test_criterion_04_baseline_degeneracies():
     """Structural input-column degeneracies of the ellipse baselines."""
     rng = np.random.default_rng(31)
+    p = ModelParams()
     worst_uni = 0.0
     for _ in range(10_000):
         s = UnicycleState(*rng.uniform(-8, 8, 2), rng.uniform(-3, 3),
                           rng.uniform(-3, 3), rng.uniform(-2, 2))
         o = Obstacle(*rng.uniform(-8, 8, 2), vx=rng.uniform(-1, 1), vy=rng.uniform(-1, 1),
                      c1=rng.uniform(0.3, 2), c2=rng.uniform(0.3, 2))
-        e = ellipse_cbf_eval("unicycle", s, o)
+        e = ellipse_cbf_eval("unicycle", s, o, p)
         worst_uni = max(worst_uni, math.hypot(*e.lgh))
     n = 5000
     beta_nonzero = 0
@@ -143,7 +144,7 @@ def test_criterion_04_baseline_degeneracies():
     for _ in range(n):
         s = BicycleState(*rng.uniform(-8, 8, 2), rng.uniform(-3, 3), rng.uniform(0.2, 3))
         o = Obstacle(*rng.uniform(-8, 8, 2), c1=rng.uniform(0.3, 2), c2=rng.uniform(0.3, 2))
-        e = ellipse_cbf_eval("bicycle", s, o)
+        e = ellipse_cbf_eval("bicycle", s, o, p)
         worst_a = max(worst_a, abs(e.lgh[0]))
         if abs(e.lgh[1]) > 1e-12:
             beta_nonzero += 1
@@ -152,7 +153,7 @@ def test_criterion_04_baseline_degeneracies():
         s = UnicycleState(*rng.uniform(-8, 8, 2), rng.uniform(-3, 3),
                           rng.uniform(-3, 3), rng.uniform(-2, 2))
         o = Obstacle(*rng.uniform(-8, 8, 2), c1=rng.uniform(0.3, 2), c2=rng.uniform(0.3, 2))
-        e = hocbf_eval("unicycle", s, o, 1.0)
+        e = hocbf_eval("unicycle", s, o, 1.0, p)
         if math.hypot(*e.lgh) > 1e-12:
             hocbf_nonzero += 1
     ok = (worst_uni <= 1e-12 and worst_a <= 1e-12

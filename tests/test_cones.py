@@ -1,6 +1,8 @@
 """Cone geometry, barrier candidates, and their Lie derivatives."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +29,14 @@ from conecbf import (
     effective_radius,
     ellipse_cbf_eval,
     hocbf_eval,
+    load_scenario,
+    run_scenario,
 )
 from conecbf._backend import kernel
 
 MODELS = ("unicycle", "bicycle", "pointmass")
 KINDS = ("c3bf", "ellipse", "hocbf")
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def cone_kernel(p_rel, v_rel, r):
@@ -147,10 +152,10 @@ KERNEL_CALLS = [
     ("c3bf_unicycle", (0.0, 0.0, 0.3, 1.2, 0.1, 0.0, 5.0, 1.0, 0.0, 0.0, 1.5)),
     ("c3bf_bicycle", (0.0, 0.0, 0.3, 1.2, 1.0, 5.0, 1.0, 0.0, 0.0, 1.5)),
     ("c3bf_pointmass", (0.0, 0.0, 1.0, 0.2, 5.0, 1.0, 0.0, 0.0, 1.5)),
-    ("ellipse_unicycle", (0.0, 0.0, 0.3, 1.2, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0)),
+    ("ellipse_unicycle", (0.0, 0.0, 0.3, 1.2, 0.0, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0)),
     ("ellipse_bicycle", (0.0, 0.0, 0.3, 1.2, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0)),
     ("ellipse_pointmass", (0.0, 0.0, 1.0, 0.2, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0)),
-    ("hocbf_unicycle", (0.0, 0.0, 0.3, 1.2, 0.1, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0, 1.0)),
+    ("hocbf_unicycle", (0.0, 0.0, 0.3, 1.2, 0.1, 0.0, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0, 1.0)),
     ("hocbf_bicycle", (0.0, 0.0, 0.3, 1.2, 1.0, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0, 1.0)),
     ("hocbf_pointmass", (0.0, 0.0, 1.0, 0.2, 5.0, 1.0, 0.0, 0.0, 1.5, 1.0, 1.0)),
 ]
@@ -183,14 +188,15 @@ STRUCTURAL_ZEROS = {
 
 class TestBarrierOracle:
     """Each of the nine barrier kernels, through its public evaluator,
-    against its definition and the central-difference flow oracle."""
+    against its definition and the central-difference flow oracle, and
+    its dist against the distance from the body center."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("model", MODELS)
     def test_definition_flow_and_structural_zeros(self, kind, model):
         rng = np.random.default_rng(9)
         for _ in range(300):
-            z, u, obs_vel, params, (c1, c2, r) = sample_case(rng, model)
+            z, u, obs_vel, params, (c1, c2, r, dist) = sample_case(rng, model)
             if (kind, model) == ("hocbf", "bicycle"):
                 obs_vel = (0.0, 0.0)  # hocbf_eval refuses a moving obstacle here
             g1 = float(rng.uniform(0.3, 2.0))
@@ -201,10 +207,20 @@ class TestBarrierOracle:
             }[kind]
             e = evaluate_case(kind, model, z, obs_vel, params, c1, c2, g1)
             assert e.penetration is False
+            assert e.dist == pytest.approx(dist, rel=1e-12)
             assert e.h == pytest.approx(h_of(z), rel=1e-12, abs=1e-12)
             hdot_fd = fd_hdot(h_of, model, z, u, obs_vel, params)
             assert abs((e.lfh + e.lgh[0] * u[0] + e.lgh[1] * u[1]) - hdot_fd) <= 1e-6 * (1 + abs(hdot_fd))
             assert all(e.lgh[k] == 0.0 for k in STRUCTURAL_ZEROS.get((kind, model), ()))
+
+    def test_every_kind_logs_one_distance(self):
+        # a unicycle with its body center l = 0.4 ahead of (x, y): every
+        # barrier kind, and `none`, measures dist from that center
+        sc = load_scenario(SCENARIO_DIR / "unicycle-crossing.json")
+        assert sc.params.l == 0.4
+        dists = {kind: run_scenario(replace(sc, cbf=kind, duration=sc.dt)).dist[0] for kind in (*KINDS, "none")}
+        assert len(set(dists.values())) == 1, dists
+        assert round(dists["hocbf"][0], 5) == 9.94786
 
 
 class TestConeLieDerivatives:
@@ -228,7 +244,7 @@ class TestConeLieDerivatives:
     def test_bicycle_beta_column_matches_directional_fd(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            z, u, obs_vel, params, (c1, c2, r) = sample_case(rng, "bicycle")
+            z, u, obs_vel, params, (c1, c2, r, _) = sample_case(rng, "bicycle")
             e = evaluate_case("c3bf", "bicycle", z, obs_vel, params, c1, c2)
             for direction, coef in zip(((1.0, 0.0), (0.0, 1.0)), e.lgh):
                 hdot_fd = fd_hdot(
@@ -248,7 +264,7 @@ class TestEllipseBaseline:
     def test_boundary_value_zero(self):
         o = Obstacle(3, 4, c1=2, c2=1)
         s = UnicycleState(3 + 2 * math.cos(0.7), 4 + math.sin(0.7), 0, 1, 0)
-        e = ellipse_cbf_eval("unicycle", s, o)
+        e = ellipse_cbf_eval("unicycle", s, o, ModelParams())
         assert e.h == pytest.approx(0.0, abs=1e-12)
 
 
@@ -260,16 +276,17 @@ class TestHocbf:
         x, y = 2 * math.cos(0.4), math.sin(0.4)
         tangent = math.atan2(math.cos(0.4) * 1, -math.sin(0.4) * 2)
         s = UnicycleState(x, y, tangent, 1.5, 0)
-        e = hocbf_eval("unicycle", s, o, 3.0)
+        e = hocbf_eval("unicycle", s, o, 3.0, ModelParams())
         assert e.h == pytest.approx(0.0, abs=1e-12)
 
     def test_affine_in_gamma1(self):
         s = UnicycleState(1, 2, 0.3, 1.2, 0.1)
         o = Obstacle(5, 4, c1=1, c2=1)
+        p = ModelParams()
         g = 0.7
-        h_g = hocbf_eval("unicycle", s, o, g).h
-        h_2g = hocbf_eval("unicycle", s, o, 2 * g).h
-        h1 = ellipse_cbf_eval("unicycle", s, o).h
+        h_g = hocbf_eval("unicycle", s, o, g, p).h
+        h_2g = hocbf_eval("unicycle", s, o, 2 * g, p).h
+        h1 = ellipse_cbf_eval("unicycle", s, o, p).h
         assert h_2g - h_g == pytest.approx(g * h1, rel=1e-12)
 
     def test_bicycle_moving_rejected(self):
@@ -301,7 +318,7 @@ def barrier(kind, model, s, o, **kw):
     if kind == "c3bf":
         return c3bf_eval(model, s, o, p, **kw)
     if kind == "ellipse":
-        return ellipse_cbf_eval(model, s, o, **kw)
+        return ellipse_cbf_eval(model, s, o, p, **kw)
     return hocbf_eval(model, s, o, 1.3, p, **kw)
 
 
@@ -361,8 +378,9 @@ class TestBaselineDisagreement:
         # straight at it (cone says collision course)
         s = UnicycleState(0, 0, 0, 2.0, 0)
         o = Obstacle(10, 0, c1=1, c2=1)
-        ell = ellipse_cbf_eval("unicycle", s, o)
-        cone = c3bf_eval("unicycle", s, o, ModelParams(l=0, w=0.5))
+        p = ModelParams(l=0, w=0.5)
+        ell = ellipse_cbf_eval("unicycle", s, o, p)
+        cone = c3bf_eval("unicycle", s, o, p)
         assert ell.h > 0
         assert cone.h < 0
 

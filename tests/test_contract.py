@@ -260,10 +260,13 @@ ROWS = [
     # a moving obstacle is refused on the bicycle whatever t is
     Row("hocbf_eval", "t", NUMBER, {"None": OK}, TIME, ("unicycle", "pointmass"), ({}, {"o": MOVING}), (-0.5,)),
     Row("hocbf_eval", "t", NUMBER, {"None": OK}, TIME, ("bicycle",), outside=(-0.5,)),
-    Row("c3bf_eval", "p", RECORD, opening=UNFIT),
     Row("hocbf_eval", "gamma1", NUMBER, opening="gamma1 must be a finite number > 0, got ", outside=(0.0, -1.0)),
+    # every evaluator requires a ModelParams on every model; hocbf_eval's
+    # two rows split its models only to keep their cells' ids
+    Row("c3bf_eval", "p", RECORD, opening=UNFIT),
+    Row("ellipse_cbf_eval", "p", RECORD, opening=UNFIT),
     Row("hocbf_eval", "p", RECORD, opening=UNFIT, models=("bicycle",)),
-    Row("hocbf_eval", "p", RECORD, {"None": OK}, UNFIT, ("unicycle", "pointmass")),
+    Row("hocbf_eval", "p", RECORD, opening=UNFIT, models=("unicycle", "pointmass")),
     *rows("effective_radius", "o p", RECORD, opening="effective_radius needs an Obstacle and ModelParams: "),
     *[r for name, e in (("filter_qp", "evals"), ("filter_single", "e")) for r in (
         Row(name, "u_ref", SHAPE),
@@ -332,7 +335,7 @@ BASES = {
     "Scenario": lambda m: _kwargs(scenario(m)),
     "activation_gate": lambda m: {"dist": 1.0, "cfg": CFG},
     "c3bf_eval": lambda m: {"model": m, "s": STATES[m], "o": STILL, "p": P, "t": 0.5},
-    "ellipse_cbf_eval": lambda m: {"model": m, "s": STATES[m], "o": STILL, "t": 0.5},
+    "ellipse_cbf_eval": lambda m: {"model": m, "s": STATES[m], "o": STILL, "p": P, "t": 0.5},
     "hocbf_eval": lambda m: {"model": m, "s": STATES[m], "o": STILL, "gamma1": 1.0, "p": P, "t": 0.5},
     "effective_radius": lambda m: {"o": STILL, "p": P},
     "filter_qp": lambda m: {"u_ref": (0.5, 0.0), "evals": (EVAL, EVAL._replace(lgh=(0.0, 1.0))), "cfg": CFG},

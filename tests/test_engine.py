@@ -677,9 +677,10 @@ class TestCorpus:
         # moving obstacle; 1401 steps, 61 of them with the filter active
         ("bicycle-crossing", "ellipse",
          "8117fce6b32cf9ad566799207ab8b25e782bf9fbe3f3fdbc780b89c46721f726"),
-        # 2401 steps, 989 of them with the filter active
+        # 1337 steps, 804 of them with the filter active; collides, since
+        # dist is measured from the body center, 0.4 m ahead of (x, y)
         ("unicycle-crossing", "hocbf",
-         "ee0ea2b81ff59526ac97bea2f7e84def066704ae008ac32596dfb41a26db6ce1"),
+         "e565a71ed65d195eb0a678db30d4842d7af9a1bf3199d02cb0031132649793d3"),
         # 657 steps, 480 of them with the filter active; collides
         ("bicycle-braking", "hocbf",
          "7b353455c582d8a608e0399d4d3488ecd3d6c49cf2d57f9690368e0ab050ea9b"),

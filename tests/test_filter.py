@@ -315,6 +315,19 @@ class TestSolveQp2:
         assert kernel.solve_qp2(1e6 - 1e-5, 0.0, [1.0], [0.0], [1e6]) == (1e6 - 1e-5, 0.0, (), True)
         assert kernel.solve_qp2(1e6 - 1e-3, 0.0, [1.0], [0.0], [1e6]) == (1e6, 0.0, (0,), True)
 
+    @pytest.mark.parametrize("rows, active", [
+        # three rows through the vertex (1, 1), none of whose projections
+        # is feasible: the three vertices tie
+        (([1.0, 0.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0, 3.0]), (0, 1)),
+        # rows 0 and 1 are one boundary, u0 <= 1, which u_ref meets: their
+        # projections tie with each other and with every vertex, at (1, 0)
+        (([-1.0, -2.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0], [-1.0, -2.0, 1.0, 1.0]), (0,)),
+    ])
+    def test_equally_near_candidates_go_to_the_first(self, rows, active):
+        # the projections in row order, then the vertices
+        _, e0, e1 = exact_qp((0.0, 0.0), *rows)
+        assert kernel.solve_qp2(0.0, 0.0, *rows) == (e0, e1, active, True)
+
     def test_nan_row_never_feasible(self):
         assert kernel.solve_qp2(0.0, 0.0, [1.0], [0.0], [math.nan])[3] is False
 

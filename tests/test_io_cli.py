@@ -987,18 +987,19 @@ class TestNonFinite:
 
     def test_far_obstacle_under_the_baselines(self, tmp_path):
         # the ellipse and HOCBF kernels measure a distance whose square
-        # overflows by hypot, so the far obstacle changes no verdict: the
-        # ellipse filter still degenerates at step 519 and the HOCBF run
-        # still collides with obstacle 0, each exiting 2 with a summary
-        run = self.run_with_obstacle_at(tmp_path, [1e200, 0.0], "ellipse", code=2)
-        summary = read_json(run / "summary.json", "summary")
-        assert (summary["aborted"], summary["step"]) == ("filter degenerate for 201 consecutive steps", 519)
+        # overflows by hypot, so the far obstacle changes no verdict: each
+        # summary is the one of the run without it, plus the far
+        # obstacle's radius and its clearance of 1e200
+        for cbf in ("ellipse", "hocbf"):
+            far = read_json(self.run_with_obstacle_at(tmp_path, [1e200, 0.0], cbf, code=2) / "summary.json", "summary")
+            alone = read_json(self.run_with_obstacle_at(tmp_path, None, cbf, code=2) / "summary.json", "summary")
+            assert far["collided"] and far["collision_obstacle"] == 0
+            assert far["metrics"]["min_clearance"].pop() == 1e200
+            far["effective_radii"].pop()
+            del far["scenario"], alone["scenario"]
+            assert far == alone
         sc = load_scenario(tmp_path / "far-ellipse-True.json")
-        assert conecbf.ellipse_cbf_eval(sc.model, sc.initial_state, sc.obstacles[1]).dist == 1e200
-        run = self.run_with_obstacle_at(tmp_path, [1e200, 0.0], "hocbf", code=2)
-        summary = read_json(run / "summary.json", "summary")
-        assert (summary["collided"], summary["collision_obstacle"]) == (True, 0)
-        assert summary["metrics"]["min_clearance"][1] == 1e200
+        assert conecbf.ellipse_cbf_eval(sc.model, sc.initial_state, sc.obstacles[1], sc.params).dist == 1e200
 
     def test_far_obstacle_hocbf_row_met_by_every_input(self, tmp_path):
         # the HOCBF barrier of the far obstacle overflows to h = psi = +inf
